@@ -248,41 +248,41 @@ def as_tensor(x) -> Tensor:
 class ScatterPlan:
     """Precomputed segment-sum over a fixed row-index array.
 
-    Sorting the indices once lets every scatter-add run as a fancy write
-    into a (targets x max-multiplicity) padded buffer followed by one axis
-    sum, which is far faster than ``np.ufunc.at`` and deterministic (fixed
-    summation order).  Pathologically skewed multiplicities fall back to
-    ``np.add.reduceat``.
+    ``apply(src)`` returns ``out`` with ``out[i]`` the sum of the rows
+    ``src[p]`` whose ``idx[p] == i``, over the positions ``p`` inside the
+    optional slot ``mask``; positions outside it (padding) are ignored, so
+    their index value and source rows never matter.
+
+    Sorting the valid positions by index once lets every scatter-add run as
+    a fancy write into a (targets x max-multiplicity) padded buffer followed
+    by one axis sum, which is far faster than ``np.ufunc.at`` and
+    deterministic (fixed summation order).  When the largest multiplicity
+    would make that buffer more than 8x the valid rows (and over 4096 rows),
+    the plan sums with ``np.add.reduceat`` instead.
     """
 
-    def __init__(self, idx: np.ndarray, num_rows: int):
+    def __init__(self, idx: np.ndarray, num_rows: int, mask: np.ndarray | None = None):
         idx = np.asarray(idx, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError("index array must be 1-D")
         self.idx = idx
         self.num_rows = num_rows
-        self.order = np.argsort(idx, kind="stable")
+        self.mask = None if mask is None else np.asarray(mask, dtype=bool).reshape(idx.shape)
+        valid = np.arange(idx.size) if mask is None else np.flatnonzero(self.mask)
+        self.order = valid[np.argsort(idx[valid], kind="stable")]
         sorted_idx = idx[self.order]
-        if idx.size:
-            starts = np.flatnonzero(np.diff(sorted_idx)) + 1
-            self.starts = np.concatenate([[0], starts])
-            self.targets = sorted_idx[self.starts]
-            seg_lens = np.diff(np.concatenate([self.starts, [idx.size]]))
-            self.max_deg = int(seg_lens.max())
-            self.padded = self.max_deg * num_rows <= max(8 * idx.size, 4096)
-            if self.padded:
-                rank = np.arange(idx.size) - np.repeat(self.starts, seg_lens)
-                self.slots = sorted_idx * self.max_deg + rank
+        self.starts = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
+        seg_lens = np.diff(np.append(self.starts, sorted_idx.size))
+        self.max_deg = int(seg_lens.max(initial=0))
+        self.padded = self.max_deg * num_rows <= max(8 * sorted_idx.size, 4096)
+        if self.padded:
+            rank = np.arange(sorted_idx.size) - np.repeat(self.starts, seg_lens)
+            self.slots = sorted_idx * self.max_deg + rank
         else:
-            self.starts = np.zeros(0, dtype=np.int64)
-            self.targets = np.zeros(0, dtype=np.int64)
-            self.max_deg = 0
-            self.padded = False
+            self.targets = sorted_idx[self.starts]
 
     def apply(self, src: np.ndarray) -> np.ndarray:
         tail = src.shape[1:]
-        if not self.idx.size:
-            return np.zeros((self.num_rows,) + tail)
         if self.padded:
             buf = np.zeros((self.num_rows * self.max_deg,) + tail)
             buf[self.slots] = src[self.order]
@@ -291,9 +291,20 @@ class ScatterPlan:
         out[self.targets] = np.add.reduceat(src[self.order], self.starts, axis=0)
         return out
 
+    def gather(self, g: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`apply`: g[idx], zero at masked-out positions."""
+        out = g[self.idx]
+        if self.mask is not None:
+            out[~self.mask] = 0.0
+        return out
+
 
 def gather_rows(x: Tensor, idx: np.ndarray, plan: ScatterPlan | None = None) -> Tensor:
-    """x[idx] along axis 0; idx is a constant integer array."""
+    """x[idx] along axis 0; idx is a constant integer array.
+
+    With a masked plan, the rows gathered at masked-out slots get no
+    gradient: callers must not let them reach the output.
+    """
     idx = np.asarray(idx)
     out = Tensor(x.data[idx], parents=(x,))
     if plan is None:
@@ -306,15 +317,10 @@ def gather_rows(x: Tensor, idx: np.ndarray, plan: ScatterPlan | None = None) -> 
     return out
 
 
-def scatter_add_rows(
-    src: Tensor, idx: np.ndarray, num_rows: int, plan: ScatterPlan | None = None
-) -> Tensor:
-    """out[i] = sum of src rows whose index equals i."""
-    idx = np.asarray(idx)
-    if plan is None:
-        plan = ScatterPlan(idx, num_rows)
+def scatter_add_rows(src: Tensor, plan: ScatterPlan) -> Tensor:
+    """out[i] = sum of the src rows the plan sends to row i."""
     out = Tensor(plan.apply(src.data), parents=(src,))
-    out._backward = lambda g: src._accumulate(g[idx])
+    out._backward = lambda g: src._accumulate(plan.gather(g))
     return out
 
 

@@ -161,13 +161,13 @@ def _train_configs(args) -> tuple[ModelConfig, TrainConfig]:
         "batch_size": overrides.get("batch_size", 128),
         "max_epochs": overrides.get("max_epochs", 100),
         "patience": overrides.get("patience", 10),
-        "dropout": overrides.get("dropout", 0.2),
         "seed": derive_seed(args.seed, "train"),
-        "kappa_init": overrides.get("kappa_init", 20.0),
     }
     model_doc = {
         "embed_dim": args.embed_dim if args.embed_dim else overrides.get("embed_dim", 64),
         "layers": args.layers if args.layers is not None else overrides.get("layers", 2),
+        "dropout": overrides.get("dropout", 0.2),
+        "kappa_init": overrides.get("kappa_init", 20.0),
         "euclidean": args.euclidean,
         "pairwise": args.pairwise,
     }

@@ -1,4 +1,4 @@
-"""Dense linear algebra and numerically stable primitives.
+"""Dense linear algebra: a rank-checked least-squares solve.
 
 Matrices are 2-D float64 ``numpy`` arrays (row-major), vectors are 1-D.
 Everything here is a pure function over immutable inputs and safe to call
@@ -34,17 +34,6 @@ def _as_vector(v, name: str = "vector") -> np.ndarray:
     return v
 
 
-def matvec(m, v) -> np.ndarray:
-    """Matrix-vector product with dimension checking."""
-    m = _as_matrix(m)
-    v = _as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise ContractViolation(
-            f"dimension mismatch: {m.shape[0]}x{m.shape[1]} @ {v.shape[0]}"
-        )
-    return m @ v
-
-
 def least_squares(a, b) -> np.ndarray:
     """Solve min_x ||Ax - b||_2 by Householder QR.
 
@@ -75,21 +64,3 @@ def solve_upper_triangular(r: np.ndarray, y: np.ndarray) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         x[i] = (y[i] - r[i, i + 1 :] @ x[i + 1 :]) / r[i, i]
     return x
-
-
-def softmax_stable(v) -> np.ndarray:
-    """Softmax with max-subtraction; output sums to 1 within 1e-12."""
-    v = _as_vector(v)
-    if v.size == 0:
-        raise ContractViolation("softmax of empty vector")
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
-def logsumexp(v) -> float:
-    """Max-shifted log of the sum of exponentials; exact for singletons."""
-    v = _as_vector(v)
-    if v.size == 0:
-        raise ContractViolation("logsumexp of empty vector")
-    m = v.max()
-    return float(m + np.log(np.exp(v - m).sum()))

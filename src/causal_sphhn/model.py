@@ -12,10 +12,14 @@ a plain dot product), ``pairwise`` expands hyperedges into 2-cliques,
 ``layers=0`` reduces to the projection, and an empty causal graph is
 bit-identical to removing the causal path.
 
-The batched implementation pads hyperedges and parent sets to rectangular
-index arrays; the single-node operations (`project`, `edge_attention`,
-`hyperedge_aggregate`, `causal_aggregate`) are straight-line references
-used by tests and small-scale inspection.
+Hyperedges of every size take one message-passing path.  Members are
+padded to a rectangular (E, K) index array with a validity mask, and each
+round gathers the member embeddings, runs a masked softmax over the
+cosine matrix within every edge, and scatters each valid member's message
+once into a (T*N, d) buffer whose block t holds the per-node sums over
+context type t, so the per-type weights apply as T dense matmuls.  Causal
+parent sets are padded the same way.  Every scatter plan is built from the
+valid slots only, so padding never reaches a node's sum.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .autodiff import Tensor
 from .errors import ContractViolation
 from .granger import CausalGraph
 from .hypergraph import Dataset, Hyperedge, build_index
-from .vmf import entropy_from_kappa
 
 log = logging.getLogger(__name__)
 
@@ -175,15 +178,6 @@ class GraphStructure:
     plans: dict = field(default_factory=dict)  # precomputed scatter plans
 
 
-def _stable_masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    neg = np.where(mask, x, -np.inf)
-    mx = neg.max(axis=-1, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    e = np.where(mask, np.exp(neg - mx), 0.0)
-    s = e.sum(axis=-1, keepdims=True)
-    return e / np.where(s == 0.0, 1.0, s)
-
-
 def pairwise_expand(edges: list[Hyperedge]) -> list[Hyperedge]:
     """Replace every hyperedge by the 2-cliques of its members."""
     out = []
@@ -241,24 +235,22 @@ def compile_structure(
             parent_idx[r, c] = index[edge.src]
             parent_mask[r, c] = True
             parent_f[r, c] = edge.f_statistic
-    ghat = _stable_masked_softmax(parent_f, parent_mask) if p_rows else np.zeros((0, kc))
+    ghat = ad.masked_softmax(Tensor(parent_f), parent_mask).data
 
-    n_nodes = len(node_ids)
+    n_nodes, n_types = len(node_ids), len(type_rows)
+    type_code = np.zeros(n_edges, dtype=np.int64)
+    for code, rows in enumerate(type_rows.values()):
+        type_code[rows] = code
+    slot_idx = (type_code[:, None] * n_nodes + member_idx).reshape(-1)
     plans = {
-        "members": ad.ScatterPlan(member_idx.reshape(-1), n_nodes),
-        "parents": ad.ScatterPlan(parent_idx.reshape(-1), n_nodes),
+        "members": ad.ScatterPlan(member_idx.reshape(-1), n_nodes, member_mask),
+        "parents": ad.ScatterPlan(parent_idx.reshape(-1), n_nodes, parent_mask),
         "children": ad.ScatterPlan(child_rows, n_nodes),
+        "slots": ad.ScatterPlan(slot_idx, n_types * n_nodes, member_mask),
     }
-    for t, rows in type_rows.items():
-        plans[f"type_gather:{t}"] = ad.ScatterPlan(rows, n_edges)
-        plans[f"type_scatter:{t}"] = ad.ScatterPlan(member_idx[rows].reshape(-1), n_nodes)
-    if k == 2 and np.all(member_mask):
-        # All-pair structure: the elementwise attention fast path applies.
-        plans["pair:0"] = ad.ScatterPlan(member_idx[:, 0], n_nodes)
-        plans["pair:1"] = ad.ScatterPlan(member_idx[:, 1], n_nodes)
-        for t, rows in type_rows.items():
-            plans[f"pair_scatter0:{t}"] = ad.ScatterPlan(member_idx[rows, 0], n_nodes)
-            plans[f"pair_scatter1:{t}"] = ad.ScatterPlan(member_idx[rows, 1], n_nodes)
+    for code, t in enumerate(type_rows):
+        block = np.arange(code * n_nodes, (code + 1) * n_nodes)
+        plans[f"block:{t}"] = ad.ScatterPlan(block, n_types * n_nodes)
 
     return GraphStructure(
         node_ids=node_ids,
@@ -349,61 +341,22 @@ def run_model(
     flat_members = structure.member_idx.reshape(-1)
     attn_mask = structure.member_mask[:, None, :]  # mask over j within each edge
 
-    pair_path = "pair:0" in structure.plans
     for _ in range(cfg.layers):
-        if n_edges and pair_path:
-            # 2-member edges: the softmax over {self, other} is a sigmoid of
-            # the cosine gap, so everything stays elementwise.
-            h0 = ad.gather_rows(h, structure.member_idx[:, 0], structure.plans["pair:0"])
-            h1 = ad.gather_rows(h, structure.member_idx[:, 1], structure.plans["pair:1"])
-            cos = (h0 * h1).sum(axis=-1, keepdims=True)
-            a_self = (params.attn_temp * (1.0 - cos)).sigmoid()
-            a_other = 1.0 - a_self
-            aw = a_self.data.reshape(-1)
-            alpha_mat = np.empty((n_edges, 2, 2))
-            alpha_mat[:, 0, 0] = aw
-            alpha_mat[:, 0, 1] = 1.0 - aw
-            alpha_mat[:, 1, 1] = aw
-            alpha_mat[:, 1, 0] = 1.0 - aw
-            alphas.append(Tensor(alpha_mat))
-            msg0 = a_self * h0 + a_other * h1
-            msg1 = a_self * h1 + a_other * h0
-            m = Tensor(np.zeros((n, d)))
-            for t, rows in structure.type_rows.items():
-                agg = ad.scatter_add_rows(
-                    ad.gather_rows(msg0, rows, structure.plans[f"type_gather:{t}"]),
-                    structure.member_idx[rows, 0],
-                    n,
-                    structure.plans[f"pair_scatter0:{t}"],
-                ) + ad.scatter_add_rows(
-                    ad.gather_rows(msg1, rows, structure.plans[f"type_gather:{t}"]),
-                    structure.member_idx[rows, 1],
-                    n,
-                    structure.plans[f"pair_scatter1:{t}"],
-                )
-                m = m + agg @ params.edge_w[t].transpose((1, 0))
-        elif n_edges:
+        m = Tensor(np.zeros((n, d)))
+        if n_edges:
             he = ad.gather_rows(h, flat_members, structure.plans["members"]).reshape(
                 n_edges, k, d
             )
             cos = he @ he.transpose((0, 2, 1))
             alpha = ad.masked_softmax(params.attn_temp * cos, attn_mask)
             alphas.append(alpha)
-            msg = alpha @ he
-            msg = msg * Tensor(structure.member_mask[:, :, None].astype(float))
-            m = Tensor(np.zeros((n, d)))
-            for t, rows in structure.type_rows.items():
-                sub = ad.gather_rows(msg, rows, structure.plans[f"type_gather:{t}"])
-                sub = sub.reshape(rows.size * k, d)
-                agg = ad.scatter_add_rows(
-                    sub,
-                    structure.member_idx[rows].reshape(-1),
-                    n,
-                    structure.plans[f"type_scatter:{t}"],
-                )
-                m = m + agg @ params.edge_w[t].transpose((1, 0))
-        else:
-            m = Tensor(np.zeros((n, d)))
+            msg = (alpha @ he).reshape(n_edges * k, d)
+            # Row type_code*N + node of agg sums the node's messages over
+            # the edges of that context type; pad slots are skipped.
+            agg = ad.scatter_add_rows(msg, structure.plans["slots"])
+            for t in structure.type_rows:
+                block = structure.plans[f"block:{t}"]
+                m = m + ad.gather_rows(agg, block.idx, block) @ params.edge_w[t].transpose((1, 0))
         if mode == "train" and cfg.dropout > 0.0:
             keep = (rng.random((n, d)) >= cfg.dropout) / (1.0 - cfg.dropout)
             m = m * Tensor(keep)
@@ -426,9 +379,7 @@ def run_model(
         combined = base + ctx
         if not cfg.euclidean:
             combined = _normalize_rows(combined, d)
-        scattered = ad.scatter_add_rows(
-            combined, structure.child_rows, n, structure.plans["children"]
-        )
+        scattered = ad.scatter_add_rows(combined, structure.plans["children"])
         child_mask = np.zeros((n, 1), dtype=bool)
         child_mask[structure.child_rows] = True
         h_final = ad.where(child_mask, scattered, h)
@@ -524,115 +475,3 @@ def forward(
         kappa=run.kappa.data.copy(),
         run=run,
     )
-
-
-# --------------------------------------------------------------------------
-# Straight-line single-node reference operations
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SphericalEmbedding:
-    """Unit direction plus concentration; the node's belief state."""
-
-    h: np.ndarray
-    kappa: float
-
-    def __post_init__(self):
-        if abs(np.linalg.norm(self.h) - 1.0) > 1e-9:
-            raise ContractViolation("embedding must be unit length within 1e-9")
-        if self.kappa < 0:
-            raise ContractViolation("kappa must be >= 0")
-
-
-def project(x: np.ndarray, params: ModelParams) -> SphericalEmbedding:
-    """Normalize W x + b onto the sphere; softplus concentration from it."""
-    z = params.proj_w.data @ np.asarray(x, dtype=np.float64) + params.proj_b.data
-    norm = np.linalg.norm(z)
-    if norm <= _NORM_EPS:
-        log.debug("degenerate projection; substituting basis vector")
-        e1 = np.zeros(params.config.embed_dim)
-        e1[0] = 1.0
-        return SphericalEmbedding(e1, 0.0)
-    raw = float(params.kappa_w.data @ z + params.kappa_b.data)
-    return SphericalEmbedding(z / norm, float(np.logaddexp(0.0, raw)))
-
-
-def edge_attention(
-    e: Hyperedge,
-    embeds: dict[str, SphericalEmbedding],
-    attn_temp: float,
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Angular attention within one hyperedge.
-
-    Returns the member order and the row-stochastic matrix alpha with
-    alpha[i, j] the weight node members[i] puts on members[j]; the self
-    term is included.
-    """
-    if len(e.members) < 2:
-        raise ContractViolation("hyperedge must have >= 2 members")
-    hs = np.stack([embeds[m].h for m in e.members])
-    logits = attn_temp * (hs @ hs.T)
-    logits -= logits.max(axis=1, keepdims=True)
-    expd = np.exp(logits)
-    return tuple(e.members), expd / expd.sum(axis=1, keepdims=True)
-
-
-def hyperedge_aggregate(
-    node: str,
-    embeds: dict[str, SphericalEmbedding],
-    index,
-    params: ModelParams,
-    attention: dict[str, tuple[tuple[str, ...], np.ndarray]],
-    edges: dict[str, Hyperedge],
-) -> np.ndarray:
-    """One node's updated embedding: attention-weighted, type-transformed
-    sums over its incident hyperedges, then ReLU and renormalization."""
-    d = params.config.embed_dim
-    m = np.zeros(d)
-    for eid in index.node_to_edges[node]:
-        members, alpha = attention[eid]
-        row = members.index(node)
-        inner = np.zeros(d)
-        for j, other in enumerate(members):
-            inner += alpha[row, j] * embeds[other].h
-        m += params.edge_w[edges[eid].context_type].data @ inner
-    act = np.maximum(m, 0.0)
-    norm = np.linalg.norm(act)
-    if norm <= _NORM_EPS:
-        e1 = np.zeros(d)
-        e1[0] = 1.0
-        return e1
-    return act / norm
-
-
-def causal_aggregate(
-    node: str,
-    h_prime: np.ndarray,
-    causal_graph: CausalGraph,
-    embeds: dict[str, np.ndarray],
-    params: ModelParams,
-) -> np.ndarray:
-    """Blend causal parents into the final embedding via a softmax over
-    Granger F statistics at the learned temperature."""
-    parents = causal_graph.parents_of(node)
-    if not parents:
-        return h_prime
-    parents = sorted(parents, key=lambda e: e.src)
-    f_stats = np.array([e.f_statistic for e in parents])
-    logits = float(params.gamma_temp.data) * f_stats
-    logits -= logits.max()
-    gamma = np.exp(logits)
-    gamma /= gamma.sum()
-    ctx = np.zeros_like(h_prime)
-    for g, e in zip(gamma, parents):
-        ctx += g * (params.causal_w.data @ embeds[e.src])
-    combined = h_prime + ctx
-    if params.config.euclidean:
-        return combined
-    norm = np.linalg.norm(combined)
-    if norm <= _NORM_EPS:
-        e1 = np.zeros_like(combined)
-        e1[0] = 1.0
-        return e1
-    return combined / norm

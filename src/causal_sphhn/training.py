@@ -52,9 +52,7 @@ class TrainConfig:
     batch_size: int = 128
     max_epochs: int = 100
     patience: int = 10
-    dropout: float = 0.2
     seed: int = 0
-    kappa_init: float = 20.0
 
     def validate(self) -> None:
         if self.lr < 0:
@@ -74,9 +72,7 @@ class TrainConfig:
             "batch_size": self.batch_size,
             "max_epochs": self.max_epochs,
             "patience": self.patience,
-            "dropout": self.dropout,
             "seed": self.seed,
-            "kappa_init": self.kappa_init,
         }
 
 
@@ -215,7 +211,6 @@ def train(
     when the loss goes nonfinite.
     """
     cfg.validate()
-    model_cfg = ModelConfig(**{**model_cfg.to_dict(), "dropout": cfg.dropout, "kappa_init": cfg.kappa_init})
     model_cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     structure = compile_structure(ds, causal_graph, model_cfg)
@@ -309,7 +304,7 @@ def write_history_csv(history: list[dict], path: str) -> None:
 # Checkpoints
 # --------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def config_digest(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
@@ -416,7 +411,7 @@ def gradient_check(
     """
     ds, graph, rng = _tiny_instance(seed)
     model_cfg = ModelConfig(embed_dim=4, layers=2, dropout=0.0, attn_temp_init=1.5, gamma_temp_init=0.7, kappa_init=2.0)
-    cfg = TrainConfig(lambda1=0.7, lambda2=0.9, dropout=0.0, seed=seed, kappa_init=2.0)
+    cfg = TrainConfig(lambda1=0.7, lambda2=0.9, seed=seed)
     structure = compile_structure(ds, graph, model_cfg)
     params = init_params(model_cfg, 4, 2, ("ctx",), rng)
     # Randomize away from zero-init so every path carries signal.

@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from causal_sphhn import autodiff as ad
 from causal_sphhn.autodiff import ScatterPlan, Tensor
@@ -19,6 +22,22 @@ def fd_grad(fn, x, h=1e-6):
         flat[i] = orig
         gf[i] = (up - down) / (2 * h)
     return g
+
+
+@st.composite
+def masked_scatter_inputs(draw):
+    """Row count, index array, slot mask and source rows for a ScatterPlan.
+
+    Half of the indices may hit one hot row, so large row counts push the
+    plan onto its reduceat path; masked-out source rows hold values too.
+    """
+    n = draw(st.integers(1, 3000))
+    size = draw(st.integers(0, 300))
+    hot = draw(st.integers(0, n - 1))
+    idx = draw(hnp.arrays(np.int64, size, elements=st.just(hot) | st.integers(0, n - 1)))
+    mask = draw(hnp.arrays(bool, size))
+    src = draw(hnp.arrays(np.float64, (size, 2), elements=st.floats(-1e3, 1e3)))
+    return n, idx, mask, src
 
 
 def check_op(build, *shapes, seed=0, atol=1e-6):
@@ -87,23 +106,34 @@ class TestIndexing:
         rng = np.random.default_rng(3)
         src = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         w = rng.standard_normal((5, 3))
-        out = (ad.scatter_add_rows(src, idx, 5) * Tensor(w)).sum()
+        plan = ScatterPlan(idx, 5)
+        out = (ad.scatter_add_rows(src, plan) * Tensor(w)).sum()
         out.backward()
-        numeric = fd_grad(
-            lambda: (ad.scatter_add_rows(src, idx, 5) * Tensor(w)).sum().item(), src.data
-        )
+        numeric = fd_grad(lambda: (ad.scatter_add_rows(src, plan) * Tensor(w)).sum().item(), src.data)
         assert np.allclose(src.grad, numeric, atol=1e-6)
 
-    def test_scatter_plan_matches_add_at(self):
-        rng = np.random.default_rng(4)
-        for _ in range(40):
-            n = int(rng.integers(1, 40))
-            r = int(rng.integers(0, 300))
-            idx = rng.integers(0, n, size=r)
-            src = rng.standard_normal((r, 3))
-            ref = np.zeros((n, 3))
-            np.add.at(ref, idx, src)
-            assert np.allclose(ScatterPlan(idx, n).apply(src), ref, atol=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(masked_scatter_inputs())
+    @example((3000, np.zeros(40, dtype=np.int64), np.ones(40, dtype=bool), np.ones((40, 2))))
+    def test_scatter_plan_matches_add_at(self, case):
+        n, idx, mask, src = case
+        ref = np.zeros((n, 2))
+        np.add.at(ref, idx[mask], src[mask])
+        tol = 1e-12 * (1.0 + np.abs(src).sum())
+        assert np.allclose(ScatterPlan(idx, n, mask).apply(src), ref, rtol=0.0, atol=tol)
+        if mask.all():
+            assert np.allclose(ScatterPlan(idx, n).apply(src), ref, rtol=0.0, atol=tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(masked_scatter_inputs(), st.integers(0, 2**32 - 1))
+    def test_gather_scatter_adjoint(self, case, seed):
+        n, idx, mask, src = case
+        plan = ScatterPlan(idx, n, mask)
+        x = np.random.default_rng(seed).standard_normal((n, 2))
+        lhs = np.sum(plan.gather(x) * src)
+        rhs = np.sum(x * plan.apply(src))
+        assert abs(lhs - rhs) <= 1e-9 * (1.0 + np.abs(src).sum())
+        assert np.all(plan.gather(x)[~mask] == 0.0)
 
     def test_where_routes_gradients(self):
         cond = np.array([True, False, True])
@@ -115,13 +145,16 @@ class TestIndexing:
 
 
 class TestSoftmaxFamily:
-    def test_masked_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(5)
-        x = Tensor(rng.standard_normal((4, 6)))
-        mask = rng.random((4, 6)) > 0.3
-        mask[:, 0] = True
-        val = ad.masked_softmax(x, mask).data
-        assert np.allclose(val.sum(axis=-1), 1.0, atol=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(np.float64, (4, 6), elements=st.floats(-700.0, 700.0)),
+        hnp.arrays(bool, (4, 6)),
+    )
+    def test_masked_softmax_rows_sum_to_one(self, x, mask):
+        val = ad.masked_softmax(Tensor(x), mask).data
+        valid = mask.any(axis=-1)
+        assert np.allclose(val[valid].sum(axis=-1), 1.0, atol=1e-12)
+        assert np.all(val[~valid] == 0.0)
         assert np.all(val[~mask] == 0.0)
 
     def test_masked_softmax_gradient(self):

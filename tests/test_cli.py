@@ -138,7 +138,7 @@ class TestTrain:
 
     def test_ablation_flags_accepted(self, tmp_path, toy_run):
         cfg = tmp_path / "fast.json"
-        cfg.write_text(json.dumps({"max_epochs": 2}))
+        cfg.write_text(json.dumps({"max_epochs": 2, "dropout": 0.1, "kappa_init": 5.0}))
         out = str(tmp_path / "abl")
         code = main(
             ["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal", "--no-entropy",
@@ -148,6 +148,8 @@ class TestTrain:
         ckpt = json.load(open(f"{out}/checkpoint.json"))
         assert ckpt["model_config"]["euclidean"] and ckpt["model_config"]["pairwise"]
         assert ckpt["train_config"]["lambda1"] == 0.0
+        assert ckpt["model_config"]["dropout"] == 0.1 and ckpt["model_config"]["kappa_init"] == 5.0
+        assert "dropout" not in ckpt["train_config"] and "kappa_init" not in ckpt["train_config"]
 
 
 class TestEval:
@@ -191,6 +193,18 @@ class TestEval:
         code = main(
             ["eval", "--checkpoint", f"{toy_run}/checkpoint.json",
              "--dataset", f"{other}/dataset.json", "--out", str(tmp_path / "r")]
+        )
+        assert code == 1
+
+    def test_old_checkpoint_version_is_input_error(self, tmp_path, toy_run):
+        doc = json.load(open(f"{toy_run}/checkpoint.json"))
+        doc["format_version"] = 1
+        doc["train_config"].update(dropout=0.2, kappa_init=20.0)
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        code = main(
+            ["eval", "--checkpoint", str(path), "--dataset", f"{toy_run}/dataset.json",
+             "--out", str(tmp_path / "r")]
         )
         assert code == 1
 

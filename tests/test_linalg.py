@@ -5,41 +5,6 @@ from causal_sphhn import linalg
 from causal_sphhn.errors import ContractViolation, RankDeficient
 
 
-def naive_matvec(m, v):
-    rows, cols = m.shape
-    out = np.zeros(rows)
-    for i in range(rows):
-        acc = 0.0
-        for j in range(cols):
-            acc += m[i, j] * v[j]
-        out[i] = acc
-    return out
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(linalg.matvec(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_hand_computed(self):
-        out = linalg.matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0])
-        assert np.array_equal(out, [3.0, 7.0])
-
-    def test_matches_naive_oracle_bitwise_on_integers(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            m = rng.integers(-5, 6, size=(5, 3)).astype(float)
-            v = rng.integers(-5, 6, size=3).astype(float)
-            assert np.array_equal(linalg.matvec(m, v), naive_matvec(m, v))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolation):
-            linalg.matvec(np.eye(3), [1.0, 2.0])
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ContractViolation):
-            linalg.matvec([[np.nan, 0.0]], [1.0, 1.0])
-
-
 class TestLeastSquares:
     def test_identity_system(self):
         x = linalg.least_squares(np.eye(3), [1.0, 2.0, 3.0])
@@ -67,50 +32,3 @@ class TestLeastSquares:
     def test_underdetermined_rejected(self):
         with pytest.raises(ContractViolation):
             linalg.least_squares(np.ones((2, 3)), [1.0, 2.0])
-
-
-class TestSoftmax:
-    def test_symmetric_pair(self):
-        assert np.allclose(linalg.softmax_stable([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
-
-    def test_large_inputs_no_overflow(self):
-        out = linalg.softmax_stable([1000.0, 1000.0, 1000.0])
-        assert np.all(np.isfinite(out))
-        assert np.allclose(out, [1 / 3] * 3, atol=1e-12)
-
-    def test_against_direct_oracle(self):
-        # Direct exp/sum at long-double precision.
-        v = np.array([1.0, 2.0, 3.0])
-        e = np.exp(v.astype(np.longdouble))
-        expected = (e / e.sum()).astype(float)
-        assert np.allclose(linalg.softmax_stable(v), expected, atol=1e-4)
-        assert np.allclose(expected, [0.0900, 0.2447, 0.6652], atol=1e-4)
-
-    def test_properties_over_seeds(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            v = rng.standard_normal(rng.integers(1, 12)) * 10
-            out = linalg.softmax_stable(v)
-            assert np.all(out > 0) and np.all(out <= 1)
-            assert abs(out.sum() - 1.0) <= 1e-12
-            shifted = linalg.softmax_stable(v + 123.456)
-            assert np.allclose(out, shifted, atol=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractViolation):
-            linalg.softmax_stable([])
-
-
-class TestLogSumExp:
-    def test_singleton_exact(self):
-        assert linalg.logsumexp([3.7]) == 3.7
-
-    def test_pair_of_zeros(self):
-        assert abs(linalg.logsumexp([0.0, 0.0]) - np.log(2.0)) < 1e-15
-
-    def test_no_overflow(self):
-        assert abs(linalg.logsumexp([700.0, 700.0]) - (700.0 + np.log(2.0))) < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ContractViolation):
-            linalg.logsumexp([])

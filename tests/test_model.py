@@ -1,4 +1,7 @@
+import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,18 +11,20 @@ from causal_sphhn.granger import CausalEdge, CausalGraph
 from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries, build_index
 from causal_sphhn.model import (
     ModelConfig,
-    SphericalEmbedding,
-    causal_aggregate,
     compile_structure,
-    edge_attention,
     forward,
-    hyperedge_aggregate,
     init_params,
     pairwise_expand,
-    project,
     run_model,
 )
 from causal_sphhn.vmf import log_uniform_density
+from reference_ops import (
+    SphericalEmbedding,
+    causal_aggregate,
+    edge_attention,
+    hyperedge_aggregate,
+    project,
+)
 
 
 def tiny_params(cfg, in_dim=2, classes=2, types=("c",), seed=0, randomize=True):
@@ -159,22 +164,28 @@ class TestHyperedgeAggregate:
 
     def test_matches_naive_double_loop_oracle(self):
         rng = np.random.default_rng(8)
-        ds = make_dataset(rng, n=5, d=4, edges=[Hyperedge("e0", tuple(f"n{i}" for i in range(5)), "c")])
-        cfg = ModelConfig(embed_dim=4, layers=1, dropout=0.0)
-        params = tiny_params(cfg, in_dim=4, seed=9)
-        structure = compile_structure(ds, None, cfg)
-        run = run_model(structure, params, mode="eval")
+        ds = make_dataset(rng, n=5, d=4, edges=[
+            Hyperedge("e0", tuple(f"n{i}" for i in range(5)), "c"),
+            Hyperedge("e1", ("n0", "n3"), "d"),
+            Hyperedge("e2", ("n1", "n2", "n4"), "d"),
+        ])
+        for pairwise in (False, True):
+            cfg = ModelConfig(embed_dim=4, layers=1, dropout=0.0, pairwise=pairwise)
+            params = tiny_params(cfg, in_dim=4, types=("c", "d"), seed=9)
+            structure = compile_structure(ds, None, cfg)
+            run = run_model(structure, params, mode="eval")
 
-        embeds = {n.node_id: project(n.features[-1], params) for n in ds.nodes}
-        index = build_index(ds)
-        edges = {e.edge_id: e for e in ds.hyperedges}
-        attn = {
-            e.edge_id: edge_attention(e, embeds, float(params.attn_temp.data))
-            for e in ds.hyperedges
-        }
-        for i, nid in enumerate(structure.node_ids):
-            ref = hyperedge_aggregate(nid, embeds, index, params, attn, edges)
-            assert np.allclose(run.layers[1].data[i], ref, atol=1e-12)
+            edge_list = pairwise_expand(ds.hyperedges) if pairwise else ds.hyperedges
+            embeds = {n.node_id: project(n.features[-1], params) for n in ds.nodes}
+            index = build_index(dataclasses.replace(ds, hyperedges=edge_list))
+            edges = {e.edge_id: e for e in edge_list}
+            attn = {
+                e.edge_id: edge_attention(e, embeds, float(params.attn_temp.data))
+                for e in edge_list
+            }
+            for i, nid in enumerate(structure.node_ids):
+                ref = hyperedge_aggregate(nid, embeds, index, params, attn, edges)
+                assert np.allclose(run.layers[1].data[i], ref, atol=1e-12)
 
 
 class TestCausalAggregate:
@@ -211,6 +222,63 @@ class TestCausalAggregate:
         expected = h + 0.5 * embeds["p"] + 0.5 * embeds["q"]
         expected /= np.linalg.norm(expected)
         assert np.allclose(out, expected, atol=1e-12)
+
+
+def mixed_size_instance():
+    """Edges of 2, 3 and 5 members and children with 1 or 3 causal parents,
+    so both the member and the parent arrays carry padding."""
+    rng = np.random.default_rng(30)
+    ids = [f"n{i}" for i in range(8)]
+    edges = [Hyperedge(f"p{i}", (ids[i + 1], ids[i + 2]), "a") for i in range(5)]
+    edges += [Hyperedge("t0", ("n0", "n3", "n5"), "b"), Hyperedge("f0", tuple(ids[3:8]), "a")]
+    ds = make_dataset(rng, n=8, edges=edges)
+    graph = CausalGraph(0.01, 2, [
+        CausalEdge("n1", "n2", 2.0, 1e-3),
+        CausalEdge("n3", "n7", 5.0, 1e-3),
+        CausalEdge("n4", "n7", 1.0, 1e-3),
+        CausalEdge("n5", "n7", 3.0, 1e-3),
+    ])
+    return ds, graph
+
+
+class TestCompiledPlans:
+    @pytest.mark.parametrize("pairwise", [False, True])
+    def test_plan_set_is_the_same_for_every_edge_size(self, pairwise):
+        ds, graph = mixed_size_instance()
+        structure = compile_structure(ds, graph, ModelConfig(pairwise=pairwise))
+        assert sorted(structure.plans) == ["block:a", "block:b", "children", "members", "parents", "slots"]
+
+    def test_plans_count_valid_slots_only(self):
+        # Padding used to alias node 0, inflating its multiplicity.
+        ds, graph = mixed_size_instance()
+        structure = compile_structure(ds, graph, ModelConfig())
+        members, parents = structure.plans["members"], structure.plans["parents"]
+        valid_members = structure.member_idx[structure.member_mask]
+        valid_parents = structure.parent_idx[structure.parent_mask]
+        assert not structure.member_mask.all() and not structure.parent_mask.all()
+        assert members.max_deg == np.bincount(valid_members).max()
+        assert parents.max_deg == np.bincount(valid_parents).max()
+
+    @pytest.mark.parametrize("pairwise", [False, True])
+    def test_benchmark_structure_hook_reads_compiled_structure(self, pairwise):
+        # The benchmark's traced runs read these GraphStructure fields.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        ds, graph = mixed_size_instance()
+        structure = compile_structure(ds, graph, ModelConfig(pairwise=pairwise))
+        attrs = spans._structure_attrs((ds, graph), {}, structure)
+        edges, k = structure.member_idx.shape
+        assert attrs == {
+            "member_pad_frac": pytest.approx(1.0 - structure.member_mask.mean()),
+            "parent_pad_frac": pytest.approx(1.0 - structure.parent_mask.mean()),
+            "attention_entries": edges * k * k,
+            "reduceat_plans": 0,
+        }
+        assert (k == 2) == pairwise
+        assert (attrs["member_pad_frac"] == 0.0) == pairwise
+        assert attrs["parent_pad_frac"] > 0.0
 
 
 class TestForward:
@@ -325,33 +393,19 @@ class TestForward:
             Hyperedge("e0", ("n0", "n1", "n2"), "c"),
             Hyperedge("e1", ("n2", "n3", "n4", "n5"), "c"),
         ])
-        cfg = ModelConfig(embed_dim=4, layers=1, dropout=0.0)
-        params = tiny_params(cfg, in_dim=4, seed=19)
-        structure = compile_structure(ds, None, cfg)
-        run = run_model(structure, params, mode="eval")
-        embeds = {n.node_id: project(n.features[-1], params) for n in ds.nodes}
-        alpha = run.alphas[0].data
-        for row, e in enumerate(ds.hyperedges):
-            members, ref = edge_attention(e, embeds, float(params.attn_temp.data))
-            k = len(members)
-            assert np.allclose(alpha[row, :k, :k], ref, atol=1e-12)
-
-    def test_pairwise_fast_path_matches_generic(self):
-        rng = np.random.default_rng(20)
-        ds = make_dataset(rng, n=6, edges=[
-            Hyperedge("e0", ("n0", "n1", "n2"), "c"),
-            Hyperedge("e1", ("n3", "n4"), "c"),
-        ])
-        cfg = ModelConfig(embed_dim=4, layers=2, dropout=0.0, pairwise=True)
-        params = tiny_params(cfg, in_dim=4, seed=21)
-        fast = compile_structure(ds, None, cfg)
-        slow = compile_structure(ds, None, cfg)
-        for key in list(slow.plans):
-            if key.startswith("pair"):
-                del slow.plans[key]
-        r_fast = run_model(fast, params, mode="eval")
-        r_slow = run_model(slow, params, mode="eval")
-        assert np.allclose(r_fast.logits.data, r_slow.logits.data, atol=1e-12)
+        for pairwise in (False, True):
+            cfg = ModelConfig(embed_dim=4, layers=1, dropout=0.0, pairwise=pairwise)
+            params = tiny_params(cfg, in_dim=4, seed=19)
+            structure = compile_structure(ds, None, cfg)
+            run = run_model(structure, params, mode="eval")
+            embeds = {n.node_id: project(n.features[-1], params) for n in ds.nodes}
+            alpha = run.alphas[0].data
+            edge_list = pairwise_expand(ds.hyperedges) if pairwise else ds.hyperedges
+            assert alpha.shape[0] == len(edge_list)
+            for row, e in enumerate(edge_list):
+                members, ref = edge_attention(e, embeds, float(params.attn_temp.data))
+                k = len(members)
+                assert np.allclose(alpha[row, :k, :k], ref, atol=1e-12)
 
     def test_pairwise_expand(self):
         edges = [Hyperedge("e", ("a", "b", "c"), "t")]

@@ -183,10 +183,7 @@ class TestTrainLoop:
         mc = ModelConfig(embed_dim=4, layers=1)
         tc = TrainConfig(lr=0.0, max_epochs=3, seed=0)
         params, history = train(ds, graph, mc, tc)
-        fresh = init_params(
-            ModelConfig(**{**mc.to_dict(), "dropout": tc.dropout, "kappa_init": tc.kappa_init}),
-            ds.dim, ds.classes, ("ctx",), np.random.default_rng(0),
-        )
+        fresh = init_params(mc, ds.dim, ds.classes, ("ctx",), np.random.default_rng(0))
         for name, t in params.named().items():
             assert np.array_equal(t.data, fresh.named()[name].data), name
 
@@ -205,8 +202,8 @@ class TestTrainLoop:
         ds = Dataset(3, 2, 2, 1, nodes, edges, labels,
                      {"train": ids[: n - 8], "val": ids[n - 8 : n - 4], "test": ids[n - 4 :]})
         ds.validate()
-        mc = ModelConfig(embed_dim=8, layers=1)
-        tc = TrainConfig(lambda1=0.0, lambda2=0.0, max_epochs=100, seed=1, dropout=0.0)
+        mc = ModelConfig(embed_dim=8, layers=1, dropout=0.0)
+        tc = TrainConfig(lambda1=0.0, lambda2=0.0, max_epochs=100, seed=1)
         params, history = train(ds, None, mc, tc)
         structure = compile_structure(ds, None, params.config)
         run = run_model(structure, params, mode="eval")
