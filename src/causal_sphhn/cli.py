@@ -46,11 +46,13 @@ INPUT_ERRORS = (
     RankDeficient,
     SeriesTooShort,
     ValidationError,
-    FileNotFoundError,
     OSError,
-    KeyError,
     json.JSONDecodeError,
 )
+
+# The --config keys of the train command, by the config they set.
+MODEL_KEYS = ("embed_dim", "layers", "dropout", "kappa_init")
+TRAIN_KEYS = ("lambda1", "lambda2", "lr", "batch_size", "max_epochs", "patience")
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -116,7 +118,10 @@ def cmd_synth(args) -> int:
         )
         if "split_fracs" in doc:
             doc["split_fracs"] = tuple(doc["split_fracs"])
-        cfg = synthgen.SynthConfig(**doc)
+        try:
+            cfg = synthgen.SynthConfig(**doc)
+        except TypeError as exc:  # names the unknown or missing key
+            raise ParseError(f"{args.config}: {exc}") from exc
     else:
         cfg = synthgen.preset(args.preset, seed=seed)
     ds, truth = synthgen.generate(cfg)
@@ -154,24 +159,21 @@ def cmd_granger(args) -> int:
 
 def _train_configs(args) -> tuple[ModelConfig, TrainConfig]:
     overrides = _load_json(args.config) if args.config else {}
-    train_doc = {
-        "lambda1": 0.0 if args.no_entropy else overrides.get("lambda1", 0.1),
-        "lambda2": overrides.get("lambda2", 0.1),
-        "lr": overrides.get("lr", 1e-3),
-        "batch_size": overrides.get("batch_size", 128),
-        "max_epochs": overrides.get("max_epochs", 100),
-        "patience": overrides.get("patience", 10),
-        "seed": derive_seed(args.seed, "train"),
-    }
-    model_doc = {
-        "embed_dim": args.embed_dim if args.embed_dim else overrides.get("embed_dim", 64),
-        "layers": args.layers if args.layers is not None else overrides.get("layers", 2),
-        "dropout": overrides.get("dropout", 0.2),
-        "kappa_init": overrides.get("kappa_init", 20.0),
-        "euclidean": args.euclidean,
-        "pairwise": args.pairwise,
-    }
-    return ModelConfig(**model_doc), TrainConfig(**train_doc)
+    unknown = sorted(set(overrides) - set(MODEL_KEYS + TRAIN_KEYS))
+    if unknown:
+        raise ParseError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
+    model_doc = {k: v for k, v in overrides.items() if k in MODEL_KEYS}
+    train_doc = {k: v for k, v in overrides.items() if k in TRAIN_KEYS}
+    if args.embed_dim:
+        model_doc["embed_dim"] = args.embed_dim
+    if args.layers is not None:
+        model_doc["layers"] = args.layers
+    if args.no_entropy:
+        train_doc["lambda1"] = 0.0
+    return (
+        ModelConfig(**model_doc, euclidean=args.euclidean, pairwise=args.pairwise),
+        TrainConfig(**train_doc, seed=derive_seed(args.seed, "train")),
+    )
 
 
 def cmd_train(args) -> int:
@@ -183,12 +185,7 @@ def cmd_train(args) -> int:
             raise ContractViolation("--graph is required unless --no-causal is set")
         graph = CausalGraph.load(args.graph)
     model_cfg, train_cfg = _train_configs(args)
-    try:
-        params, history = train(ds, graph, model_cfg, train_cfg)
-    except TrainingDiverged as exc:
-        os.makedirs(args.out, exist_ok=True)
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 3
+    params, history = train(ds, graph, model_cfg, train_cfg)
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.json")
     hist = os.path.join(args.out, "history.csv")

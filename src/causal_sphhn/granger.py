@@ -10,9 +10,11 @@ Per-node feature matrices are reduced to scalar series first, either by the
 first principal component fitted on the training split ("pca1") or by the
 feature mean ("mean").
 
-All pair tests are independent and side-effect free; ``infer_causal_graph``
-evaluates them with a vectorized shared-QR kernel and merges results in
-(source, target) lexicographic order, so the output is deterministic.
+All pair tests are independent and side-effect free.  ``infer_causal_graph``
+fits all sources of a target with a shared-QR kernel, hands rank-deficient
+pairs to ``granger_test``, and scores the rest with the same elementwise
+F-test (one p-value array call per target); edges are kept in (source,
+target) lexicographic order, so the output is deterministic.
 """
 
 from __future__ import annotations
@@ -25,11 +27,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolation, NumericalError, RankDeficient, SeriesTooShort
+from .errors import ContractViolation, NumericalError, ParseError, RankDeficient, SeriesTooShort
 from .hypergraph import NodeFeatureSeries
-from .linalg import least_squares
 
 REDUCTIONS = ("pca1", "mean")
+
+# Relative threshold on |R_ii| below which a QR factor is treated as rank
+# deficient.  Conservative for the series lengths (T ~ 500) used upstream.
+_RANK_TOL = 1e-10
 
 # Residual sum of squares at or below this (relative to the target's scale)
 # counts as an exact fit, which rescues rank-deficient designs that still
@@ -105,14 +110,15 @@ class CausalGraph:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CausalGraph":
-        return cls(
-            alpha=float(doc["alpha"]),
-            lag=int(doc["lag"]),
-            edges=[
+        try:
+            alpha, lag = float(doc["alpha"]), int(doc["lag"])
+            edges = [
                 CausalEdge(str(e["src"]), str(e["dst"]), float(e["f"]), float(e["p"]))
                 for e in doc["edges"]
-            ],
-        )
+            ]
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"causal graph: missing or malformed field {exc}") from exc
+        return cls(alpha=alpha, lag=lag, edges=edges)
 
     def save(self, path: str) -> None:
         tmp = path + ".tmp"
@@ -131,71 +137,68 @@ class CausalGraph:
 # --------------------------------------------------------------------------
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+def _betacf(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Continued fraction for the incomplete beta (modified Lentz), elementwise.
+
+    Elements stop updating once converged, so each one follows the same
+    arithmetic as a scalar iteration would.
+    """
     tiny = 1e-300
+
+    def floor(v):
+        return np.where(np.abs(v) < tiny, tiny, v)
+
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    c = np.ones_like(x)
+    d = 1.0 / floor(1.0 - qab * x / qap)
     h = d
+    active = np.ones(x.shape, dtype=bool)
     for m in range(1, 400):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-12:
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):
+            d = 1.0 / floor(1.0 + aa * d)
+            c = floor(1.0 + aa / c)
+            delta = d * c
+            h = np.where(active, h * delta, h)
+        active &= ~(np.abs(delta - 1.0) < 1e-12)
+        if not active.any():
             return h
     raise NumericalError("incomplete beta continued fraction did not converge")
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) with relative error around 1e-12 via continued fractions."""
-    if not (0.0 <= x <= 1.0):
-        raise ContractViolation(f"x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
 
 
-def f_survival(f_stat: float, d1: float, d2: float) -> float:
-    """P(F > f) for an F(d1, d2) distribution."""
-    if f_stat <= 0.0:
-        return 1.0
-    if math.isinf(f_stat):
-        return 0.0
-    x = d2 / (d2 + d1 * f_stat)
-    return min(1.0, max(0.0, regularized_incomplete_beta(0.5 * d2, 0.5 * d1, x)))
+def regularized_incomplete_beta(a, b, x):
+    """I_x(a, b) elementwise, with relative error around 1e-12 via continued fractions."""
+    a, b, x = (np.asarray(v, dtype=np.float64) for v in (a, b, x))
+    inside = (0.0 <= x) & (x <= 1.0)
+    if not inside.all():
+        raise ContractViolation(f"x must be in [0, 1], got {x[~inside][0]}")
+    log_beta = _lgamma(a + b) - _lgamma(a) - _lgamma(b)
+    a, b, x = np.broadcast_arrays(a, b, x)
+    interior = (0.0 < x) & (x < 1.0)
+    x_in = np.where(interior, x, 0.5)
+    front = np.exp(log_beta + a * np.log(x_in) + b * np.log1p(-x_in))
+    lower = x_in < (a + 1.0) / (a + b + 2.0)
+    p, q = np.where(lower, a, b), np.where(lower, b, a)
+    tail = front * _betacf(p, q, np.where(lower, x_in, 1.0 - x_in)) / p
+    out = np.where(interior, np.where(lower, tail, 1.0 - tail), x)
+    return float(out) if out.ndim == 0 else out
+
+
+def f_survival(f_stat, d1, d2):
+    """P(F > f) for an F(d1, d2) distribution, elementwise.
+
+    F <= 0 gives 1 and F = inf gives 0; a NaN statistic raises
+    :class:`ContractViolation`.
+    """
+    f, d1, d2 = (np.asarray(v, dtype=np.float64) for v in (f_stat, d1, d2))
+    x = d2 / (d2 + d1 * np.maximum(f, 0.0))
+    out = np.clip(regularized_incomplete_beta(0.5 * d2, 0.5 * d1, x), 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 # --------------------------------------------------------------------------
@@ -223,19 +226,22 @@ def _check_series(y: np.ndarray, lag: int, min_length: int) -> np.ndarray:
     return y
 
 
+def _rank_deficient(rdiag: np.ndarray) -> np.ndarray:
+    """Whether the QR diagonals |R_ii| along the last axis signal rank deficiency."""
+    return rdiag.min(axis=-1) <= _RANK_TOL * rdiag.max(axis=-1)
+
+
 def _solve_ols(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least squares with an exact-fit rescue for rank-deficient designs."""
-    try:
-        coef = least_squares(a, b)
-    except RankDeficient:
-        coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-        resid = b - a @ coef
-        rss = float(resid @ resid)
-        if rss <= _EXACT_RSS_TOL * max(1.0, float(b @ b)):
-            return coef, rss
-        raise
+    """Least squares by Householder QR, with an exact-fit rescue for rank-deficient designs."""
+    q, r = np.linalg.qr(a)
+    rdiag = np.abs(np.diag(r))
+    deficient = _rank_deficient(rdiag)
+    coef = np.linalg.lstsq(a, b, rcond=None)[0] if deficient else np.linalg.solve(r, q.T @ b)
     resid = b - a @ coef
-    return coef, float(resid @ resid)
+    rss = float(resid @ resid)
+    if deficient and rss > _EXACT_RSS_TOL * max(1.0, float(b @ b)):
+        raise RankDeficient(f"R diagonal {rdiag.min():.3e} below {_RANK_TOL:g} * {rdiag.max():.3e}")
+    return coef, rss
 
 
 def fit_var_restricted(y, lag: int, min_length: int | None = None):
@@ -283,15 +289,20 @@ def granger_test(source, target, cfg: GrangerConfig, n_tests: int = 1) -> Grange
         _, rss_u, dof_u = fit_var_unrestricted(target, source, cfg.lag, cfg.min_length)
     except (RankDeficient, SeriesTooShort) as exc:
         return GrangerDecision(0.0, 1.0, False, f"{type(exc).__name__}: {exc}")
-    if dof_u < 1:
-        return GrangerDecision(0.0, 1.0, False, "not enough observations for dof")
-    if rss_u >= rss_r:
-        f_stat = 0.0
-    else:
-        scale = rss_u / dof_u
-        f_stat = ((rss_r - rss_u) / cfg.lag) / max(scale, 1e-300)
-    p_value = f_survival(f_stat, cfg.lag, dof_u)
-    return GrangerDecision(f_stat, p_value, p_value <= alpha and rss_u < rss_r)
+    f_stat, p_value, is_edge = _f_test(rss_r, rss_u, cfg.lag, dof_u, alpha)
+    return GrangerDecision(float(f_stat), float(p_value), bool(is_edge))
+
+
+def _f_test(rss_r, rss_u, lag: int, dof_u: int, alpha: float):
+    """F statistic, p-value and edge decision of the nested-model test, elementwise.
+
+    Returns (F, p, is_edge).  A pair whose unrestricted fit does not lower
+    the RSS gets F = 0 and p = 1.
+    """
+    gain = rss_u < rss_r
+    f_stat = np.where(gain, ((rss_r - rss_u) / lag) / np.maximum(rss_u / dof_u, 1e-300), 0.0)
+    p_value = f_survival(f_stat, lag, dof_u)
+    return f_stat, p_value, gain & (p_value <= alpha)
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +348,8 @@ def infer_causal_graph(
     and each source's lag block is orthogonalized against it, which is
     algebraically the block form of the full QR solve.  Pairs whose
     combined R diagonal signals rank deficiency fall back to the reference
-    single-pair path so corner cases match ``granger_test`` exactly.
+    single-pair path so corner cases match ``granger_test`` exactly; the
+    other sources of a target are scored by one array call of the F-test.
     """
     if len(nodes) < 2:
         raise ContractViolation("need at least 2 nodes")
@@ -385,25 +397,16 @@ def infer_causal_graph(
             qs[:, :, k] = v / safe[:, None]
             proj_sq += (qs[:, :, k] @ resid) ** 2
 
-        rmax = np.maximum(rdiag_b.max(axis=1), rdiag_r.max())
-        rmin = np.minimum(rdiag_b.min(axis=1), rdiag_r.min())
-        degenerate = rmin <= 1e-10 * rmax
-        rss_u = np.clip(rss_r - proj_sq, 0.0, None)
-
-        for i, src in enumerate(ids):
-            if i == j:
-                continue
-            if degenerate[i]:
-                dec = granger_test(series[src], series[dst], cfg, n_tests=n_tests)
-                if dec.is_edge:
-                    edges.append(CausalEdge(src, dst, dec.f_statistic, dec.p_value))
-                continue
-            if rss_u[i] >= rss_r:
-                continue
-            scale = rss_u[i] / dof_u
-            f_stat = ((rss_r - rss_u[i]) / p) / max(scale, 1e-300)
-            p_value = f_survival(f_stat, p, dof_u)
-            if p_value <= alpha:
-                edges.append(CausalEdge(src, dst, float(f_stat), float(p_value)))
+        # Rank-deficient pairs go to granger_test and the self pair is no
+        # test; rss_u = rss_r makes the array F-test reject both.
+        own = np.arange(n) == j
+        fallback = _rank_deficient(np.hstack([np.broadcast_to(rdiag_r, (n, p + 1)), rdiag_b])) & ~own
+        rss_u = np.where(fallback | own, rss_r, np.clip(rss_r - proj_sq, 0.0, None))
+        f_stat, p_value, is_edge = _f_test(rss_r, rss_u, p, dof_u, alpha)
+        edges += [CausalEdge(ids[i], dst, float(f_stat[i]), float(p_value[i])) for i in np.flatnonzero(is_edge)]
+        for i in np.flatnonzero(fallback):
+            dec = granger_test(series[ids[i]], series[dst], cfg, n_tests=n_tests)
+            if dec.is_edge:
+                edges.append(CausalEdge(ids[i], dst, dec.f_statistic, dec.p_value))
 
     return CausalGraph(alpha=cfg.alpha, lag=cfg.lag, edges=edges)

@@ -24,9 +24,7 @@ valid slots only, so padding never reaches a node's sum.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -425,27 +423,6 @@ class ForwardTrace:
     entropy: np.ndarray
     kappa: np.ndarray
     run: ModelRun = field(repr=False, default=None)
-
-    def to_dict(self) -> dict:
-        return {
-            "node_ids": self.node_ids,
-            "layer_embeddings": [h.tolist() for h in self.layer_embeddings],
-            "attention": [a.tolist() for a in self.attention],
-            "member_idx": self.member_idx.tolist(),
-            "member_mask": self.member_mask.tolist(),
-            "gamma": self.gamma.tolist(),
-            "gamma_children": self.gamma_children,
-            "logits": self.logits.tolist(),
-            "probs": self.probs.tolist(),
-            "entropy": self.entropy.tolist(),
-            "kappa": self.kappa.tolist(),
-        }
-
-    def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-        os.replace(tmp, path)
 
 
 def forward(

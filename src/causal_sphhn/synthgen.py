@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, ParseError
 from .hypergraph import Dataset, Hyperedge, NodeFeatureSeries
 
 EDGE_TYPES = ("class", "activity")
@@ -379,7 +379,10 @@ def load_truth(path: str) -> list[PlantedEdge]:
 
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    return [
-        PlantedEdge(str(e["src"]), str(e["dst"]), float(e["coef"]))
-        for e in doc["true_edges"]
-    ]
+    try:
+        return [
+            PlantedEdge(str(e["src"]), str(e["dst"]), float(e["coef"]))
+            for e in doc["true_edges"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: missing or malformed field {exc}") from exc

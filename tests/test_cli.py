@@ -71,6 +71,21 @@ class TestSynth:
         truth = json.load(open(f"{out}/truth.json"))
         assert truth["true_edges"] == [{"src": "n0000", "dst": "n0005", "coef": 0.7}]
 
+    @pytest.mark.parametrize(
+        "change, key", [({"n_layers": 3}, "n_layers"), ({"n_classes": None}, "n_classes")]
+    )
+    def test_config_unknown_or_missing_key_is_input_error(self, tmp_path, capsys, change, key):
+        cfg = {
+            "n_nodes": 20, "n_hyperedges": 15, "mean_edge_size": 3.0,
+            "feature_dim": 6, "timesteps": 40, "n_classes": 2, "planted_edges": [],
+        }
+        cfg.update(change)
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert key in capsys.readouterr().err
+
 
 class TestGranger:
     def test_recovers_planted_edges(self, toy_run):
@@ -101,6 +116,14 @@ class TestGranger:
 
     def test_missing_dataset_is_input_error(self, tmp_path):
         assert main(["granger", "--dataset", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
+
+    def test_key_error_inside_command_propagates(self, tmp_path, toy_run, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr("causal_sphhn.cli.infer_causal_graph", broken)
+        with pytest.raises(KeyError):
+            main(["granger", "--dataset", f"{toy_run}/dataset.json", "--out", str(tmp_path)])
 
 
 class TestTrain:
@@ -150,6 +173,33 @@ class TestTrain:
         assert ckpt["train_config"]["lambda1"] == 0.0
         assert ckpt["model_config"]["dropout"] == 0.1 and ckpt["model_config"]["kappa_init"] == 5.0
         assert "dropout" not in ckpt["train_config"] and "kappa_init" not in ckpt["train_config"]
+
+    def test_config_keys_set_both_configs(self, tmp_path, toy_run):
+        model = {"embed_dim": 8, "layers": 1, "dropout": 0.1, "kappa_init": 5.0}
+        train = {"lambda1": 0.2, "lambda2": 0.3, "lr": 0.01, "batch_size": 16, "max_epochs": 1, "patience": 2}
+        cfg = tmp_path / "all.json"
+        cfg.write_text(json.dumps({**model, **train}))
+        out = str(tmp_path / "all")
+        assert main(["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal",
+                     "--config", str(cfg), "--out", out]) == 0
+        ckpt = json.load(open(f"{out}/checkpoint.json"))
+        assert model.items() <= ckpt["model_config"].items()
+        assert train.items() <= ckpt["train_config"].items()
+
+    def test_unknown_config_key_is_input_error(self, tmp_path, toy_run, capsys):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"learning_rate": 0.5}))
+        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal",
+                     "--config", str(cfg), "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert "learning_rate" in capsys.readouterr().err
+
+    def test_graph_without_edges_is_input_error(self, tmp_path, toy_run):
+        graph = tmp_path / "causal.json"
+        graph.write_text(json.dumps({"alpha": 0.01, "lag": 2}))
+        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--graph", str(graph),
+                     "--out", str(tmp_path / "t")])
+        assert code == 1
 
 
 class TestEval:
@@ -201,6 +251,21 @@ class TestEval:
         doc["format_version"] = 1
         doc["train_config"].update(dropout=0.2, kappa_init=20.0)
         path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        code = main(
+            ["eval", "--checkpoint", str(path), "--dataset", f"{toy_run}/dataset.json",
+             "--out", str(tmp_path / "r")]
+        )
+        assert code == 1
+
+    @pytest.mark.parametrize("corrupt", ["unknown_train_key", "missing_arch"])
+    def test_malformed_checkpoint_is_input_error(self, tmp_path, toy_run, corrupt):
+        doc = json.load(open(f"{toy_run}/checkpoint.json"))
+        if corrupt == "unknown_train_key":
+            doc["train_config"]["momentum"] = 0.9
+        else:
+            del doc["arch"]
+        path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code = main(
             ["eval", "--checkpoint", str(path), "--dataset", f"{toy_run}/dataset.json",

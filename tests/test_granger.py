@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_sphhn.errors import ContractViolation, RankDeficient, SeriesTooShort
 from causal_sphhn.granger import (
@@ -40,7 +42,18 @@ class TestSpecialFunctions:
             x = float(rng.uniform(0.0, 1.0))
             ref = scipy.special.betainc(a, b, x)
             mine = regularized_incomplete_beta(a, b, x)
+            assert isinstance(mine, float)
             assert abs(mine - ref) <= 1e-8 * max(ref, 1e-8) + 1e-14
+
+    def test_incomplete_beta_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.uniform(0.3, 60.0, 300), rng.uniform(0.3, 60.0, 300)
+        x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 298)])
+        lower = x < (a + 1.0) / (a + b + 2.0)
+        assert lower[2:].any() and not lower[2:].all()  # both continued-fraction branches
+        mine = regularized_incomplete_beta(a, b, x)
+        assert mine.tolist() == [regularized_incomplete_beta(*args) for args in zip(a, b, x)]
+        np.testing.assert_allclose(mine, scipy.special.betainc(a, b, x), rtol=1e-8, atol=1e-14)
 
     def test_f_survival_against_scipy(self):
         for d1 in (1, 2, 5):
@@ -48,6 +61,24 @@ class TestSpecialFunctions:
                 for f in (0.0, 0.5, 1.0, 3.7, 10.0, 80.0):
                     ref = scipy.stats.f.sf(f, d1, d2)
                     assert abs(f_survival(f, d1, d2) - ref) <= 1e-8 * max(ref, 1e-10)
+
+    def test_f_survival_array_matches_scalar_calls_and_scipy(self):
+        f = np.array([0.0, 0.01, 0.3, 1.0, 2.5, 10.0, 80.0, 1e6, np.inf])
+        for d1, d2 in ((1, 3), (2, 155), (5, 500)):
+            x, a, b = d2 / (d2 + d1 * f), 0.5 * d2, 0.5 * d1
+            lower = (x < (a + 1.0) / (a + b + 2.0))[1:-1]
+            assert lower.any() and not lower.all()  # both continued-fraction branches
+            sf = f_survival(f, d1, d2)
+            assert sf.shape == f.shape
+            assert sf.tolist() == [f_survival(float(v), d1, d2) for v in f]
+            assert sf[0] == 1.0 and sf[-1] == 0.0
+            np.testing.assert_allclose(sf, scipy.stats.f.sf(f, d1, d2), rtol=1e-8, atol=1e-300)
+
+    def test_f_survival_nan_raises(self):
+        with pytest.raises(ContractViolation):
+            f_survival(float("nan"), 2, 10)
+        with pytest.raises(ContractViolation):
+            f_survival(np.array([1.0, np.nan]), 2, 10)
 
 
 class TestRestrictedFit:
@@ -106,6 +137,17 @@ class TestUnrestrictedFit:
             if granger_test(x, y, CFG).is_edge:
                 hits += 1
         assert hits <= 3
+
+    def test_matches_numpy_lstsq(self):
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            y, x = rng.standard_normal(80), rng.standard_normal(80)
+            coef, rss, _ = fit_var_unrestricted(y, x, lag=2)
+            design = np.column_stack([np.ones(78), y[1:-1], y[:-2], x[1:-1], x[:-2]])
+            ref, *_ = np.linalg.lstsq(design, y[2:], rcond=None)
+            resid = y[2:] - design @ ref
+            np.testing.assert_allclose(coef, ref, rtol=1e-10, atol=1e-12)
+            assert abs(rss - resid @ resid) <= 1e-10 * rss
 
     def test_dof(self):
         rng = np.random.default_rng(6)
@@ -196,6 +238,37 @@ def series_nodes(series_map):
     return [NodeFeatureSeries(k, v.reshape(-1, 1)) for k, v in sorted(series_map.items())]
 
 
+@st.composite
+def granger_instances(draw):
+    """Small node sets mixing noise, driven, constant, all-zero and copied series.
+
+    A copy is the last random series shifted by one step.  With lag >= 2 its
+    lags repeat the source's, so that pair is rank deficient and takes the
+    fallback path; at full rank an exact fit has no meaningful F (rounding
+    noise over rounding noise), so lag 1 is not drawn.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lag = draw(st.integers(2, 3))
+    t_len = draw(st.integers(4 * lag + 4, 80))
+    kinds = draw(st.lists(st.sampled_from(["noise", "driven", "constant", "zero", "copy"]), min_size=2, max_size=6))
+    base = rng.standard_normal(t_len)
+    series = {}
+    for i, kind in enumerate(kinds):
+        if kind == "noise":
+            base = series[f"n{i}"] = ar1(rng, t_len, coef=0.4)
+        elif kind == "driven":
+            base = series[f"n{i}"] = ar1(rng, t_len, drive=base, drive_coef=0.8)
+        elif kind == "constant":
+            series[f"n{i}"] = np.full(t_len, rng.normal())
+        elif kind == "zero":
+            series[f"n{i}"] = np.zeros(t_len)
+        else:
+            series[f"n{i}"] = np.concatenate([[0.0], base[:-1]])
+    alpha = draw(st.sampled_from([0.01, 0.3, 0.999]))
+    cfg = GrangerConfig(lag=lag, alpha=alpha, reduction="mean", bonferroni=draw(st.booleans()))
+    return series, cfg
+
+
 class TestInferCausalGraph:
     def test_needs_two_nodes(self):
         with pytest.raises(ContractViolation):
@@ -250,6 +323,26 @@ class TestInferCausalGraph:
                     assert abs(edge.p_value - ref.p_value) <= 1e-9
                 else:
                     assert not ref.is_edge
+
+    @settings(max_examples=80, deadline=None)
+    @given(granger_instances())
+    def test_kernel_matches_all_pairs_granger_test(self, instance):
+        series, cfg = instance
+        nodes = series_nodes(series)
+        graph = infer_causal_graph(nodes, cfg)
+        reduced = reduce_features(nodes, "mean")
+        n = len(series)
+        by_pair = {(e.src, e.dst): e for e in graph.edges}
+        for src in series:
+            for dst in series:
+                if src == dst:
+                    continue
+                ref = granger_test(reduced[src], reduced[dst], cfg, n_tests=n * (n - 1))
+                edge = by_pair.get((src, dst))
+                assert (edge is not None) == ref.is_edge, (src, dst, ref)
+                if edge is not None:
+                    assert abs(edge.f_statistic - ref.f_statistic) <= 1e-9 * max(1.0, ref.f_statistic)
+                    assert abs(edge.p_value - ref.p_value) <= 1e-12
 
     def test_deterministic_output_bytes(self, tmp_path):
         rng = np.random.default_rng(13)
