@@ -99,7 +99,10 @@ def _write_manifest(
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 # --------------------------------------------------------------------------

@@ -3,18 +3,14 @@
 For each ordered node pair (i, j) a restricted autoregression of j's series
 on its own lags is compared against an unrestricted one that adds i's lags;
 the variance reduction is scored by an F statistic whose p-value comes from
-the regularized incomplete beta function.  Significant pairs form a
-directed causal graph.
+the regularized incomplete beta function.  Significant pairs form a directed
+causal graph over the node series that ``reduce_features`` derives.
 
-Per-node feature matrices are reduced to scalar series first, either by the
-first principal component fitted on the training split ("pca1") or by the
-feature mean ("mean").
-
-All pair tests are independent and side-effect free.  ``infer_causal_graph``
-fits all sources of a target with a shared-QR kernel, hands rank-deficient
-pairs to ``granger_test``, and scores the rest with the same elementwise
-F-test (one p-value array call per target); edges are kept in (source,
-target) lexicographic order, so the output is deterministic.
+``granger_test`` fits one pair by Householder QR and is the reference.
+``infer_causal_graph`` tests all pairs with one blocked Frisch–Waugh–Lovell
+kernel (centring, a QR basis per node, a chunked p x p Schur step per pair),
+hands ill-conditioned or nearly exact pairs to ``granger_test``, and gets
+p-values only for F at or above the critical value, bisected once.
 """
 
 from __future__ import annotations
@@ -41,6 +37,12 @@ _RANK_TOL = 1e-10
 # determine the residual uniquely (e.g. a constant series, or a target that
 # is a deterministic lagged copy of the source).
 _EXACT_RSS_TOL = 1e-18
+
+# Targets per block of the pair kernel, whose arrays are (_CHUNK, n, lag, lag + 1).
+_CHUNK = 64
+# Pairs the kernel hands to ``granger_test``: the sine of the smallest principal
+# angle between the two lag spaces, or rss_u / rss_r, at most its band.
+_PIVOT_BAND = _FIT_BAND = 1e-2
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,8 @@ def _rank_deficient(rdiag: np.ndarray) -> np.ndarray:
     return rdiag.min(axis=-1) <= _RANK_TOL * rdiag.max(axis=-1)
 
 
-def _solve_ols(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least squares by Householder QR, with an exact-fit rescue for rank-deficient designs."""
+def _solve_ols(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """(coef, rss, resid) by Householder QR, with an exact-fit rescue for rank-deficient designs."""
     q, r = np.linalg.qr(a)
     rdiag = np.abs(np.diag(r))
     deficient = _rank_deficient(rdiag)
@@ -241,33 +243,29 @@ def _solve_ols(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     rss = float(resid @ resid)
     if deficient and rss > _EXACT_RSS_TOL * max(1.0, float(b @ b)):
         raise RankDeficient(f"R diagonal {rdiag.min():.3e} below {_RANK_TOL:g} * {rdiag.max():.3e}")
-    return coef, rss
+    return coef, rss, resid
 
 
 def fit_var_restricted(y, lag: int, min_length: int | None = None):
     """OLS of y_t on (1, y_{t-1}, ..., y_{t-lag}); returns (coef, rss, dof)."""
-    min_length = 4 * lag + 4 if min_length is None else min_length
-    y = _check_series(y, lag, min_length)
-    target, lags = _lagged(y, lag)
-    design = np.column_stack([np.ones(target.shape[0]), lags])
-    coef, rss = _solve_ols(design, target)
-    dof = y.shape[0] - lag - (lag + 1)
-    return coef, rss, dof
+    return _fit_var([y], lag, min_length)[:3]
 
 
 def fit_var_unrestricted(y, x, lag: int, min_length: int | None = None):
     """OLS of y_t on (1, y lags, x lags); returns (coef, rss, dof)."""
+    return _fit_var([y, x], lag, min_length)[:3]
+
+
+def _fit_var(series: list, lag: int, min_length: int | None):
+    """OLS of the first series on the intercept and every series' lags; (coef, rss, dof, resid)."""
     min_length = 4 * lag + 4 if min_length is None else min_length
-    y = _check_series(y, lag, min_length)
-    x = _check_series(x, lag, min_length)
-    if y.shape[0] != x.shape[0]:
+    series = [_check_series(s, lag, min_length) for s in series]
+    if len({s.shape[0] for s in series}) > 1:
         raise ContractViolation("series must be aligned and equal length")
-    target, ylags = _lagged(y, lag)
-    _, xlags = _lagged(x, lag)
-    design = np.column_stack([np.ones(target.shape[0]), ylags, xlags])
-    coef, rss = _solve_ols(design, target)
-    dof = y.shape[0] - lag - (2 * lag + 1)
-    return coef, rss, dof
+    target = series[0][lag:]
+    design = np.column_stack([np.ones(target.shape[0])] + [_lagged(s, lag)[1] for s in series])
+    coef, rss, resid = _solve_ols(design, target)
+    return coef, rss, target.shape[0] - design.shape[1], resid
 
 
 class GrangerDecision(NamedTuple):
@@ -285,24 +283,37 @@ def granger_test(source, target, cfg: GrangerConfig, n_tests: int = 1) -> Grange
     """
     alpha = cfg.alpha / n_tests if cfg.bonferroni else cfg.alpha
     try:
-        _, rss_r, _ = fit_var_restricted(target, cfg.lag, cfg.min_length)
-        _, rss_u, dof_u = fit_var_unrestricted(target, source, cfg.lag, cfg.min_length)
+        *_, resid_r = _fit_var([target], cfg.lag, cfg.min_length)
+        _, rss_u, dof_u, resid_u = _fit_var([target, source], cfg.lag, cfg.min_length)
     except (RankDeficient, SeriesTooShort) as exc:
         return GrangerDecision(0.0, 1.0, False, f"{type(exc).__name__}: {exc}")
-    f_stat, p_value, is_edge = _f_test(rss_r, rss_u, cfg.lag, dof_u, alpha)
+    # The residuals differ by a projection, so rss_r - rss_u = ‖r_r - r_u‖², free of cancellation.
+    gain = resid_r - resid_u
+    f_stat, p_value, is_edge = _f_test(gain @ gain, rss_u, cfg.lag, dof_u, alpha)
     return GrangerDecision(float(f_stat), float(p_value), bool(is_edge))
 
 
-def _f_test(rss_r, rss_u, lag: int, dof_u: int, alpha: float):
-    """F statistic, p-value and edge decision of the nested-model test, elementwise.
+def _f_test(gain, rss_u, lag: int, dof_u: int, alpha: float, f_crit: float = 0.0):
+    """(F, p, is_edge) of the nested-model test, elementwise, from the RSS gain rss_r - rss_u.
 
-    Returns (F, p, is_edge).  A pair whose unrestricted fit does not lower
-    the RSS gets F = 0 and p = 1.
+    p is computed, in one call, only where F >= f_crit·(1 - 1e-6), a rounding margin; else 1.
     """
-    gain = rss_u < rss_r
-    f_stat = np.where(gain, ((rss_r - rss_u) / lag) / np.maximum(rss_u / dof_u, 1e-300), 0.0)
-    p_value = f_survival(f_stat, lag, dof_u)
-    return f_stat, p_value, gain & (p_value <= alpha)
+    f_stat = np.asarray((np.maximum(gain, 0.0) / lag) / np.maximum(rss_u / dof_u, 1e-300))
+    scored = f_stat >= f_crit * (1.0 - 1e-6)
+    p_value = np.ones_like(f_stat)
+    p_value[scored] = f_survival(f_stat[scored], lag, dof_u)
+    return f_stat, p_value, p_value <= alpha
+
+
+def _f_crit(alpha: float, lag: int, dof_u: int) -> float:
+    """The largest F, bisected to 1e-9 relative, whose p-value exceeds alpha."""
+    lo, hi = 0.0, 1.0
+    while f_survival(hi, lag, dof_u) > alpha:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f_survival(mid, lag, dof_u) > alpha else (lo, mid)
+    return lo
 
 
 # --------------------------------------------------------------------------
@@ -344,12 +355,12 @@ def infer_causal_graph(
 ) -> CausalGraph:
     """Run the pairwise test over all ordered pairs; keep significant edges.
 
-    The shared restricted fit per target is factored once (Householder QR)
-    and each source's lag block is orthogonalized against it, which is
-    algebraically the block form of the full QR solve.  Pairs whose
-    combined R diagonal signals rank deficiency fall back to the reference
-    single-pair path so corner cases match ``granger_test`` exactly; the
-    other sources of a target are scored by one array call of the F-test.
+    Columns are centred (FWL on the intercept); one QR of each node's lag
+    block gives its basis Q_i and, as a target, its residual r_j.  Source i,
+    target j: M = Q_iᵀQ_j, b = Q_iᵀr_j, S = I - M Mᵀ, rss_u = rss_r - bᵀS⁻¹b.
+    A pair goes to ``granger_test`` (module global, ``reduce_features``'s
+    arrays) if its nodes' R diagonals with √rows for the intercept are rank
+    deficient, if √λ_min(S) <= ``_PIVOT_BAND`` or if rss_u <= ``_FIT_BAND``·rss_r.
     """
     if len(nodes) < 2:
         raise ContractViolation("need at least 2 nodes")
@@ -359,54 +370,44 @@ def infer_causal_graph(
     n_tests = n * (n - 1)
     alpha = cfg.alpha / n_tests if cfg.bonferroni else cfg.alpha
     t_len = series[ids[0]].shape[0]
-    for nid in ids:
-        if series[nid].shape[0] != t_len:
-            raise ContractViolation("all series must have equal length")
+    if len({v.shape[0] for v in series.values()}) > 1:
+        raise ContractViolation("all series must have equal length")
     if t_len < cfg.min_length:
-        raise SeriesTooShort(
-            f"series length {t_len} < minimum {cfg.min_length} for lag {cfg.lag}"
-        )
+        raise SeriesTooShort(f"series length {t_len} < minimum {cfg.min_length} for lag {cfg.lag}")
 
-    p = cfg.lag
-    rows = t_len - p
-    dof_u = t_len - p - (2 * p + 1)
-    targets = np.stack([series[nid][p:] for nid in ids])
-    lag_mats = np.stack([_lagged(series[nid], p)[1] for nid in ids])
-
+    p, rows = cfg.lag, t_len - cfg.lag
+    dof_u = rows - (2 * p + 1)
+    cols = np.stack([np.column_stack(_lagged(series[nid], p)) for nid in ids])
+    cols -= cols.mean(axis=1, keepdims=True)
+    y, (q, r) = cols[:, :, 0], np.linalg.qr(cols[:, :, 1:])
+    rdiag = np.column_stack([np.full(n, math.sqrt(rows)), np.abs(np.diagonal(r, axis1=1, axis2=2))])
+    lo, hi = rdiag.min(axis=1), rdiag.max(axis=1)  # with the intercept's R diagonal, √rows
+    resid = y - np.einsum("nrk,nk->nr", q, np.einsum("nrk,nr->nk", q, y))
+    rss_r = np.einsum("nr,nr->n", resid, resid)
+    q_all = q.transpose(1, 0, 2).reshape(rows, n * p).T  # row i·p + k is Q_i[:, k]
+    targets = np.concatenate([q, resid[:, :, None]], axis=2)  # [Q_j, r_j]
+    f_crit = _f_crit(alpha, p, dof_u)
     edges: list[CausalEdge] = []
-    for j, dst in enumerate(ids):
-        design_r = np.column_stack([np.ones(rows), lag_mats[j]])
-        q_r, r_r = np.linalg.qr(design_r, mode="reduced")
-        rdiag_r = np.abs(np.diag(r_r))
-        resid = targets[j] - q_r @ (q_r.T @ targets[j])
-        rss_r = float(resid @ resid)
-
-        # Orthogonalize every source's lag block against the restricted
-        # design in one batch, then Gram-Schmidt the p remaining columns.
-        blocks = lag_mats - np.einsum("rk,knp->rnp", q_r, np.tensordot(q_r, lag_mats, axes=([0], [1])), optimize=True).transpose(1, 0, 2)
-        qs = np.empty((n, rows, p))
-        rdiag_b = np.empty((n, p))
-        proj_sq = np.zeros(n)
-        for k in range(p):
-            v = blocks[:, :, k].copy()
-            for m in range(k):
-                v -= np.einsum("nr,nr->n", qs[:, :, m], v)[:, None] * qs[:, :, m]
-            norm = np.sqrt(np.einsum("nr,nr->n", v, v))
-            rdiag_b[:, k] = norm
-            safe = np.where(norm > 0.0, norm, 1.0)
-            qs[:, :, k] = v / safe[:, None]
-            proj_sq += (qs[:, :, k] @ resid) ** 2
-
-        # Rank-deficient pairs go to granger_test and the self pair is no
-        # test; rss_u = rss_r makes the array F-test reject both.
-        own = np.arange(n) == j
-        fallback = _rank_deficient(np.hstack([np.broadcast_to(rdiag_r, (n, p + 1)), rdiag_b])) & ~own
-        rss_u = np.where(fallback | own, rss_r, np.clip(rss_r - proj_sq, 0.0, None))
-        f_stat, p_value, is_edge = _f_test(rss_r, rss_u, p, dof_u, alpha)
-        edges += [CausalEdge(ids[i], dst, float(f_stat[i]), float(p_value[i])) for i in np.flatnonzero(is_edge)]
-        for i in np.flatnonzero(fallback):
-            dec = granger_test(series[ids[i]], series[dst], cfg, n_tests=n_tests)
-            if dec.is_edge:
-                edges.append(CausalEdge(ids[i], dst, dec.f_statistic, dec.p_value))
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        # mb[j, i] = Q_iᵀ[Q_j, r_j]: one fixed-shape product per target, so _CHUNK changes no result.
+        mb = (q_all @ targets[start:stop]).reshape(stop - start, n, p, p + 1)
+        m, b = mb[..., :p], mb[..., p]
+        s = np.eye(p) - m @ m.transpose(0, 1, 3, 2)
+        # λ_min(S) >= 1 - ‖M‖_F²: only pairs failing that, self pairs among them, need eigenvalues.
+        fallback = np.einsum("jiab,jiab->ji", m, m) >= 1.0 - _PIVOT_BAND**2
+        fallback[fallback] = np.linalg.eigvalsh(s[fallback])[:, 0] <= _PIVOT_BAND**2
+        fallback |= np.minimum.outer(lo[start:stop], lo) <= _RANK_TOL * np.maximum.outer(hi[start:stop], hi)
+        s[fallback] = np.eye(p)
+        gain = np.einsum("jik,jik->ji", b, np.linalg.solve(s, b[..., None])[..., 0])
+        rss_u = rss_r[start:stop, None] - gain
+        fallback |= rss_u <= _FIT_BAND * rss_r[start:stop, None]
+        f_stat, p_value, is_edge = _f_test(np.where(fallback, 0.0, gain), rss_u, p, dof_u, alpha, f_crit)
+        fallback[np.arange(stop - start), np.arange(start, stop)] = False  # a self pair is no test
+        for j, i in zip(*np.nonzero(fallback)):
+            dec = granger_test(series[ids[i]], series[ids[start + j]], cfg, n_tests=n_tests)
+            f_stat[j, i], p_value[j, i], is_edge[j, i] = dec.f_statistic, dec.p_value, dec.is_edge
+        edges += [CausalEdge(ids[i], ids[start + j], float(f_stat[j, i]), float(p_value[j, i]))
+                  for j, i in zip(*np.nonzero(is_edge))]
 
     return CausalGraph(alpha=cfg.alpha, lag=cfg.lag, edges=edges)

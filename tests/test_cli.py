@@ -86,6 +86,12 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert key in capsys.readouterr().err
 
+    def test_config_not_an_object_is_input_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[1, 2]")
+        assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert str(cfg_path) in capsys.readouterr().err
+
 
 class TestGranger:
     def test_recovers_planted_edges(self, toy_run):
@@ -185,6 +191,14 @@ class TestTrain:
         ckpt = json.load(open(f"{out}/checkpoint.json"))
         assert model.items() <= ckpt["model_config"].items()
         assert train.items() <= ckpt["train_config"].items()
+
+    def test_config_not_an_object_is_input_error(self, tmp_path, toy_run, capsys):
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[1, 2]")
+        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal",
+                     "--config", str(cfg), "--out", str(tmp_path / "t")])
+        assert code == 1
+        assert str(cfg) in capsys.readouterr().err
 
     def test_unknown_config_key_is_input_error(self, tmp_path, toy_run, capsys):
         cfg = tmp_path / "typo.json"

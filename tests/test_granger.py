@@ -5,11 +5,14 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causal_sphhn import granger
 from causal_sphhn.errors import ContractViolation, RankDeficient, SeriesTooShort
 from causal_sphhn.granger import (
     CausalEdge,
     CausalGraph,
     GrangerConfig,
+    _f_crit,
+    _f_test,
     f_survival,
     fit_var_restricted,
     fit_var_unrestricted,
@@ -79,6 +82,26 @@ class TestSpecialFunctions:
             f_survival(float("nan"), 2, 10)
         with pytest.raises(ContractViolation):
             f_survival(np.array([1.0, np.nan]), 2, 10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lag=st.integers(1, 3),
+        dof_u=st.integers(5, 500),
+        alpha=st.sampled_from([0.01, 0.01 / 999_000, 0.999]),
+        offsets=st.lists(st.floats(-0.999, 10.0), max_size=8),
+        nudges=st.lists(st.floats(-1e-5, 1e-5), max_size=8),
+    )
+    def test_f_crit_threshold_keeps_every_significant_f(self, lag, dof_u, alpha, offsets, nudges):
+        f_crit = _f_crit(alpha, lag, dof_u)
+        assert f_survival(f_crit, lag, dof_u) > alpha >= f_survival(f_crit * (1 + 1e-8), lag, dof_u)
+        rel = [-1e-12, 1e-12, -2e-6, -1e-6, 1e-6, *offsets, *nudges]
+        f = np.concatenate([f_crit * (1.0 + np.array(rel)), [0.0, np.inf]])
+        # rss_u = dof_u makes the F denominator exactly 1, so F is the gain over lag.
+        f_stat, p_value, is_edge = _f_test(lag * f, np.full_like(f, dof_u), lag, dof_u, alpha, f_crit)
+        np.testing.assert_allclose(f_stat, f, rtol=1e-15)
+        exact = f_survival(f_stat, lag, dof_u)
+        assert is_edge.tolist() == (exact <= alpha).tolist()
+        assert p_value[is_edge].tolist() == exact[is_edge].tolist()
 
 
 class TestRestrictedFit:
@@ -238,19 +261,25 @@ def series_nodes(series_map):
     return [NodeFeatureSeries(k, v.reshape(-1, 1)) for k, v in sorted(series_map.items())]
 
 
+def shifted(x):
+    return np.concatenate([[0.0], x[:-1]])
+
+
 @st.composite
 def granger_instances(draw):
     """Small node sets mixing noise, driven, constant, all-zero and copied series.
 
     A copy is the last random series shifted by one step.  With lag >= 2 its
-    lags repeat the source's, so that pair is rank deficient and takes the
-    fallback path; at full rank an exact fit has no meaningful F (rounding
-    noise over rounding noise), so lag 1 is not drawn.
+    lags repeat the source's, so that pair is rank deficient; at lag 1 the
+    copy is an exact fit.  A near copy is a fresh AR(0.99) series plus its
+    one-step copy with 1e-6 noise: nearly shared lags, or a nearly exact fit.
+    The kernel must hand all of these to ``granger_test``.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lag = draw(st.integers(2, 3))
+    lag = draw(st.integers(1, 3))
     t_len = draw(st.integers(4 * lag + 4, 80))
-    kinds = draw(st.lists(st.sampled_from(["noise", "driven", "constant", "zero", "copy"]), min_size=2, max_size=6))
+    kind_names = ["noise", "driven", "constant", "zero", "copy", "near_copy"]
+    kinds = draw(st.lists(st.sampled_from(kind_names), min_size=2, max_size=6))
     base = rng.standard_normal(t_len)
     series = {}
     for i, kind in enumerate(kinds):
@@ -262,8 +291,11 @@ def granger_instances(draw):
             series[f"n{i}"] = np.full(t_len, rng.normal())
         elif kind == "zero":
             series[f"n{i}"] = np.zeros(t_len)
+        elif kind == "copy":
+            series[f"n{i}"] = shifted(base)
         else:
-            series[f"n{i}"] = np.concatenate([[0.0], base[:-1]])
+            base = series[f"n{i}"] = ar1(rng, t_len, coef=0.99)
+            series[f"n{i}c"] = shifted(base) + 1e-6 * rng.standard_normal(t_len)
     alpha = draw(st.sampled_from([0.01, 0.3, 0.999]))
     cfg = GrangerConfig(lag=lag, alpha=alpha, reduction="mean", bonferroni=draw(st.booleans()))
     return series, cfg
@@ -343,6 +375,57 @@ class TestInferCausalGraph:
                 if edge is not None:
                     assert abs(edge.f_statistic - ref.f_statistic) <= 1e-9 * max(1.0, ref.f_statistic)
                     assert abs(edge.p_value - ref.p_value) <= 1e-12
+
+    def test_lag1_copy_f_matches_granger_test(self):
+        # An exact fit at full rank: the kernel must not report its own rounding noise as F.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(200)
+        nodes = series_nodes({"a": x, "b": shifted(x)})
+        cfg = GrangerConfig(lag=1, alpha=0.01, reduction="mean")
+        edge = {(e.src, e.dst): e for e in infer_causal_graph(nodes, cfg).edges}[("a", "b")]
+        ref = granger_test(x, shifted(x), cfg)
+        assert ref.is_edge
+        assert abs(edge.f_statistic - ref.f_statistic) <= 1e-9 * ref.f_statistic
+
+    @pytest.mark.parametrize("chunk", [1, 3, 9])
+    def test_block_size_does_not_change_results(self, monkeypatch, chunk):
+        rng = np.random.default_rng(17)
+        base = ar1(rng, 120, coef=0.5)
+        series = {
+            "a": base, "b": ar1(rng, 120, drive=base, drive_coef=0.8), "c": np.full(120, 2.5),
+            "d": shifted(base), "e": rng.standard_normal(120), "f": ar1(rng, 120, coef=0.9),
+            "g": ar1(rng, 120, coef=-0.3),
+        }
+        nodes = series_nodes(series)
+        for lag in (1, 2, 3):
+            cfg = GrangerConfig(lag=lag, alpha=0.3, reduction="mean")
+            ref = infer_causal_graph(nodes, cfg).to_dict()
+            assert {("a", "b"), ("a", "d")} <= {(e["src"], e["dst"]) for e in ref["edges"]}
+            with monkeypatch.context() as m:
+                m.setattr(granger, "_CHUNK", chunk)
+                assert infer_causal_graph(nodes, cfg).to_dict() == ref
+
+    def test_fallback_gets_the_reduced_arrays(self, monkeypatch):
+        # perfbench names a fallback pair by the id() of the arrays reduce_features returned.
+        rng = np.random.default_rng(18)
+        base = rng.standard_normal(100)
+        nodes = series_nodes({"a": base, "b": shifted(base), "c": np.zeros(100)})
+        names, calls = {}, []
+        reduce, test = granger.reduce_features, granger.granger_test
+
+        def reduce_recorder(*args, **kwargs):
+            series = reduce(*args, **kwargs)
+            names.update({id(v): k for k, v in series.items()})
+            return series
+
+        def test_recorder(source, target, *args, **kwargs):
+            calls.append((names[id(source)], names[id(target)]))
+            return test(source, target, *args, **kwargs)
+
+        monkeypatch.setattr(granger, "reduce_features", reduce_recorder)
+        monkeypatch.setattr(granger, "granger_test", test_recorder)
+        infer_causal_graph(nodes, CFG)
+        assert {("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")} <= set(calls)
 
     def test_deterministic_output_bytes(self, tmp_path):
         rng = np.random.default_rng(13)
