@@ -1,0 +1,67 @@
+"""The one module that touches the filesystem.
+
+Every artifact of the pipeline is written atomically: into
+``path + ".tmp"``, then moved onto ``path`` with ``os.replace``, so a
+reader never sees half a file.  A failed read raises ``ParseError`` and a
+failed write ``ContractViolation``, each naming the path.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+from contextlib import contextmanager
+
+from .errors import ContractViolation, ParseError
+
+
+def read_json(path: str) -> dict:
+    """The JSON object stored at ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+@contextmanager
+def atomic_write(path: str):
+    """A text handle whose contents replace ``path`` when the block ends."""
+    tmp = path + ".tmp"
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ContractViolation(f"{path}: cannot write: {exc}") from exc
+
+
+def write_json(path: str, doc, indent: int | None = None) -> None:
+    # json.dump streams to the handle; building the whole string first
+    # would hold a second copy of a large dataset in memory.
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=indent)
+
+
+def file_digest(path: str) -> str:
+    """SHA-256 of the bytes at ``path``."""
+    h = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                h.update(chunk)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    return h.hexdigest()
+
+
+def doc_digest(doc) -> str:
+    """SHA-256 of ``doc`` as JSON with sorted keys, independent of key order."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()

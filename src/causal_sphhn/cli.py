@@ -1,20 +1,24 @@
 """Command-line pipeline: synth | granger | train | eval | gradcheck.
 
-Every command loads inputs, writes its artifacts atomically
-(write-temp-then-rename), and records a ``manifest.json`` with the seed,
-config digest, input/output paths, output digests, versions, and
-wallclock.  All randomness flows from one ``--seed``; components receive
-subseeds derived as ``(seed * 2654435761 + crc32(tag)) mod 2^32``.
+Every command loads inputs, writes its artifacts, and records a
+``manifest.json`` with the seed, config digest, input digests, output
+digests, versions, and wallclock.  All files are read and written through
+``artifacts.py``, which writes atomically (write-temp-then-rename) and
+creates the ``--out`` directory.  All randomness flows from one
+``--seed``; components receive subseeds derived as
+``(seed * 2654435761 + crc32(tag)) mod 2^32``.
 
 Exit codes: 0 success, 1 input error, 2 usage, 3 training divergence,
-4 gradient-check failure.
+4 gradient-check failure.  Exit 1 covers the package's input errors
+(``INPUT_ERRORS``): a file that cannot be read, is not JSON or is not a
+JSON object raises ``ParseError``, and a file that cannot be written
+raises ``ContractViolation``, each naming the path.  Any other exception,
+``OSError`` and ``KeyError`` included, is a bug and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 import time
@@ -23,6 +27,7 @@ import zlib
 import numpy as np
 
 from . import __version__, metrics, synthgen, training
+from .artifacts import doc_digest, file_digest, read_json, write_json
 from .errors import (
     ContractViolation,
     DanglingReference,
@@ -46,8 +51,6 @@ INPUT_ERRORS = (
     RankDeficient,
     SeriesTooShort,
     ValidationError,
-    OSError,
-    json.JSONDecodeError,
 )
 
 # The --config keys of the train command, by the config they set.
@@ -57,14 +60,6 @@ TRAIN_KEYS = ("lambda1", "lambda2", "lr", "batch_size", "max_epochs", "patience"
 
 def derive_seed(seed: int, tag: str) -> int:
     return (seed * 2654435761 + zlib.crc32(tag.encode())) % 2**32
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _write_manifest(
@@ -79,11 +74,9 @@ def _write_manifest(
     doc = {
         "command": command,
         "seed": seed,
-        "config_digest": hashlib.sha256(
-            json.dumps(config_doc, sort_keys=True).encode()
-        ).hexdigest(),
+        "config_digest": doc_digest(config_doc),
         "inputs": inputs,
-        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
+        "outputs": {os.path.basename(p): file_digest(p) for p in outputs},
         "versions": {
             "causal_sphhn": __version__,
             "numpy": np.__version__,
@@ -91,18 +84,7 @@ def _write_manifest(
         },
         "wallclock_ms": int(1000 * (time.monotonic() - start)),
     }
-    tmp = os.path.join(out_dir, "manifest.json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-    os.replace(tmp, os.path.join(out_dir, "manifest.json"))
-
-
-def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be a JSON object, not {type(doc).__name__}")
-    return doc
+    write_json(os.path.join(out_dir, "manifest.json"), doc, indent=2)
 
 
 # --------------------------------------------------------------------------
@@ -114,7 +96,7 @@ def cmd_synth(args) -> int:
     start = time.monotonic()
     seed = derive_seed(args.seed, "synth")
     if args.config:
-        doc = _load_json(args.config)
+        doc = read_json(args.config)
         doc.setdefault("seed", seed)
         doc["planted_edges"] = tuple(
             (int(s), int(d), float(c)) for s, d, c in doc.get("planted_edges", ())
@@ -128,7 +110,6 @@ def cmd_synth(args) -> int:
     else:
         cfg = synthgen.preset(args.preset, seed=seed)
     ds, truth = synthgen.generate(cfg)
-    os.makedirs(args.out, exist_ok=True)
     ds_path = os.path.join(args.out, "dataset.json")
     truth_path = os.path.join(args.out, "truth.json")
     save_dataset(ds, ds_path)
@@ -149,19 +130,18 @@ def cmd_granger(args) -> int:
         bonferroni=args.bonferroni,
     )
     graph = infer_causal_graph(ds.nodes, cfg, fit_ids=ds.splits["train"])
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "causal.json")
     graph.save(path)
     cfg_doc = {k: v for k, v in vars(args).items() if k != "func"}
     _write_manifest(
-        args.out, "granger", None, cfg_doc, {"dataset": _sha256(args.dataset)}, [path], start
+        args.out, "granger", None, cfg_doc, {"dataset": file_digest(args.dataset)}, [path], start
     )
     print(f"wrote {path} ({len(graph.edges)} edges)")
     return 0
 
 
 def _train_configs(args) -> tuple[ModelConfig, TrainConfig]:
-    overrides = _load_json(args.config) if args.config else {}
+    overrides = read_json(args.config) if args.config else {}
     unknown = sorted(set(overrides) - set(MODEL_KEYS + TRAIN_KEYS))
     if unknown:
         raise ParseError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
@@ -189,15 +169,14 @@ def cmd_train(args) -> int:
         graph = CausalGraph.load(args.graph)
     model_cfg, train_cfg = _train_configs(args)
     params, history = train(ds, graph, model_cfg, train_cfg)
-    os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "checkpoint.json")
     hist = os.path.join(args.out, "history.csv")
     save_checkpoint(ckpt, params, train_cfg, graph)
     training.write_history_csv(history, hist)
     cfg_doc = {"model": params.config.to_dict(), "train": train_cfg.to_dict()}
-    inputs = {"dataset": _sha256(args.dataset)}
+    inputs = {"dataset": file_digest(args.dataset)}
     if args.graph:
-        inputs["graph"] = _sha256(args.graph)
+        inputs["graph"] = file_digest(args.graph)
     _write_manifest(args.out, "train", args.seed, cfg_doc, inputs, [ckpt, hist], start)
     print(f"wrote {ckpt} ({len(history)} epochs, best val loss {min(h['val_loss'] for h in history):.4f})")
     return 0
@@ -213,6 +192,7 @@ def cmd_eval(args) -> int:
     start = time.monotonic()
     params, train_cfg, graph = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
+    inputs = {"dataset": file_digest(args.dataset), "checkpoint": file_digest(args.checkpoint)}
     if args.dropout_rate > 0.0:
         rng = np.random.default_rng(derive_seed(args.seed, "eval.dropout"))
         ds = feature_dropout(ds, args.dropout_rate, rng)
@@ -253,16 +233,14 @@ def cmd_eval(args) -> int:
             "k": args.k,
             "split": args.split,
             "dropout_rate": args.dropout_rate,
-            "dataset_digest": _sha256(args.dataset),
-            "checkpoint_digest": _sha256(args.checkpoint),
+            "dataset_digest": inputs["dataset"],
+            "checkpoint_digest": inputs["checkpoint"],
         },
     )
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "report.json")
     report.save(path)
-    inputs = {"dataset": _sha256(args.dataset), "checkpoint": _sha256(args.checkpoint)}
     if args.truth:
-        inputs["truth"] = _sha256(args.truth)
+        inputs["truth"] = file_digest(args.truth)
     cfg_doc = {"split": args.split, "dropout_rate": args.dropout_rate, "bins": args.bins, "k": args.k}
     _write_manifest(args.out, "eval", args.seed, cfg_doc, inputs, [path], start)
     print(
@@ -273,26 +251,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = training.gradient_check(seed=args.seed, corrupt=args.corrupt_gradients)
+    report = training.gradient_check(seed=args.seed)
     for name in sorted(report.per_parameter):
         print(f"{name:24s} max rel error {report.per_parameter[name]:.3e}")
     print(f"overall max rel error {report.max_rel_error:.3e} (tolerance {report.tolerance:g})")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "gradcheck.json")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "max_rel_error": report.max_rel_error,
-                    "per_parameter": report.per_parameter,
-                    "passed": report.passed,
-                    "tolerance": report.tolerance,
-                },
-                fh,
-                indent=2,
-            )
-        os.replace(tmp, path)
+        doc = {
+            "max_rel_error": report.max_rel_error,
+            "per_parameter": report.per_parameter,
+            "passed": report.passed,
+            "tolerance": report.tolerance,
+        }
+        write_json(os.path.join(args.out, "gradcheck.json"), doc, indent=2)
     if not report.passed:
         worst = sorted(report.per_parameter, key=report.per_parameter.get, reverse=True)
         print("FAIL; worst parameters: " + ", ".join(worst[:3]), file=sys.stderr)
@@ -366,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.add_argument("--corrupt-gradients", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

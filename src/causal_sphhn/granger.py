@@ -15,14 +15,13 @@ p-values only for F at or above the critical value, bisected once.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .errors import ContractViolation, NumericalError, ParseError, RankDeficient, SeriesTooShort
 from .hypergraph import NodeFeatureSeries
 
@@ -123,15 +122,11 @@ class CausalGraph:
         return cls(alpha=alpha, lag=lag, edges=edges)
 
     def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-        os.replace(tmp, path)
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str) -> "CausalGraph":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 # --------------------------------------------------------------------------

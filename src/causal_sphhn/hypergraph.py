@@ -18,12 +18,11 @@ Feature matrices are row-per-timestep; numbers keep full double precision.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .errors import ContractViolation, DanglingReference, ParseError, ValidationError
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -194,21 +193,11 @@ def dataset_from_dict(doc: dict) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(dataset_to_dict(ds), fh)
-    os.replace(tmp, path)
+    write_json(path, dataset_to_dict(ds))
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    return dataset_from_dict(doc)
+    return dataset_from_dict(read_json(path))
 
 
 def feature_dropout(ds: Dataset, rate: float, rng: np.random.Generator) -> Dataset:

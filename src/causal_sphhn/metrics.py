@@ -9,13 +9,12 @@ zero-variance ranking) yield ``None`` rather than an exception.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import ContractViolation
 
 log = logging.getLogger(__name__)
@@ -187,7 +186,4 @@ class EvalReport:
         }
 
     def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-        os.replace(tmp, path)
+        write_json(path, self.to_dict())

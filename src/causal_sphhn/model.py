@@ -25,7 +25,7 @@ valid slots only, so padding never reaches a node's sum.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -62,16 +62,7 @@ class ModelConfig:
             raise ContractViolation("temperatures must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "layers": self.layers,
-            "dropout": self.dropout,
-            "attn_temp_init": self.attn_temp_init,
-            "gamma_temp_init": self.gamma_temp_init,
-            "kappa_init": self.kappa_init,
-            "euclidean": self.euclidean,
-            "pairwise": self.pairwise,
-        }
+        return asdict(self)
 
 
 @dataclass

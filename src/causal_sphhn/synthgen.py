@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .errors import ContractViolation, ParseError
 from .hypergraph import Dataset, Hyperedge, NodeFeatureSeries
 
@@ -360,25 +361,16 @@ def preset(name: str, seed: int | None = None) -> SynthConfig:
 
 
 def save_truth(truth: list[PlantedEdge], path: str) -> None:
-    import json
-    import os
-
     doc = {
         "true_edges": [
             {"src": e.src, "dst": e.dst, "coef": e.coefficient} for e in truth
         ]
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    os.replace(tmp, path)
+    write_json(path, doc)
 
 
 def load_truth(path: str) -> list[PlantedEdge]:
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     try:
         return [
             PlantedEdge(str(e["src"]), str(e["dst"]), float(e["coef"]))

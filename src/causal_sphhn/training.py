@@ -13,15 +13,13 @@ config seed.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import atomic_write, doc_digest, read_json, write_json
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericalError, ParseError, TrainingDiverged
 from .granger import CausalGraph
@@ -65,15 +63,7 @@ class TrainConfig:
             raise ContractViolation("batch_size and max_epochs must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -292,12 +282,10 @@ HISTORY_COLUMNS = ("epoch", "train_loss", "val_loss", "pred", "entropy", "causal
 
 
 def write_history_csv(history: list[dict], path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(HISTORY_COLUMNS) + "\n")
         for row in history:
             fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in HISTORY_COLUMNS) + "\n")
-    os.replace(tmp, path)
 
 
 # --------------------------------------------------------------------------
@@ -308,8 +296,7 @@ CHECKPOINT_VERSION = 2
 
 
 def config_digest(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
-    doc = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()}
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return doc_digest({"model": model_cfg.to_dict(), "train": train_cfg.to_dict()})
 
 
 def save_checkpoint(
@@ -332,15 +319,11 @@ def save_checkpoint(
         "causal_graph": causal_graph.to_dict() if causal_graph is not None else None,
         "params": {k: v.tolist() for k, v in params.copy_values().items()},
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    os.replace(tmp, path)
+    write_json(path, doc)
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, TrainConfig, CausalGraph | None]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if doc.get("format_version") != CHECKPOINT_VERSION:
         raise ContractViolation(f"unsupported checkpoint version {doc.get('format_version')}")
     try:
@@ -403,14 +386,12 @@ def gradient_check(
     seed: int = 0,
     step: float = 1e-5,
     tolerance: float = 1e-4,
-    corrupt: bool = False,
 ) -> GradientCheckReport:
     """Compare reverse-mode gradients against central finite differences.
 
     Runs the tiny model with randomized parameters, all loss terms active,
     and no dropout.  Relative error uses max(|analytic|, |numeric|, 1e-3)
     as denominator so sub-noise gradients do not produce spurious ratios.
-    ``corrupt`` perturbs one analytic gradient (negative-control hook).
     """
     ds, graph, rng = _tiny_instance(seed)
     model_cfg = ModelConfig(embed_dim=4, layers=2, dropout=0.0, attn_temp_init=1.5, gamma_temp_init=0.7, kappa_init=2.0)
@@ -426,8 +407,6 @@ def gradient_check(
     rows = np.arange(6, dtype=np.int64)
     labels = _labels_for(ds, rows)
     grads, _ = gradients(params, structure, rows, labels, cfg, mode="eval")
-    if corrupt:
-        grads["proj_w"] = grads["proj_w"] + 1e-2
 
     def eval_loss() -> float:
         run = run_model(structure, params, mode="eval")

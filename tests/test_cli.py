@@ -86,12 +86,6 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert key in capsys.readouterr().err
 
-    def test_config_not_an_object_is_input_error(self, tmp_path, capsys):
-        cfg_path = tmp_path / "list.json"
-        cfg_path.write_text("[1, 2]")
-        assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
-        assert str(cfg_path) in capsys.readouterr().err
-
 
 class TestGranger:
     def test_recovers_planted_edges(self, toy_run):
@@ -123,12 +117,15 @@ class TestGranger:
     def test_missing_dataset_is_input_error(self, tmp_path):
         assert main(["granger", "--dataset", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
 
-    def test_key_error_inside_command_propagates(self, tmp_path, toy_run, monkeypatch):
+    @pytest.mark.parametrize("error", [KeyError, OSError])
+    def test_error_inside_command_propagates(self, tmp_path, toy_run, monkeypatch, error):
+        # Only the parse and write sites turn these into input errors;
+        # raised anywhere else they are bugs.
         def broken(*args, **kwargs):
-            raise KeyError("bug")
+            raise error("bug")
 
         monkeypatch.setattr("causal_sphhn.cli.infer_causal_graph", broken)
-        with pytest.raises(KeyError):
+        with pytest.raises(error):
             main(["granger", "--dataset", f"{toy_run}/dataset.json", "--out", str(tmp_path)])
 
 
@@ -191,14 +188,6 @@ class TestTrain:
         ckpt = json.load(open(f"{out}/checkpoint.json"))
         assert model.items() <= ckpt["model_config"].items()
         assert train.items() <= ckpt["train_config"].items()
-
-    def test_config_not_an_object_is_input_error(self, tmp_path, toy_run, capsys):
-        cfg = tmp_path / "list.json"
-        cfg.write_text("[1, 2]")
-        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal",
-                     "--config", str(cfg), "--out", str(tmp_path / "t")])
-        assert code == 1
-        assert str(cfg) in capsys.readouterr().err
 
     def test_unknown_config_key_is_input_error(self, tmp_path, toy_run, capsys):
         cfg = tmp_path / "typo.json"
@@ -288,6 +277,40 @@ class TestEval:
         assert code == 1
 
 
+# Every flag that names an input file, in a command that is valid on the
+# toy run except for that file.
+FILE_FLAGS = {
+    "synth-config": ["synth", "--config", "{bad}"],
+    "granger-dataset": ["granger", "--dataset", "{bad}"],
+    "train-dataset": ["train", "--dataset", "{bad}", "--graph", "{run}/causal.json"],
+    "train-graph": ["train", "--dataset", "{run}/dataset.json", "--graph", "{bad}"],
+    "train-config": ["train", "--dataset", "{run}/dataset.json", "--no-causal", "--config", "{bad}"],
+    "eval-checkpoint": ["eval", "--checkpoint", "{bad}", "--dataset", "{run}/dataset.json"],
+    "eval-dataset": ["eval", "--checkpoint", "{run}/checkpoint.json", "--dataset", "{bad}"],
+    "eval-truth": ["eval", "--checkpoint", "{run}/checkpoint.json", "--dataset", "{run}/dataset.json",
+                   "--truth", "{bad}"],
+}
+BAD_FILES = {"missing": None, "invalid_json": '{"alpha": 0.01,', "not_an_object": "[1, 2]"}
+
+
+class TestFiles:
+    @pytest.mark.parametrize("content", list(BAD_FILES.values()), ids=list(BAD_FILES))
+    @pytest.mark.parametrize("argv", list(FILE_FLAGS.values()), ids=list(FILE_FLAGS))
+    def test_bad_input_file_is_input_error(self, tmp_path, toy_run, capsys, argv, content):
+        bad = tmp_path / "input.json"
+        if content is not None:
+            bad.write_text(content)
+        args = [a.format(bad=bad, run=toy_run) for a in argv]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 1
+        assert str(bad) in capsys.readouterr().err
+
+    def test_out_naming_a_file_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["synth", "--preset", "toy", "--out", str(out)]) == 1
+        assert str(out) in capsys.readouterr().err
+
+
 class TestGradcheck:
     def test_passes_by_default(self, tmp_path):
         out = str(tmp_path / "g")
@@ -296,8 +319,8 @@ class TestGradcheck:
         assert report["passed"] and report["max_rel_error"] <= 1e-4
         assert len(report["per_parameter"]) >= 8
 
-    def test_corrupt_hook_fails(self):
-        assert main(["gradcheck", "--seed", "0", "--corrupt-gradients"]) == 4
+    def test_corrupt_hook_fails(self, perturbed_gradients):
+        assert main(["gradcheck", "--seed", "0"]) == 4
 
 
 class TestManifest:
