@@ -4,14 +4,22 @@ Every artifact of the pipeline is written atomically: into
 ``path + ".tmp"``, then moved onto ``path`` with ``os.replace``, so a
 reader never sees half a file.  A failed read raises ``ParseError`` and a
 failed write ``ContractViolation``, each naming the path.
+
+Arrays are stored in the NumPy ``.npy`` format (NEP 1).  ``write_npy``
+returns the SHA-256 of the bytes it wrote, and ``read_npy`` loads only
+bytes with that digest, so the JSON document that records it covers the
+array too.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from contextlib import contextmanager
+
+import numpy as np
 
 from .errors import ContractViolation, ParseError
 
@@ -31,12 +39,12 @@ def read_json(path: str) -> dict:
 
 
 @contextmanager
-def atomic_write(path: str):
-    """A text handle whose contents replace ``path`` when the block ends."""
+def atomic_write(path: str, binary: bool = False):
+    """A text (or binary) handle whose contents replace ``path`` when the block ends."""
     tmp = path + ".tmp"
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except OSError as exc:
@@ -48,6 +56,39 @@ def write_json(path: str, doc, indent: int | None = None) -> None:
     # would hold a second copy of a large dataset in memory.
     with atomic_write(path) as fh:
         json.dump(doc, fh, indent=indent)
+
+
+def write_npy(path: str, array: np.ndarray) -> str:
+    """Write ``array`` as ``.npy`` and return the SHA-256 of the bytes written."""
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    data = buf.getbuffer()  # a view: no second copy of a large array
+    with atomic_write(path, binary=True) as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def read_npy(path: str, sha256: str) -> np.ndarray:
+    """The array stored at ``path``, whose bytes must have SHA-256 ``sha256``.
+
+    The bytes are read once; the digest is checked on them and the same
+    bytes are parsed, so a block swapped between the two steps cannot load.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != sha256:
+        raise ParseError(f"{path}: SHA-256 {digest[:12]}... does not match the recorded {sha256[:12]}...")
+    try:
+        array = np.load(io.BytesIO(data), allow_pickle=False)
+    except ValueError as exc:  # not .npy, truncated, or an object array
+        raise ParseError(f"{path}: not a loadable .npy array: {exc}") from exc
+    if not isinstance(array, np.ndarray):  # an .npz archive
+        raise ParseError(f"{path}: not a .npy array")
+    return array
 
 
 def file_digest(path: str) -> str:

@@ -2,7 +2,11 @@
 
 Every command loads inputs, writes its artifacts, and records a
 ``manifest.json`` with the seed, config digest, input digests, output
-digests, versions, and wallclock.  All files are read and written through
+digests, versions, and wallclock.  The config digest covers the settings
+only, not the ``--out`` or input paths, so the same settings run into two
+directories give the same digest.  A dataset's digest is that of its JSON
+document, which records the SHA-256 of its ``.npy`` feature block, so it
+covers the features too.  All files are read and written through
 ``artifacts.py``, which writes atomically (write-temp-then-rename) and
 creates the ``--out`` directory.  All randomness flows from one
 ``--seed``; components receive subseeds derived as
@@ -19,6 +23,7 @@ raises ``ContractViolation``, each naming the path.  Any other exception,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -39,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .granger import CausalGraph, GrangerConfig, infer_causal_graph
-from .hypergraph import feature_dropout, load_dataset, save_dataset
+from .hypergraph import block_path, feature_dropout, load_dataset, save_dataset
 from .model import ModelConfig, forward
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
@@ -114,8 +119,8 @@ def cmd_synth(args) -> int:
     truth_path = os.path.join(args.out, "truth.json")
     save_dataset(ds, ds_path)
     synthgen.save_truth(truth, truth_path)
-    cfg_doc = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(args).items() if k != "func"}
-    _write_manifest(args.out, "synth", args.seed, cfg_doc, {}, [ds_path, truth_path], start)
+    outputs = [ds_path, block_path(ds_path), truth_path]
+    _write_manifest(args.out, "synth", args.seed, dataclasses.asdict(cfg), {}, outputs, start)
     print(f"wrote {ds_path} ({len(ds.nodes)} nodes, {len(ds.hyperedges)} hyperedges)")
     return 0
 
@@ -132,10 +137,8 @@ def cmd_granger(args) -> int:
     graph = infer_causal_graph(ds.nodes, cfg, fit_ids=ds.splits["train"])
     path = os.path.join(args.out, "causal.json")
     graph.save(path)
-    cfg_doc = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_manifest(
-        args.out, "granger", None, cfg_doc, {"dataset": file_digest(args.dataset)}, [path], start
-    )
+    inputs = {"dataset": file_digest(args.dataset)}
+    _write_manifest(args.out, "granger", None, dataclasses.asdict(cfg), inputs, [path], start)
     print(f"wrote {path} ({len(graph.edges)} edges)")
     return 0
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class ContractViolation(ValueError):
     """An argument breaks a documented precondition."""
@@ -36,3 +38,16 @@ class TrainingDiverged(RuntimeError):
         super().__init__(message)
         self.params = params
         self.history = history
+
+
+@contextmanager
+def naming(path: str):
+    """Prefix ``path`` to the message of an input error raised in the block.
+
+    The loaders parse a document after reading it; this makes a schema or
+    validation error name the file it came from, as a read error does.
+    """
+    try:
+        yield
+    except (ContractViolation, ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .artifacts import read_json, write_json
-from .errors import ContractViolation, NumericalError, ParseError, RankDeficient, SeriesTooShort
+from .errors import ContractViolation, NumericalError, ParseError, RankDeficient, SeriesTooShort, naming
 from .hypergraph import NodeFeatureSeries
 
 REDUCTIONS = ("pca1", "mean")
@@ -126,7 +126,9 @@ class CausalGraph:
 
     @classmethod
     def load(cls, path: str) -> "CausalGraph":
-        return cls.from_dict(read_json(path))
+        doc = read_json(path)
+        with naming(path):
+            return cls.from_dict(doc)
 
 
 # --------------------------------------------------------------------------

@@ -5,27 +5,40 @@ A dataset bundles per-node time-indexed feature matrices, hyperedges
 horizon, and train/val/test node splits.  Hyperedges are static over time;
 isolated nodes are legal.
 
-File format (UTF-8 JSON)::
+File format, version 2: a JSON document and a ``.npy`` feature block.
 
-    {"dim": d, "timesteps": T, "classes": C, "horizon": h,
-     "nodes": [{"id": str, "features": [[...] x T]}],
+``<stem>.json`` (UTF-8)::
+
+    {"format": 2, "dim": d, "timesteps": T, "classes": C, "horizon": h,
+     "features": {"file": "<stem>.npy", "sha256": hex},
+     "nodes": [id, ...],
      "hyperedges": [{"id": str, "members": [...], "type": str}],
      "labels": {id: int},
      "splits": {"train": [...], "val": [...], "test": [...]}}
 
-Feature matrices are row-per-timestep; numbers keep full double precision.
+``<stem>.npy`` beside it holds every node's features as one float64
+array of shape (N, T, d) in the NumPy ``.npy`` format: row i is node
+``nodes[i]``, time-major.  The block is named after the document's stem,
+so datasets saved into one directory keep separate blocks, and the
+document records the block's SHA-256, so a digest of the document covers
+the features.  ``save_dataset`` writes the block first and the document
+second, each atomically; a block that does not match its document (stale,
+swapped, another dtype or shape) fails to load.  A document without
+``"format": 2`` is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_json, write_json
-from .errors import ContractViolation, DanglingReference, ParseError, ValidationError
+from .artifacts import read_json, read_npy, write_json, write_npy
+from .errors import ContractViolation, DanglingReference, ParseError, ValidationError, naming
 
 SPLIT_NAMES = ("train", "val", "test")
+FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -131,15 +144,24 @@ def build_index(ds: Dataset) -> IncidenceIndex:
     )
 
 
-def dataset_to_dict(ds: Dataset) -> dict:
+def block_path(path: str) -> str:
+    """The feature block beside the dataset document at ``path``."""
+    stem, ext = os.path.splitext(path)
+    if ext == ".npy":
+        raise ContractViolation(f"{path}: a dataset document cannot share its block's .npy name")
+    return stem + ".npy"
+
+
+def dataset_to_dict(ds: Dataset, block: dict) -> dict:
+    """The dataset document; ``block`` is its feature block's {"file", "sha256"}."""
     return {
+        "format": FORMAT,
         "dim": ds.dim,
         "timesteps": ds.timesteps,
         "classes": ds.classes,
         "horizon": ds.horizon,
-        "nodes": [
-            {"id": n.node_id, "features": n.features.tolist()} for n in ds.nodes
-        ],
+        "features": block,
+        "nodes": [n.node_id for n in ds.nodes],
         "hyperedges": [
             {"id": e.edge_id, "members": list(e.members), "type": e.context_type}
             for e in ds.hyperedges
@@ -149,7 +171,22 @@ def dataset_to_dict(ds: Dataset) -> dict:
     }
 
 
-def dataset_from_dict(doc: dict) -> Dataset:
+def _block_entry(doc: dict) -> tuple[str, str]:
+    """The (file name, SHA-256) of a document's feature block."""
+    if doc.get("format") != FORMAT:
+        raise ParseError(f"unsupported dataset format {doc.get('format')!r} (expected {FORMAT})")
+    entry = doc.get("features")
+    if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
+            and isinstance(entry.get("sha256"), str)):
+        raise ParseError("field 'features' must be {'file': str, 'sha256': str}")
+    name = entry["file"]
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ParseError(f"features file {name!r} must be a file name in the dataset's directory")
+    return name, entry["sha256"]
+
+
+def dataset_from_dict(doc: dict, features: np.ndarray) -> Dataset:
+    """The dataset a document describes, with ``features`` as its (N, T, d) block."""
     def need(key, kind, where="top level"):
         if key not in doc:
             raise ParseError(f"missing field {key!r} at {where}")
@@ -162,17 +199,15 @@ def dataset_from_dict(doc: dict) -> Dataset:
     timesteps = need("timesteps", int)
     classes = need("classes", int)
     horizon = need("horizon", int)
-    nodes = []
-    for i, nd in enumerate(need("nodes", list)):
-        if not isinstance(nd, dict) or "id" not in nd or "features" not in nd:
-            raise ParseError(f"nodes[{i}] must have 'id' and 'features'")
-        try:
-            feats = np.asarray(nd["features"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"nodes[{i}].features is not numeric: {exc}") from exc
-        if feats.ndim != 2:
-            raise ParseError(f"nodes[{i}].features must be a 2-D list")
-        nodes.append(NodeFeatureSeries(str(nd["id"]), feats))
+    ids = [str(i) for i in need("nodes", list)]
+    if features.dtype != np.float64:
+        raise ParseError(f"features block has dtype {features.dtype}, expected float64")
+    if features.shape != (len(ids), timesteps, dim):
+        raise ParseError(
+            f"features block has shape {features.shape}, expected "
+            f"(nodes, timesteps, dim) = {(len(ids), timesteps, dim)}"
+        )
+    nodes = [NodeFeatureSeries(i, row) for i, row in zip(ids, features)]
     edges = []
     for i, ed in enumerate(need("hyperedges", list)):
         if not isinstance(ed, dict) or not {"id", "members", "type"} <= set(ed):
@@ -193,11 +228,22 @@ def dataset_from_dict(doc: dict) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
-    write_json(path, dataset_to_dict(ds))
+    """Write the feature block, then the document that records its digest."""
+    block = block_path(path)
+    if ds.nodes:
+        features = np.stack([n.features for n in ds.nodes], dtype=np.float64)
+    else:
+        features = np.empty((0, ds.timesteps, ds.dim))
+    sha256 = write_npy(block, features)
+    write_json(path, dataset_to_dict(ds, {"file": os.path.basename(block), "sha256": sha256}))
 
 
 def load_dataset(path: str) -> Dataset:
-    return dataset_from_dict(read_json(path))
+    doc = read_json(path)
+    with naming(path):
+        name, sha256 = _block_entry(doc)
+        features = read_npy(os.path.join(os.path.dirname(path), name), sha256)
+        return dataset_from_dict(doc, features)
 
 
 def feature_dropout(ds: Dataset, rate: float, rng: np.random.Generator) -> Dataset:

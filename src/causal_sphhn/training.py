@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .artifacts import atomic_write, doc_digest, read_json, write_json
 from .autodiff import Tensor
-from .errors import ContractViolation, NumericalError, ParseError, TrainingDiverged
+from .errors import ContractViolation, NumericalError, ParseError, TrainingDiverged, naming
 from .granger import CausalGraph
 from .hypergraph import Dataset
 from .model import (
@@ -324,23 +324,24 @@ def save_checkpoint(
 
 def load_checkpoint(path: str) -> tuple[ModelParams, TrainConfig, CausalGraph | None]:
     doc = read_json(path)
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ContractViolation(f"unsupported checkpoint version {doc.get('format_version')}")
-    try:
-        model_cfg = ModelConfig(**doc["model_config"])
-        train_cfg = TrainConfig(**doc["train_config"])
-        arch = doc["arch"]
-        params = init_params(
-            model_cfg,
-            int(arch["in_dim"]),
-            int(arch["classes"]),
-            tuple(arch["edge_types"]),
-            np.random.default_rng(0),
-        )
-        params.load_values({k: np.asarray(v) for k, v in doc["params"].items()})
-        graph = CausalGraph.from_dict(doc["causal_graph"]) if doc["causal_graph"] else None
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: missing or malformed field {exc}") from exc
+    with naming(path):
+        if doc.get("format_version") != CHECKPOINT_VERSION:
+            raise ContractViolation(f"unsupported checkpoint version {doc.get('format_version')}")
+        try:
+            model_cfg = ModelConfig(**doc["model_config"])
+            train_cfg = TrainConfig(**doc["train_config"])
+            arch = doc["arch"]
+            params = init_params(
+                model_cfg,
+                int(arch["in_dim"]),
+                int(arch["classes"]),
+                tuple(arch["edge_types"]),
+                np.random.default_rng(0),
+            )
+            params.load_values({k: np.asarray(v) for k, v in doc["params"].items()})
+            graph = CausalGraph.from_dict(doc["causal_graph"]) if doc["causal_graph"] else None
+        except (KeyError, TypeError) as exc:
+            raise ParseError(f"missing or malformed field {exc}") from exc
     return params, train_cfg, graph
 
 

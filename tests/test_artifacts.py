@@ -3,25 +3,54 @@ import os
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
-from causal_sphhn.artifacts import doc_digest, file_digest, read_json, write_json
+from causal_sphhn.artifacts import doc_digest, file_digest, read_json, read_npy, write_json, write_npy
 from causal_sphhn.errors import ContractViolation, ParseError
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "causal_sphhn"
-FILE_CALLS = {"open", "json.load", "json.dump", "os.replace", "os.rename", "os.makedirs", "os.mkdir"}
+FILE_CALLS = {
+    "open", "json.load", "json.dump", "os.replace", "os.rename", "os.makedirs", "os.mkdir",
+    "np.save", "np.load", "np.savez", "np.savez_compressed", "np.fromfile", "np.memmap",
+    "np.loadtxt", "np.savetxt", "np.genfromtxt", ".tofile",
+}
+MODULE_NAMES = {"json": "json", "os": "os", "numpy": "np", "np": "np"}
+
+
+def callee(func: ast.expr) -> str:
+    """``func`` as FILE_CALLS spells it: ``np.`` for numpy, ``.name`` for a method."""
+    if isinstance(func, ast.Attribute):
+        if "." + func.attr in FILE_CALLS:
+            return "." + func.attr
+        if isinstance(func.value, ast.Name) and func.value.id in MODULE_NAMES:
+            return f"{MODULE_NAMES[func.value.id]}.{func.attr}"
+    return ast.unparse(func)
 
 
 def file_calls(path: pathlib.Path) -> list[tuple[int, str]]:
     """(line, callee) of each call in ``path`` that opens, parses or moves a file."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in FILE_CALLS:
-            found.append((node.lineno, ast.unparse(node.func)))
-        elif isinstance(node, ast.ImportFrom) and node.module in ("json", "os"):
-            found += [(node.lineno, f"{node.module}.{a.name}") for a in node.names
-                      if f"{node.module}.{a.name}" in FILE_CALLS]
+        if isinstance(node, ast.Call) and callee(node.func) in FILE_CALLS:
+            found.append((node.lineno, callee(node.func)))
+        elif isinstance(node, ast.ImportFrom) and node.module in MODULE_NAMES:
+            names = [f"{MODULE_NAMES[node.module]}.{a.name}" for a in node.names]
+            found += [(node.lineno, name) for name in names if name in FILE_CALLS]
     return found
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\nnp.load('f.npy')",
+    "import numpy\nnumpy.save('f.npy', x)",
+    "from numpy import memmap",
+    "x.tofile('f.bin')",
+    "from os import replace",
+])
+def test_file_call_forms_are_found(tmp_path, source):
+    path = tmp_path / "mod.py"
+    path.write_text(source)
+    assert file_calls(path)
 
 
 def test_only_artifacts_touches_the_filesystem():
@@ -54,6 +83,47 @@ def test_write_failure_names_the_path(tmp_path):
     path = str(tmp_path / "file" / "doc.json")
     with pytest.raises(ContractViolation, match=re.escape(str(path))):
         write_json(path, {})
+
+
+def test_npy_round_trip_is_exact(tmp_path):
+    array = np.array([[0.0, -0.0], [5e-324, -1e300]])
+    path = str(tmp_path / "new" / "a.npy")
+    sha256 = write_npy(path, array)
+    assert sha256 == file_digest(path)
+    back = read_npy(path, sha256)
+    assert back.dtype == array.dtype and back.tobytes() == array.tobytes()
+    assert os.listdir(tmp_path / "new") == ["a.npy"]
+
+
+def _bytes(data):
+    def write(path):
+        pathlib.Path(path).write_bytes(data)
+        return file_digest(path)
+    return write
+
+
+def _npz(path):
+    np.savez(path, a=np.zeros(2))
+    os.replace(path + ".npz", path)
+    return file_digest(path)
+
+
+# Each writes a faulty file at the path and returns the digest to read it with.
+NPY_FAULTS = {
+    "missing": lambda path: "0" * 64,
+    "digest_mismatch": lambda path: write_npy(path, np.zeros(3)) and "0" * 64,
+    "not_npy": _bytes(b"not an array"),
+    "truncated": _bytes(b"\x93NUMPY\x01\x00v\x00{'descr': '<f8', 'fortran_order': False, 'shape': (9,), }"),
+    "npz": _npz,
+}
+
+
+@pytest.mark.parametrize("fault", list(NPY_FAULTS))
+def test_read_npy_failure_names_the_path(tmp_path, fault):
+    path = str(tmp_path / "a.npy")
+    digest = NPY_FAULTS[fault](path)
+    with pytest.raises(ParseError, match=re.escape(path)):
+        read_npy(path, digest)
 
 
 def test_digests(tmp_path):

@@ -40,7 +40,7 @@ def toy_run(tmp_path_factory):
 
 class TestSynth:
     def test_outputs_and_manifest(self, toy_run):
-        for name in ("dataset.json", "truth.json", "manifest.json"):
+        for name in ("dataset.json", "dataset.npy", "truth.json", "manifest.json"):
             assert os.path.exists(os.path.join(toy_run, name))
         manifest = json.load(open(os.path.join(toy_run, "manifest.json")))
         assert manifest["command"] == "eval"  # last command rewrote it
@@ -290,7 +290,12 @@ FILE_FLAGS = {
     "eval-truth": ["eval", "--checkpoint", "{run}/checkpoint.json", "--dataset", "{run}/dataset.json",
                    "--truth", "{bad}"],
 }
-BAD_FILES = {"missing": None, "invalid_json": '{"alpha": 0.01,', "not_an_object": "[1, 2]"}
+BAD_FILES = {
+    "missing": None,
+    "invalid_json": '{"alpha": 0.01,',
+    "not_an_object": "[1, 2]",
+    "missing_field": '{"alpha": 0.01}',
+}
 
 
 class TestFiles:
@@ -328,5 +333,21 @@ class TestManifest:
         out = str(tmp_path / "m")
         assert main(["synth", "--preset", "toy", "--seed", "4", "--out", out]) == 0
         manifest = json.load(open(f"{out}/manifest.json"))
+        assert set(manifest["outputs"]) == {"dataset.json", "dataset.npy", "truth.json"}
         for name, digest in manifest["outputs"].items():
             assert sha(os.path.join(out, name)) == digest
+
+    def test_config_digest_covers_settings_not_paths(self, tmp_path):
+        def digest(out):
+            return json.load(open(f"{out}/manifest.json"))["config_digest"]
+
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        synth, granger = {}, {}
+        for out in (a, b):
+            assert main(["synth", "--preset", "toy", "--seed", "4", "--out", out]) == 0
+            synth[out] = digest(out)
+            assert main(["granger", "--dataset", f"{out}/dataset.json", "--out", out]) == 0
+            granger[out] = digest(out)
+        assert synth[a] == synth[b] and granger[a] == granger[b]
+        assert main(["granger", "--dataset", f"{a}/dataset.json", "--lag", "3", "--out", a]) == 0
+        assert digest(a) != granger[a]

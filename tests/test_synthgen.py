@@ -56,10 +56,12 @@ class TestGenerate:
         cfg = preset("toy", seed=9)
         ds1, t1 = generate(cfg)
         ds2, t2 = generate(cfg)
-        p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        save_dataset(ds1, p1)
-        save_dataset(ds2, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        # The document names its block, so the two go to two directories.
+        a, b = tmp_path / "a", tmp_path / "b"
+        save_dataset(ds1, str(a / "ds.json"))
+        save_dataset(ds2, str(b / "ds.json"))
+        for name in ("ds.json", "ds.npy"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
         assert t1 == t2
 
     def test_features_finite_across_seeds(self):
