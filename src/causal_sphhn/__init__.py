@@ -15,7 +15,7 @@ from .metrics import EvalReport
 from .model import ForwardTrace, ModelConfig, ModelParams, forward, init_params
 from .synthgen import SynthConfig, generate, preset
 from .training import LossBreakdown, TrainConfig, gradient_check, train
-from .vmf import VmfParams, entropy, log_density, log_norm_const, mean_resultant, sample
+from .vmf import log_norm_const, mean_resultant
 
 __all__ = [
     "CausalEdge",
@@ -31,9 +31,7 @@ __all__ = [
     "NodeFeatureSeries",
     "SynthConfig",
     "TrainConfig",
-    "VmfParams",
     "build_index",
-    "entropy",
     "forward",
     "generate",
     "gradient_check",
@@ -41,11 +39,9 @@ __all__ = [
     "infer_causal_graph",
     "init_params",
     "load_dataset",
-    "log_density",
     "log_norm_const",
     "mean_resultant",
     "preset",
-    "sample",
     "save_dataset",
     "train",
 ]

@@ -6,9 +6,9 @@ back to them.  ``backward()`` runs the closures in reverse topological
 order.  Everything is float64.
 
 The op set is exactly what the spherical hypergraph model needs: broadcast
-arithmetic, (batched) matmul, reductions, gather/scatter by row index,
-masked softmax/logsumexp, and the vMF entropy with its analytic
-d/dkappa = -kappa * A'_d(kappa).
+arithmetic, (batched) matmul, reductions, gather/scatter by row index and
+by flat element index, masked softmax/logsumexp, and the vMF entropy with
+its analytic d/dkappa = -kappa * A'_d(kappa).
 """
 
 from __future__ import annotations
@@ -321,6 +321,33 @@ def scatter_add_rows(src: Tensor, plan: ScatterPlan) -> Tensor:
     """out[i] = sum of the src rows the plan sends to row i."""
     out = Tensor(plan.apply(src.data), parents=(src,))
     out._backward = lambda g: src._accumulate(plan.gather(g))
+    return out
+
+
+def gather_flat(x: Tensor, idx: np.ndarray) -> Tensor:
+    """x.ravel()[idx], shaped like idx; idx may repeat an element.
+
+    Backward sums the gradients of repeated elements with one bincount.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    out = Tensor(x.data.reshape(-1)[idx], parents=(x,))
+
+    def bwd(g):
+        flat = np.bincount(idx.reshape(-1), weights=g.reshape(-1), minlength=x.data.size)
+        x._accumulate(flat.reshape(x.data.shape))
+
+    out._backward = bwd
+    return out
+
+
+def scatter_flat(src: Tensor, idx: np.ndarray, size: int) -> Tensor:
+    """1-D array of length size whose element k sums src.ravel()[p] over idx[p] == k.
+
+    The adjoint of :func:`gather_flat`: backward is g[idx].
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    out = Tensor(np.bincount(idx, weights=src.data.reshape(-1), minlength=size), parents=(src,))
+    out._backward = lambda g: src._accumulate(g[idx].reshape(src.data.shape))
     return out
 
 

@@ -75,13 +75,16 @@ def _write_manifest(
     inputs: dict[str, str],
     outputs: list[str],
     start: float,
+    digests: dict[str, str] | None = None,
 ) -> None:
+    """Write ``manifest.json``; ``digests`` holds output digests already known."""
+    known = digests or {}
     doc = {
         "command": command,
         "seed": seed,
         "config_digest": doc_digest(config_doc),
         "inputs": inputs,
-        "outputs": {os.path.basename(p): file_digest(p) for p in outputs},
+        "outputs": {os.path.basename(p): known.get(p) or file_digest(p) for p in outputs},
         "versions": {
             "causal_sphhn": __version__,
             "numpy": np.__version__,
@@ -117,10 +120,13 @@ def cmd_synth(args) -> int:
     ds, truth = synthgen.generate(cfg)
     ds_path = os.path.join(args.out, "dataset.json")
     truth_path = os.path.join(args.out, "truth.json")
-    save_dataset(ds, ds_path)
+    block = block_path(ds_path)
+    block_sha256 = save_dataset(ds, ds_path)
     synthgen.save_truth(truth, truth_path)
-    outputs = [ds_path, block_path(ds_path), truth_path]
-    _write_manifest(args.out, "synth", args.seed, dataclasses.asdict(cfg), {}, outputs, start)
+    _write_manifest(
+        args.out, "synth", args.seed, dataclasses.asdict(cfg), {},
+        [ds_path, block, truth_path], start, digests={block: block_sha256},
+    )
     print(f"wrote {ds_path} ({len(ds.nodes)} nodes, {len(ds.hyperedges)} hyperedges)")
     return 0
 

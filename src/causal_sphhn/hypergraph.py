@@ -227,8 +227,11 @@ def dataset_from_dict(doc: dict, features: np.ndarray) -> Dataset:
     return ds
 
 
-def save_dataset(ds: Dataset, path: str) -> None:
-    """Write the feature block, then the document that records its digest."""
+def save_dataset(ds: Dataset, path: str) -> str:
+    """Write the feature block, then the document that records its digest.
+
+    Returns the block's SHA-256.
+    """
     block = block_path(path)
     if ds.nodes:
         features = np.stack([n.features for n in ds.nodes], dtype=np.float64)
@@ -236,6 +239,7 @@ def save_dataset(ds: Dataset, path: str) -> None:
         features = np.empty((0, ds.timesteps, ds.dim))
     sha256 = write_npy(block, features)
     write_json(path, dataset_to_dict(ds, {"file": os.path.basename(block), "sha256": sha256}))
+    return sha256
 
 
 def load_dataset(path: str) -> Dataset:

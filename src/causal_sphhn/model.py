@@ -12,14 +12,22 @@ a plain dot product), ``pairwise`` expands hyperedges into 2-cliques,
 ``layers=0`` reduces to the projection, and an empty causal graph is
 bit-identical to removing the causal path.
 
-Hyperedges of every size take one message-passing path.  Members are
-padded to a rectangular (E, K) index array with a validity mask, and each
-round gathers the member embeddings, runs a masked softmax over the
-cosine matrix within every edge, and scatters each valid member's message
-once into a (T*N, d) buffer whose block t holds the per-node sums over
-context type t, so the per-type weights apply as T dense matmuls.  Causal
-parent sets are padded the same way.  Every scatter plan is built from the
-valid slots only, so padding never reaches a node's sum.
+Message passing is a Gram-matrix kernel.  Each round computes G = h h^T
+once, an (N, N) matrix, and gathers one scalar per member pair: the
+attention logit of pair (i, j) in edge e is the temperature times
+G[m_i, m_j], placed in the padded (E, K, K) block on which a masked softmax
+runs within every edge.  Each valid pair's weight is then scattered onto a
+dense (N, N) matrix A_t for its edge's context type t, so the round's
+message is m = sum_t (A_t h) W_t^T and every d-wide step is a dense matmul.
+Causal injection takes the same form: the gamma weights scatter onto a
+(P, N) matrix of child rows by parent node, times h.  Only valid pairs and
+parents are gathered and scattered, so padding never reaches a sum.
+
+Memory: a layer holds G and the T matrices A_t, and the causal step one
+(P, N) matrix with P <= N, so the dense buffers take at most
+(T + 1) * N^2 * 8 bytes per layer: about 7 MB on ``small`` (N = 540) and
+24 MB on ``medium`` (N = 1000) with T = 2 context types.  Backward adds
+their gradients, the same size again.
 """
 
 from __future__ import annotations
@@ -155,16 +163,25 @@ def init_params(
 class GraphStructure:
     node_ids: list[str]
     features: np.ndarray  # (N, d) last observed timestep
-    member_idx: np.ndarray  # (E, K) padded node rows
-    member_mask: np.ndarray  # (E, K) bool
-    type_rows: dict[str, np.ndarray]  # context type -> edge rows
+    member_idx: np.ndarray  # (E, K) node rows, padded with 0
+    member_mask: np.ndarray  # (E, K) bool, False at padding
+    # Every valid member pair (e, i, j), grouped by context type: its flat
+    # offset e*K*K + i*K + j in the (E, K, K) attention block, and its flat
+    # offset m_i*N + m_j in an (N, N) matrix (the Gram matrix, or A_t).
+    pair_slot: np.ndarray  # (Q,)
+    pair_cell: np.ndarray  # (Q,)
+    type_pairs: dict[str, slice]  # context type -> its range of the pair arrays
     child_rows: np.ndarray  # (P,) nodes with causal parents
-    parent_idx: np.ndarray  # (P, Kc) padded parent rows
+    parent_idx: np.ndarray  # (P, Kc) parent rows, padded with 0
     parent_mask: np.ndarray  # (P, Kc)
     parent_f: np.ndarray  # (P, Kc) Granger F statistics
     ghat: np.ndarray  # (P, Kc) reference softmax of F at temperature 1
+    # Every valid parent (r, c): its flat offset r*Kc + c in the (P, Kc)
+    # gamma block, and its flat offset r*N + parent in a (P, N) matrix.
+    parent_slot: np.ndarray
+    parent_cell: np.ndarray
     classes: int
-    plans: dict = field(default_factory=dict)  # precomputed scatter plans
+    plans: dict = field(default_factory=dict)  # "children": row scatter of the child rows
 
 
 def pairwise_expand(edges: list[Hyperedge]) -> list[Hyperedge]:
@@ -199,13 +216,20 @@ def compile_structure(
     k = max((len(e.members) for e in edges), default=2)
     member_idx = np.zeros((n_edges, k), dtype=np.int64)
     member_mask = np.zeros((n_edges, k), dtype=bool)
-    type_lists: dict[str, list[int]] = {}
     for row, e in enumerate(edges):
         mem = [index[m] for m in e.members]
         member_idx[row, : len(mem)] = mem
         member_mask[row, : len(mem)] = True
-        type_lists.setdefault(e.context_type, []).append(row)
-    type_rows = {t: np.asarray(rows, dtype=np.int64) for t, rows in sorted(type_lists.items())}
+    types = sorted({e.context_type for e in edges})
+    type_code = np.asarray([types.index(e.context_type) for e in edges], dtype=np.int64)
+    n_nodes = len(node_ids)
+    pair_mask = member_mask[:, :, None] & member_mask[:, None, :]
+    pair_slot = np.flatnonzero(pair_mask)
+    pair_slot = pair_slot[np.argsort(type_code[pair_slot // (k * k)], kind="stable")]
+    pe, pi, pj = np.unravel_index(pair_slot, pair_mask.shape)
+    pair_cell = member_idx[pe, pi] * n_nodes + member_idx[pe, pj]
+    bounds = np.searchsorted(type_code[pe], np.arange(len(types) + 1))
+    type_pairs = {t: slice(int(bounds[c]), int(bounds[c + 1])) for c, t in enumerate(types)}
 
     children: dict[str, list] = {}
     if causal_graph is not None:
@@ -225,35 +249,27 @@ def compile_structure(
             parent_mask[r, c] = True
             parent_f[r, c] = edge.f_statistic
     ghat = ad.masked_softmax(Tensor(parent_f), parent_mask).data
-
-    n_nodes, n_types = len(node_ids), len(type_rows)
-    type_code = np.zeros(n_edges, dtype=np.int64)
-    for code, rows in enumerate(type_rows.values()):
-        type_code[rows] = code
-    slot_idx = (type_code[:, None] * n_nodes + member_idx).reshape(-1)
-    plans = {
-        "members": ad.ScatterPlan(member_idx.reshape(-1), n_nodes, member_mask),
-        "parents": ad.ScatterPlan(parent_idx.reshape(-1), n_nodes, parent_mask),
-        "children": ad.ScatterPlan(child_rows, n_nodes),
-        "slots": ad.ScatterPlan(slot_idx, n_types * n_nodes, member_mask),
-    }
-    for code, t in enumerate(type_rows):
-        block = np.arange(code * n_nodes, (code + 1) * n_nodes)
-        plans[f"block:{t}"] = ad.ScatterPlan(block, n_types * n_nodes)
+    parent_slot = np.flatnonzero(parent_mask)
+    pr, pc = np.divmod(parent_slot, kc)
+    parent_cell = pr * n_nodes + parent_idx[pr, pc]
 
     return GraphStructure(
         node_ids=node_ids,
         features=features,
         member_idx=member_idx,
         member_mask=member_mask,
-        type_rows=type_rows,
+        pair_slot=pair_slot,
+        pair_cell=pair_cell,
+        type_pairs=type_pairs,
         child_rows=child_rows,
         parent_idx=parent_idx,
         parent_mask=parent_mask,
         parent_f=parent_f,
         ghat=ghat,
+        parent_slot=parent_slot,
+        parent_cell=parent_cell,
         classes=ds.classes,
-        plans=plans,
+        plans={"children": ad.ScatterPlan(child_rows, n_nodes)},
     )
 
 
@@ -309,7 +325,7 @@ def run_model(
         )
     if structure.classes != params.classes:
         raise ContractViolation("dataset classes do not match model head")
-    missing = set(structure.type_rows) - set(params.edge_types)
+    missing = set(structure.type_pairs) - set(params.edge_types)
     if missing:
         raise ContractViolation(f"no edge weights for context types {sorted(missing)}")
     if mode == "train" and cfg.dropout > 0.0 and rng is None:
@@ -327,25 +343,24 @@ def run_model(
     alphas: list[Tensor] = []
 
     n_edges, k = structure.member_idx.shape
-    flat_members = structure.member_idx.reshape(-1)
     attn_mask = structure.member_mask[:, None, :]  # mask over j within each edge
 
     for _ in range(cfg.layers):
         m = Tensor(np.zeros((n, d)))
         if n_edges:
-            he = ad.gather_rows(h, flat_members, structure.plans["members"]).reshape(
-                n_edges, k, d
-            )
-            cos = he @ he.transpose((0, 2, 1))
+            gram = h @ h.transpose((1, 0))
+            cos = ad.scatter_flat(
+                ad.gather_flat(gram, structure.pair_cell), structure.pair_slot, n_edges * k * k
+            ).reshape(n_edges, k, k)
             alpha = ad.masked_softmax(params.attn_temp * cos, attn_mask)
             alphas.append(alpha)
-            msg = (alpha @ he).reshape(n_edges * k, d)
-            # Row type_code*N + node of agg sums the node's messages over
-            # the edges of that context type; pad slots are skipped.
-            agg = ad.scatter_add_rows(msg, structure.plans["slots"])
-            for t in structure.type_rows:
-                block = structure.plans[f"block:{t}"]
-                m = m + ad.gather_rows(agg, block.idx, block) @ params.edge_w[t].transpose((1, 0))
+            for t, span in structure.type_pairs.items():
+                a_t = ad.scatter_flat(
+                    ad.gather_flat(alpha, structure.pair_slot[span]),
+                    structure.pair_cell[span],
+                    n * n,
+                ).reshape(n, n)
+                m = m + (a_t @ h) @ params.edge_w[t].transpose((1, 0))
         if mode == "train" and cfg.dropout > 0.0:
             keep = (rng.random((n, d)) >= cfg.dropout) / (1.0 - cfg.dropout)
             m = m * Tensor(keep)
@@ -358,12 +373,11 @@ def run_model(
         glogits = params.gamma_temp * Tensor(structure.parent_f)
         gamma = ad.masked_softmax(glogits, structure.parent_mask)
         log_gamma = glogits - ad.masked_logsumexp(glogits, structure.parent_mask)
-        p_rows, kc = structure.parent_idx.shape
-        hp = ad.gather_rows(
-            h, structure.parent_idx.reshape(-1), structure.plans["parents"]
-        ).reshape(p_rows, kc, d)
-        ctx = (gamma.reshape(p_rows, 1, kc) @ hp).reshape(p_rows, d)
-        ctx = ctx @ params.causal_w.transpose((1, 0))
+        p_rows = structure.child_rows.size
+        weights = ad.scatter_flat(
+            ad.gather_flat(gamma, structure.parent_slot), structure.parent_cell, p_rows * n
+        ).reshape(p_rows, n)
+        ctx = (weights @ h) @ params.causal_w.transpose((1, 0))
         base = ad.gather_rows(h, structure.child_rows, structure.plans["children"])
         combined = base + ctx
         if not cfg.euclidean:

@@ -1,20 +1,19 @@
 """von Mises-Fisher distributions on the unit hypersphere S^{d-1}.
 
-Provides the log normalization constant, density, entropy (nats), the mean
-resultant ratio A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa), and Wood's
-rejection sampler.  The modified Bessel function I_nu is evaluated from
-scratch: a scaled power series below x = max(20, 2*nu) and the uniform
-large-order asymptotic expansion above it, with ratios computed by a
-continued fraction so no log subtraction is needed at large argument.
+Provides the log normalization constant, the entropy (nats) of a given
+concentration, and the mean resultant ratio
+A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa) with its derivative.  The
+modified Bessel function I_nu is evaluated from scratch: a scaled power
+series below x = max(20, 2*nu) and the uniform large-order asymptotic
+expansion above it, with ratios computed by a continued fraction so no log
+subtraction is needed at large argument.
 
-All kappa-dependent functions accept scalars or numpy arrays and are pure;
-``sample`` mutates only its caller-supplied generator.
+All kappa-dependent functions accept scalars or numpy arrays and are pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +118,10 @@ def _log_bessel_uniform(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 _RATIO_ASYMPTOTIC_MIN = 1e5
+# Below this argument the ratio is its leading term x / (2(nu + 1)) to
+# double precision (the next term is smaller by a factor x^2 / (4(nu + 2))),
+# and the continued fraction's coefficients 2(nu + j) / x can overflow.
+_RATIO_SMALL_MAX = 1e-300
 
 
 def bessel_ratio(nu: float, x):
@@ -127,7 +130,8 @@ def bessel_ratio(nu: float, x):
     Elementwise Lentz iteration; avoids the catastrophic log subtraction
     at large argument where the ratio approaches 1.  Above x = 1e5 the
     continued fraction would need O(x) terms, so the large-argument
-    expansion (already at machine precision there) takes over.
+    expansion (already at machine precision there) takes over; below
+    x = 1e-300 the leading small-argument term does.
     """
     x = _check_order_arg(nu, x)
     scalar = x.ndim == 0
@@ -148,7 +152,9 @@ def bessel_ratio(nu: float, x):
             return total
 
         out[huge] = expansion(nu + 1.0) / expansion(nu)
-    pos = (x > 0.0) & ~huge
+    small = (x > 0.0) & (x < _RATIO_SMALL_MAX)
+    out[small] = x[small] / (2.0 * (nu + 1.0))
+    pos = (x >= _RATIO_SMALL_MAX) & ~huge
     if np.any(pos):
         xv = x[pos]
         tiny = 1e-300
@@ -236,90 +242,3 @@ def entropy_from_kappa(d: int, kappa):
     kappa = np.atleast_1d(kappa)
     h = -log_norm_const(d, kappa) - kappa * mean_resultant(d, kappa)
     return float(h[0]) if scalar else h
-
-
-@dataclass(frozen=True)
-class VmfParams:
-    """Mean direction, concentration, and ambient dimension of a vMF."""
-
-    mu: np.ndarray
-    kappa: float
-    dim: int
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        object.__setattr__(self, "mu", mu)
-        if mu.ndim != 1 or mu.shape[0] != self.dim:
-            raise ContractViolation("mu must be 1-D with length dim")
-        _check_dim(self.dim)
-        if abs(np.linalg.norm(mu) - 1.0) > 1e-9:
-            raise ContractViolation("mu must be unit length within 1e-9")
-        if not (np.isfinite(self.kappa) and self.kappa >= 0):
-            raise ContractViolation("kappa must be finite and >= 0")
-
-
-def entropy(p: VmfParams) -> float:
-    """Entropy in nats; independent of the mean direction."""
-    return entropy_from_kappa(p.dim, p.kappa)
-
-
-def log_density(p: VmfParams, h) -> float:
-    """log p(h) = log C_d(kappa) + kappa * mu.h for unit h."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (p.dim,):
-        raise ContractViolation(f"h must have shape ({p.dim},)")
-    if abs(np.linalg.norm(h) - 1.0) > 1e-6:
-        raise ContractViolation("h must be unit length within 1e-6")
-    return float(log_norm_const(p.dim, p.kappa) + p.kappa * (p.mu @ h))
-
-
-def _householder_from_e1(mu: np.ndarray):
-    """Reflection mapping e1 to mu (identity when they coincide)."""
-    v = -mu.copy()
-    v[0] += 1.0
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        return None
-    return v / norm
-
-
-def sample(p: VmfParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n unit vectors by Wood's rejection algorithm.
-
-    Proposals for the cosine w against the mean direction use a scaled
-    beta envelope; directions in the tangent space are uniform.
-    """
-    if n < 1:
-        raise ContractViolation("n must be >= 1")
-    d, kappa = p.dim, p.kappa
-
-    if kappa == 0.0:
-        g = rng.standard_normal((n, d))
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-    b = (d - 1.0) / (2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2))
-    x0 = (1.0 - b) / (1.0 + b)
-    c = kappa * x0 + (d - 1.0) * math.log(1.0 - x0 * x0)
-
-    w = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = max(n - filled, 32)
-        z = rng.beta(0.5 * (d - 1.0), 0.5 * (d - 1.0), size=m)
-        cand = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
-        u = rng.random(m)
-        ok = kappa * cand + (d - 1.0) * np.log1p(-x0 * cand) - c >= np.log(u)
-        take = min(int(ok.sum()), n - filled)
-        w[filled : filled + take] = cand[ok][:take]
-        filled += take
-
-    v = rng.standard_normal((n, d - 1))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    out = np.empty((n, d))
-    out[:, 0] = w
-    out[:, 1:] = np.sqrt(np.clip(1.0 - w * w, 0.0, None))[:, None] * v
-
-    refl = _householder_from_e1(p.mu)
-    if refl is not None:
-        out -= 2.0 * np.outer(out @ refl, refl)
-    return out

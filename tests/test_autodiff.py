@@ -135,6 +135,29 @@ class TestIndexing:
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + np.abs(src).sum())
         assert np.all(plan.gather(x)[~mask] == 0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(masked_scatter_inputs(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_flat_gather_scatter_adjoint(self, case, size, seed):
+        # The kernel's pattern: gather the slots inside the mask from an
+        # (E, K, K)-like block, scatter them onto cells that may repeat.
+        _, _, mask, _ = case
+        slots = np.flatnonzero(mask)
+        rng = np.random.default_rng(seed)
+        cells = rng.integers(0, size, slots.size)  # repeats whenever slots outnumber cells
+        x = Tensor(rng.standard_normal(mask.size), requires_grad=True)
+        b = rng.standard_normal(size)
+        a = rng.standard_normal(slots.size)
+        lhs = np.dot(ad.scatter_flat(Tensor(a), cells, size).data, b)
+        assert abs(lhs - np.dot(a, ad.gather_flat(Tensor(b), cells).data)) <= 1e-12 * (1.0 + np.abs(a).sum())
+        out = ad.scatter_flat(ad.gather_flat(x, slots), cells, size)
+        (out * Tensor(b)).sum().backward()
+        expected = ad.scatter_flat(ad.gather_flat(Tensor(b), cells), slots, mask.size).data
+        assert np.allclose(x.grad, expected, rtol=0.0, atol=1e-12 * (1.0 + np.abs(b).sum()))
+        assert np.all(x.grad[~mask] == 0.0)
+        ref = np.zeros(size)
+        np.add.at(ref, cells, x.data[slots])
+        assert np.allclose(out.data, ref, rtol=0.0, atol=1e-12 * (1.0 + np.abs(x.data).sum()))
+
     def test_where_routes_gradients(self):
         cond = np.array([True, False, True])
         a = Tensor(np.ones(3), requires_grad=True)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from causal_sphhn import artifacts, cli
 from causal_sphhn.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -337,6 +338,16 @@ class TestManifest:
         for name, digest in manifest["outputs"].items():
             assert sha(os.path.join(out, name)) == digest
 
+    def test_synth_hashes_the_block_once(self, tmp_path, monkeypatch):
+        hashed = []
+        monkeypatch.setattr(cli, "file_digest", lambda p: hashed.append(p) or artifacts.file_digest(p))
+        out = str(tmp_path / "m")
+        assert main(["synth", "--preset", "toy", "--seed", "4", "--out", out]) == 0
+        block = os.path.join(out, "dataset.npy")
+        assert block not in hashed and len(hashed) == 2
+        manifest = json.load(open(f"{out}/manifest.json"))
+        assert manifest["outputs"]["dataset.npy"] == artifacts.file_digest(block)
+
     def test_config_digest_covers_settings_not_paths(self, tmp_path):
         def digest(out):
             return json.load(open(f"{out}/manifest.json"))["config_digest"]
@@ -351,3 +362,24 @@ class TestManifest:
         assert synth[a] == synth[b] and granger[a] == granger[b]
         assert main(["granger", "--dataset", f"{a}/dataset.json", "--lag", "3", "--out", a]) == 0
         assert digest(a) != granger[a]
+
+
+def test_pipeline_artifacts_are_deterministic(tmp_path):
+    """synth -> granger -> train -> eval twice with one seed: the same bytes.
+
+    ``manifest.json`` and ``history.csv`` record wallclock, so they differ.
+    """
+    runs = [str(tmp_path / name) for name in ("a", "b")]
+    for out in runs:
+        ds = f"{out}/dataset.json"
+        assert main(["synth", "--preset", "toy", "--seed", "5", "--out", out]) == 0
+        assert main(["granger", "--dataset", ds, "--out", out]) == 0
+        assert main(["train", "--dataset", ds, "--graph", f"{out}/causal.json", "--seed", "5",
+                     "--out", out]) == 0
+        assert main(["eval", "--checkpoint", f"{out}/checkpoint.json", "--dataset", ds,
+                     "--truth", f"{out}/truth.json", "--seed", "5", "--out", out]) == 0
+    names = sorted(set(os.listdir(runs[0])) - {"manifest.json", "history.csv"})
+    assert sorted(set(os.listdir(runs[1])) - {"manifest.json", "history.csv"}) == names
+    assert {"dataset.json", "dataset.npy", "truth.json", "causal.json", "checkpoint.json"} <= set(names)
+    for name in names:
+        assert sha(os.path.join(runs[0], name)) == sha(os.path.join(runs[1], name)), name

@@ -17,6 +17,7 @@ from causal_sphhn.model import (
     pairwise_expand,
     run_model,
 )
+from causal_sphhn.training import TrainConfig, build_loss, gradients
 from causal_sphhn.vmf import log_uniform_density
 from reference_ops import (
     SphericalEmbedding,
@@ -223,6 +224,16 @@ class TestCausalAggregate:
         expected /= np.linalg.norm(expected)
         assert np.allclose(out, expected, atol=1e-12)
 
+    def test_padded_parent_sets_match_reference(self):
+        ds, graph = mixed_size_instance()
+        cfg = ModelConfig(embed_dim=4, layers=0, dropout=0.0)
+        params = tiny_params(cfg, in_dim=4, types=("a", "b"), seed=31)
+        run = run_model(compile_structure(ds, graph, cfg), params, mode="eval")
+        embeds = {n.node_id: project(n.features[-1], params).h for n in ds.nodes}
+        for i, nid in enumerate(run.structure.node_ids):
+            ref = causal_aggregate(nid, embeds[nid], graph, embeds, params)
+            assert np.allclose(run.h_final.data[i], ref, atol=1e-12), nid
+
 
 def mixed_size_instance():
     """Edges of 2, 3 and 5 members and children with 1 or 3 causal parents,
@@ -246,18 +257,37 @@ class TestCompiledPlans:
     def test_plan_set_is_the_same_for_every_edge_size(self, pairwise):
         ds, graph = mixed_size_instance()
         structure = compile_structure(ds, graph, ModelConfig(pairwise=pairwise))
-        assert sorted(structure.plans) == ["block:a", "block:b", "children", "members", "parents", "slots"]
+        assert sorted(structure.plans) == ["children"]
+        assert list(structure.type_pairs) == ["a", "b"]
+        for name in ("pair_slot", "pair_cell", "parent_slot", "parent_cell"):
+            field = getattr(structure, name)
+            assert field.ndim == 1 and field.dtype == np.int64, name
+        # The type ranges tile the pair arrays in order.
+        spans = list(structure.type_pairs.values())
+        assert spans[0].start == 0 and spans[-1].stop == structure.pair_slot.size
+        assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
 
     def test_plans_count_valid_slots_only(self):
-        # Padding used to alias node 0, inflating its multiplicity.
-        ds, graph = mixed_size_instance()
-        structure = compile_structure(ds, graph, ModelConfig())
-        members, parents = structure.plans["members"], structure.plans["parents"]
-        valid_members = structure.member_idx[structure.member_mask]
-        valid_parents = structure.parent_idx[structure.parent_mask]
-        assert not structure.member_mask.all() and not structure.parent_mask.all()
-        assert members.max_deg == np.bincount(valid_members).max()
-        assert parents.max_deg == np.bincount(valid_parents).max()
+        for pairwise in (False, True):
+            ds, graph = mixed_size_instance()
+            structure = compile_structure(ds, graph, ModelConfig(pairwise=pairwise))
+            n = len(structure.node_ids)
+            member_idx, member_mask = structure.member_idx, structure.member_mask
+            assert pairwise or not member_mask.all()
+            e, i, j = np.unravel_index(structure.pair_slot, member_mask.shape + member_mask.shape[1:])
+            assert np.all(member_mask[e, i] & member_mask[e, j])
+            n_pairs = (member_mask.sum(axis=1) ** 2).sum()
+            assert structure.pair_slot.size == np.unique(structure.pair_slot).size == n_pairs
+            assert np.array_equal(structure.pair_cell, member_idx[e, i] * n + member_idx[e, j])
+            edges = pairwise_expand(ds.hyperedges) if pairwise else ds.hyperedges
+            for t, span in structure.type_pairs.items():
+                assert {edges[row].context_type for row in e[span]} == {t}
+
+            parent_mask = structure.parent_mask
+            assert not parent_mask.all()
+            r, c = np.unravel_index(structure.parent_slot, parent_mask.shape)
+            assert np.all(parent_mask[r, c]) and structure.parent_slot.size == parent_mask.sum()
+            assert np.array_equal(structure.parent_cell, r * n + structure.parent_idx[r, c])
 
     @pytest.mark.parametrize("pairwise", [False, True])
     def test_benchmark_structure_hook_reads_compiled_structure(self, pairwise):
@@ -406,6 +436,36 @@ class TestForward:
                 members, ref = edge_attention(e, embeds, float(params.attn_temp.data))
                 k = len(members)
                 assert np.allclose(alpha[row, :k, :k], ref, atol=1e-12)
+
+    def test_gradients_match_finite_differences_with_padding(self):
+        # Edges of 2, 3 and 5 members and parent sets of 1 and 3: the
+        # kernel's flat gathers and scatters see padding on both sides.
+        ds, graph = mixed_size_instance()
+        cfg = ModelConfig(embed_dim=3, layers=2, dropout=0.0, attn_temp_init=1.5)
+        params = tiny_params(cfg, in_dim=4, types=("a", "b"), seed=33)
+        structure = compile_structure(ds, graph, cfg)
+        rows = np.arange(len(structure.node_ids))
+        labels = np.array([ds.labels[nid] for nid in structure.node_ids])
+        train_cfg = TrainConfig(lambda1=0.7, lambda2=0.9)
+        grads, _ = gradients(params, structure, rows, labels, train_cfg, mode="eval")
+
+        def loss_value():
+            run = run_model(structure, params, mode="eval")
+            return build_loss(run, rows, labels, train_cfg)[0].item()
+
+        step = 1e-5
+        for name, t in params.named().items():
+            flat, analytic = t.data.reshape(-1), grads[name].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                up = loss_value()
+                flat[i] = orig - step
+                down = loss_value()
+                flat[i] = orig
+                numeric = (up - down) / (2.0 * step)
+                denom = max(abs(analytic[i]), abs(numeric), 1e-3)
+                assert abs(analytic[i] - numeric) / denom <= 1e-5, (name, i)
 
     def test_pairwise_expand(self):
         edges = [Hyperedge("e", ("a", "b", "c"), "t")]
