@@ -6,11 +6,15 @@ the variance reduction is scored by an F statistic whose p-value comes from
 the regularized incomplete beta function.  Significant pairs form a directed
 causal graph over the node series that ``reduce_features`` derives.
 
-``granger_test`` fits one pair by Householder QR and is the reference.
-``infer_causal_graph`` tests all pairs with one blocked Frisch–Waugh–Lovell
-kernel (centring, a QR basis per node, a chunked p x p Schur step per pair),
-hands ill-conditioned or nearly exact pairs to ``granger_test``, and gets
-p-values only for F at or above the critical value, bisected once.
+``granger_test`` fits one pair by Householder QR of a design whose columns
+are scaled to unit norm, and is the reference.  ``infer_causal_graph`` tests
+all pairs with one blocked Frisch–Waugh–Lovell kernel: centring, a QR basis
+per node, one product per target, and a p x p Schur step done elementwise.
+For every block of targets the step forms S = I - MMᵀ, factors S = LLᵀ and
+solves with L in O(p³) whole-array passes over the block's pairs, one pass
+per matrix entry and product term, instead of a LAPACK call per pair.  The
+kernel hands ill-conditioned or nearly exact pairs to ``granger_test``, and
+gets p-values only for F at or above the critical value, bisected once.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifacts import read_json, write_json
 from .errors import ContractViolation, NumericalError, ParseError, RankDeficient, SeriesTooShort, naming
@@ -27,17 +32,18 @@ from .hypergraph import NodeFeatureSeries
 
 REDUCTIONS = ("pca1", "mean")
 
-# Relative threshold on |R_ii| below which a QR factor is treated as rank
-# deficient.  Conservative for the series lengths (T ~ 500) used upstream.
+# Threshold on |R_ii| of a design with unit-norm columns, the sine of a
+# column's angle to the columns before it, below which the design is treated
+# as rank deficient.  Conservative for the series lengths (T ~ 500) used upstream.
 _RANK_TOL = 1e-10
 
-# Residual sum of squares at or below this (relative to the target's scale)
-# counts as an exact fit, which rescues rank-deficient designs that still
-# determine the residual uniquely (e.g. a constant series, or a target that
-# is a deterministic lagged copy of the source).
+# Residual sum of squares at or below this, relative to the target's sum of
+# squares, counts as an exact fit, which rescues rank-deficient designs that
+# still determine the residual uniquely (e.g. a constant series, or a target
+# that is a deterministic lagged copy of the source).
 _EXACT_RSS_TOL = 1e-18
 
-# Targets per block of the pair kernel, whose arrays are (_CHUNK, n, lag, lag + 1).
+# Targets per block of the pair kernel, whose arrays are (lag + 1, lag, _CHUNK, n).
 _CHUNK = 64
 # Pairs the kernel hands to ``granger_test``: the sine of the smallest principal
 # angle between the two lag spaces, or rss_u / rss_r, at most its band.
@@ -225,21 +231,25 @@ def _check_series(y: np.ndarray, lag: int, min_length: int) -> np.ndarray:
     return y
 
 
-def _rank_deficient(rdiag: np.ndarray) -> np.ndarray:
-    """Whether the QR diagonals |R_ii| along the last axis signal rank deficiency."""
-    return rdiag.min(axis=-1) <= _RANK_TOL * rdiag.max(axis=-1)
-
-
 def _solve_ols(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """(coef, rss, resid) by Householder QR, with an exact-fit rescue for rank-deficient designs."""
-    q, r = np.linalg.qr(a)
+    """(coef, rss, resid) by Householder QR, with an exact-fit rescue for rank-deficient designs.
+
+    The design's columns are scaled to unit norm first, so |R_ii| is the sine of
+    the angle between column i and the span of the columns before it, and the
+    rank test does not depend on the scale of any series.
+    """
+    norms = np.linalg.norm(a, axis=0)
+    scale = np.where(norms > 0.0, norms, 1.0)
+    unit = a / scale
+    q, r = np.linalg.qr(unit)
     rdiag = np.abs(np.diag(r))
-    deficient = _rank_deficient(rdiag)
-    coef = np.linalg.lstsq(a, b, rcond=None)[0] if deficient else np.linalg.solve(r, q.T @ b)
+    deficient = rdiag.min() <= _RANK_TOL
+    coef = np.linalg.lstsq(unit, b, rcond=None)[0] if deficient else np.linalg.solve(r, q.T @ b)
+    coef = coef / scale
     resid = b - a @ coef
     rss = float(resid @ resid)
-    if deficient and rss > _EXACT_RSS_TOL * max(1.0, float(b @ b)):
-        raise RankDeficient(f"R diagonal {rdiag.min():.3e} below {_RANK_TOL:g} * {rdiag.max():.3e}")
+    if deficient and rss > _EXACT_RSS_TOL * float(b @ b):
+        raise RankDeficient(f"R diagonal {rdiag.min():.3e} of the unit-column design below {_RANK_TOL:g}")
     return coef, rss, resid
 
 
@@ -345,6 +355,49 @@ def reduce_features(
     return {n.node_id: (n.features - center) @ w for n in nodes}
 
 
+def _schur(m: np.ndarray) -> np.ndarray:
+    """S = I - M Mᵀ for an entry-major stack of p x p matrices, shapes (p, p, ...).
+
+    Each of the p(p + 1) / 2 distinct entries is one sum of p whole-array
+    products, written to both of its symmetric places.
+    """
+    p = m.shape[0]
+    s = np.empty(m.shape)
+    for a in range(p):
+        for c in range(a + 1):
+            acc = m[a, 0] * m[c, 0]
+            for k in range(1, p):
+                acc += m[a, k] * m[c, k]
+            s[a, c] = s[c, a] = float(a == c) - acc
+    return s
+
+
+def _cholesky_gain(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """bᵀS⁻¹b = ‖L⁻¹b‖², S = LLᵀ, for entry-major S (p, p, ...) and b (p, ...).
+
+    An unpivoted Cholesky factorisation and forward substitution, each entry one
+    whole-array expression (Golub & Van Loan, Matrix Computations, §4.2).  It
+    needs no pivoting because ``infer_causal_graph`` passes it only S with
+    λ_min(S) > ``_PIVOT_BAND``² = 1e-4, by the ‖M‖_F² screen or by ``eigvalsh``,
+    and S = I for every pair it hands to ``granger_test``.
+    """
+    p = s.shape[0]
+    low = [[None] * p for _ in range(p)]
+    z, gain = [], 0.0
+    for i in range(p):
+        for k in range(i + 1):
+            acc = s[i, k]
+            for m in range(k):
+                acc = acc - low[i][m] * low[k][m]
+            low[i][k] = np.sqrt(acc) if k == i else acc / low[k][k]
+        acc = b[i]
+        for m in range(i):
+            acc = acc - low[i][m] * z[m]
+        z.append(acc / low[i][i])
+        gain = gain + z[i] * z[i]
+    return gain
+
+
 def infer_causal_graph(
     nodes: list[NodeFeatureSeries],
     cfg: GrangerConfig,
@@ -355,9 +408,13 @@ def infer_causal_graph(
     Columns are centred (FWL on the intercept); one QR of each node's lag
     block gives its basis Q_i and, as a target, its residual r_j.  Source i,
     target j: M = Q_iᵀQ_j, b = Q_iᵀr_j, S = I - M Mᵀ, rss_u = rss_r - bᵀS⁻¹b.
+    Per block of ``_CHUNK`` targets, [Q_j, r_j]ᵀQ_all lays M and b out
+    entry-major, each entry a (targets, n) array; ``_schur`` and
+    ``_cholesky_gain`` then take bᵀS⁻¹b = ‖L⁻¹b‖² in O(p³) whole-array passes.
     A pair goes to ``granger_test`` (module global, ``reduce_features``'s
-    arrays) if its nodes' R diagonals with √rows for the intercept are rank
-    deficient, if √λ_min(S) <= ``_PIVOT_BAND`` or if rss_u <= ``_FIT_BAND``·rss_r.
+    arrays) if either node's R diagonal is at most ``_RANK_TOL`` times its
+    uncentred lag column norms (the rank rule of ``granger_test``'s unit-column
+    design), if √λ_min(S) <= ``_PIVOT_BAND`` or if rss_u <= ``_FIT_BAND``·rss_r.
     """
     if len(nodes) < 2:
         raise ContractViolation("need at least 2 nodes")
@@ -374,29 +431,33 @@ def infer_causal_graph(
 
     p, rows = cfg.lag, t_len - cfg.lag
     dof_u = rows - (2 * p + 1)
-    cols = np.stack([np.column_stack(_lagged(series[nid], p)) for nid in ids])
+    # cols[i, t] = (x_{t+p}, x_{t+p-1}, ..., x_t): node i's target and its p lags, as _lagged gives them.
+    cols = sliding_window_view(np.stack([series[nid] for nid in ids]), p + 1, axis=1)[:, :, ::-1].copy()
+    norms = np.linalg.norm(cols[:, :, 1:], axis=1)  # granger_test's lag columns, before centring
     cols -= cols.mean(axis=1, keepdims=True)
     y, (q, r) = cols[:, :, 0], np.linalg.qr(cols[:, :, 1:])
-    rdiag = np.column_stack([np.full(n, math.sqrt(rows)), np.abs(np.diagonal(r, axis1=1, axis2=2))])
-    lo, hi = rdiag.min(axis=1), rdiag.max(axis=1)  # with the intercept's R diagonal, √rows
+    # |R_kk| / ‖lag column k‖ is the R diagonal granger_test's unit-column design has for this block.
+    deficient = (np.abs(np.diagonal(r, axis1=1, axis2=2)) <= _RANK_TOL * norms).any(axis=1)
     resid = y - np.einsum("nrk,nk->nr", q, np.einsum("nrk,nr->nk", q, y))
     rss_r = np.einsum("nr,nr->n", resid, resid)
-    q_all = q.transpose(1, 0, 2).reshape(rows, n * p).T  # row i·p + k is Q_i[:, k]
-    targets = np.concatenate([q, resid[:, :, None]], axis=2)  # [Q_j, r_j]
+    # Column a·n + i is Q_i[:, a].  C order also at lag 1, where reshape gives a transposed view BLAS runs slowly.
+    q_all = np.ascontiguousarray(q.transpose(1, 2, 0).reshape(rows, p * n))
+    targets = np.concatenate([q.transpose(0, 2, 1), resid[:, None, :]], axis=1)  # rows of [Q_j, r_j]ᵀ
     f_crit = _f_crit(alpha, p, dof_u)
     edges: list[CausalEdge] = []
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        # mb[j, i] = Q_iᵀ[Q_j, r_j]: one fixed-shape product per target, so _CHUNK changes no result.
-        mb = (q_all @ targets[start:stop]).reshape(stop - start, n, p, p + 1)
-        m, b = mb[..., :p], mb[..., p]
-        s = np.eye(p) - m @ m.transpose(0, 1, 3, 2)
-        # λ_min(S) >= 1 - ‖M‖_F²: only pairs failing that, self pairs among them, need eigenvalues.
-        fallback = np.einsum("jiab,jiab->ji", m, m) >= 1.0 - _PIVOT_BAND**2
-        fallback[fallback] = np.linalg.eigvalsh(s[fallback])[:, 0] <= _PIVOT_BAND**2
-        fallback |= np.minimum.outer(lo[start:stop], lo) <= _RANK_TOL * np.maximum.outer(hi[start:stop], hi)
-        s[fallback] = np.eye(p)
-        gain = np.einsum("jik,jik->ji", b, np.linalg.solve(s, b[..., None])[..., 0])
+        # [Q_j, r_j]ᵀQ_all: one fixed-shape product per target, so _CHUNK changes no result.
+        mb = (targets[start:stop] @ q_all).reshape(stop - start, p + 1, p, n).transpose(1, 2, 0, 3)
+        # Entry-major (a, c, j, i): m[a, c] = Q_i[:, a]·Q_j[:, c] and b[a] = Q_i[:, a]·r_j.
+        m, b = mb[:p].transpose(1, 0, 2, 3), mb[p]
+        s = _schur(m)
+        # λ_min(S) >= 1 - ‖M‖_F² = 1 - (p - tr S): only pairs failing that, self pairs among them, need eigenvalues.
+        fallback = p - np.trace(s) >= 1.0 - _PIVOT_BAND**2
+        fallback[fallback] = np.linalg.eigvalsh(np.moveaxis(s[:, :, fallback], -1, 0))[:, 0] <= _PIVOT_BAND**2
+        fallback |= np.logical_or.outer(deficient[start:stop], deficient)
+        s[:, :, fallback] = np.eye(p)[:, :, None]
+        gain = _cholesky_gain(s, b)
         rss_u = rss_r[start:stop, None] - gain
         fallback |= rss_u <= _FIT_BAND * rss_r[start:stop, None]
         f_stat, p_value, is_edge = _f_test(np.where(fallback, 0.0, gain), rss_u, p, dof_u, alpha, f_crit)

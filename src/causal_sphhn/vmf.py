@@ -119,9 +119,11 @@ def _log_bessel_uniform(nu: float, x: np.ndarray) -> np.ndarray:
 
 _RATIO_ASYMPTOTIC_MIN = 1e5
 # Below this argument the ratio is its leading term x / (2(nu + 1)) to
-# double precision (the next term is smaller by a factor x^2 / (4(nu + 2))),
-# and the continued fraction's coefficients 2(nu + j) / x can overflow.
-_RATIO_SMALL_MAX = 1e-300
+# double precision (the next term is smaller by a factor x^2 / (4(nu + 2))).
+# The continued fraction cannot take over lower: its coefficients 2(nu + j) / x
+# overflow near 1e-308, and its Lentz start of 1e-300 biases every result by
+# about that much in absolute terms.
+_RATIO_SMALL_MAX = 1e-150
 
 
 def bessel_ratio(nu: float, x):
@@ -131,7 +133,7 @@ def bessel_ratio(nu: float, x):
     at large argument where the ratio approaches 1.  Above x = 1e5 the
     continued fraction would need O(x) terms, so the large-argument
     expansion (already at machine precision there) takes over; below
-    x = 1e-300 the leading small-argument term does.
+    x = 1e-150 the leading small-argument term does.
     """
     x = _check_order_arg(nu, x)
     scalar = x.ndim == 0

@@ -228,6 +228,7 @@ class TestGrangerTest:
         x = rng.standard_normal(400)
         y = ar1(rng, 400, coef=0.3, drive=x, drive_coef=0.5)
         base = granger_test(x, y, CFG)
+        assert base.is_edge
         for a, b in ((3.7, -2.0), (0.02, 5.0), (-4.0, 0.3)):
             scaled = granger_test(a * x + b, y, CFG)
             assert scaled.is_edge == base.is_edge
@@ -235,6 +236,13 @@ class TestGrangerTest:
             scaled_y = granger_test(x, a * y + b, CFG)
             assert scaled_y.is_edge == base.is_edge
             assert abs(scaled_y.f_statistic - base.f_statistic) <= 1e-6 * base.f_statistic
+        # The rank test judges each column at its own scale, so no rescaling of
+        # either series, however far apart the two scales, may lose the edge.
+        scales = 10.0 ** np.arange(-11, 12)
+        for sx, sy in [(1e-6, 1e5), (1e-11, 1.0), (1.0, 1e11), *((a, b) for a in scales for b in scales)]:
+            scaled = granger_test(sx * x, sy * y, CFG)
+            assert scaled.is_edge and not scaled.note, (sx, sy, scaled)
+            assert abs(scaled.f_statistic - base.f_statistic) <= 1e-9 * base.f_statistic, (sx, sy)
 
     def test_statistic_ranges(self):
         rng = np.random.default_rng(10)
@@ -273,10 +281,11 @@ def granger_instances(draw):
     lags repeat the source's, so that pair is rank deficient; at lag 1 the
     copy is an exact fit.  A near copy is a fresh AR(0.99) series plus its
     one-step copy with 1e-6 noise: nearly shared lags, or a nearly exact fit.
-    The kernel must hand all of these to ``granger_test``.
+    The kernel must hand all of these to ``granger_test``.  Every node is then
+    scaled by 10^U(-11, 11), which neither test may notice.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lag = draw(st.integers(1, 3))
+    lag = draw(st.integers(1, 5))
     t_len = draw(st.integers(4 * lag + 4, 80))
     kind_names = ["noise", "driven", "constant", "zero", "copy", "near_copy"]
     kinds = draw(st.lists(st.sampled_from(kind_names), min_size=2, max_size=6))
@@ -296,9 +305,26 @@ def granger_instances(draw):
         else:
             base = series[f"n{i}"] = ar1(rng, t_len, coef=0.99)
             series[f"n{i}c"] = shifted(base) + 1e-6 * rng.standard_normal(t_len)
+    series = {k: v * 10.0 ** draw(st.floats(-11.0, 11.0)) for k, v in series.items()}
     alpha = draw(st.sampled_from([0.01, 0.3, 0.999]))
     cfg = GrangerConfig(lag=lag, alpha=alpha, reduction="mean", bonferroni=draw(st.booleans()))
     return series, cfg
+
+
+class TestSchurStep:
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.integers(1, 8), pairs=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matches_lapack(self, p, pairs, seed):
+        # Entry-major batches of M with ‖M‖₂ <= 0.99, so S = I - MMᵀ has λ_min >= 0.0199.
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((pairs, p, p))
+        m *= (rng.uniform(0.0, 0.99, pairs) / np.linalg.norm(m, 2, axis=(1, 2)))[:, None, None]
+        b = rng.standard_normal((pairs, p))
+        ref_s = np.eye(p) - m @ m.transpose(0, 2, 1)
+        ref_gain = np.einsum("ka,ka->k", b, np.linalg.solve(ref_s, b[..., None])[..., 0])
+        s = granger._schur(np.moveaxis(m, 0, -1))
+        assert np.abs(np.moveaxis(s, -1, 0) - ref_s).max() <= 1e-12 * np.abs(ref_s).max()
+        np.testing.assert_allclose(granger._cholesky_gain(s, b.T), ref_gain, rtol=1e-12, atol=0.0)
 
 
 class TestInferCausalGraph:
@@ -404,6 +430,17 @@ class TestInferCausalGraph:
             with monkeypatch.context() as m:
                 m.setattr(granger, "_CHUNK", chunk)
                 assert infer_causal_graph(nodes, cfg).to_dict() == ref
+
+    def test_no_batched_solve(self, monkeypatch):
+        # The p x p Schur step is elementwise; a stacked np.linalg.solve pays a loop per pair.
+        stacked, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: (stacked.append(np.ndim(a) > 2), solve(a, b))[1])
+        rng = np.random.default_rng(19)
+        base = rng.standard_normal(100)
+        nodes = series_nodes({"a": base, "b": shifted(base), "c": np.zeros(100), "d": rng.standard_normal(100)})
+        for lag in (1, 2, 3):
+            infer_causal_graph(nodes, GrangerConfig(lag=lag, alpha=0.3, reduction="mean"))
+        assert stacked and not any(stacked)  # granger_test's 2-D solves still count
 
     def test_fallback_gets_the_reduced_arrays(self, monkeypatch):
         # perfbench names a fallback pair by the id() of the arrays reduce_features returned.

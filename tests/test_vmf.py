@@ -160,6 +160,21 @@ class TestTinyKappa:
         assert vmf.bessel_ratio(31, kappa) == kappa / 64.0
         assert vmf.entropy_from_kappa(64, kappa) == vmf.entropy_from_kappa(64, 0.0)
 
+    @pytest.mark.parametrize("kappa", [1e-300, 1e-290, 1e-200])
+    def test_tiny_kappa_is_unbiased(self, kappa):
+        # Here the continued fraction's Lentz start of 1e-300 would add about
+        # 1e-300 to the ratio, 64 times x / 64 itself at x = 1e-300.
+        for nu in (0.0, 0.5, 31.0):
+            lead = kappa / (2.0 * (nu + 1.0))
+            assert abs(vmf.bessel_ratio(nu, kappa) - lead) <= 1e-15 * lead
+
+    def test_continuous_across_the_small_argument_branch(self):
+        edge = vmf._RATIO_SMALL_MAX
+        for nu in (0.0, 0.5, 31.0):
+            below, at = vmf.bessel_ratio(nu, np.array([np.nextafter(edge, 0.0), edge]))
+            assert abs(at - below) <= 1e-15 * at
+            assert abs(at - edge / (2.0 * (nu + 1.0))) <= 1e-15 * at
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.sampled_from([2, 3, 8, 64]),
