@@ -10,7 +10,7 @@ causal-recovery metrics against planted ground truth.
 __version__ = "0.1.0"
 
 from .granger import CausalEdge, CausalGraph, GrangerConfig, granger_test, infer_causal_graph
-from .hypergraph import Dataset, Hyperedge, NodeFeatureSeries, build_index, load_dataset, save_dataset
+from .hypergraph import Dataset, Hyperedge, NodeFeatureSeries, load_dataset, save_dataset
 from .metrics import EvalReport
 from .model import ForwardTrace, ModelConfig, ModelParams, forward, init_params
 from .synthgen import SynthConfig, generate, preset
@@ -31,7 +31,6 @@ __all__ = [
     "NodeFeatureSeries",
     "SynthConfig",
     "TrainConfig",
-    "build_index",
     "forward",
     "generate",
     "gradient_check",

@@ -5,10 +5,11 @@ its value, its parents, and a closure that scatters the output gradient
 back to them.  ``backward()`` runs the closures in reverse topological
 order.  Everything is float64.
 
-The op set is exactly what the spherical hypergraph model needs: broadcast
-arithmetic, (batched) matmul, reductions, gather/scatter by row index and
-by flat element index, masked softmax/logsumexp, and the vMF entropy with
-its analytic d/dkappa = -kappa * A'_d(kappa).
+The op set is exactly what the model and its loss call: broadcast
+``+ - * /``, (batched) matmul, reshape and transpose, sum and mean, exp,
+sqrt, relu and softplus, gather/scatter by row index and by flat element
+index, an elementwise select, masked softmax/logsumexp, log-softmax, and
+the vMF entropy with its analytic d/dkappa = -kappa * A'_d(kappa).
 """
 
 from __future__ import annotations
@@ -79,9 +80,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def item(self) -> float:
         return float(self.data)
 
@@ -108,9 +106,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __mul__(self, other):
         other = as_tensor(other)
         out = Tensor(self.data * other.data, parents=(self, other))
@@ -133,18 +128,6 @@ class Tensor:
             other._accumulate(-g * self.data / (other.data * other.data))
 
         out._backward = bwd
-        return out
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        out = Tensor(self.data**exponent, parents=(self,))
-        out._backward = lambda g: self._accumulate(
-            g * exponent * self.data ** (exponent - 1)
-        )
         return out
 
     def __matmul__(self, other):
@@ -197,11 +180,6 @@ class Tensor:
         out._backward = lambda g: self._accumulate(g * val)
         return out
 
-    def log(self):
-        out = Tensor(np.log(self.data), parents=(self,))
-        out._backward = lambda g: self._accumulate(g / self.data)
-        return out
-
     def sqrt(self):
         val = np.sqrt(self.data)
         out = Tensor(val, parents=(self,))
@@ -219,12 +197,6 @@ class Tensor:
         out = Tensor(val, parents=(self,))
         sig = _sigmoid(self.data)
         out._backward = lambda g: self._accumulate(g * sig)
-        return out
-
-    def sigmoid(self):
-        val = _sigmoid(self.data)
-        out = Tensor(val, parents=(self,))
-        out._backward = lambda g: self._accumulate(g * val * (1.0 - val))
         return out
 
 
@@ -249,11 +221,9 @@ class ScatterPlan:
     """Precomputed segment-sum over a fixed row-index array.
 
     ``apply(src)`` returns ``out`` with ``out[i]`` the sum of the rows
-    ``src[p]`` whose ``idx[p] == i``, over the positions ``p`` inside the
-    optional slot ``mask``; positions outside it (padding) are ignored, so
-    their index value and source rows never matter.
+    ``src[p]`` whose ``idx[p] == i``; :meth:`gather` is its adjoint.
 
-    Sorting the valid positions by index once lets every scatter-add run as
+    Sorting the positions by index once lets every scatter-add run as
     a fancy write into a (targets x max-multiplicity) padded buffer followed
     by one axis sum, which is far faster than ``np.ufunc.at`` and
     deterministic (fixed summation order).  When the largest multiplicity
@@ -261,15 +231,13 @@ class ScatterPlan:
     the plan sums with ``np.add.reduceat`` instead.
     """
 
-    def __init__(self, idx: np.ndarray, num_rows: int, mask: np.ndarray | None = None):
+    def __init__(self, idx: np.ndarray, num_rows: int):
         idx = np.asarray(idx, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError("index array must be 1-D")
         self.idx = idx
         self.num_rows = num_rows
-        self.mask = None if mask is None else np.asarray(mask, dtype=bool).reshape(idx.shape)
-        valid = np.arange(idx.size) if mask is None else np.flatnonzero(self.mask)
-        self.order = valid[np.argsort(idx[valid], kind="stable")]
+        self.order = np.argsort(idx, kind="stable")
         sorted_idx = idx[self.order]
         self.starts = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
         seg_lens = np.diff(np.append(self.starts, sorted_idx.size))
@@ -292,19 +260,12 @@ class ScatterPlan:
         return out
 
     def gather(self, g: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`apply`: g[idx], zero at masked-out positions."""
-        out = g[self.idx]
-        if self.mask is not None:
-            out[~self.mask] = 0.0
-        return out
+        """Adjoint of :meth:`apply`: g[idx]."""
+        return g[self.idx]
 
 
 def gather_rows(x: Tensor, idx: np.ndarray, plan: ScatterPlan | None = None) -> Tensor:
-    """x[idx] along axis 0; idx is a constant integer array.
-
-    With a masked plan, the rows gathered at masked-out slots get no
-    gradient: callers must not let them reach the output.
-    """
+    """x[idx] along axis 0; idx is a constant integer array."""
     idx = np.asarray(idx)
     out = Tensor(x.data[idx], parents=(x,))
     if plan is None:

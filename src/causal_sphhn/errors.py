@@ -15,10 +15,6 @@ class SeriesTooShort(ContractViolation):
     """Time series has too few observations for the requested lag order."""
 
 
-class DanglingReference(ValueError):
-    """A hyperedge refers to a node id that does not exist."""
-
-
 class ParseError(ValueError):
     """Input file does not conform to the expected schema."""
 

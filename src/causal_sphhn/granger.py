@@ -102,9 +102,6 @@ class CausalGraph:
             if not (e.f_statistic >= 0.0):
                 raise ContractViolation("edge F statistic must be >= 0")
 
-    def parents_of(self, node: str) -> list[CausalEdge]:
-        return [e for e in self.edges if e.dst == node]
-
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
@@ -253,19 +250,8 @@ def _solve_ols(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float, np.ndar
     return coef, rss, resid
 
 
-def fit_var_restricted(y, lag: int, min_length: int | None = None):
-    """OLS of y_t on (1, y_{t-1}, ..., y_{t-lag}); returns (coef, rss, dof)."""
-    return _fit_var([y], lag, min_length)[:3]
-
-
-def fit_var_unrestricted(y, x, lag: int, min_length: int | None = None):
-    """OLS of y_t on (1, y lags, x lags); returns (coef, rss, dof)."""
-    return _fit_var([y, x], lag, min_length)[:3]
-
-
-def _fit_var(series: list, lag: int, min_length: int | None):
+def _fit_var(series: list, lag: int, min_length: int):
     """OLS of the first series on the intercept and every series' lags; (coef, rss, dof, resid)."""
-    min_length = 4 * lag + 4 if min_length is None else min_length
     series = [_check_series(s, lag, min_length) for s in series]
     if len({s.shape[0] for s in series}) > 1:
         raise ContractViolation("series must be aligned and equal length")

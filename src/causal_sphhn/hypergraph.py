@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import read_json, read_npy, write_json, write_npy
-from .errors import ContractViolation, DanglingReference, ParseError, ValidationError, naming
+from .errors import ContractViolation, ParseError, ValidationError, naming
 
 SPLIT_NAMES = ("train", "val", "test")
 FORMAT = 2
@@ -118,30 +118,6 @@ class Dataset:
             seen.update(part)
         if seen != idset:
             raise ValidationError("splits must cover all labeled nodes")
-
-
-@dataclass(frozen=True)
-class IncidenceIndex:
-    """Mutually consistent node->hyperedge and hyperedge->node adjacency."""
-
-    node_to_edges: dict[str, tuple[str, ...]]
-    edge_to_nodes: dict[str, tuple[str, ...]]
-
-
-def build_index(ds: Dataset) -> IncidenceIndex:
-    """O(sum |e|) incidence construction with id-sorted adjacency lists."""
-    node_to_edges: dict[str, list[str]] = {n.node_id: [] for n in ds.nodes}
-    edge_to_nodes: dict[str, tuple[str, ...]] = {}
-    for e in ds.hyperedges:
-        edge_to_nodes[e.edge_id] = tuple(sorted(e.members))
-        for m in e.members:
-            if m not in node_to_edges:
-                raise DanglingReference(f"hyperedge {e.edge_id} -> unknown node {m}")
-            node_to_edges[m].append(e.edge_id)
-    return IncidenceIndex(
-        node_to_edges={k: tuple(sorted(v)) for k, v in node_to_edges.items()},
-        edge_to_nodes=edge_to_nodes,
-    )
 
 
 def block_path(path: str) -> str:

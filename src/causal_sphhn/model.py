@@ -41,7 +41,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractViolation
 from .granger import CausalGraph
-from .hypergraph import Dataset, Hyperedge, build_index
+from .hypergraph import Dataset, Hyperedge
 
 log = logging.getLogger(__name__)
 
@@ -204,7 +204,7 @@ def pairwise_expand(edges: list[Hyperedge]) -> list[Hyperedge]:
 def compile_structure(
     ds: Dataset, causal_graph: CausalGraph | None, cfg: ModelConfig
 ) -> GraphStructure:
-    build_index(ds)  # validates incidence consistency
+    ds.validate()
     index = ds.node_index()
     node_ids = [n.node_id for n in ds.nodes]
     features = np.stack([n.features[-1] for n in ds.nodes])
@@ -410,24 +410,17 @@ def run_model(
 
 
 # --------------------------------------------------------------------------
-# Public forward with an inspectable trace
+# Public forward
 # --------------------------------------------------------------------------
 
 
 @dataclass
 class ForwardTrace:
-    node_ids: list[str]
-    layer_embeddings: list[np.ndarray]
-    attention: list[np.ndarray]
-    member_idx: np.ndarray
-    member_mask: np.ndarray
-    gamma: np.ndarray
-    gamma_children: list[str]
+    """The per-node outputs of one forward pass, as arrays."""
+
     logits: np.ndarray
     probs: np.ndarray
     entropy: np.ndarray
-    kappa: np.ndarray
-    run: ModelRun = field(repr=False, default=None)
 
 
 def forward(
@@ -436,24 +429,7 @@ def forward(
     params: ModelParams,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-    structure: GraphStructure | None = None,
 ) -> ForwardTrace:
-    if structure is None:
-        structure = compile_structure(ds, causal_graph, params.config)
+    structure = compile_structure(ds, causal_graph, params.config)
     run = run_model(structure, params, mode=mode, rng=rng)
-    child_ids = [structure.node_ids[i] for i in structure.child_rows]
-    kc = structure.parent_idx.shape[1]
-    return ForwardTrace(
-        node_ids=list(structure.node_ids),
-        layer_embeddings=[h.data.copy() for h in run.layers] + [run.h_final.data.copy()],
-        attention=[a.data.copy() for a in run.alphas],
-        member_idx=structure.member_idx.copy(),
-        member_mask=structure.member_mask.copy(),
-        gamma=run.gamma.data.copy() if run.gamma is not None else np.zeros((0, kc)),
-        gamma_children=child_ids,
-        logits=run.logits.data.copy(),
-        probs=run.probs.data.copy(),
-        entropy=run.entropy.data.copy(),
-        kappa=run.kappa.data.copy(),
-        run=run,
-    )
+    return ForwardTrace(logits=run.logits.data, probs=run.probs.data, entropy=run.entropy.data)

@@ -17,7 +17,7 @@ generator; independent datasets may be generated in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

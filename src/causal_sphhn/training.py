@@ -14,7 +14,7 @@ config seed.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -115,16 +115,6 @@ def build_loss(
         causal=float(causal.data),
     )
     return total, breakdown
-
-
-def loss(
-    run: ModelRun,
-    batch_rows: np.ndarray,
-    batch_labels: np.ndarray,
-    cfg: TrainConfig,
-) -> LossBreakdown:
-    """Float loss breakdown without keeping the graph."""
-    return build_loss(run, batch_rows, batch_labels, cfg)[1]
 
 
 def gradients(
@@ -241,13 +231,18 @@ def train(
                     params=best_values,
                     history=history,
                 )
-            opt.step(grads)
+            # An overflowing step leaves nonfinite parameters, which the next
+            # gradients() call or the validation check below turns into
+            # TrainingDiverged; the float warnings are noise, as in gradients().
+            with np.errstate(over="ignore", invalid="ignore"):
+                opt.step(grads)
             params.attn_temp.data = np.asarray(np.maximum(params.attn_temp.data, TEMP_FLOOR))
             params.gamma_temp.data = np.asarray(np.maximum(params.gamma_temp.data, TEMP_FLOOR))
             batch_losses.append(breakdown.total)
 
-        val_run = run_model(structure, params, mode="eval")
-        val_breakdown = loss(val_run, val_rows, val_labels, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val_run = run_model(structure, params, mode="eval")
+            val_breakdown = build_loss(val_run, val_rows, val_labels, cfg)[1]
         if not np.isfinite(val_breakdown.total):
             raise TrainingDiverged(
                 f"validation loss became {val_breakdown.total} at epoch {epoch}",

@@ -149,7 +149,8 @@ def bessel_ratio(nu: float, x):
             total = np.ones_like(xv)
             term = np.ones_like(xv)
             for k in range(1, 5):
-                term = term * -(mu - (2 * k - 1) ** 2) / (8.0 * k * xv)
+                # Dividing by x last: 8k·x overflows for x above about 2.2e307.
+                term = term * (-(mu - (2 * k - 1) ** 2) / (8.0 * k)) / xv
                 total = total + term
             return total
 

@@ -61,19 +61,32 @@ def edge_attention(
     return tuple(e.members), expd / expd.sum(axis=1, keepdims=True)
 
 
+def incidence(edges: list[Hyperedge]) -> dict[str, tuple[str, ...]]:
+    """Node id -> the ids of its incident hyperedges, in edge order.
+
+    Only nodes that belong to some edge appear.
+    """
+    out: dict[str, list[str]] = {}
+    for e in edges:
+        for m in e.members:
+            out.setdefault(m, []).append(e.edge_id)
+    return {k: tuple(v) for k, v in out.items()}
+
+
 def hyperedge_aggregate(
     node: str,
     embeds: dict[str, SphericalEmbedding],
-    index,
+    node_edges: dict[str, tuple[str, ...]],
     params: ModelParams,
     attention: dict[str, tuple[tuple[str, ...], np.ndarray]],
     edges: dict[str, Hyperedge],
 ) -> np.ndarray:
     """One node's updated embedding: attention-weighted, type-transformed
-    sums over its incident hyperedges, then ReLU and renormalization."""
+    sums over its incident hyperedges (``node_edges``, as :func:`incidence`
+    gives it), then ReLU and renormalization."""
     d = params.config.embed_dim
     m = np.zeros(d)
-    for eid in index.node_to_edges[node]:
+    for eid in node_edges.get(node, ()):
         members, alpha = attention[eid]
         row = members.index(node)
         inner = np.zeros(d)
@@ -98,7 +111,7 @@ def causal_aggregate(
 ) -> np.ndarray:
     """Blend causal parents into the final embedding via a softmax over
     Granger F statistics at the learned temperature."""
-    parents = causal_graph.parents_of(node)
+    parents = [e for e in causal_graph.edges if e.dst == node]
     if not parents:
         return h_prime
     parents = sorted(parents, key=lambda e: e.src)

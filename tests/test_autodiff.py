@@ -25,19 +25,18 @@ def fd_grad(fn, x, h=1e-6):
 
 
 @st.composite
-def masked_scatter_inputs(draw):
-    """Row count, index array, slot mask and source rows for a ScatterPlan.
+def scatter_inputs(draw):
+    """Row count, index array and source rows for a ScatterPlan.
 
     Half of the indices may hit one hot row, so large row counts push the
-    plan onto its reduceat path; masked-out source rows hold values too.
+    plan onto its reduceat path.
     """
     n = draw(st.integers(1, 3000))
     size = draw(st.integers(0, 300))
     hot = draw(st.integers(0, n - 1))
     idx = draw(hnp.arrays(np.int64, size, elements=st.just(hot) | st.integers(0, n - 1)))
-    mask = draw(hnp.arrays(bool, size))
     src = draw(hnp.arrays(np.float64, (size, 2), elements=st.floats(-1e3, 1e3)))
-    return n, idx, mask, src
+    return n, idx, src
 
 
 def check_op(build, *shapes, seed=0, atol=1e-6):
@@ -59,14 +58,14 @@ class TestArithmetic:
     def test_scalar_broadcast(self):
         check_op(lambda a, s: (a * s + s).sum(), (2, 3), ())
 
-    def test_div_pow(self):
+    def test_div(self):
         rng = np.random.default_rng(1)
         a = Tensor(rng.random((3, 3)) + 1.0, requires_grad=True)
         b = Tensor(rng.random((3,)) + 1.0, requires_grad=True)
-        out = (a / b + a**2).sum()
+        out = (a / b).sum()
         out.backward()
-        for t, current in ((a, a), (b, b)):
-            numeric = fd_grad(lambda: ((a / b + a**2).sum()).item(), t.data)
+        for t in (a, b):
+            numeric = fd_grad(lambda: (a / b).sum().item(), t.data)
             assert np.allclose(t.grad, numeric, atol=1e-6)
 
     def test_matmul_2d_and_3d(self):
@@ -80,7 +79,6 @@ class TestArithmetic:
 
     def test_nonlinearities(self):
         check_op(lambda a: a.exp().sum(), (4,))
-        check_op(lambda a: (a * a + 1.0).log().sum(), (4,))
         check_op(lambda a: (a * a + 0.5).sqrt().sum(), (4,))
         check_op(lambda a: a.softplus().sum(), (6,))
 
@@ -113,34 +111,30 @@ class TestIndexing:
         assert np.allclose(src.grad, numeric, atol=1e-6)
 
     @settings(max_examples=200, deadline=None)
-    @given(masked_scatter_inputs())
-    @example((3000, np.zeros(40, dtype=np.int64), np.ones(40, dtype=bool), np.ones((40, 2))))
+    @given(scatter_inputs())
+    @example((3000, np.zeros(40, dtype=np.int64), np.ones((40, 2))))
     def test_scatter_plan_matches_add_at(self, case):
-        n, idx, mask, src = case
+        n, idx, src = case
         ref = np.zeros((n, 2))
-        np.add.at(ref, idx[mask], src[mask])
+        np.add.at(ref, idx, src)
         tol = 1e-12 * (1.0 + np.abs(src).sum())
-        assert np.allclose(ScatterPlan(idx, n, mask).apply(src), ref, rtol=0.0, atol=tol)
-        if mask.all():
-            assert np.allclose(ScatterPlan(idx, n).apply(src), ref, rtol=0.0, atol=tol)
+        assert np.allclose(ScatterPlan(idx, n).apply(src), ref, rtol=0.0, atol=tol)
 
     @settings(max_examples=200, deadline=None)
-    @given(masked_scatter_inputs(), st.integers(0, 2**32 - 1))
+    @given(scatter_inputs(), st.integers(0, 2**32 - 1))
     def test_gather_scatter_adjoint(self, case, seed):
-        n, idx, mask, src = case
-        plan = ScatterPlan(idx, n, mask)
+        n, idx, src = case
+        plan = ScatterPlan(idx, n)
         x = np.random.default_rng(seed).standard_normal((n, 2))
         lhs = np.sum(plan.gather(x) * src)
         rhs = np.sum(x * plan.apply(src))
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + np.abs(src).sum())
-        assert np.all(plan.gather(x)[~mask] == 0.0)
 
     @settings(max_examples=200, deadline=None)
-    @given(masked_scatter_inputs(), st.integers(1, 40), st.integers(0, 2**32 - 1))
-    def test_flat_gather_scatter_adjoint(self, case, size, seed):
+    @given(hnp.arrays(bool, st.integers(0, 300)), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_flat_gather_scatter_adjoint(self, mask, size, seed):
         # The kernel's pattern: gather the slots inside the mask from an
         # (E, K, K)-like block, scatter them onto cells that may repeat.
-        _, _, mask, _ = case
         slots = np.flatnonzero(mask)
         rng = np.random.default_rng(seed)
         cells = rng.integers(0, size, slots.size)  # repeats whenever slots outnumber cells

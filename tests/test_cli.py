@@ -2,13 +2,10 @@ import hashlib
 import json
 import os
 
-import numpy as np
 import pytest
 
 from causal_sphhn import artifacts, cli
 from causal_sphhn.cli import main
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 def sha(path):
@@ -114,6 +111,12 @@ class TestGranger:
         with pytest.raises(SystemExit) as info:
             main(["granger", "--dataset", f"{toy_run}/dataset.json", "--lag", "0", "--out", "/tmp/x"])
         assert info.value.code == 2
+
+    def test_series_shorter_than_min_length_is_input_error(self, toy_run, tmp_path, capsys):
+        # lag 1000 needs 4004 timesteps; SeriesTooShort is a ContractViolation.
+        argv = ["granger", "--dataset", f"{toy_run}/dataset.json", "--lag", "1000", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "series length" in capsys.readouterr().err
 
     def test_missing_dataset_is_input_error(self, tmp_path):
         assert main(["granger", "--dataset", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1

@@ -13,9 +13,8 @@ from causal_sphhn.granger import (
     GrangerConfig,
     _f_crit,
     _f_test,
+    _fit_var,
     f_survival,
-    fit_var_restricted,
-    fit_var_unrestricted,
     granger_test,
     infer_causal_graph,
     reduce_features,
@@ -106,7 +105,7 @@ class TestSpecialFunctions:
 
 class TestRestrictedFit:
     def test_constant_series_zero_rss(self):
-        _, rss, _ = fit_var_restricted(np.full(50, 3.25), lag=2)
+        _, rss, _, _ = _fit_var([np.full(50, 3.25)], 2, CFG.min_length)
         assert rss < 1e-18
 
     def test_recovers_ar_coefficient(self):
@@ -117,22 +116,22 @@ class TestRestrictedFit:
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
             y = ar1(rng, 500, coef=0.9)
-            coef, _, _ = fit_var_restricted(y, lag=2)
+            coef, *_ = _fit_var([y], 2, CFG.min_length)
             leads.append(coef[1])
         assert abs(np.mean(leads) - 0.9) < 0.1
 
     def test_white_noise_rss_near_variance(self):
         rng = np.random.default_rng(2)
         y = rng.standard_normal(500)
-        _, rss, _ = fit_var_restricted(y, lag=2)
+        _, rss, _, _ = _fit_var([y], 2, CFG.min_length)
         assert abs(rss / 500 - 1.0) < 0.15
 
     def test_too_short_series(self):
         with pytest.raises(SeriesTooShort):
-            fit_var_restricted(np.arange(8.0), lag=2)
+            _fit_var([np.arange(8.0)], 2, CFG.min_length)
 
     def test_dof(self):
-        _, _, dof = fit_var_restricted(np.random.default_rng(3).standard_normal(100), lag=2)
+        _, _, dof, _ = _fit_var([np.random.default_rng(3).standard_normal(100)], 2, CFG.min_length)
         assert dof == 100 - 2 - 3
 
 
@@ -141,14 +140,14 @@ class TestUnrestrictedFit:
         rng = np.random.default_rng(4)
         y = ar1(rng, 200, coef=0.5)
         with pytest.raises(RankDeficient):
-            fit_var_unrestricted(y, y, lag=2)
+            _fit_var([y, y], 2, CFG.min_length)
 
     def test_driven_series_reduces_rss(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(500)
         y = ar1(rng, 500, drive=x, drive_coef=0.8)
-        _, rss_r, _ = fit_var_restricted(y, lag=2)
-        _, rss_u, _ = fit_var_unrestricted(y, x, lag=2)
+        _, rss_r, _, _ = _fit_var([y], 2, CFG.min_length)
+        _, rss_u, _, _ = _fit_var([y, x], 2, CFG.min_length)
         assert rss_u < rss_r
 
     def test_independent_noise_rarely_significant(self):
@@ -165,7 +164,7 @@ class TestUnrestrictedFit:
         rng = np.random.default_rng(16)
         for _ in range(10):
             y, x = rng.standard_normal(80), rng.standard_normal(80)
-            coef, rss, _ = fit_var_unrestricted(y, x, lag=2)
+            coef, rss, _, _ = _fit_var([y, x], 2, CFG.min_length)
             design = np.column_stack([np.ones(78), y[1:-1], y[:-2], x[1:-1], x[:-2]])
             ref, *_ = np.linalg.lstsq(design, y[2:], rcond=None)
             resid = y[2:] - design @ ref
@@ -174,9 +173,7 @@ class TestUnrestrictedFit:
 
     def test_dof(self):
         rng = np.random.default_rng(6)
-        _, _, dof = fit_var_unrestricted(
-            rng.standard_normal(100), rng.standard_normal(100), lag=2
-        )
+        _, _, dof, _ = _fit_var([rng.standard_normal(100), rng.standard_normal(100)], 2, CFG.min_length)
         assert dof == 100 - 2 - 5
 
 
@@ -258,8 +255,8 @@ class TestGrangerTest:
         x = rng.standard_normal(200)
         y = ar1(rng, 200, coef=0.4, drive=x, drive_coef=0.3)
         d = granger_test(x, y, CFG)
-        _, rss_r, _ = fit_var_restricted(y, 2)
-        _, rss_u, dof = fit_var_unrestricted(y, x, 2)
+        _, rss_r, _, _ = _fit_var([y], 2, CFG.min_length)
+        _, rss_u, dof, _ = _fit_var([y, x], 2, CFG.min_length)
         f_ref = ((rss_r - rss_u) / 2) / (rss_u / dof)
         assert abs(d.f_statistic - f_ref) < 1e-9 * f_ref
         assert abs(d.p_value - scipy.stats.f.sf(f_ref, 2, dof)) < 1e-10

@@ -11,13 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causal_sphhn.cli import main
-from causal_sphhn.errors import ContractViolation, DanglingReference, ParseError, ValidationError
+from causal_sphhn.errors import ContractViolation, ParseError, ValidationError
 from causal_sphhn.hypergraph import (
     SPLIT_NAMES,
     Dataset,
     Hyperedge,
     NodeFeatureSeries,
-    build_index,
     feature_dropout,
     load_dataset,
     save_dataset,
@@ -38,47 +37,6 @@ def make_dataset(rng=None, n=6, t=4, d=3, edges=None):
     ds = Dataset(d, t, 2, 1, nodes, edges, labels, splits)
     ds.validate()
     return ds
-
-
-class TestBuildIndex:
-    def test_single_edge(self):
-        ds = make_dataset(edges=[Hyperedge("e0", ("n0", "n1"), "class")])
-        index = build_index(ds)
-        assert index.node_to_edges["n0"] == ("e0",)
-        assert index.node_to_edges["n1"] == ("e0",)
-        assert index.edge_to_nodes["e0"] == ("n0", "n1")
-
-    def test_isolated_node_has_empty_list(self):
-        ds = make_dataset(edges=[Hyperedge("e0", ("n0", "n1"), "class")])
-        assert build_index(ds).node_to_edges["n5"] == ()
-
-    def test_round_trip_membership_on_random_hypergraphs(self):
-        for seed in range(100):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(4, 12))
-            ids = [f"n{i}" for i in range(n)]
-            edges = []
-            for k in range(int(rng.integers(1, 8))):
-                size = int(rng.integers(2, min(5, n) + 1))
-                members = tuple(rng.choice(ids, size=size, replace=False))
-                edges.append(Hyperedge(f"e{k}", members, "c"))
-            nodes = [NodeFeatureSeries(i, rng.standard_normal((2, 2))) for i in ids]
-            labels = {i: 0 if j % 2 else 1 for j, i in enumerate(ids)}
-            ds = Dataset(2, 2, 2, 1, nodes, edges, labels,
-                         {"train": ids[:2], "val": ids[2:3], "test": ids[3:]})
-            index = build_index(ds)
-            # brute-force membership oracle in both directions
-            for e in edges:
-                for m in ids:
-                    expected = m in e.members
-                    assert (e.edge_id in index.node_to_edges[m]) == expected
-                    assert (m in index.edge_to_nodes[e.edge_id]) == expected
-
-    def test_dangling_reference(self):
-        ds = make_dataset()
-        ds.hyperedges.append(Hyperedge("e9", ("n0", "ghost"), "class"))
-        with pytest.raises(DanglingReference):
-            build_index(ds)
 
 
 def write_pair(path, doc, features):

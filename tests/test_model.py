@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -6,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from causal_sphhn.errors import ContractViolation
+from causal_sphhn.errors import ContractViolation, ValidationError
 from causal_sphhn.granger import CausalEdge, CausalGraph
-from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries, build_index
+from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries
 from causal_sphhn.model import (
     ModelConfig,
     compile_structure,
@@ -24,6 +23,7 @@ from reference_ops import (
     causal_aggregate,
     edge_attention,
     hyperedge_aggregate,
+    incidence,
     project,
 )
 
@@ -144,23 +144,14 @@ class TestHyperedgeAggregate:
         h = np.array([0.6, 0.8, 0.0])
         e = Hyperedge("e0", ("a", "b"), "t")
         embeds = {k: SphericalEmbedding(h, 1.0) for k in "ab"}
-        index_edges = {"e0": e}
         attn = {"e0": edge_attention(e, embeds, 2.0)}
-
-        class FakeIndex:
-            node_to_edges = {"a": ("e0",), "b": ("e0",)}
-
-        out = hyperedge_aggregate("a", embeds, FakeIndex(), params, attn, index_edges)
+        out = hyperedge_aggregate("a", embeds, incidence([e]), params, attn, {"e0": e})
         assert np.allclose(out, h, atol=1e-12)  # h is nonnegative
 
     def test_isolated_node_fallback(self):
         cfg = ModelConfig(embed_dim=3, layers=1, dropout=0.0)
         params = init_params(cfg, 3, 2, ("t",), np.random.default_rng(0))
-
-        class FakeIndex:
-            node_to_edges = {"a": ()}
-
-        out = hyperedge_aggregate("a", {}, FakeIndex(), params, {}, {})
+        out = hyperedge_aggregate("a", {}, incidence([]), params, {}, {})
         assert np.array_equal(out, [1.0, 0.0, 0.0])
 
     def test_matches_naive_double_loop_oracle(self):
@@ -178,14 +169,14 @@ class TestHyperedgeAggregate:
 
             edge_list = pairwise_expand(ds.hyperedges) if pairwise else ds.hyperedges
             embeds = {n.node_id: project(n.features[-1], params) for n in ds.nodes}
-            index = build_index(dataclasses.replace(ds, hyperedges=edge_list))
+            node_edges = incidence(edge_list)
             edges = {e.edge_id: e for e in edge_list}
             attn = {
                 e.edge_id: edge_attention(e, embeds, float(params.attn_temp.data))
                 for e in edge_list
             }
             for i, nid in enumerate(structure.node_ids):
-                ref = hyperedge_aggregate(nid, embeds, index, params, attn, edges)
+                ref = hyperedge_aggregate(nid, embeds, node_edges, params, attn, edges)
                 assert np.allclose(run.layers[1].data[i], ref, atol=1e-12)
 
 
@@ -288,6 +279,12 @@ class TestCompiledPlans:
             r, c = np.unravel_index(structure.parent_slot, parent_mask.shape)
             assert np.all(parent_mask[r, c]) and structure.parent_slot.size == parent_mask.sum()
             assert np.array_equal(structure.parent_cell, r * n + structure.parent_idx[r, c])
+
+    def test_unknown_member_is_validation_error(self):
+        ds, graph = mixed_size_instance()
+        ds.hyperedges.append(Hyperedge("g0", ("n0", "ghost"), "a"))
+        with pytest.raises(ValidationError, match="unknown node ghost"):
+            compile_structure(ds, graph, ModelConfig())
 
     @pytest.mark.parametrize("pairwise", [False, True])
     def test_benchmark_structure_hook_reads_compiled_structure(self, pairwise):
@@ -393,20 +390,20 @@ class TestForward:
             graph = CausalGraph(0.01, 2, [CausalEdge(ids[0], ids[1], 5.0, 1e-3)])
             cfg = ModelConfig(embed_dim=5, layers=2, dropout=0.0)
             params = tiny_params(cfg, in_dim=3, types=("t",), seed=seed)
-            trace = forward(ds, graph, params, mode="eval")
-            for h in trace.layer_embeddings:
-                norms = np.linalg.norm(h, axis=1)
+            run = run_model(compile_structure(ds, graph, cfg), params, mode="eval")
+            for h in run.layers + [run.h_final]:
+                norms = np.linalg.norm(h.data, axis=1)
                 assert np.max(np.abs(norms - 1.0)) <= 1e-9
-            for alpha in trace.attention:
-                sums = alpha.sum(axis=2)
-                valid = trace.member_mask
+            for alpha in run.alphas:
+                sums = alpha.data.sum(axis=2)
+                valid = run.structure.member_mask
                 for e_row in range(alpha.shape[0]):
                     for slot in range(alpha.shape[1]):
                         if valid[e_row, slot]:
                             assert abs(sums[e_row, slot] - 1.0) <= 1e-9
-            assert np.max(np.abs(trace.probs.sum(axis=1) - 1.0)) <= 1e-12
-            assert np.all(trace.kappa >= 0.0)
-            assert np.all(trace.entropy <= log_uniform_density(5) * -1.0 + 1e-9)
+            assert np.max(np.abs(run.probs.data.sum(axis=1) - 1.0)) <= 1e-12
+            assert np.all(run.kappa.data >= 0.0)
+            assert np.all(run.entropy.data <= log_uniform_density(5) * -1.0 + 1e-9)
 
     def test_empty_graph_equals_no_causal_bitwise(self):
         rng = np.random.default_rng(16)

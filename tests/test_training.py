@@ -14,7 +14,6 @@ from causal_sphhn.training import (
     gradient_check,
     gradients,
     load_checkpoint,
-    loss,
     save_checkpoint,
     train,
     write_history_csv,
@@ -65,14 +64,14 @@ class TestLoss:
         perfect = np.full((6, 2), -745.0)
         perfect[np.arange(6), self.labels] = 0.0
         run.log_probs.data = perfect
-        breakdown = loss(run, self.rows, self.labels, TrainConfig(lambda1=0.0, lambda2=0.0))
+        breakdown = build_loss(run, self.rows, self.labels, TrainConfig(lambda1=0.0, lambda2=0.0))[1]
         assert breakdown.pred == 0.0
 
     def test_gamma_equal_reference_gives_zero_causal(self):
         # gamma_temp = 1 makes gamma identical to the observed reference.
         self.params.gamma_temp.data = np.asarray(1.0)
         run = run_model(self.structure, self.params, mode="eval")
-        breakdown = loss(run, self.rows, self.labels, TrainConfig(lambda2=5.0))
+        breakdown = build_loss(run, self.rows, self.labels, TrainConfig(lambda2=5.0))[1]
         assert abs(breakdown.causal) < 1e-15
 
     def test_hand_summed_toy_total(self):
@@ -99,7 +98,7 @@ class TestLoss:
     def test_label_out_of_range(self):
         run = run_model(self.structure, self.params, mode="eval")
         with pytest.raises(ContractViolation):
-            loss(run, self.rows, np.array([0, 1, 0, 1, 0, 9]), TrainConfig())
+            build_loss(run, self.rows, np.array([0, 1, 0, 1, 0, 9]), TrainConfig())
 
 
 class TestGradients:
@@ -236,7 +235,7 @@ class TestTrainLoop:
         idx = ds.node_index()
         val_rows = np.asarray(sorted(idx[i] for i in ds.splits["val"]), dtype=np.int64)
         val_labels = np.array([ds.labels[ds.nodes[r].node_id] for r in val_rows])
-        breakdown = loss(run, val_rows, val_labels, tc)
+        breakdown = build_loss(run, val_rows, val_labels, tc)[1]
         assert breakdown.total <= best + 1e-9
 
     def test_divergence_raises_with_checkpoint(self):

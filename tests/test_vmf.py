@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -137,6 +138,14 @@ class TestMeanResultant:
         for kappa in (600.0, 1000.0, 5000.0):
             expected = 1.0 / math.tanh(kappa) - 1.0 / kappa
             assert abs(vmf.mean_resultant(3, kappa) - expected) < 1e-12
+
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 31.0, 1000.0])
+    def test_largest_argument_does_not_overflow(self, nu):
+        # The large-argument series divided by 8k·x, which overflows above x ≈ 2.2e307.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratio = vmf.bessel_ratio(nu, 1.79e308)
+        assert 0.0 < ratio <= 1.0
 
     def test_derivative_matches_finite_differences(self):
         for d in (2, 3, 8, 64):
