@@ -5,11 +5,18 @@ its value, its parents, and a closure that scatters the output gradient
 back to them.  ``backward()`` runs the closures in reverse topological
 order.  Everything is float64.
 
+Gradients are never written in place: a gradient array may be a view of
+another (a reshape, a transpose, a broadcast) and is stored as it comes,
+and accumulation allocates a new sum.  Constants, tensors with
+``requires_grad=False``, get no gradient: a closure computes only the
+parent gradients that are needed, and a constant's ``.grad`` stays None.
+
 The op set is exactly what the model and its loss call: broadcast
-``+ - * /``, (batched) matmul, reshape and transpose, sum and mean, exp,
-sqrt, relu and softplus, gather/scatter by row index and by flat element
-index, an elementwise select, masked softmax/logsumexp, log-softmax, and
-the vMF entropy with its analytic d/dkappa = -kappa * A'_d(kappa).
+``+ - * /``, (batched) matmul, reshape, transpose and a slice, sum and
+mean, exp, sqrt, relu and softplus, gather/scatter by row index and by
+flat element index, the gathered Gram matrix, an elementwise select,
+softmax over contiguous segments, masked softmax/logsumexp, log-softmax,
+and the vMF entropy with its analytic d/dkappa = -kappa * A'_d(kappa).
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents if self.requires_grad else ()
+        self._parents = tuple(p for p in parents if p.requires_grad)
         self._backward = backward if self.requires_grad else None
 
     @property
@@ -53,10 +60,7 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy() if grad.base is not None else grad
-        else:
-            self.grad = self.grad + grad
+        self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -90,8 +94,10 @@ class Tensor:
         out = Tensor(self.data + other.data, parents=(self, other))
 
         def bwd(g):
-            self._accumulate(g)
-            other._accumulate(g)
+            if self.requires_grad:
+                self._accumulate(g)
+            if other.requires_grad:
+                other._accumulate(g)
 
         out._backward = bwd
         return out
@@ -111,8 +117,10 @@ class Tensor:
         out = Tensor(self.data * other.data, parents=(self, other))
 
         def bwd(g):
-            self._accumulate(g * other.data)
-            other._accumulate(g * self.data)
+            if self.requires_grad:
+                self._accumulate(g * other.data)
+            if other.requires_grad:
+                other._accumulate(g * self.data)
 
         out._backward = bwd
         return out
@@ -124,8 +132,10 @@ class Tensor:
         out = Tensor(self.data / other.data, parents=(self, other))
 
         def bwd(g):
-            self._accumulate(g / other.data)
-            other._accumulate(-g * self.data / (other.data * other.data))
+            if self.requires_grad:
+                self._accumulate(g / other.data)
+            if other.requires_grad:
+                other._accumulate(-g * self.data / (other.data * other.data))
 
         out._backward = bwd
         return out
@@ -135,8 +145,10 @@ class Tensor:
         out = Tensor(self.data @ other.data, parents=(self, other))
 
         def bwd(g):
-            self._accumulate(g @ np.swapaxes(other.data, -1, -2))
-            other._accumulate(np.swapaxes(self.data, -1, -2) @ g)
+            if self.requires_grad:
+                self._accumulate(g @ np.swapaxes(other.data, -1, -2))
+            if other.requires_grad:
+                other._accumulate(np.swapaxes(self.data, -1, -2) @ g)
 
         out._backward = bwd
         return out
@@ -153,6 +165,18 @@ class Tensor:
         inv = np.argsort(axes)
         out = Tensor(self.data.transpose(axes), parents=(self,))
         out._backward = lambda g: self._accumulate(g.transpose(inv))
+        return out
+
+    def __getitem__(self, key: slice):
+        """A basic slice along axis 0; backward pads the gradient with zeros."""
+        out = Tensor(self.data[key], parents=(self,))
+
+        def bwd(g):
+            full = np.zeros_like(self.data)
+            full[key] = g
+            self._accumulate(full)
+
+        out._backward = bwd
         return out
 
     # -- reductions ----------------------------------------------------------
@@ -312,20 +336,63 @@ def scatter_flat(src: Tensor, idx: np.ndarray, size: int) -> Tensor:
     return out
 
 
+def gram_gather(h: Tensor, cells: np.ndarray, cells_t: np.ndarray) -> Tensor:
+    """(h @ h.T).ravel()[cells]: inner products of the row pairs cells names.
+
+    ``cells_t`` is ``cells`` transposed: cell i*N + j of the (N, N) Gram
+    matrix listed as j*N + i.  Backward forms the symmetric dG, the
+    gradient of G plus its transpose, with one bincount over both index
+    arrays, and returns the single product dG @ h.
+    """
+    n = h.data.shape[0]
+    out = Tensor((h.data @ h.data.T).reshape(-1)[cells], parents=(h,))
+
+    def bwd(g):
+        sym = np.bincount(
+            np.concatenate([cells, cells_t]), weights=np.concatenate([g, g]), minlength=n * n
+        )
+        h._accumulate(sym.reshape(n, n) @ h.data)
+
+    out._backward = bwd
+    return out
+
+
 def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise select with a constant boolean condition."""
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(np.where(cond, a.data, b.data), parents=(a, b))
 
     def bwd(g):
-        a._accumulate(np.where(cond, g, 0.0))
-        b._accumulate(np.where(cond, 0.0, g))
+        if a.requires_grad:
+            a._accumulate(np.where(cond, g, 0.0))
+        if b.requires_grad:
+            b._accumulate(np.where(cond, 0.0, g))
 
     out._backward = bwd
     return out
 
 
 # -- softmax-family ops -------------------------------------------------------
+
+
+def segment_softmax(x: Tensor, starts: np.ndarray, ids: np.ndarray) -> Tensor:
+    """Softmax within each contiguous segment of a 1-D tensor.
+
+    Segment s runs from ``starts[s]`` to the next start (the last one to
+    the end); ``ids[p]`` is the segment of element p.  Starts must be
+    strictly increasing from 0, so no segment is empty.  This is
+    :func:`masked_softmax` on flat data, with no padding to mask.
+    """
+    mx = np.maximum.reduceat(x.data, starts)
+    e = np.exp(x.data - mx[ids])
+    val = e / np.add.reduceat(e, starts)[ids]
+    out = Tensor(val, parents=(x,))
+
+    def bwd(g):
+        x._accumulate((g - np.add.reduceat(g * val, starts)[ids]) * val)
+
+    out._backward = bwd
+    return out
 
 
 def masked_softmax(x: Tensor, mask: np.ndarray) -> Tensor:

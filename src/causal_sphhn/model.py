@@ -12,16 +12,24 @@ a plain dot product), ``pairwise`` expands hyperedges into 2-cliques,
 ``layers=0`` reduces to the projection, and an empty causal graph is
 bit-identical to removing the causal path.
 
-Message passing is a Gram-matrix kernel.  Each round computes G = h h^T
-once, an (N, N) matrix, and gathers one scalar per member pair: the
-attention logit of pair (i, j) in edge e is the temperature times
-G[m_i, m_j], placed in the padded (E, K, K) block on which a masked softmax
-runs within every edge.  Each valid pair's weight is then scattered onto a
-dense (N, N) matrix A_t for its edge's context type t, so the round's
-message is m = sum_t (A_t h) W_t^T and every d-wide step is a dense matmul.
-Causal injection takes the same form: the gamma weights scatter onto a
-(P, N) matrix of child rows by parent node, times h.  Only valid pairs and
-parents are gathered and scattered, so padding never reaches a sum.
+Message passing is a Gram-matrix kernel over flat member pairs.  Each
+valid pair (i, j) of edge e is one entry of a flat array, grouped by
+context type and then ordered by (e, i, j), so the pairs of one (e, i)
+row form a contiguous segment.  Each round computes G = h h^T once, an
+(N, N) matrix, and gathers one scalar per pair: the attention logit of
+pair (i, j) in edge e is the temperature times G[m_i, m_j].  A softmax
+runs within every segment, so alpha[e, i, :] is a distribution over the
+members of e, with no padded entries to mask.  Each pair's weight is then
+scattered onto a dense (N, N) matrix A_t for its edge's context type t,
+so the round's message is m = sum_t (A_t h) W_t^T and every d-wide step
+is a dense matmul.  Causal injection takes the same form: the gamma
+weights scatter onto a (P, N) matrix of child rows by parent node, times
+h.
+
+``GraphStructure`` also keeps the padded (E, K) member arrays and each
+pair's offset in the (E, K, K) block that padding implies.  The forward
+pass does not read them: ``perfbench`` reports its padding figures from
+them, and the tests place the flat alpha in that block.
 
 Memory: a layer holds G and the T matrices A_t, and the causal step one
 (P, N) matrix with P <= N, so the dense buffers take at most
@@ -39,9 +47,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractViolation
+from .errors import ContractViolation, ValidationError
 from .granger import CausalGraph
-from .hypergraph import Dataset, Hyperedge
+from .hypergraph import Dataset
 
 log = logging.getLogger(__name__)
 
@@ -165,11 +173,16 @@ class GraphStructure:
     features: np.ndarray  # (N, d) last observed timestep
     member_idx: np.ndarray  # (E, K) node rows, padded with 0
     member_mask: np.ndarray  # (E, K) bool, False at padding
-    # Every valid member pair (e, i, j), grouped by context type: its flat
-    # offset e*K*K + i*K + j in the (E, K, K) attention block, and its flat
-    # offset m_i*N + m_j in an (N, N) matrix (the Gram matrix, or A_t).
+    # Every valid member pair (e, i, j), grouped by context type and then
+    # ordered by (e, i, j): its flat offset e*K*K + i*K + j in the padded
+    # (E, K, K) block, and its flat offset m_i*N + m_j in an (N, N) matrix
+    # (the Gram matrix, or A_t), plus that offset transposed, m_j*N + m_i.
     pair_slot: np.ndarray  # (Q,)
     pair_cell: np.ndarray  # (Q,)
+    pair_cell_t: np.ndarray  # (Q,)
+    # The pairs of one (e, i) row are contiguous: a softmax segment.
+    seg_starts: np.ndarray  # (S,) first pair of each segment
+    seg_ids: np.ndarray  # (Q,) segment of each pair
     type_pairs: dict[str, slice]  # context type -> its range of the pair arrays
     child_rows: np.ndarray  # (P,) nodes with causal parents
     parent_idx: np.ndarray  # (P, Kc) parent rows, padded with 0
@@ -184,52 +197,64 @@ class GraphStructure:
     plans: dict = field(default_factory=dict)  # "children": row scatter of the child rows
 
 
-def pairwise_expand(edges: list[Hyperedge]) -> list[Hyperedge]:
-    """Replace every hyperedge by the 2-cliques of its members."""
-    out = []
-    for e in edges:
-        members = sorted(e.members)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                out.append(
-                    Hyperedge(
-                        f"{e.edge_id}:{i}-{j}",
-                        (members[i], members[j]),
-                        e.context_type,
-                    )
-                )
-    return out
+def _member_rows(
+    ds: Dataset, index: dict[str, int], pairwise: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (E, K) member rows and mask of the edges the model attends over,
+    and the hyperedge each of the E rows comes from.
+
+    With ``pairwise`` every hyperedge becomes the 2-cliques of its members
+    in sorted-id order, (a, b) for a before b, edge by edge.  Only the
+    member ids are checked: an unknown one raises ValidationError.
+    """
+    flat = []
+    for e in ds.hyperedges:
+        for m in sorted(e.members) if pairwise else e.members:
+            row = index.get(m)
+            if row is None:
+                raise ValidationError(f"hyperedge {e.edge_id} references unknown node {m}")
+            flat.append(row)
+    flat = np.asarray(flat, dtype=np.int64)
+    sizes = np.fromiter((len(e.members) for e in ds.hyperedges), np.int64, len(ds.hyperedges))
+    if not pairwise:
+        mask = np.arange(sizes.max(initial=2)) < sizes[:, None]
+        rows = np.zeros(mask.shape, dtype=np.int64)
+        rows[mask] = flat
+        return rows, mask, np.arange(sizes.size)
+    first = np.cumsum(sizes) - sizes  # each edge's offset in flat
+    n_pairs = sizes * (sizes - 1) // 2
+    out_first = np.cumsum(n_pairs) - n_pairs  # each edge's first row
+    rows = np.empty((int(n_pairs.sum()), 2), dtype=np.int64)
+    for size in np.unique(sizes):
+        edges = np.flatnonzero(sizes == size)
+        a, b = np.triu_indices(size, 1)
+        dest = out_first[edges, None] + np.arange(a.size)
+        rows[dest, 0] = flat[first[edges, None] + a]
+        rows[dest, 1] = flat[first[edges, None] + b]
+    return rows, np.ones(rows.shape, dtype=bool), np.repeat(np.arange(sizes.size), n_pairs)
 
 
 def compile_structure(
     ds: Dataset, causal_graph: CausalGraph | None, cfg: ModelConfig
 ) -> GraphStructure:
-    ds.validate()
+    """The arrays one forward pass reads, for a dataset already validated."""
     index = ds.node_index()
     node_ids = [n.node_id for n in ds.nodes]
     features = np.stack([n.features[-1] for n in ds.nodes])
-
-    edges = list(ds.hyperedges)
-    if cfg.pairwise:
-        edges = pairwise_expand(edges)
-    n_edges = len(edges)
-    k = max((len(e.members) for e in edges), default=2)
-    member_idx = np.zeros((n_edges, k), dtype=np.int64)
-    member_mask = np.zeros((n_edges, k), dtype=bool)
-    for row, e in enumerate(edges):
-        mem = [index[m] for m in e.members]
-        member_idx[row, : len(mem)] = mem
-        member_mask[row, : len(mem)] = True
-    types = sorted({e.context_type for e in edges})
-    type_code = np.asarray([types.index(e.context_type) for e in edges], dtype=np.int64)
     n_nodes = len(node_ids)
+
+    member_idx, member_mask, source = _member_rows(ds, index, cfg.pairwise)
+    types, type_code = np.unique([e.context_type for e in ds.hyperedges], return_inverse=True)
+    type_code = type_code[source]
+    k = member_idx.shape[1]
     pair_mask = member_mask[:, :, None] & member_mask[:, None, :]
     pair_slot = np.flatnonzero(pair_mask)
     pair_slot = pair_slot[np.argsort(type_code[pair_slot // (k * k)], kind="stable")]
     pe, pi, pj = np.unravel_index(pair_slot, pair_mask.shape)
-    pair_cell = member_idx[pe, pi] * n_nodes + member_idx[pe, pj]
-    bounds = np.searchsorted(type_code[pe], np.arange(len(types) + 1))
-    type_pairs = {t: slice(int(bounds[c]), int(bounds[c + 1])) for c, t in enumerate(types)}
+    rows_i, rows_j = member_idx[pe, pi], member_idx[pe, pj]
+    new_segment = np.diff(pair_slot // k, prepend=-1) != 0  # a new (e, i) row
+    bounds = np.searchsorted(type_code[pe], np.arange(types.size + 1))
+    type_pairs = {str(t): slice(int(bounds[c]), int(bounds[c + 1])) for c, t in enumerate(types)}
 
     children: dict[str, list] = {}
     if causal_graph is not None:
@@ -259,7 +284,10 @@ def compile_structure(
         member_idx=member_idx,
         member_mask=member_mask,
         pair_slot=pair_slot,
-        pair_cell=pair_cell,
+        pair_cell=rows_i * n_nodes + rows_j,
+        pair_cell_t=rows_j * n_nodes + rows_i,
+        seg_starts=np.flatnonzero(new_segment),
+        seg_ids=np.cumsum(new_segment) - 1,
         type_pairs=type_pairs,
         child_rows=child_rows,
         parent_idx=parent_idx,
@@ -285,7 +313,7 @@ class ModelRun:
     structure: GraphStructure
     kappa: Tensor
     layers: list[Tensor]
-    alphas: list[Tensor]
+    alphas: list[Tensor]  # per layer, the flat pair weights in pair_slot order
     gamma: Tensor | None
     log_gamma: Tensor | None
     h_final: Tensor
@@ -342,24 +370,14 @@ def run_model(
     layers = [h]
     alphas: list[Tensor] = []
 
-    n_edges, k = structure.member_idx.shape
-    attn_mask = structure.member_mask[:, None, :]  # mask over j within each edge
-
     for _ in range(cfg.layers):
         m = Tensor(np.zeros((n, d)))
-        if n_edges:
-            gram = h @ h.transpose((1, 0))
-            cos = ad.scatter_flat(
-                ad.gather_flat(gram, structure.pair_cell), structure.pair_slot, n_edges * k * k
-            ).reshape(n_edges, k, k)
-            alpha = ad.masked_softmax(params.attn_temp * cos, attn_mask)
+        if structure.pair_cell.size:
+            cos = ad.gram_gather(h, structure.pair_cell, structure.pair_cell_t)
+            alpha = ad.segment_softmax(params.attn_temp * cos, structure.seg_starts, structure.seg_ids)
             alphas.append(alpha)
             for t, span in structure.type_pairs.items():
-                a_t = ad.scatter_flat(
-                    ad.gather_flat(alpha, structure.pair_slot[span]),
-                    structure.pair_cell[span],
-                    n * n,
-                ).reshape(n, n)
+                a_t = ad.scatter_flat(alpha[span], structure.pair_cell[span], n * n).reshape(n, n)
                 m = m + (a_t @ h) @ params.edge_w[t].transpose((1, 0))
         if mode == "train" and cfg.dropout > 0.0:
             keep = (rng.random((n, d)) >= cfg.dropout) / (1.0 - cfg.dropout)

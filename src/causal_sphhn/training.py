@@ -168,6 +168,11 @@ class Adam:
             )
 
 
+def _edge_types(ds: Dataset) -> tuple[str, ...]:
+    """The dataset's context types, sorted: the model has one edge weight each."""
+    return tuple(sorted({e.context_type for e in ds.hyperedges}))
+
+
 def _split_rows(ds: Dataset, name: str) -> np.ndarray:
     index = ds.node_index()
     return np.asarray(sorted(index[i] for i in ds.splits[name]), dtype=np.int64)
@@ -194,8 +199,7 @@ def train(
     model_cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     structure = compile_structure(ds, causal_graph, model_cfg)
-    edge_types = tuple(sorted({e.context_type for e in ds.hyperedges}))
-    params = init_params(model_cfg, ds.dim, ds.classes, edge_types, rng)
+    params = init_params(model_cfg, ds.dim, ds.classes, _edge_types(ds), rng)
     opt = Adam(params.named(), cfg.lr)
 
     train_rows = _split_rows(ds, "train")
@@ -354,14 +358,20 @@ class GradientCheckReport:
 
 
 def _tiny_instance(seed: int):
-    """Six nodes, one 4-node hyperedge, one causal link; d = d' = 4."""
+    """Six nodes; a 4-node hyperedge and a 2-node one of a second context
+    type, so attention runs over segments of length 4 and 2 and the
+    message sums two types; two causal parents of one node with distinct
+    F, so gamma_temp has a gradient; d = d' = 4."""
     from .granger import CausalEdge
     from .hypergraph import Hyperedge, NodeFeatureSeries
 
     rng = np.random.default_rng(seed)
     ids = [f"n{i}" for i in range(6)]
     nodes = [NodeFeatureSeries(i, rng.standard_normal((3, 4))) for i in ids]
-    edges = [Hyperedge("e0", ("n0", "n1", "n2", "n3"), "ctx")]
+    edges = [
+        Hyperedge("e0", ("n0", "n1", "n2", "n3"), "ctx"),
+        Hyperedge("e1", ("n3", "n4"), "pair"),
+    ]
     labels = {i: k % 2 for k, i in enumerate(ids)}
     ds = Dataset(
         dim=4,
@@ -374,7 +384,9 @@ def _tiny_instance(seed: int):
         splits={"train": ids[:4], "val": ids[4:5], "test": ids[5:]},
     )
     ds.validate()
-    graph = CausalGraph(alpha=0.05, lag=2, edges=[CausalEdge("n4", "n5", 3.0, 0.01)])
+    graph = CausalGraph(
+        alpha=0.05, lag=2, edges=[CausalEdge("n4", "n5", 3.0, 0.01), CausalEdge("n3", "n5", 1.5, 0.02)]
+    )
     return ds, graph, rng
 
 
@@ -393,7 +405,7 @@ def gradient_check(
     model_cfg = ModelConfig(embed_dim=4, layers=2, dropout=0.0, attn_temp_init=1.5, gamma_temp_init=0.7, kappa_init=2.0)
     cfg = TrainConfig(lambda1=0.7, lambda2=0.9, seed=seed)
     structure = compile_structure(ds, graph, model_cfg)
-    params = init_params(model_cfg, 4, 2, ("ctx",), rng)
+    params = init_params(model_cfg, 4, 2, _edge_types(ds), rng)
     # Randomize away from zero-init so every path carries signal.
     for name, t in params.named().items():
         if name in ("attn_temp", "gamma_temp"):

@@ -13,8 +13,10 @@ import numpy as np
 
 from causal_sphhn.errors import ContractViolation
 from causal_sphhn.granger import CausalGraph
-from causal_sphhn.hypergraph import Hyperedge
+from causal_sphhn.hypergraph import Dataset, Hyperedge
 from causal_sphhn.model import _NORM_EPS, ModelParams
+
+
 @dataclass(frozen=True)
 class SphericalEmbedding:
     """Unit direction plus concentration; the node's belief state."""
@@ -132,3 +134,74 @@ def causal_aggregate(
         e1[0] = 1.0
         return e1
     return combined / norm
+
+
+def pairwise_expand(edges: list[Hyperedge]) -> list[Hyperedge]:
+    """Replace every hyperedge by the 2-cliques of its members."""
+    out = []
+    for e in edges:
+        members = sorted(e.members)
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                out.append(
+                    Hyperedge(
+                        f"{e.edge_id}:{i}-{j}",
+                        (members[i], members[j]),
+                        e.context_type,
+                    )
+                )
+    return out
+
+
+def member_pairs(ds: Dataset, pairwise: bool) -> dict:
+    """The member and pair arrays of ``compile_structure``, built edge by edge.
+
+    Expands edges with :func:`pairwise_expand`, fills the padded (E, K)
+    member block one row at a time, lists the valid (e, i, j) slots of the
+    (E, K, K) block grouped by context type, and walks them to find the
+    softmax segments, one per (e, i) row.
+    """
+    index = ds.node_index()
+    n = len(ds.nodes)
+    edges = pairwise_expand(ds.hyperedges) if pairwise else list(ds.hyperedges)
+    k = max((len(e.members) for e in edges), default=2)
+    member_idx = np.zeros((len(edges), k), dtype=np.int64)
+    member_mask = np.zeros((len(edges), k), dtype=bool)
+    for row, e in enumerate(edges):
+        mem = [index[m] for m in e.members]
+        member_idx[row, : len(mem)] = mem
+        member_mask[row, : len(mem)] = True
+    types = sorted({e.context_type for e in edges})
+    slots, cells, cells_t, starts, ids, type_pairs = [], [], [], [], [], {}
+    for t in types:
+        lo = len(slots)
+        for row, e in enumerate(edges):
+            if e.context_type != t:
+                continue
+            size = len(e.members)
+            for i in range(size):
+                starts.append(len(slots))
+                for j in range(size):
+                    ids.append(len(starts) - 1)
+                    slots.append((row * k + i) * k + j)
+                    cells.append(member_idx[row, i] * n + member_idx[row, j])
+                    cells_t.append(member_idx[row, j] * n + member_idx[row, i])
+        type_pairs[t] = slice(lo, len(slots))
+    return {
+        "member_idx": member_idx,
+        "member_mask": member_mask,
+        "pair_slot": np.asarray(slots, dtype=np.int64),
+        "pair_cell": np.asarray(cells, dtype=np.int64),
+        "pair_cell_t": np.asarray(cells_t, dtype=np.int64),
+        "seg_starts": np.asarray(starts, dtype=np.int64),
+        "seg_ids": np.asarray(ids, dtype=np.int64),
+        "type_pairs": type_pairs,
+    }
+
+
+def padded_alpha(alpha: np.ndarray, member_mask: np.ndarray, pair_slot: np.ndarray) -> np.ndarray:
+    """Flat pair weights placed in the padded (E, K, K) block, zero at padding."""
+    e, k = member_mask.shape
+    block = np.zeros(e * k * k)
+    block[pair_slot] = alpha
+    return block.reshape(e, k, k)

@@ -152,6 +152,29 @@ class TestIndexing:
         np.add.at(ref, cells, x.data[slots])
         assert np.allclose(out.data, ref, rtol=0.0, atol=1e-12 * (1.0 + np.abs(x.data).sum()))
 
+    def test_slice_gradient(self):
+        check_op(lambda a: (a[1:4] * a[2:5]).sum(), (6,))
+        check_op(lambda a: (a[:2] * a[:2]).sum(), (3, 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 4), st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_gram_gather_matches_gram_matrix(self, n, d, q, seed):
+        # q cells drawn from n*n repeat whenever q > n*n, and often before.
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((n, d))
+        cells = rng.integers(0, n * n, q)
+        cells_t = (cells % n) * n + cells // n
+        out = ad.gram_gather(Tensor(h), cells, cells_t).data
+        assert np.allclose(out, (h @ h.T).ravel()[cells], rtol=0.0, atol=1e-12 * (1.0 + np.abs(h).sum() ** 2))
+
+    def test_gram_gather_gradient_with_repeated_cells(self):
+        rng = np.random.default_rng(9)
+        n = 4
+        cells = np.array([0, 1, 4, 1, 6, 9, 15, 9, 9, 14, 11])  # (0,1) and (1,0), (2,1) thrice
+        cells_t = (cells % n) * n + cells // n
+        w = Tensor(rng.standard_normal(cells.size))
+        check_op(lambda h: (ad.gram_gather(h, cells, cells_t) * w).sum(), (n, 3))
+
     def test_where_routes_gradients(self):
         cond = np.array([True, False, True])
         a = Tensor(np.ones(3), requires_grad=True)
@@ -159,6 +182,49 @@ class TestIndexing:
         (ad.where(cond, a, b) * Tensor(np.array([1.0, 2.0, 3.0]))).sum().backward()
         assert np.array_equal(a.grad, [1.0, 0.0, 3.0])
         assert np.array_equal(b.grad, [0.0, 2.0, 0.0])
+
+
+@st.composite
+def segments(draw):
+    """Segment lengths (1 included) and values for a flat softmax."""
+    lens = np.asarray(draw(st.lists(st.integers(1, 6), min_size=1, max_size=12)))
+    x = draw(hnp.arrays(np.float64, int(lens.sum()), elements=st.floats(-700.0, 700.0)))
+    starts = np.cumsum(lens) - lens
+    return lens, starts, np.repeat(np.arange(lens.size), lens), x
+
+
+def padded(lens, x):
+    """The (S, max length) block of the segments and its mask."""
+    mask = np.arange(lens.max()) < lens[:, None]
+    block = np.zeros(mask.shape)
+    block[mask] = x
+    return block, mask
+
+
+class TestSegmentSoftmax:
+    @settings(max_examples=200, deadline=None)
+    @given(segments())
+    def test_equals_masked_softmax_on_the_padded_block(self, case):
+        lens, starts, ids, x = case
+        block, mask = padded(lens, x)
+        ref = ad.masked_softmax(Tensor(block), mask).data[mask]
+        assert np.allclose(ad.segment_softmax(Tensor(x), starts, ids).data, ref, rtol=0.0, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(segments())
+    def test_every_segment_sums_to_one(self, case):
+        lens, starts, ids, x = case
+        val = ad.segment_softmax(Tensor(x), starts, ids).data
+        assert np.all(val >= 0.0)
+        assert np.allclose(np.bincount(ids, weights=val), 1.0, rtol=0.0, atol=1e-12)
+        assert np.all(val[starts[lens == 1]] == 1.0)
+
+    @pytest.mark.parametrize("lens", [[1], [3], [2, 1, 4], [1, 1, 2, 5, 1]])
+    def test_gradient(self, lens):
+        lens = np.asarray(lens)
+        starts, ids = np.cumsum(lens) - lens, np.repeat(np.arange(lens.size), lens)
+        w = Tensor(np.random.default_rng(lens.size).standard_normal(lens.sum()))
+        check_op(lambda x: (ad.segment_softmax(x, starts, ids) * w).sum(), (int(lens.sum()),))
 
 
 class TestSoftmaxFamily:
@@ -224,6 +290,20 @@ class TestGraphMechanics:
         out = a * a + a
         out.backward()
         assert np.allclose(a.grad, 5.0)
+
+    def test_constants_get_no_gradient(self):
+        rng = np.random.default_rng(10)
+        p = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        consts = [Tensor(rng.standard_normal((3, 3)) + 3.0) for _ in range(9)]
+        c = iter(consts)
+        out = (
+            (p + next(c)) * next(c) + next(c) * p - next(c) / (p * p + 1.0)
+            + p / next(c) + (p @ next(c)) + (next(c) @ p)
+        )
+        out = ad.where(p.data > 0, out, next(c)) + ad.where(p.data > 0, next(c), out)
+        out.sum().backward()
+        assert p.grad is not None
+        assert all(t.grad is None for t in consts)
 
     def test_diamond_graph(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from causal_sphhn import autodiff as ad
 from causal_sphhn.errors import ContractViolation, ValidationError
 from causal_sphhn.granger import CausalEdge, CausalGraph
 from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries
@@ -13,7 +16,6 @@ from causal_sphhn.model import (
     compile_structure,
     forward,
     init_params,
-    pairwise_expand,
     run_model,
 )
 from causal_sphhn.training import TrainConfig, build_loss, gradients
@@ -24,6 +26,9 @@ from reference_ops import (
     edge_attention,
     hyperedge_aggregate,
     incidence,
+    member_pairs,
+    padded_alpha,
+    pairwise_expand,
     project,
 )
 
@@ -286,6 +291,31 @@ class TestCompiledPlans:
         with pytest.raises(ValidationError, match="unknown node ghost"):
             compile_structure(ds, graph, ModelConfig())
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.integers(0, 7), st.booleans())
+    def test_arrays_match_edge_by_edge_construction(self, seed, n, n_edges, pairwise):
+        # Ids like "v10" sort before "v2", so the pairwise sort by id
+        # differs from the node order.
+        rng = np.random.default_rng(seed)
+        ids = [f"v{i}" for i in rng.permutation(n)]
+        edges = []
+        for k in range(n_edges):
+            size = int(rng.integers(2, min(6, n) + 1))
+            members = tuple(str(m) for m in rng.choice(ids, size=size, replace=False))
+            edges.append(Hyperedge(f"e{k}", members, "abc"[int(rng.integers(0, 3))]))
+        nodes = [NodeFeatureSeries(i, rng.standard_normal((2, 3))) for i in ids]
+        labels = {i: k % 2 for k, i in enumerate(ids)}
+        ds = Dataset(3, 2, 2, 1, nodes, edges, labels,
+                     {"train": ids[:1], "val": ids[1:2], "test": ids[2:]})
+        ds.validate()
+        structure = compile_structure(ds, None, ModelConfig(pairwise=pairwise))
+        for name, want in member_pairs(ds, pairwise).items():
+            got = getattr(structure, name)
+            if isinstance(want, dict):
+                assert got == want, name
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+
     @pytest.mark.parametrize("pairwise", [False, True])
     def test_benchmark_structure_hook_reads_compiled_structure(self, pairwise):
         # The benchmark's traced runs read these GraphStructure fields.
@@ -394,9 +424,10 @@ class TestForward:
             for h in run.layers + [run.h_final]:
                 norms = np.linalg.norm(h.data, axis=1)
                 assert np.max(np.abs(norms - 1.0)) <= 1e-9
-            for alpha in run.alphas:
-                sums = alpha.data.sum(axis=2)
-                valid = run.structure.member_mask
+            valid = run.structure.member_mask
+            for flat in run.alphas:
+                alpha = padded_alpha(flat.data, valid, run.structure.pair_slot)
+                sums = alpha.sum(axis=2)
                 for e_row in range(alpha.shape[0]):
                     for slot in range(alpha.shape[1]):
                         if valid[e_row, slot]:
@@ -426,7 +457,7 @@ class TestForward:
             structure = compile_structure(ds, None, cfg)
             run = run_model(structure, params, mode="eval")
             embeds = {n.node_id: project(n.features[-1], params) for n in ds.nodes}
-            alpha = run.alphas[0].data
+            alpha = padded_alpha(run.alphas[0].data, structure.member_mask, structure.pair_slot)
             edge_list = pairwise_expand(ds.hyperedges) if pairwise else ds.hyperedges
             assert alpha.shape[0] == len(edge_list)
             for row, e in enumerate(edge_list):
@@ -463,6 +494,31 @@ class TestForward:
                 numeric = (up - down) / (2.0 * step)
                 denom = max(abs(analytic[i]), abs(numeric), 1e-3)
                 assert abs(analytic[i] - numeric) / denom <= 1e-5, (name, i)
+
+    @pytest.mark.parametrize("euclidean", [False, True])
+    def test_constants_get_no_gradient(self, monkeypatch, euclidean):
+        # Every tensor the forward pass and the loss make, recorded as it is
+        # built: after backward only those that require grad hold one.
+        made = []
+        init = ad.Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
+        ds, graph = mixed_size_instance()
+        cfg = ModelConfig(embed_dim=3, layers=2, dropout=0.5, euclidean=euclidean)
+        params = tiny_params(cfg, in_dim=4, types=("a", "b"), seed=35)
+        structure = compile_structure(ds, graph, cfg)
+        rows = np.arange(len(structure.node_ids))
+        labels = np.array([ds.labels[nid] for nid in structure.node_ids])
+        made.clear()
+        gradients(params, structure, rows, labels, TrainConfig(), rng=np.random.default_rng(0))
+        constants = [t for t in made if not t.requires_grad]
+        assert len(constants) > 10
+        assert all(t.grad is None for t in constants)
+        assert all(t.grad is not None for t in params.named().values())
 
     def test_pairwise_expand(self):
         edges = [Hyperedge("e", ("a", "b", "c"), "t")]
