@@ -13,10 +13,10 @@ parent gradients that are needed, and a constant's ``.grad`` stays None.
 
 The op set is exactly what the model and its loss call: broadcast
 ``+ - * /``, (batched) matmul, reshape, transpose and a slice, sum and
-mean, exp, sqrt, relu and softplus, gather/scatter by row index and by
-flat element index, the gathered Gram matrix, an elementwise select,
-softmax over contiguous segments, masked softmax/logsumexp, log-softmax,
-and the vMF entropy with its analytic d/dkappa = -kappa * A'_d(kappa).
+mean, exp, sqrt, relu and softplus, gather/scatter by row index, scatter by
+flat element index, the gathered Gram matrix, an elementwise select, softmax
+and log-sum-exp over contiguous segments, log-softmax, and the vMF entropy
+with its analytic d/dkappa = -kappa * A'_d(kappa).
 """
 
 from __future__ import annotations
@@ -309,27 +309,8 @@ def scatter_add_rows(src: Tensor, plan: ScatterPlan) -> Tensor:
     return out
 
 
-def gather_flat(x: Tensor, idx: np.ndarray) -> Tensor:
-    """x.ravel()[idx], shaped like idx; idx may repeat an element.
-
-    Backward sums the gradients of repeated elements with one bincount.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(x.data.reshape(-1)[idx], parents=(x,))
-
-    def bwd(g):
-        flat = np.bincount(idx.reshape(-1), weights=g.reshape(-1), minlength=x.data.size)
-        x._accumulate(flat.reshape(x.data.shape))
-
-    out._backward = bwd
-    return out
-
-
 def scatter_flat(src: Tensor, idx: np.ndarray, size: int) -> Tensor:
-    """1-D array of length size whose element k sums src.ravel()[p] over idx[p] == k.
-
-    The adjoint of :func:`gather_flat`: backward is g[idx].
-    """
+    """1-D array of length size whose element k sums src.ravel()[p] over idx[p] == k; backward is g[idx]."""
     idx = np.asarray(idx, dtype=np.int64)
     out = Tensor(np.bincount(idx, weights=src.data.reshape(-1), minlength=size), parents=(src,))
     out._backward = lambda g: src._accumulate(g[idx].reshape(src.data.shape))
@@ -380,8 +361,7 @@ def segment_softmax(x: Tensor, starts: np.ndarray, ids: np.ndarray) -> Tensor:
 
     Segment s runs from ``starts[s]`` to the next start (the last one to
     the end); ``ids[p]`` is the segment of element p.  Starts must be
-    strictly increasing from 0, so no segment is empty.  This is
-    :func:`masked_softmax` on flat data, with no padding to mask.
+    strictly increasing from 0, so no segment is empty.
     """
     mx = np.maximum.reduceat(x.data, starts)
     e = np.exp(x.data - mx[ids])
@@ -395,38 +375,17 @@ def segment_softmax(x: Tensor, starts: np.ndarray, ids: np.ndarray) -> Tensor:
     return out
 
 
-def masked_softmax(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over the last axis restricted to mask; masked entries get 0.
+def segment_logsumexp(x: Tensor, starts: np.ndarray, ids: np.ndarray) -> Tensor:
+    """The log-sum-exp of each element's segment (as in :func:`segment_softmax`), shaped like x.
 
-    Rows with no valid entry yield all zeros.
+    Backward sums g over each segment and spreads the sum by the softmax.
     """
-    neg = np.where(mask, x.data, -np.inf)
-    mx = neg.max(axis=-1, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    e = np.where(mask, np.exp(neg - mx), 0.0)
-    denom = e.sum(axis=-1, keepdims=True)
-    val = e / np.where(denom == 0.0, 1.0, denom)
-    out = Tensor(val, parents=(x,))
-
-    def bwd(g):
-        inner = (g * val).sum(axis=-1, keepdims=True)
-        x._accumulate((g - inner) * val)
-
-    out._backward = bwd
-    return out
-
-
-def masked_logsumexp(x: Tensor, mask: np.ndarray) -> Tensor:
-    """logsumexp over the last axis restricted to mask, keepdims."""
-    neg = np.where(mask, x.data, -np.inf)
-    mx = neg.max(axis=-1, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    e = np.where(mask, np.exp(neg - mx), 0.0)
-    s = e.sum(axis=-1, keepdims=True)
-    val = mx + np.log(np.where(s == 0.0, 1.0, s))
-    out = Tensor(val, parents=(x,))
-    soft = e / np.where(s == 0.0, 1.0, s)
-    out._backward = lambda g: x._accumulate(g * soft)
+    mx = np.maximum.reduceat(x.data, starts)
+    e = np.exp(x.data - mx[ids])
+    s = np.add.reduceat(e, starts)
+    out = Tensor((mx + np.log(s))[ids], parents=(x,))
+    soft = e / s[ids]
+    out._backward = lambda g: x._accumulate(np.add.reduceat(g, starts)[ids] * soft)
     return out
 
 

@@ -36,7 +36,7 @@ from .artifacts import doc_digest, file_digest, read_json, write_json
 from .errors import ContractViolation, NumericalError, ParseError, TrainingDiverged, ValidationError
 from .granger import CausalGraph, GrangerConfig, infer_causal_graph
 from .hypergraph import block_path, feature_dropout, load_dataset, save_dataset
-from .model import ModelConfig, forward
+from .model import ModelConfig, compile_structure, run_model
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 # What can reach main() for bad input.  SeriesTooShort is a ContractViolation,
@@ -176,12 +176,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def gamma_edge_scores(graph: CausalGraph, gamma_temp: float) -> list[tuple[str, str, float]]:
-    """Causal-attention logits per edge: the learned temperature times the
-    Granger F statistic (the quantity whose per-node softmax is gamma)."""
-    return [(e.src, e.dst, gamma_temp * e.f_statistic) for e in graph.edges]
-
-
 def cmd_eval(args) -> int:
     start = time.monotonic()
     params, train_cfg, graph = load_checkpoint(args.checkpoint)
@@ -190,7 +184,8 @@ def cmd_eval(args) -> int:
     if args.dropout_rate > 0.0:
         rng = np.random.default_rng(derive_seed(args.seed, "eval.dropout"))
         ds = feature_dropout(ds, args.dropout_rate, rng)
-    trace = forward(ds, graph, params, mode="eval")
+    structure = compile_structure(ds, graph, params.config)
+    run = run_model(structure, params, mode="eval")
     index = ds.node_index()
     if args.split == "all":
         ids = [n.node_id for n in ds.nodes]
@@ -198,19 +193,20 @@ def cmd_eval(args) -> int:
         ids = list(ds.splits[args.split])
     rows = np.asarray([index[i] for i in sorted(ids)], dtype=np.int64)
     labels = np.asarray([ds.labels[ds.nodes[r].node_id] for r in rows], dtype=np.int64)
-    probs = trace.probs[rows]
+    probs = run.probs.data[rows]
     preds = probs.argmax(axis=1)
 
     p_at_k: dict[int, float | None] = {args.k: None}
     rank_corr = None
-    if args.truth and graph is not None and graph.edges:
-        truth = synthgen.load_truth(args.truth)
-        true_set = {(e.src, e.dst) for e in truth}
-        scored = gamma_edge_scores(graph, float(params.gamma_temp.data))
+    if args.truth and run.gamma is not None:
+        # Each flat parent entry is one graph edge, scored by its learned gamma.
+        true_set = {(e.src, e.dst) for e in synthgen.load_truth(args.truth)}
+        ids, gamma = structure.node_ids, run.gamma.data
+        edges = zip(structure.parent_cell % len(ids), structure.child_rows[structure.parent_seg], gamma.tolist())
+        scored = [(ids[p], ids[c], g) for p, c, g in edges]
         p_at_k[args.k] = metrics.precision_at_k(scored, true_set, k=args.k)
-        rank_corr = metrics.rank_correlation(
-            [s for _, _, s in scored], [e.f_statistic for e in graph.edges]
-        )
+        if gamma.size > 1:
+            rank_corr = metrics.rank_correlation(gamma, structure.parent_f)
 
     report = metrics.EvalReport(
         accuracy=metrics.accuracy(preds, labels, ds.classes),
@@ -218,7 +214,7 @@ def cmd_eval(args) -> int:
         auc=metrics.auc_ovr(probs, labels, ds.classes),
         ece=metrics.ece(probs, labels, bins=args.bins),
         mean_entropy=metrics.predictive_entropy(probs),
-        mean_vmf_entropy=float(np.mean(trace.entropy[rows])),
+        mean_vmf_entropy=float(np.mean(run.entropy.data[rows])),
         p_at_k=p_at_k,
         per_class_f1=metrics.per_class_f1(preds, labels, ds.classes),
         rank_corr=rank_corr,

@@ -106,7 +106,7 @@ class Dataset:
         if set(self.labels) != idset:
             raise ValidationError("labels must cover exactly the node set")
         for nid, lab in self.labels.items():
-            if not (isinstance(lab, int) and 0 <= lab < self.classes):
+            if not (type(lab) is int and 0 <= lab < self.classes):  # a bool is not a label
                 raise ValidationError(f"label {lab!r} of node {nid} out of range")
         seen: set[str] = set()
         for name in SPLIT_NAMES:
@@ -167,7 +167,7 @@ def dataset_from_dict(doc: dict, features: np.ndarray) -> Dataset:
         if key not in doc:
             raise ParseError(f"missing field {key!r} at {where}")
         val = doc[key]
-        if not isinstance(val, kind):
+        if type(val) is not kind:  # isinstance would take JSON true/false as an int
             raise ParseError(f"field {key!r} at {where} has wrong type")
         return val
 

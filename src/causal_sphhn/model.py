@@ -22,14 +22,16 @@ runs within every segment, so alpha[e, i, :] is a distribution over the
 members of e, with no padded entries to mask.  Each pair's weight is then
 scattered onto a dense (N, N) matrix A_t for its edge's context type t,
 so the round's message is m = sum_t (A_t h) W_t^T and every d-wide step
-is a dense matmul.  Causal injection takes the same form: the gamma
-weights scatter onto a (P, N) matrix of child rows by parent node, times
-h.
+is a dense matmul.  Causal injection takes the same form: the causal
+edges, sorted by (child, parent id), are one flat array whose segments
+are the children, gamma is a segment softmax of the tempered F scores,
+and it scatters onto a (P, N) matrix of child rows by parent node, times h.
 
-``GraphStructure`` also keeps the padded (E, K) member arrays and each
-pair's offset in the (E, K, K) block that padding implies.  The forward
-pass does not read them: ``perfbench`` reports its padding figures from
-them, and the tests place the flat alpha in that block.
+``GraphStructure`` also keeps the padded (E, K) member arrays, each
+pair's offset in the (E, K, K) block that padding implies, and the
+(P, Kc) mask a padded parent block would have.  The forward pass reads
+none of them: ``perfbench`` reports its padding figures from them, and
+the tests place the flat alpha in the (E, K, K) block.
 
 Memory: a layer holds G and the T matrices A_t, and the causal step one
 (P, N) matrix with P <= N, so the dense buffers take at most
@@ -184,15 +186,17 @@ class GraphStructure:
     seg_starts: np.ndarray  # (S,) first pair of each segment
     seg_ids: np.ndarray  # (Q,) segment of each pair
     type_pairs: dict[str, slice]  # context type -> its range of the pair arrays
-    child_rows: np.ndarray  # (P,) nodes with causal parents
-    parent_idx: np.ndarray  # (P, Kc) parent rows, padded with 0
-    parent_mask: np.ndarray  # (P, Kc)
-    parent_f: np.ndarray  # (P, Kc) Granger F statistics
-    ghat: np.ndarray  # (P, Kc) reference softmax of F at temperature 1
-    # Every valid parent (r, c): its flat offset r*Kc + c in the (P, Kc)
-    # gamma block, and its flat offset r*N + parent in a (P, N) matrix.
-    parent_slot: np.ndarray
-    parent_cell: np.ndarray
+    # One entry per kept causal edge, sorted by (child id, parent id): each
+    # child's parents form one contiguous softmax segment.
+    child_rows: np.ndarray  # (P,) nodes with causal parents, one per segment
+    parent_starts: np.ndarray  # (P,) first entry of each segment
+    parent_seg: np.ndarray  # (F,) segment of each entry
+    parent_cell: np.ndarray  # (F,) offset segment*N + parent row in a (P, N) matrix
+    parent_f: np.ndarray  # (F,) Granger F statistics
+    ghat: np.ndarray  # (F,) reference softmax of F at temperature 1
+    # (P, Kc) mask of a padded per-child parent block.  The forward pass
+    # never builds that block: only perfbench reads this, for its padding figure.
+    parent_mask: np.ndarray
     classes: int
     plans: dict = field(default_factory=dict)  # "children": row scatter of the child rows
 
@@ -256,27 +260,17 @@ def compile_structure(
     bounds = np.searchsorted(type_code[pe], np.arange(types.size + 1))
     type_pairs = {str(t): slice(int(bounds[c]), int(bounds[c + 1])) for c, t in enumerate(types)}
 
-    children: dict[str, list] = {}
-    if causal_graph is not None:
-        for e in causal_graph.edges:
-            if e.src in index and e.dst in index:
-                children.setdefault(e.dst, []).append(e)
-    child_ids = sorted(children)
-    p_rows = len(child_ids)
-    kc = max((len(children[c]) for c in child_ids), default=1)
-    child_rows = np.asarray([index[c] for c in child_ids], dtype=np.int64)
-    parent_idx = np.zeros((p_rows, kc), dtype=np.int64)
-    parent_mask = np.zeros((p_rows, kc), dtype=bool)
-    parent_f = np.zeros((p_rows, kc))
-    for r, cid in enumerate(child_ids):
-        for c, edge in enumerate(sorted(children[cid], key=lambda e: e.src)):
-            parent_idx[r, c] = index[edge.src]
-            parent_mask[r, c] = True
-            parent_f[r, c] = edge.f_statistic
-    ghat = ad.masked_softmax(Tensor(parent_f), parent_mask).data
-    parent_slot = np.flatnonzero(parent_mask)
-    pr, pc = np.divmod(parent_slot, kc)
-    parent_cell = pr * n_nodes + parent_idx[pr, pc]
+    kept = sorted(
+        (e for e in (causal_graph.edges if causal_graph else ()) if e.src in index and e.dst in index),
+        key=lambda e: (e.dst, e.src),
+    )
+    child, parent = np.array([(index[e.dst], index[e.src]) for e in kept], dtype=np.int64).reshape(-1, 2).T
+    parent_f = np.array([e.f_statistic for e in kept], dtype=np.float64)
+    new_child = np.diff(child, prepend=-1) != 0
+    parent_starts = np.flatnonzero(new_child)
+    parent_seg = np.cumsum(new_child) - 1
+    parent_lens = np.diff(np.append(parent_starts, child.size))
+    child_rows = child[parent_starts]
 
     return GraphStructure(
         node_ids=node_ids,
@@ -290,12 +284,12 @@ def compile_structure(
         seg_ids=np.cumsum(new_segment) - 1,
         type_pairs=type_pairs,
         child_rows=child_rows,
-        parent_idx=parent_idx,
-        parent_mask=parent_mask,
+        parent_starts=parent_starts,
+        parent_seg=parent_seg,
+        parent_cell=parent_seg * n_nodes + parent,
         parent_f=parent_f,
-        ghat=ghat,
-        parent_slot=parent_slot,
-        parent_cell=parent_cell,
+        ghat=ad.segment_softmax(Tensor(parent_f), parent_starts, parent_seg).data,
+        parent_mask=np.arange(parent_lens.max(initial=1)) < parent_lens[:, None],
         classes=ds.classes,
         plans={"children": ad.ScatterPlan(child_rows, n_nodes)},
     )
@@ -388,13 +382,12 @@ def run_model(
 
     gamma = log_gamma = None
     if structure.child_rows.size:
+        segments = structure.parent_starts, structure.parent_seg
         glogits = params.gamma_temp * Tensor(structure.parent_f)
-        gamma = ad.masked_softmax(glogits, structure.parent_mask)
-        log_gamma = glogits - ad.masked_logsumexp(glogits, structure.parent_mask)
+        gamma = ad.segment_softmax(glogits, *segments)
+        log_gamma = glogits - ad.segment_logsumexp(glogits, *segments)
         p_rows = structure.child_rows.size
-        weights = ad.scatter_flat(
-            ad.gather_flat(gamma, structure.parent_slot), structure.parent_cell, p_rows * n
-        ).reshape(p_rows, n)
+        weights = ad.scatter_flat(gamma, structure.parent_cell, p_rows * n).reshape(p_rows, n)
         ctx = (weights @ h) @ params.causal_w.transpose((1, 0))
         base = ad.gather_rows(h, structure.child_rows, structure.plans["children"])
         combined = base + ctx

@@ -95,17 +95,13 @@ def build_loss(
 
     ent = ad.gather_rows(run.entropy, batch_rows).mean()
 
-    if run.log_gamma is not None:
-        sel = np.isin(structure.child_rows, batch_rows)
-        if np.any(sel):
-            ghat = structure.ghat
-            log_ghat = np.where(structure.parent_mask & (ghat > 0), np.log(np.where(ghat > 0, ghat, 1.0)), 0.0)
-            kl = (Tensor(ghat) * (Tensor(log_ghat) - run.log_gamma)).sum(axis=-1)
-            causal = (kl * Tensor(sel.astype(float))).sum() * (1.0 / sel.sum())
-        else:
-            causal = Tensor(0.0)
-    else:
-        causal = Tensor(0.0)
+    causal = Tensor(0.0)
+    sel = np.isin(structure.child_rows, batch_rows)  # empty without causal parents
+    if np.any(sel):
+        ghat = structure.ghat
+        log_ghat = np.log(np.where(ghat > 0, ghat, 1.0))  # 0 log 0 = 0 where ghat underflows
+        kl = Tensor(ghat * sel[structure.parent_seg]) * (Tensor(log_ghat) - run.log_gamma)
+        causal = kl.sum() * (1.0 / sel.sum())
 
     total = pred + cfg.lambda1 * ent + cfg.lambda2 * causal
     breakdown = LossBreakdown(

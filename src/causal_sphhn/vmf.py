@@ -6,7 +6,8 @@ A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa) with its derivative.  The
 modified Bessel function I_nu is evaluated from scratch: a scaled power
 series below x = max(20, 2*nu) and the uniform large-order asymptotic
 expansion above it, with ratios computed by a continued fraction so no log
-subtraction is needed at large argument.
+subtraction is needed at large argument.  From kappa = 1e5 the entropy is
+its large-kappa expansion, which cancels no terms of size kappa.
 
 All kappa-dependent functions accept scalars or numpy arrays and are pure.
 """
@@ -118,12 +119,21 @@ def _log_bessel_uniform(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 _RATIO_ASYMPTOTIC_MIN = 1e5
+_ASYMPTOTIC_TERMS = 8
 # Below this argument the ratio is its leading term x / (2(nu + 1)) to
 # double precision (the next term is smaller by a factor x^2 / (4(nu + 2))).
 # The continued fraction cannot take over lower: its coefficients 2(nu + j) / x
 # overflow near 1e-308, and its Lentz start of 1e-300 biases every result by
 # about that much in absolute terms.
 _RATIO_SMALL_MAX = 1e-150
+
+
+def _large_arg_terms(order: float, x: np.ndarray) -> np.ndarray:
+    """The (n, K + 1) terms (-1)^k a_k(order) / x^k of the large-argument
+    series I_order(x) = e^x / sqrt(2 pi x) * sum_k (-1)^k a_k(order) / x^k."""
+    k = np.arange(1, _ASYMPTOTIC_TERMS + 1)
+    coef = np.cumprod(np.append(1.0, -(4.0 * order**2 - (2 * k - 1) ** 2) / (8.0 * k)))
+    return coef * (1.0 / x)[:, None] ** np.arange(_ASYMPTOTIC_TERMS + 1)
 
 
 def bessel_ratio(nu: float, x):
@@ -141,20 +151,7 @@ def bessel_ratio(nu: float, x):
     out = np.zeros_like(x)
     huge = x >= _RATIO_ASYMPTOTIC_MIN
     if np.any(huge):
-        xv = x[huge]
-
-        # Ratio of the four-term large-argument series of I_{nu+1} and I_nu.
-        def expansion(order):
-            mu = 4.0 * order**2
-            total = np.ones_like(xv)
-            term = np.ones_like(xv)
-            for k in range(1, 5):
-                # Dividing by x last: 8k·x overflows for x above about 2.2e307.
-                term = term * (-(mu - (2 * k - 1) ** 2) / (8.0 * k)) / xv
-                total = total + term
-            return total
-
-        out[huge] = expansion(nu + 1.0) / expansion(nu)
+        out[huge] = _large_arg_terms(nu + 1.0, x[huge]).sum(axis=1) / _large_arg_terms(nu, x[huge]).sum(axis=1)
     small = (x > 0.0) & (x < _RATIO_SMALL_MAX)
     out[small] = x[small] / (2.0 * (nu + 1.0))
     pos = (x >= _RATIO_SMALL_MAX) & ~huge
@@ -237,11 +234,31 @@ def mean_resultant_deriv(d: int, kappa):
     return float(out[0]) if scalar else out
 
 
+def _entropy_large_kappa(d: int, kappa: np.ndarray) -> np.ndarray:
+    """(d-1)/2 * (1 + log(2 pi / kappa)) plus its 1/kappa corrections.
+
+    With S_nu the large-argument series of :func:`_large_arg_terms`, the
+    entropy is (d-1)/2 log(2 pi / kappa) + kappa (S_nu - S_{nu+1}) / S_nu
+    + log S_nu.  The middle numerator is summed term by term, not formed
+    as the difference of two sums near 1; its first term is (d-1)/2.
+    """
+    s_nu, s_next = _large_arg_terms(0.5 * d - 1.0, kappa), _large_arg_terms(0.5 * d, kappa)
+    tail = s_nu[:, 1:].sum(axis=1)
+    spread = kappa * (s_nu - s_next)[:, 1:].sum(axis=1)
+    return 0.5 * (d - 1) * (_LOG_2PI - np.log(kappa)) + spread / (1.0 + tail) + np.log1p(tail)
+
+
 def entropy_from_kappa(d: int, kappa):
     """Differential entropy in nats of a vMF with the given concentration."""
     _check_dim(d)
-    kappa = np.asarray(kappa, dtype=np.float64)
+    kappa = _check_order_arg(0.5 * d - 1.0, kappa)
     scalar = kappa.ndim == 0
     kappa = np.atleast_1d(kappa)
-    h = -log_norm_const(d, kappa) - kappa * mean_resultant(d, kappa)
+    # The direct form cancels two terms of size kappa; the training cap
+    # (autodiff.VMF_ENTROPY_KAPPA_CAP) keeps training below the expansion.
+    big = kappa >= _RATIO_ASYMPTOTIC_MIN
+    h = np.empty_like(kappa)
+    h[big] = _entropy_large_kappa(d, kappa[big])
+    rest = kappa[~big]
+    h[~big] = -log_norm_const(d, rest) - rest * mean_resultant(d, rest)
     return float(h[0]) if scalar else h

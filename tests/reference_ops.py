@@ -1,8 +1,10 @@
-"""Straight-line single-node reference operations for the model tests.
+"""Reference operations the tests compare the package against.
 
-Each function computes, for one node or one hyperedge at a time and with
+Most functions compute, for one node or one hyperedge at a time and with
 plain numpy loops, a quantity the batched ``causal_sphhn.model.run_model``
-computes for the whole graph at once; the tests compare the two.
+computes for the whole graph at once.  The autodiff ops at the end, a flat
+gather and the softmax and log-sum-exp over the masked rows of a padded
+block, are the oracles of the flat ops in ``causal_sphhn.autodiff``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from causal_sphhn.autodiff import Tensor
 from causal_sphhn.errors import ContractViolation
 from causal_sphhn.granger import CausalGraph
 from causal_sphhn.hypergraph import Dataset, Hyperedge
@@ -104,6 +107,17 @@ def hyperedge_aggregate(
     return act / norm
 
 
+def causal_gamma(node: str, causal_graph: CausalGraph, gamma_temp: float) -> tuple[list, np.ndarray]:
+    """One node's causal parent edges, sorted by parent id, and the softmax
+    of their Granger F statistics at ``gamma_temp``."""
+    parents = sorted((e for e in causal_graph.edges if e.dst == node), key=lambda e: e.src)
+    if not parents:
+        return parents, np.zeros(0)
+    logits = gamma_temp * np.array([e.f_statistic for e in parents])
+    gamma = np.exp(logits - logits.max())
+    return parents, gamma / gamma.sum()
+
+
 def causal_aggregate(
     node: str,
     h_prime: np.ndarray,
@@ -113,15 +127,9 @@ def causal_aggregate(
 ) -> np.ndarray:
     """Blend causal parents into the final embedding via a softmax over
     Granger F statistics at the learned temperature."""
-    parents = [e for e in causal_graph.edges if e.dst == node]
+    parents, gamma = causal_gamma(node, causal_graph, float(params.gamma_temp.data))
     if not parents:
         return h_prime
-    parents = sorted(parents, key=lambda e: e.src)
-    f_stats = np.array([e.f_statistic for e in parents])
-    logits = float(params.gamma_temp.data) * f_stats
-    logits -= logits.max()
-    gamma = np.exp(logits)
-    gamma /= gamma.sum()
     ctx = np.zeros_like(h_prime)
     for g, e in zip(gamma, parents):
         ctx += g * (params.causal_w.data @ embeds[e.src])
@@ -199,9 +207,90 @@ def member_pairs(ds: Dataset, pairwise: bool) -> dict:
     }
 
 
+def causal_parents(ds: Dataset, causal_graph: CausalGraph) -> dict:
+    """The causal arrays of ``compile_structure``, built edge by edge.
+
+    Walks the children in id order and each child's parents in id order,
+    appending one flat entry per edge, and fills the padded (P, Kc) parent
+    mask one row at a time.
+    """
+    index = ds.node_index()
+    n = len(ds.nodes)
+    children = sorted({e.dst for e in causal_graph.edges if e.src in index and e.dst in index})
+    rows, starts, seg, cells, f_stats, lens = [], [], [], [], [], []
+    for r, child in enumerate(children):
+        starts.append(len(seg))
+        rows.append(index[child])
+        parents = sorted((e for e in causal_graph.edges if e.dst == child and e.src in index), key=lambda e: e.src)
+        for e in parents:
+            seg.append(r)
+            cells.append(r * n + index[e.src])
+            f_stats.append(e.f_statistic)
+        lens.append(len(parents))
+    mask = np.zeros((len(children), max(lens, default=1)), dtype=bool)
+    for r, k in enumerate(lens):
+        mask[r, :k] = True
+    return {
+        "child_rows": np.asarray(rows, dtype=np.int64),
+        "parent_starts": np.asarray(starts, dtype=np.int64),
+        "parent_seg": np.asarray(seg, dtype=np.int64),
+        "parent_cell": np.asarray(cells, dtype=np.int64),
+        "parent_f": np.asarray(f_stats, dtype=np.float64),
+        "parent_mask": mask,
+    }
+
+
 def padded_alpha(alpha: np.ndarray, member_mask: np.ndarray, pair_slot: np.ndarray) -> np.ndarray:
     """Flat pair weights placed in the padded (E, K, K) block, zero at padding."""
     e, k = member_mask.shape
     block = np.zeros(e * k * k)
     block[pair_slot] = alpha
     return block.reshape(e, k, k)
+
+
+def gather_flat(x: Tensor, idx: np.ndarray) -> Tensor:
+    """x.ravel()[idx], shaped like idx; backward sums repeated elements' gradients."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = Tensor(x.data.reshape(-1)[idx], parents=(x,))
+
+    def bwd(g):
+        flat = np.bincount(idx.reshape(-1), weights=g.reshape(-1), minlength=x.data.size)
+        x._accumulate(flat.reshape(x.data.shape))
+
+    out._backward = bwd
+    return out
+
+
+def masked_softmax(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Softmax over the last axis restricted to mask; masked entries get 0.
+
+    Rows with no valid entry yield all zeros.
+    """
+    neg = np.where(mask, x.data, -np.inf)
+    mx = neg.max(axis=-1, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    e = np.where(mask, np.exp(neg - mx), 0.0)
+    denom = e.sum(axis=-1, keepdims=True)
+    val = e / np.where(denom == 0.0, 1.0, denom)
+    out = Tensor(val, parents=(x,))
+
+    def bwd(g):
+        inner = (g * val).sum(axis=-1, keepdims=True)
+        x._accumulate((g - inner) * val)
+
+    out._backward = bwd
+    return out
+
+
+def masked_logsumexp(x: Tensor, mask: np.ndarray) -> Tensor:
+    """logsumexp over the last axis restricted to mask, keepdims."""
+    neg = np.where(mask, x.data, -np.inf)
+    mx = neg.max(axis=-1, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    e = np.where(mask, np.exp(neg - mx), 0.0)
+    s = e.sum(axis=-1, keepdims=True)
+    val = mx + np.log(np.where(s == 0.0, 1.0, s))
+    out = Tensor(val, parents=(x,))
+    soft = e / np.where(s == 0.0, 1.0, s)
+    out._backward = lambda g: x._accumulate(g * soft)
+    return out

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from causal_sphhn import autodiff as ad
 from causal_sphhn.autodiff import ScatterPlan, Tensor
+from reference_ops import gather_flat, masked_logsumexp, masked_softmax
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -142,10 +143,10 @@ class TestIndexing:
         b = rng.standard_normal(size)
         a = rng.standard_normal(slots.size)
         lhs = np.dot(ad.scatter_flat(Tensor(a), cells, size).data, b)
-        assert abs(lhs - np.dot(a, ad.gather_flat(Tensor(b), cells).data)) <= 1e-12 * (1.0 + np.abs(a).sum())
-        out = ad.scatter_flat(ad.gather_flat(x, slots), cells, size)
+        assert abs(lhs - np.dot(a, gather_flat(Tensor(b), cells).data)) <= 1e-12 * (1.0 + np.abs(a).sum())
+        out = ad.scatter_flat(gather_flat(x, slots), cells, size)
         (out * Tensor(b)).sum().backward()
-        expected = ad.scatter_flat(ad.gather_flat(Tensor(b), cells), slots, mask.size).data
+        expected = ad.scatter_flat(gather_flat(Tensor(b), cells), slots, mask.size).data
         assert np.allclose(x.grad, expected, rtol=0.0, atol=1e-12 * (1.0 + np.abs(b).sum()))
         assert np.all(x.grad[~mask] == 0.0)
         ref = np.zeros(size)
@@ -201,13 +202,18 @@ def padded(lens, x):
     return block, mask
 
 
+# Segment lengths for finite-difference checks: one segment of one element,
+# one of several, and mixes with length-1 segments between longer ones.
+LAYOUTS = [[1], [3], [2, 1, 4], [1, 1, 2, 5, 1]]
+
+
 class TestSegmentSoftmax:
     @settings(max_examples=200, deadline=None)
     @given(segments())
     def test_equals_masked_softmax_on_the_padded_block(self, case):
         lens, starts, ids, x = case
         block, mask = padded(lens, x)
-        ref = ad.masked_softmax(Tensor(block), mask).data[mask]
+        ref = masked_softmax(Tensor(block), mask).data[mask]
         assert np.allclose(ad.segment_softmax(Tensor(x), starts, ids).data, ref, rtol=0.0, atol=1e-15)
 
     @settings(max_examples=200, deadline=None)
@@ -219,12 +225,45 @@ class TestSegmentSoftmax:
         assert np.allclose(np.bincount(ids, weights=val), 1.0, rtol=0.0, atol=1e-12)
         assert np.all(val[starts[lens == 1]] == 1.0)
 
-    @pytest.mark.parametrize("lens", [[1], [3], [2, 1, 4], [1, 1, 2, 5, 1]])
+    @pytest.mark.parametrize("lens", LAYOUTS)
     def test_gradient(self, lens):
         lens = np.asarray(lens)
         starts, ids = np.cumsum(lens) - lens, np.repeat(np.arange(lens.size), lens)
         w = Tensor(np.random.default_rng(lens.size).standard_normal(lens.sum()))
         check_op(lambda x: (ad.segment_softmax(x, starts, ids) * w).sum(), (int(lens.sum()),))
+
+
+class TestSegmentLogsumexp:
+    @settings(max_examples=200, deadline=None)
+    @given(segments())
+    @example((np.array([1, 1]), np.array([0, 1]), np.array([0, 1]), np.array([-700.0, 700.0])))
+    def test_equals_masked_logsumexp_on_the_padded_block(self, case):
+        lens, starts, ids, x = case
+        block, mask = padded(lens, x)
+        ref = masked_logsumexp(Tensor(block), mask).data[:, 0]
+        val = ad.segment_logsumexp(Tensor(x), starts, ids).data
+        assert np.allclose(val, ref[ids], rtol=1e-15, atol=1e-15)
+        # A length-1 segment's log-sum-exp is its one element.
+        assert np.array_equal(val[starts[lens == 1]], x[starts[lens == 1]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(segments(), st.integers(0, 2**32 - 1))
+    def test_gradient_equals_the_padded_oracle(self, case, seed):
+        lens, starts, ids, x = case
+        w = np.random.default_rng(seed).standard_normal(x.size)
+        flat = Tensor(x, requires_grad=True)
+        (ad.segment_logsumexp(flat, starts, ids) * Tensor(w)).sum().backward()
+        block, mask = padded(lens, x)
+        padded_x = Tensor(block, requires_grad=True)
+        (masked_logsumexp(padded_x, mask) * Tensor(np.bincount(ids, weights=w)[:, None])).sum().backward()
+        assert np.allclose(flat.grad, padded_x.grad[mask], rtol=0.0, atol=1e-12 * (1.0 + np.abs(w).sum()))
+
+    @pytest.mark.parametrize("lens", LAYOUTS)
+    def test_gradient(self, lens):
+        lens = np.asarray(lens)
+        starts, ids = np.cumsum(lens) - lens, np.repeat(np.arange(lens.size), lens)
+        w = Tensor(np.random.default_rng(lens.size).standard_normal(lens.sum()))
+        check_op(lambda x: (ad.segment_logsumexp(x, starts, ids) * w).sum(), (int(lens.sum()),))
 
 
 class TestSoftmaxFamily:
@@ -234,7 +273,7 @@ class TestSoftmaxFamily:
         hnp.arrays(bool, (4, 6)),
     )
     def test_masked_softmax_rows_sum_to_one(self, x, mask):
-        val = ad.masked_softmax(Tensor(x), mask).data
+        val = masked_softmax(Tensor(x), mask).data
         valid = mask.any(axis=-1)
         assert np.allclose(val[valid].sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(val[~valid] == 0.0)
@@ -245,10 +284,10 @@ class TestSoftmaxFamily:
         mask = np.array([[True, True, False], [True, True, True]])
         x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         w = rng.standard_normal((2, 3))
-        out = (ad.masked_softmax(x, mask) * Tensor(w)).sum()
+        out = (masked_softmax(x, mask) * Tensor(w)).sum()
         out.backward()
         numeric = fd_grad(
-            lambda: (ad.masked_softmax(x, mask) * Tensor(w)).sum().item(), x.data
+            lambda: (masked_softmax(x, mask) * Tensor(w)).sum().item(), x.data
         )
         assert np.allclose(x.grad, numeric, atol=1e-6)
 
@@ -256,9 +295,9 @@ class TestSoftmaxFamily:
         rng = np.random.default_rng(7)
         mask = np.array([[True, False, True, True]])
         x = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
-        out = ad.masked_logsumexp(x, mask).sum()
+        out = masked_logsumexp(x, mask).sum()
         out.backward()
-        numeric = fd_grad(lambda: ad.masked_logsumexp(x, mask).sum().item(), x.data)
+        numeric = fd_grad(lambda: masked_logsumexp(x, mask).sum().item(), x.data)
         assert np.allclose(x.grad, numeric, atol=1e-6)
 
     def test_log_softmax_gradient_and_stability(self):

@@ -4,8 +4,11 @@ import os
 
 import pytest
 
-from causal_sphhn import artifacts, cli
+from causal_sphhn import artifacts, cli, synthgen
 from causal_sphhn.cli import main
+from causal_sphhn.granger import CausalEdge, CausalGraph
+from causal_sphhn.hypergraph import load_dataset
+from causal_sphhn.training import load_checkpoint, save_checkpoint
 
 
 def sha(path):
@@ -218,6 +221,34 @@ class TestEval:
         assert 0.0 <= report["accuracy"] <= 1.0
         assert report["config"]["split"] == "test"
         assert "5" in report["p_at_k"]
+
+    @staticmethod
+    def eval_with_graph(tmp_path, toy_run, edges):
+        """Eval the toy checkpoint's parameters against the causal graph of
+        ``edges`` (indices into the node list), with the first edge planted."""
+        ids = [n.node_id for n in load_dataset(f"{toy_run}/dataset.json").nodes]
+        graph = CausalGraph(0.01, 2, [CausalEdge(ids[s], ids[d], f, 1e-3) for s, d, f in edges])
+        params, train_cfg, _ = load_checkpoint(f"{toy_run}/checkpoint.json")
+        ckpt, truth = str(tmp_path / "checkpoint.json"), str(tmp_path / "truth.json")
+        save_checkpoint(ckpt, params, train_cfg, graph)
+        synthgen.save_truth([synthgen.PlantedEdge(graph.edges[0].src, graph.edges[0].dst, 0.5)], truth)
+        out = str(tmp_path / "r")
+        assert main(["eval", "--checkpoint", ckpt, "--dataset", f"{toy_run}/dataset.json",
+                     "--truth", truth, "--k", "1", "--out", out]) == 0
+        return json.load(open(f"{out}/report.json"))
+
+    def test_causal_metrics_score_edges_by_learned_gamma(self, tmp_path, toy_run):
+        # A single-parent child puts gamma 1 on its parent whatever the F
+        # statistic, so gamma ranks the three edges 3, 2, 1 and F ranks
+        # them 1, 3, 2.
+        report = self.eval_with_graph(tmp_path, toy_run, [(0, 1, 1.0), (2, 3, 5.0), (4, 3, 3.0)])
+        assert report["rank_corr"] == pytest.approx(-0.5, abs=1e-12)
+        assert report["p_at_k"] == {"1": 1.0}
+
+    def test_one_edge_graph_has_no_rank_correlation(self, tmp_path, toy_run):
+        report = self.eval_with_graph(tmp_path, toy_run, [(0, 1, 1.0)])
+        assert report["rank_corr"] is None
+        assert report["p_at_k"] == {"1": 1.0}
 
     def test_dropout_rate_zero_equals_no_flag(self, tmp_path, toy_run):
         args = ["eval", "--checkpoint", f"{toy_run}/checkpoint.json",

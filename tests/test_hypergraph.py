@@ -78,6 +78,24 @@ class TestLoadSave:
         with pytest.raises(ValidationError):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("horizon", False, ParseError),
+        ("dim", True, ParseError),
+        ("labels", {"a": True, "b": 0}, ValidationError),
+    ])
+    def test_json_booleans_are_not_integers(self, tmp_path, field, value, error):
+        doc = {
+            "dim": 1, "timesteps": 1, "classes": 2, "horizon": 1,
+            "nodes": ["a", "b"],
+            "hyperedges": [{"id": "e", "members": ["a", "b"], "type": "t"}],
+            "labels": {"a": 0, "b": 1},
+            "splits": {"train": ["a"], "val": ["b"], "test": []},
+        }
+        doc[field] = value
+        path = write_pair(tmp_path / "bool.json", doc, np.array([[[0.0]], [[1.0]]]))
+        with pytest.raises(error):
+            load_dataset(path)
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"dim": 2,\n  "nope"')

@@ -23,6 +23,8 @@ from causal_sphhn.vmf import log_uniform_density
 from reference_ops import (
     SphericalEmbedding,
     causal_aggregate,
+    causal_gamma,
+    causal_parents,
     edge_attention,
     hyperedge_aggregate,
     incidence,
@@ -230,6 +232,20 @@ class TestCausalAggregate:
             ref = causal_aggregate(nid, embeds[nid], graph, embeds, params)
             assert np.allclose(run.h_final.data[i], ref, atol=1e-12), nid
 
+    def test_gamma_per_child_matches_reference(self):
+        ds, graph = mixed_size_instance()
+        params = tiny_params(ModelConfig(embed_dim=4, layers=0), in_dim=4, types=("a", "b"), seed=32)
+        params.gamma_temp.data = np.asarray(0.7)
+        structure = compile_structure(ds, graph, params.config)
+        run = run_model(structure, params, mode="eval")
+        n = len(structure.node_ids)
+        for r, row in enumerate(structure.child_rows):
+            entries = structure.parent_seg == r
+            parents, ref = causal_gamma(structure.node_ids[row], graph, 0.7)
+            assert [structure.node_ids[p] for p in structure.parent_cell[entries] % n] == [e.src for e in parents]
+            assert np.allclose(run.gamma.data[entries], ref, rtol=0.0, atol=1e-15)
+            assert np.allclose(run.log_gamma.data[entries], np.log(ref), rtol=0.0, atol=1e-14)
+
 
 def mixed_size_instance():
     """Edges of 2, 3 and 5 members and children with 1 or 3 causal parents,
@@ -255,7 +271,7 @@ class TestCompiledPlans:
         structure = compile_structure(ds, graph, ModelConfig(pairwise=pairwise))
         assert sorted(structure.plans) == ["children"]
         assert list(structure.type_pairs) == ["a", "b"]
-        for name in ("pair_slot", "pair_cell", "parent_slot", "parent_cell"):
+        for name in ("pair_slot", "pair_cell", "parent_starts", "parent_seg", "parent_cell"):
             field = getattr(structure, name)
             assert field.ndim == 1 and field.dtype == np.int64, name
         # The type ranges tile the pair arrays in order.
@@ -279,11 +295,18 @@ class TestCompiledPlans:
             for t, span in structure.type_pairs.items():
                 assert {edges[row].context_type for row in e[span]} == {t}
 
+            # One flat entry per causal edge, each child's parents one segment.
             parent_mask = structure.parent_mask
             assert not parent_mask.all()
-            r, c = np.unravel_index(structure.parent_slot, parent_mask.shape)
-            assert np.all(parent_mask[r, c]) and structure.parent_slot.size == parent_mask.sum()
-            assert np.array_equal(structure.parent_cell, r * n + structure.parent_idx[r, c])
+            assert structure.parent_cell.size == parent_mask.sum() == len(graph.edges)
+            lens = np.diff(np.append(structure.parent_starts, structure.parent_seg.size))
+            assert np.array_equal(lens, parent_mask.sum(axis=1))
+            assert np.array_equal(structure.parent_seg, np.repeat(np.arange(lens.size), lens))
+            assert np.array_equal(structure.parent_cell // n, structure.parent_seg)
+            ids = structure.node_ids
+            children = structure.child_rows[structure.parent_seg]
+            edges = {(ids[c], ids[p]) for c, p in zip(children, structure.parent_cell % n)}
+            assert edges == {(e.dst, e.src) for e in graph.edges}
 
     def test_unknown_member_is_validation_error(self):
         ds, graph = mixed_size_instance()
@@ -292,10 +315,10 @@ class TestCompiledPlans:
             compile_structure(ds, graph, ModelConfig())
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.integers(0, 7), st.booleans())
-    def test_arrays_match_edge_by_edge_construction(self, seed, n, n_edges, pairwise):
-        # Ids like "v10" sort before "v2", so the pairwise sort by id
-        # differs from the node order.
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.integers(0, 7), st.integers(0, 30), st.booleans())
+    def test_arrays_match_edge_by_edge_construction(self, seed, n, n_edges, n_causal, pairwise):
+        # Ids like "v10" sort before "v2", so the pairwise sort by id and
+        # the causal sort by child and parent id differ from the node order.
         rng = np.random.default_rng(seed)
         ids = [f"v{i}" for i in rng.permutation(n)]
         edges = []
@@ -308,7 +331,14 @@ class TestCompiledPlans:
         ds = Dataset(3, 2, 2, 1, nodes, edges, labels,
                      {"train": ids[:1], "val": ids[1:2], "test": ids[2:]})
         ds.validate()
-        structure = compile_structure(ds, None, ModelConfig(pairwise=pairwise))
+        # Distinct ordered pairs, some naming a node the dataset lacks.
+        pairs = {tuple(str(m) for m in rng.choice(ids + ["ghost"], size=2, replace=False)) for _ in range(n_causal)}
+        graph = CausalGraph(0.01, 2, [CausalEdge(s, d, float(rng.uniform(0.0, 50.0)), 1e-3) for s, d in pairs])
+        structure = compile_structure(ds, graph, ModelConfig(pairwise=pairwise))
+        want = causal_parents(ds, graph)
+        for name, expected in want.items():
+            got = getattr(structure, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
         for name, want in member_pairs(ds, pairwise).items():
             got = getattr(structure, name)
             if isinstance(want, dict):
@@ -336,6 +366,25 @@ class TestCompiledPlans:
         assert (k == 2) == pairwise
         assert (attrs["member_pad_frac"] == 0.0) == pairwise
         assert attrs["parent_pad_frac"] > 0.0
+
+
+    def test_benchmark_layer_targets_resolve(self):
+        # The benchmark's traced runs patch every LAYER_TARGETS entry, and
+        # its workloads read model.forward's logits and probs: a deletion
+        # that breaks either fails here.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for name, mod_name, attr, _, _ in spans.LAYER_TARGETS:
+            owner = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+            assert callable(owner), name
+        ds, graph = mixed_size_instance()
+        params = tiny_params(ModelConfig(embed_dim=4, layers=1), in_dim=4, types=("a", "b"))
+        trace = forward(ds, graph, params, mode="eval")
+        assert trace.logits.shape == trace.probs.shape == (len(ds.nodes), ds.classes)
 
 
 class TestForward:

@@ -75,25 +75,28 @@ class TestLoss:
         assert abs(breakdown.causal) < 1e-15
 
     def test_hand_summed_toy_total(self):
-        run = run_model(self.structure, self.params, mode="eval")
         cfg = TrainConfig(lambda1=0.7, lambda2=0.9)
-        total, breakdown = build_loss(run, self.rows, self.labels, cfg)
-        # independent recomputation from the trace arrays
-        logp = run.log_probs.data
-        pred = -np.mean([logp[i, self.labels[i]] for i in range(6)])
-        ent = np.mean(entropy_from_kappa(4, run.kappa.data))
-        ghat = self.structure.ghat
-        gam = run.gamma.data
-        kl = 0.0
-        count = 0
-        for r, child in enumerate(self.structure.child_rows):
-            mask = self.structure.parent_mask[r]
-            kl += float(np.sum(ghat[r][mask] * (np.log(ghat[r][mask]) - np.log(gam[r][mask]))))
-            count += 1
-        causal = kl / count
-        expected = pred + 0.7 * ent + 0.9 * causal
-        assert abs(total.item() - expected) < 1e-12
-        assert abs(breakdown.total - (breakdown.pred + 0.7 * breakdown.entropy + 0.9 * breakdown.causal)) < 1e-10
+        self.params.gamma_temp.data = np.asarray(0.6)
+        for two_parents in (False, True):
+            ds, graph = toy_instance(two_parents=two_parents)
+            structure = compile_structure(ds, graph, self.cfg)
+            run = run_model(structure, self.params, mode="eval")
+            total, breakdown = build_loss(run, self.rows, self.labels, cfg)
+            # independent recomputation from the trace arrays, one child at a time
+            logp = run.log_probs.data
+            pred = -np.mean([logp[i, self.labels[i]] for i in range(6)])
+            ent = np.mean(entropy_from_kappa(4, run.kappa.data))
+            kl = 0.0
+            for r in range(structure.child_rows.size):
+                entries = structure.parent_seg == r
+                f = structure.parent_f[entries]
+                ghat = np.exp(f - f.max()) / np.exp(f - f.max()).sum()
+                kl += float(np.sum(ghat * (np.log(ghat) - np.log(run.gamma.data[entries]))))
+            causal = kl / structure.child_rows.size
+            assert (causal > 0.0) == two_parents
+            expected = pred + 0.7 * ent + 0.9 * causal
+            assert abs(total.item() - expected) < 1e-12
+            assert abs(breakdown.total - (breakdown.pred + 0.7 * breakdown.entropy + 0.9 * breakdown.causal)) < 1e-10
 
     def test_label_out_of_range(self):
         run = run_model(self.structure, self.params, mode="eval")

@@ -232,6 +232,29 @@ class TestEntropy:
         se = logp.std(ddof=1) / math.sqrt(n)
         assert abs(vmf.entropy_from_kappa(d, kappa) - mc) < 3 * se
 
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    @pytest.mark.parametrize("kappa", [1e5, 1e12, 1e18, 1e20])
+    def test_large_kappa_against_mpmath(self, d, kappa):
+        # The direct form returned 0.0 at d = 64, kappa = 1e20.
+        with mp.workdps(60):  # -log C and kappa * A both reach 1e20
+            nu, k = mp.mpf(d) / 2 - 1, mp.mpf(kappa)
+            i_nu, i_next = mp.besseli(nu, k), mp.besseli(nu + 1, k)
+            log_c = nu * mp.log(k) - mp.mpf(d) / 2 * mp.log(2 * mp.pi) - mp.log(i_nu)
+            expected = float(-log_c - k * i_next / i_nu)
+        assert abs(vmf.entropy_from_kappa(d, kappa) - expected) <= 1e-12 * abs(expected)
+
+    def test_continuous_across_the_large_kappa_switch(self):
+        # The direct form below the switch loses about kappa * eps to cancellation.
+        edge = vmf._RATIO_ASYMPTOTIC_MIN
+        for d in (2, 3, 8, 64):
+            below, at = vmf.entropy_from_kappa(d, np.array([np.nextafter(edge, 0.0), edge]))
+            assert abs(at - below) <= 100 * np.finfo(float).eps * edge, d
+            assert below > at
+
+    def test_nonfinite_kappa_rejected(self):
+        with pytest.raises(ContractViolation):
+            vmf.entropy_from_kappa(64, np.inf)
+
     def test_strictly_decreasing_in_kappa(self):
         grid = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
         for d in (2, 3, 8, 64):
