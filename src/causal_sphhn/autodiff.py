@@ -11,12 +11,14 @@ and accumulation allocates a new sum.  Constants, tensors with
 ``requires_grad=False``, get no gradient: a closure computes only the
 parent gradients that are needed, and a constant's ``.grad`` stays None.
 
-The op set is exactly what the model and its loss call: broadcast
-``+ - * /``, (batched) matmul, reshape, transpose and a slice, sum and
-mean, exp, sqrt, relu and softplus, gather/scatter by row index, scatter by
-flat element index, the gathered Gram matrix, an elementwise select, softmax
-and log-sum-exp over contiguous segments, log-softmax, and the vMF entropy
-with its analytic d/dkappa = -kappa * A'_d(kappa).
+The op set is exactly what the model and its loss call, and
+``tests/test_surface.py`` runs every op: broadcast ``+ - *``, (batched)
+matmul, reshape, transpose and a slice, sum and mean, exp, relu and
+softplus, a row gather (its backward a :class:`ScatterPlan`), scatter by
+flat element index, the gathered Gram matrix, an elementwise select, row
+normalisation onto the unit sphere, softmax and log-sum-exp over
+contiguous segments, log-softmax, and the vMF entropy with its analytic
+d/dkappa = -kappa * A'_d(kappa).
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ class Tensor:
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = tuple(p for p in parents if p.requires_grad)
         self._backward = backward if self.requires_grad else None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'yes' if self.requires_grad else 'no'})"
@@ -102,8 +100,6 @@ class Tensor:
         out._backward = bwd
         return out
 
-    __radd__ = __add__
-
     def __neg__(self):
         out = Tensor(-self.data, parents=(self,))
         out._backward = lambda g: self._accumulate(-g)
@@ -126,19 +122,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        out = Tensor(self.data / other.data, parents=(self, other))
-
-        def bwd(g):
-            if self.requires_grad:
-                self._accumulate(g / other.data)
-            if other.requires_grad:
-                other._accumulate(-g * self.data / (other.data * other.data))
-
-        out._backward = bwd
-        return out
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -204,12 +187,6 @@ class Tensor:
         out._backward = lambda g: self._accumulate(g * val)
         return out
 
-    def sqrt(self):
-        val = np.sqrt(self.data)
-        out = Tensor(val, parents=(self,))
-        out._backward = lambda g: self._accumulate(g * 0.5 / val)
-        return out
-
     def relu(self):
         mask = self.data > 0
         out = Tensor(np.where(mask, self.data, 0.0), parents=(self,))
@@ -242,70 +219,25 @@ def as_tensor(x) -> Tensor:
 
 
 class ScatterPlan:
-    """Precomputed segment-sum over a fixed row-index array.
-
-    ``apply(src)`` returns ``out`` with ``out[i]`` the sum of the rows
-    ``src[p]`` whose ``idx[p] == i``; :meth:`gather` is its adjoint.
-
-    Sorting the positions by index once lets every scatter-add run as
-    a fancy write into a (targets x max-multiplicity) padded buffer followed
-    by one axis sum, which is far faster than ``np.ufunc.at`` and
-    deterministic (fixed summation order).  When the largest multiplicity
-    would make that buffer more than 8x the valid rows (and over 4096 rows),
-    the plan sums with ``np.add.reduceat`` instead.
-    """
+    """Row scatter-add over a fixed index array: ``apply(src)[i]`` sums the
+    rows ``src[p]`` with ``idx[p] == i``, in order of p."""
 
     def __init__(self, idx: np.ndarray, num_rows: int):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError("index array must be 1-D")
-        self.idx = idx
+        self.idx = np.asarray(idx, dtype=np.int64)
         self.num_rows = num_rows
-        self.order = np.argsort(idx, kind="stable")
-        sorted_idx = idx[self.order]
-        self.starts = np.flatnonzero(np.diff(sorted_idx, prepend=-1))
-        seg_lens = np.diff(np.append(self.starts, sorted_idx.size))
-        self.max_deg = int(seg_lens.max(initial=0))
-        self.padded = self.max_deg * num_rows <= max(8 * sorted_idx.size, 4096)
-        if self.padded:
-            rank = np.arange(sorted_idx.size) - np.repeat(self.starts, seg_lens)
-            self.slots = sorted_idx * self.max_deg + rank
-        else:
-            self.targets = sorted_idx[self.starts]
 
     def apply(self, src: np.ndarray) -> np.ndarray:
-        tail = src.shape[1:]
-        if self.padded:
-            buf = np.zeros((self.num_rows * self.max_deg,) + tail)
-            buf[self.slots] = src[self.order]
-            return buf.reshape((self.num_rows, self.max_deg) + tail).sum(axis=1)
-        out = np.zeros((self.num_rows,) + tail)
-        out[self.targets] = np.add.reduceat(src[self.order], self.starts, axis=0)
+        out = np.zeros((self.num_rows,) + src.shape[1:])
+        np.add.at(out, self.idx, src)
         return out
 
-    def gather(self, g: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`apply`: g[idx]."""
-        return g[self.idx]
 
-
-def gather_rows(x: Tensor, idx: np.ndarray, plan: ScatterPlan | None = None) -> Tensor:
+def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """x[idx] along axis 0; idx is a constant integer array."""
     idx = np.asarray(idx)
     out = Tensor(x.data[idx], parents=(x,))
-    if plan is None:
-        plan = ScatterPlan(idx.reshape(-1), x.data.shape[0])
-
-    def bwd(g):
-        x._accumulate(plan.apply(g.reshape(-1, *g.shape[idx.ndim :])))
-
-    out._backward = bwd
-    return out
-
-
-def scatter_add_rows(src: Tensor, plan: ScatterPlan) -> Tensor:
-    """out[i] = sum of the src rows the plan sends to row i."""
-    out = Tensor(plan.apply(src.data), parents=(src,))
-    out._backward = lambda g: src._accumulate(plan.gather(g))
+    plan = ScatterPlan(idx.reshape(-1), x.data.shape[0])
+    out._backward = lambda g: x._accumulate(plan.apply(g.reshape(-1, *g.shape[idx.ndim :])))
     return out
 
 
@@ -348,6 +280,27 @@ def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
             a._accumulate(np.where(cond, g, 0.0))
         if b.requires_grad:
             b._accumulate(np.where(cond, 0.0, g))
+
+    out._backward = bwd
+    return out
+
+
+def normalize_rows(t: Tensor, eps: float) -> Tensor:
+    """Each row of a 2-D t scaled to unit norm; a row with norm <= eps becomes e_1.
+
+    Backward projects g off the output row u and divides by the norm,
+    (g - u (u . g)) / |t|; a degenerate row gets no gradient.
+    """
+    sq = (t.data * t.data).sum(axis=-1, keepdims=True)
+    safe = sq > eps**2
+    norm = np.sqrt(np.where(safe, sq, 1.0))
+    e1 = np.zeros((1, t.data.shape[-1]))
+    e1[0, 0] = 1.0
+    u = np.where(safe, t.data / norm, e1)
+    out = Tensor(u, parents=(t,))
+
+    def bwd(g):
+        t._accumulate(np.where(safe, (g - u * (u * g).sum(axis=-1, keepdims=True)) / norm, 0.0))
 
     out._backward = bwd
     return out

@@ -27,6 +27,7 @@ import dataclasses
 import os
 import sys
 import time
+import typing
 import zlib
 
 import numpy as np
@@ -80,6 +81,21 @@ def _write_manifest(
     write_json(os.path.join(out_dir, "manifest.json"), doc, indent=2)
 
 
+def _check_types(cls, doc: dict, path: str) -> dict:
+    """``doc`` with each value checked against the type of ``cls``'s field of
+    that name.  A float field also takes an int, stored as a float; no other
+    field takes a value of another type, so an int field rejects a bool.
+    Tuple fields, and keys ``cls`` lacks, are left to the caller."""
+    hints = typing.get_type_hints(cls)
+    for key, value in doc.items():
+        want = hints.get(key)
+        if want in (int, float, bool, str):
+            if type(value) not in ((int, float) if want is float else (want,)):
+                raise ParseError(f"{path}: {key} must be {want.__name__}, got {value!r}")
+            doc[key] = want(value)
+    return doc
+
+
 # --------------------------------------------------------------------------
 # Commands
 # --------------------------------------------------------------------------
@@ -89,7 +105,7 @@ def cmd_synth(args) -> int:
     start = time.monotonic()
     seed = derive_seed(args.seed, "synth")
     if args.config:
-        doc = read_json(args.config)
+        doc = _check_types(synthgen.SynthConfig, read_json(args.config), args.config)
         doc.setdefault("seed", seed)
         doc["planted_edges"] = tuple(
             (int(s), int(d), float(c)) for s, d, c in doc.get("planted_edges", ())
@@ -139,8 +155,8 @@ def _train_configs(args) -> tuple[ModelConfig, TrainConfig]:
     unknown = sorted(set(overrides) - set(MODEL_KEYS + TRAIN_KEYS))
     if unknown:
         raise ParseError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
-    model_doc = {k: v for k, v in overrides.items() if k in MODEL_KEYS}
-    train_doc = {k: v for k, v in overrides.items() if k in TRAIN_KEYS}
+    model_doc = _check_types(ModelConfig, {k: v for k, v in overrides.items() if k in MODEL_KEYS}, args.config)
+    train_doc = _check_types(TrainConfig, {k: v for k, v in overrides.items() if k in TRAIN_KEYS}, args.config)
     if args.embed_dim:
         model_doc["embed_dim"] = args.embed_dim
     if args.layers is not None:
@@ -181,7 +197,7 @@ def cmd_eval(args) -> int:
     params, train_cfg, graph = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
     inputs = {"dataset": file_digest(args.dataset), "checkpoint": file_digest(args.checkpoint)}
-    if args.dropout_rate > 0.0:
+    if args.dropout_rate != 0.0:  # feature_dropout rejects a rate outside [0, 1)
         rng = np.random.default_rng(derive_seed(args.seed, "eval.dropout"))
         ds = feature_dropout(ds, args.dropout_rate, rng)
     structure = compile_structure(ds, graph, params.config)
@@ -199,11 +215,13 @@ def cmd_eval(args) -> int:
     p_at_k: dict[int, float | None] = {args.k: None}
     rank_corr = None
     if args.truth and run.gamma is not None:
-        # Each flat parent entry is one graph edge, scored by its learned gamma.
+        # Each flat parent entry is one graph edge, scored by its learned gamma;
+        # a single-parent child's gamma is exactly 1, so ties break by F.
         true_set = {(e.src, e.dst) for e in synthgen.load_truth(args.truth)}
         ids, gamma = structure.node_ids, run.gamma.data
-        edges = zip(structure.parent_cell % len(ids), structure.child_rows[structure.parent_seg], gamma.tolist())
-        scored = [(ids[p], ids[c], g) for p, c, g in edges]
+        parents, children = structure.parent_cell % len(ids), structure.child_rows[structure.parent_seg]
+        edges = zip(parents, children, gamma.tolist(), structure.parent_f.tolist())
+        scored = [(ids[p], ids[c], (g, f)) for p, c, g, f in edges]
         p_at_k[args.k] = metrics.precision_at_k(scored, true_set, k=args.k)
         if gamma.size > 1:
             rank_corr = metrics.rank_correlation(gamma, structure.parent_f)

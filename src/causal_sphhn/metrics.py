@@ -123,20 +123,22 @@ def predictive_entropy(probs) -> float:
 
 
 def precision_at_k(
-    scored_edges: list[tuple[str, str, float]],
+    scored_edges: list[tuple[str, str, float | tuple]],
     true_edges: set[tuple[str, str]],
     k: int = 5,
 ) -> float:
     """Fraction of the top-K scored directed edges in the true set.
 
-    Ties break by (src, dst) so rankings are deterministic.  With fewer
-    than K candidates the precision is computed over all of them.
+    A score may be a tuple, compared in order; equal scores rank by
+    (src, dst) so rankings are deterministic.  With fewer than K
+    candidates the precision is computed over all of them.
     """
     if k < 1:
         raise ContractViolation("K must be >= 1")
     if not scored_edges:
         raise ContractViolation("no scored edges")
-    ranked = sorted(scored_edges, key=lambda e: (-e[2], e[0], e[1]))
+    by_id = sorted(scored_edges, key=lambda e: (e[0], e[1]))
+    ranked = sorted(by_id, key=lambda e: e[2], reverse=True)  # stable: equal scores keep id order
     if len(ranked) < k:
         log.warning("precision_at_k: only %d candidates for K=%d", len(ranked), k)
     top = ranked[:k]

@@ -26,12 +26,13 @@ is a dense matmul.  Causal injection takes the same form: the causal
 edges, sorted by (child, parent id), are one flat array whose segments
 are the children, gamma is a segment softmax of the tempered F scores,
 and it scatters onto a (P, N) matrix of child rows by parent node, times h.
+That (P, d) context is scattered by flat element index onto the child rows
+of h; a select keeps h bit for bit at the rows without causal parents.
 
-``GraphStructure`` also keeps the padded (E, K) member arrays, each
-pair's offset in the (E, K, K) block that padding implies, and the
-(P, Kc) mask a padded parent block would have.  The forward pass reads
-none of them: ``perfbench`` reports its padding figures from them, and
-the tests place the flat alpha in the (E, K, K) block.
+``GraphStructure`` also keeps the padded (E, K) member arrays, the (P, Kc)
+mask a padded parent block would have, and ``plans``, a dict that is
+always empty.  The forward pass reads none of them: ``perfbench`` reports
+its padding and scatter-plan figures from them.
 
 Memory: a layer holds G and the T matrices A_t, and the causal step one
 (P, N) matrix with P <= N, so the dense buffers take at most
@@ -176,10 +177,8 @@ class GraphStructure:
     member_idx: np.ndarray  # (E, K) node rows, padded with 0
     member_mask: np.ndarray  # (E, K) bool, False at padding
     # Every valid member pair (e, i, j), grouped by context type and then
-    # ordered by (e, i, j): its flat offset e*K*K + i*K + j in the padded
-    # (E, K, K) block, and its flat offset m_i*N + m_j in an (N, N) matrix
-    # (the Gram matrix, or A_t), plus that offset transposed, m_j*N + m_i.
-    pair_slot: np.ndarray  # (Q,)
+    # ordered by (e, i, j): its flat offset m_i*N + m_j in an (N, N) matrix
+    # (the Gram matrix, or A_t), and that offset transposed, m_j*N + m_i.
     pair_cell: np.ndarray  # (Q,)
     pair_cell_t: np.ndarray  # (Q,)
     # The pairs of one (e, i) row are contiguous: a softmax segment.
@@ -198,7 +197,7 @@ class GraphStructure:
     # never builds that block: only perfbench reads this, for its padding figure.
     parent_mask: np.ndarray
     classes: int
-    plans: dict = field(default_factory=dict)  # "children": row scatter of the child rows
+    plans: dict = field(default_factory=dict)  # always empty; only perfbench reads it
 
 
 def _member_rows(
@@ -252,11 +251,11 @@ def compile_structure(
     type_code = type_code[source]
     k = member_idx.shape[1]
     pair_mask = member_mask[:, :, None] & member_mask[:, None, :]
-    pair_slot = np.flatnonzero(pair_mask)
-    pair_slot = pair_slot[np.argsort(type_code[pair_slot // (k * k)], kind="stable")]
-    pe, pi, pj = np.unravel_index(pair_slot, pair_mask.shape)
+    slots = np.flatnonzero(pair_mask)  # offsets in the padded (E, K, K) block
+    slots = slots[np.argsort(type_code[slots // (k * k)], kind="stable")]
+    pe, pi, pj = np.unravel_index(slots, pair_mask.shape)
     rows_i, rows_j = member_idx[pe, pi], member_idx[pe, pj]
-    new_segment = np.diff(pair_slot // k, prepend=-1) != 0  # a new (e, i) row
+    new_segment = np.diff(slots // k, prepend=-1) != 0  # a new (e, i) row
     bounds = np.searchsorted(type_code[pe], np.arange(types.size + 1))
     type_pairs = {str(t): slice(int(bounds[c]), int(bounds[c + 1])) for c, t in enumerate(types)}
 
@@ -277,7 +276,6 @@ def compile_structure(
         features=features,
         member_idx=member_idx,
         member_mask=member_mask,
-        pair_slot=pair_slot,
         pair_cell=rows_i * n_nodes + rows_j,
         pair_cell_t=rows_j * n_nodes + rows_i,
         seg_starts=np.flatnonzero(new_segment),
@@ -291,7 +289,6 @@ def compile_structure(
         ghat=ad.segment_softmax(Tensor(parent_f), parent_starts, parent_seg).data,
         parent_mask=np.arange(parent_lens.max(initial=1)) < parent_lens[:, None],
         classes=ds.classes,
-        plans={"children": ad.ScatterPlan(child_rows, n_nodes)},
     )
 
 
@@ -307,7 +304,7 @@ class ModelRun:
     structure: GraphStructure
     kappa: Tensor
     layers: list[Tensor]
-    alphas: list[Tensor]  # per layer, the flat pair weights in pair_slot order
+    alphas: list[Tensor]  # per layer, the flat pair weights in pair_cell order
     gamma: Tensor | None
     log_gamma: Tensor | None
     h_final: Tensor
@@ -317,17 +314,11 @@ class ModelRun:
     entropy: Tensor
 
 
-def _normalize_rows(t: Tensor, dim: int) -> Tensor:
-    sq = (t * t).sum(axis=-1, keepdims=True)
-    safe = sq.data > _NORM_EPS**2
-    if not np.all(safe):
-        log.debug("degenerate norm on %d rows; substituting basis vector", int((~safe).sum()))
-    # Replace unsafe squared norms before the sqrt so its derivative stays
-    # finite; the outer select routes those rows to the basis vector anyway.
-    denom = ad.where(safe, sq, Tensor(np.ones_like(sq.data))).sqrt()
-    e1 = np.zeros((1, dim))
-    e1[0, 0] = 1.0
-    return ad.where(safe, t / denom, Tensor(e1))
+def _normalize_rows(t: Tensor) -> Tensor:
+    degenerate = int(np.count_nonzero((t.data * t.data).sum(axis=-1) <= _NORM_EPS**2))
+    if degenerate:
+        log.debug("degenerate norm on %d rows; substituting basis vector", degenerate)
+    return ad.normalize_rows(t, _NORM_EPS)
 
 
 def run_model(
@@ -360,7 +351,7 @@ def run_model(
     kappa_raw = (z @ params.kappa_w.reshape(d, 1)).reshape(n) + params.kappa_b
     kappa = ad.where(proj_safe.reshape(n), kappa_raw.softplus(), Tensor(np.zeros(n)))
 
-    h = z if cfg.euclidean else _normalize_rows(z, d)
+    h = z if cfg.euclidean else _normalize_rows(z)
     layers = [h]
     alphas: list[Tensor] = []
 
@@ -377,7 +368,7 @@ def run_model(
             keep = (rng.random((n, d)) >= cfg.dropout) / (1.0 - cfg.dropout)
             m = m * Tensor(keep)
         act = m.relu()
-        h = act if cfg.euclidean else _normalize_rows(act, d)
+        h = act if cfg.euclidean else _normalize_rows(act)
         layers.append(h)
 
     gamma = log_gamma = None
@@ -389,14 +380,14 @@ def run_model(
         p_rows = structure.child_rows.size
         weights = ad.scatter_flat(gamma, structure.parent_cell, p_rows * n).reshape(p_rows, n)
         ctx = (weights @ h) @ params.causal_w.transpose((1, 0))
-        base = ad.gather_rows(h, structure.child_rows, structure.plans["children"])
-        combined = base + ctx
+        # Row r of ctx lands on node row child_rows[r]; every other row adds 0.
+        cells = (structure.child_rows[:, None] * d + np.arange(d)).reshape(-1)
+        combined = h + ad.scatter_flat(ctx, cells, n * d).reshape(n, d)
         if not cfg.euclidean:
-            combined = _normalize_rows(combined, d)
-        scattered = ad.scatter_add_rows(combined, structure.plans["children"])
+            combined = _normalize_rows(combined)
         child_mask = np.zeros((n, 1), dtype=bool)
         child_mask[structure.child_rows] = True
-        h_final = ad.where(child_mask, scattered, h)
+        h_final = ad.where(child_mask, combined, h)
     else:
         h_final = h
 

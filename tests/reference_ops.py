@@ -2,9 +2,10 @@
 
 Most functions compute, for one node or one hyperedge at a time and with
 plain numpy loops, a quantity the batched ``causal_sphhn.model.run_model``
-computes for the whole graph at once.  The autodiff ops at the end, a flat
-gather and the softmax and log-sum-exp over the masked rows of a padded
-block, are the oracles of the flat ops in ``causal_sphhn.autodiff``.
+computes for the whole graph at once.  The autodiff ops at the end (a
+row scatter-add, the composite row normalisation, a flat gather, and the
+softmax and log-sum-exp over the masked rows of a padded block) are the
+oracles of the ops in ``causal_sphhn.autodiff``.
 """
 
 from __future__ import annotations
@@ -240,12 +241,33 @@ def causal_parents(ds: Dataset, causal_graph: CausalGraph) -> dict:
     }
 
 
-def padded_alpha(alpha: np.ndarray, member_mask: np.ndarray, pair_slot: np.ndarray) -> np.ndarray:
+def padded_alpha(alpha: np.ndarray, ds: Dataset, pairwise: bool) -> np.ndarray:
     """Flat pair weights placed in the padded (E, K, K) block, zero at padding."""
-    e, k = member_mask.shape
+    pairs = member_pairs(ds, pairwise)
+    e, k = pairs["member_mask"].shape
     block = np.zeros(e * k * k)
-    block[pair_slot] = alpha
+    block[pairs["pair_slot"]] = alpha
     return block.reshape(e, k, k)
+
+
+def scatter_rows(idx: np.ndarray, src: np.ndarray, num_rows: int) -> np.ndarray:
+    """out[i] = the sum of the rows src[p] with idx[p] == i, one row at a time."""
+    out = np.zeros((num_rows,) + src.shape[1:])
+    for p, i in enumerate(idx):
+        out[i] += src[p]
+    return out
+
+
+def normalize_rows(x: np.ndarray, eps: float) -> np.ndarray:
+    """The forward value of the generic-op chain that normalised rows before
+    the fused op: a squared norm, a select of 1 at rows with norm <= eps, a
+    square root, a division, and a select of e_1 at those rows."""
+    sq = (x * x).sum(axis=-1, keepdims=True)
+    safe = sq > eps**2
+    denom = np.sqrt(np.where(safe, sq, np.ones_like(sq)))
+    e1 = np.zeros((1, x.shape[-1]))
+    e1[0, 0] = 1.0
+    return np.where(safe, x / denom, e1)
 
 
 def gather_flat(x: Tensor, idx: np.ndarray) -> Tensor:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from causal_sphhn import autodiff as ad
 from causal_sphhn.autodiff import ScatterPlan, Tensor
-from reference_ops import gather_flat, masked_logsumexp, masked_softmax
+from reference_ops import gather_flat, masked_logsumexp, masked_softmax, normalize_rows, scatter_rows
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -29,8 +29,8 @@ def fd_grad(fn, x, h=1e-6):
 def scatter_inputs(draw):
     """Row count, index array and source rows for a ScatterPlan.
 
-    Half of the indices may hit one hot row, so large row counts push the
-    plan onto its reduceat path.
+    Half of the indices may hit one hot row, so a row often sums many
+    sources while most of the rows get none.
     """
     n = draw(st.integers(1, 3000))
     size = draw(st.integers(0, 300))
@@ -59,16 +59,6 @@ class TestArithmetic:
     def test_scalar_broadcast(self):
         check_op(lambda a, s: (a * s + s).sum(), (2, 3), ())
 
-    def test_div(self):
-        rng = np.random.default_rng(1)
-        a = Tensor(rng.random((3, 3)) + 1.0, requires_grad=True)
-        b = Tensor(rng.random((3,)) + 1.0, requires_grad=True)
-        out = (a / b).sum()
-        out.backward()
-        for t in (a, b):
-            numeric = fd_grad(lambda: (a / b).sum().item(), t.data)
-            assert np.allclose(t.grad, numeric, atol=1e-6)
-
     def test_matmul_2d_and_3d(self):
         check_op(lambda a, b: (a @ b).sum(), (4, 3), (3, 5))
         check_op(lambda a, b: (a @ b).sum(), (2, 3, 4), (2, 4, 3))
@@ -80,7 +70,6 @@ class TestArithmetic:
 
     def test_nonlinearities(self):
         check_op(lambda a: a.exp().sum(), (4,))
-        check_op(lambda a: (a * a + 0.5).sqrt().sum(), (4,))
         check_op(lambda a: a.softplus().sum(), (6,))
 
     def test_relu_away_from_kink(self):
@@ -100,35 +89,22 @@ class TestIndexing:
         numeric = fd_grad(lambda: (ad.gather_rows(x, idx) * Tensor(w)).sum().item(), x.data)
         assert np.allclose(x.grad, numeric, atol=1e-6)
 
-    def test_scatter_add(self):
-        idx = np.array([1, 0, 1, 3])
-        rng = np.random.default_rng(3)
-        src = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        w = rng.standard_normal((5, 3))
-        plan = ScatterPlan(idx, 5)
-        out = (ad.scatter_add_rows(src, plan) * Tensor(w)).sum()
-        out.backward()
-        numeric = fd_grad(lambda: (ad.scatter_add_rows(src, plan) * Tensor(w)).sum().item(), src.data)
-        assert np.allclose(src.grad, numeric, atol=1e-6)
-
     @settings(max_examples=200, deadline=None)
     @given(scatter_inputs())
     @example((3000, np.zeros(40, dtype=np.int64), np.ones((40, 2))))
     def test_scatter_plan_matches_add_at(self, case):
         n, idx, src = case
-        ref = np.zeros((n, 2))
-        np.add.at(ref, idx, src)
         tol = 1e-12 * (1.0 + np.abs(src).sum())
-        assert np.allclose(ScatterPlan(idx, n).apply(src), ref, rtol=0.0, atol=tol)
+        assert np.allclose(ScatterPlan(idx, n).apply(src), scatter_rows(idx, src, n), rtol=0.0, atol=tol)
 
     @settings(max_examples=200, deadline=None)
     @given(scatter_inputs(), st.integers(0, 2**32 - 1))
     def test_gather_scatter_adjoint(self, case, seed):
+        # gather_rows' forward is x[idx] and its backward the plan's apply.
         n, idx, src = case
-        plan = ScatterPlan(idx, n)
         x = np.random.default_rng(seed).standard_normal((n, 2))
-        lhs = np.sum(plan.gather(x) * src)
-        rhs = np.sum(x * plan.apply(src))
+        lhs = np.sum(ad.gather_rows(Tensor(x), idx).data * src)
+        rhs = np.sum(x * ScatterPlan(idx, n).apply(src))
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + np.abs(src).sum())
 
     @settings(max_examples=200, deadline=None)
@@ -183,6 +159,47 @@ class TestIndexing:
         (ad.where(cond, a, b) * Tensor(np.array([1.0, 2.0, 3.0]))).sum().backward()
         assert np.array_equal(a.grad, [1.0, 0.0, 3.0])
         assert np.array_equal(b.grad, [0.0, 2.0, 0.0])
+
+
+@st.composite
+def rows_in_eps(draw):
+    """A (rows, 3) array of random directions whose norms are 0 or a
+    multiple of eps from 0.5 to 1000, some within 0.1% of 1."""
+    scales = draw(st.lists(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e3]), min_size=1, max_size=8))
+    dirs = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((len(scales), 3))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * np.asarray(scales)[:, None]
+
+
+class TestNormalizeRows:
+    EPS = 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows_in_eps(), st.sampled_from([1e-12, 0.5]))
+    @example(np.zeros((2, 3)), 1e-12)
+    def test_equals_the_composite_forward_bitwise(self, rows, eps):
+        x = rows * eps
+        assert np.array_equal(ad.normalize_rows(Tensor(x), eps).data, normalize_rows(x, eps))
+
+    def test_gradient_near_eps(self):
+        # Rows from 1.02 eps to 40 eps, so a finite-difference step never crosses eps.
+        rng = np.random.default_rng(11)
+        dirs = rng.standard_normal((5, 3))
+        x = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * (self.EPS * np.array([1.02, 1.1, 2.0, 9.0, 40.0]))[:, None]
+        w = Tensor(rng.standard_normal((5, 3)))
+        t = Tensor(x, requires_grad=True)
+        (ad.normalize_rows(t, self.EPS) * w).sum().backward()
+        numeric = fd_grad(lambda: (ad.normalize_rows(t, self.EPS) * w).sum().item(), t.data)
+        assert np.allclose(t.grad, numeric, rtol=1e-6, atol=1e-8)
+
+    def test_degenerate_rows_are_e1_with_no_gradient(self):
+        x = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.5, 0.0], [3.0, 4.0, 0.0]])
+        t = Tensor(x, requires_grad=True)
+        out = ad.normalize_rows(t, self.EPS)
+        assert np.array_equal(out.data[:3], np.tile([1.0, 0.0, 0.0], (3, 1)))
+        assert np.array_equal(out.data[3], [0.6, 0.8, 0.0])
+        (out * Tensor(np.arange(12.0).reshape(4, 3) + 1.0)).sum().backward()
+        assert np.all(t.grad[:3] == 0.0)
+        assert np.all(t.grad[3] != 0.0)
 
 
 @st.composite
@@ -336,8 +353,8 @@ class TestGraphMechanics:
         consts = [Tensor(rng.standard_normal((3, 3)) + 3.0) for _ in range(9)]
         c = iter(consts)
         out = (
-            (p + next(c)) * next(c) + next(c) * p - next(c) / (p * p + 1.0)
-            + p / next(c) + (p @ next(c)) + (next(c) @ p)
+            (p + next(c)) * next(c) + next(c) * p - ad.normalize_rows(p * next(c) + next(c), 1e-12)
+            + (p @ next(c)) + (next(c) @ p)
         )
         out = ad.where(p.data > 0, out, next(c)) + ad.where(p.data > 0, next(c), out)
         out.sum().backward()

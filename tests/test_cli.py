@@ -7,12 +7,23 @@ import pytest
 from causal_sphhn import artifacts, cli, synthgen
 from causal_sphhn.cli import main
 from causal_sphhn.granger import CausalEdge, CausalGraph
-from causal_sphhn.hypergraph import load_dataset
+from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries, load_dataset, save_dataset
 from causal_sphhn.training import load_checkpoint, save_checkpoint
 
 
 def sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def relabelled(ds, name):
+    """ds with every node id replaced by name[id], in the same node order."""
+    return Dataset(
+        ds.dim, ds.timesteps, ds.classes, ds.horizon,
+        [NodeFeatureSeries(name[n.node_id], n.features) for n in ds.nodes],
+        [Hyperedge(e.edge_id, tuple(name[m] for m in e.members), e.context_type) for e in ds.hyperedges],
+        {name[k]: v for k, v in ds.labels.items()},
+        {k: [name[i] for i in v] for k, v in ds.splits.items()},
+    )
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +97,17 @@ class TestSynth:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [{"n_nodes": "40"}, {"burn_in": 5.5}], ids=["str_int", "float_int"])
+    def test_config_value_of_the_wrong_type_is_input_error(self, tmp_path, capsys, change):
+        cfg = {
+            "n_nodes": 20, "n_hyperedges": 15, "mean_edge_size": 3.0,
+            "feature_dim": 6, "timesteps": 40, "n_classes": 2, "planted_edges": [], **change,
+        }
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
+        assert f"{next(iter(change))} must be int" in capsys.readouterr().err
 
 
 class TestGranger:
@@ -204,6 +226,36 @@ class TestTrain:
         assert code == 1
         assert "learning_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"lr": "0.001"}, "lr must be float"),
+            ({"batch_size": 2.5}, "batch_size must be int"),
+            ({"embed_dim": 8.0}, "embed_dim must be int"),
+            ({"max_epochs": True}, "max_epochs must be int"),
+        ],
+        ids=["str_float", "float_int", "float_model_int", "bool_int"],
+    )
+    def test_config_value_of_the_wrong_type_is_input_error(self, tmp_path, toy_run, capsys, change, message):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(change))
+        out = tmp_path / "t"
+        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_float_config_field_takes_an_int(self, tmp_path, toy_run):
+        cfg = tmp_path / "int.json"
+        cfg.write_text(json.dumps({"dropout": 0, "lambda2": 1, "max_epochs": 1}))
+        out = str(tmp_path / "t")
+        assert main(["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal",
+                     "--config", str(cfg), "--out", out]) == 0
+        ckpt = json.load(open(f"{out}/checkpoint.json"))
+        assert ckpt["model_config"]["dropout"] == 0.0 and isinstance(ckpt["model_config"]["dropout"], float)
+        assert ckpt["train_config"]["lambda2"] == 1.0 and isinstance(ckpt["train_config"]["lambda2"], float)
+
     def test_graph_without_edges_is_input_error(self, tmp_path, toy_run):
         graph = tmp_path / "causal.json"
         graph.write_text(json.dumps({"alpha": 0.01, "lag": 2}))
@@ -223,17 +275,19 @@ class TestEval:
         assert "5" in report["p_at_k"]
 
     @staticmethod
-    def eval_with_graph(tmp_path, toy_run, edges):
-        """Eval the toy checkpoint's parameters against the causal graph of
-        ``edges`` (indices into the node list), with the first edge planted."""
-        ids = [n.node_id for n in load_dataset(f"{toy_run}/dataset.json").nodes]
+    def eval_with_graph(tmp_path, toy_run, edges, dataset=None):
+        """Eval the toy checkpoint's parameters on ``dataset`` (the toy one by
+        default) against the causal graph of ``edges`` (indices into the node
+        list), with the first edge planted."""
+        dataset = dataset or f"{toy_run}/dataset.json"
+        ids = [n.node_id for n in load_dataset(dataset).nodes]
         graph = CausalGraph(0.01, 2, [CausalEdge(ids[s], ids[d], f, 1e-3) for s, d, f in edges])
         params, train_cfg, _ = load_checkpoint(f"{toy_run}/checkpoint.json")
         ckpt, truth = str(tmp_path / "checkpoint.json"), str(tmp_path / "truth.json")
         save_checkpoint(ckpt, params, train_cfg, graph)
         synthgen.save_truth([synthgen.PlantedEdge(graph.edges[0].src, graph.edges[0].dst, 0.5)], truth)
         out = str(tmp_path / "r")
-        assert main(["eval", "--checkpoint", ckpt, "--dataset", f"{toy_run}/dataset.json",
+        assert main(["eval", "--checkpoint", ckpt, "--dataset", dataset,
                      "--truth", truth, "--k", "1", "--out", out]) == 0
         return json.load(open(f"{out}/report.json"))
 
@@ -249,6 +303,27 @@ class TestEval:
         report = self.eval_with_graph(tmp_path, toy_run, [(0, 1, 1.0)])
         assert report["rank_corr"] is None
         assert report["p_at_k"] == {"1": 1.0}
+
+    def test_tied_gamma_ranks_by_f_not_by_node_id(self, tmp_path, toy_run):
+        # Four single-parent children, so gamma is exactly 1 on every edge.
+        # The planted edge has the second-highest F, so P@1 is 0; reversing
+        # the node ids must not change that, as a tie broken by id would.
+        ds = load_dataset(f"{toy_run}/dataset.json")
+        ids = [n.node_id for n in ds.nodes]
+        edges = [(0, 1, 3.0), (2, 3, 5.0), (4, 5, 2.0), (6, 7, 1.0)]
+        for tag, name in [("same", dict(zip(ids, ids))), ("reversed", dict(zip(ids, reversed(ids))))]:
+            path = str(tmp_path / tag / "dataset.json")
+            save_dataset(relabelled(ds, name), path)
+            report = self.eval_with_graph(tmp_path / tag, toy_run, edges, dataset=path)
+            assert report["p_at_k"] == {"1": 0.0}, tag
+
+    def test_negative_dropout_rate_is_input_error(self, tmp_path, toy_run, capsys):
+        out = tmp_path / "r"
+        code = main(["eval", "--checkpoint", f"{toy_run}/checkpoint.json",
+                     "--dataset", f"{toy_run}/dataset.json", "--dropout-rate", "-0.5", "--out", str(out)])
+        assert code == 1
+        assert "dropout rate" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_dropout_rate_zero_equals_no_flag(self, tmp_path, toy_run):
         args = ["eval", "--checkpoint", f"{toy_run}/checkpoint.json",

@@ -232,6 +232,17 @@ class TestCausalAggregate:
             ref = causal_aggregate(nid, embeds[nid], graph, embeds, params)
             assert np.allclose(run.h_final.data[i], ref, atol=1e-12), nid
 
+    @pytest.mark.parametrize("euclidean", [False, True])
+    def test_rows_without_parents_keep_h_bitwise(self, euclidean):
+        ds, graph = mixed_size_instance()
+        cfg = ModelConfig(embed_dim=4, layers=1, dropout=0.0, euclidean=euclidean)
+        run = run_model(compile_structure(ds, graph, cfg), tiny_params(cfg, in_dim=4, types=("a", "b"), seed=34))
+        children = run.structure.child_rows
+        others = np.setdiff1d(np.arange(len(ds.nodes)), children)
+        assert children.size and others.size
+        assert np.array_equal(run.h_final.data[others], run.layers[-1].data[others])
+        assert not np.any(run.h_final.data[children] == run.layers[-1].data[children])
+
     def test_gamma_per_child_matches_reference(self):
         ds, graph = mixed_size_instance()
         params = tiny_params(ModelConfig(embed_dim=4, layers=0), in_dim=4, types=("a", "b"), seed=32)
@@ -269,14 +280,14 @@ class TestCompiledPlans:
     def test_plan_set_is_the_same_for_every_edge_size(self, pairwise):
         ds, graph = mixed_size_instance()
         structure = compile_structure(ds, graph, ModelConfig(pairwise=pairwise))
-        assert sorted(structure.plans) == ["children"]
+        assert structure.plans == {}
         assert list(structure.type_pairs) == ["a", "b"]
-        for name in ("pair_slot", "pair_cell", "parent_starts", "parent_seg", "parent_cell"):
+        for name in ("pair_cell", "pair_cell_t", "parent_starts", "parent_seg", "parent_cell"):
             field = getattr(structure, name)
             assert field.ndim == 1 and field.dtype == np.int64, name
         # The type ranges tile the pair arrays in order.
         spans = list(structure.type_pairs.values())
-        assert spans[0].start == 0 and spans[-1].stop == structure.pair_slot.size
+        assert spans[0].start == 0 and spans[-1].stop == structure.pair_cell.size
         assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
 
     def test_plans_count_valid_slots_only(self):
@@ -286,10 +297,11 @@ class TestCompiledPlans:
             n = len(structure.node_ids)
             member_idx, member_mask = structure.member_idx, structure.member_mask
             assert pairwise or not member_mask.all()
-            e, i, j = np.unravel_index(structure.pair_slot, member_mask.shape + member_mask.shape[1:])
+            pair_slot = member_pairs(ds, pairwise)["pair_slot"]
+            e, i, j = np.unravel_index(pair_slot, member_mask.shape + member_mask.shape[1:])
             assert np.all(member_mask[e, i] & member_mask[e, j])
             n_pairs = (member_mask.sum(axis=1) ** 2).sum()
-            assert structure.pair_slot.size == np.unique(structure.pair_slot).size == n_pairs
+            assert structure.pair_cell.size == np.unique(pair_slot).size == n_pairs
             assert np.array_equal(structure.pair_cell, member_idx[e, i] * n + member_idx[e, j])
             edges = pairwise_expand(ds.hyperedges) if pairwise else ds.hyperedges
             for t, span in structure.type_pairs.items():
@@ -340,6 +352,8 @@ class TestCompiledPlans:
             got = getattr(structure, name)
             assert got.dtype == expected.dtype and np.array_equal(got, expected), name
         for name, want in member_pairs(ds, pairwise).items():
+            if name == "pair_slot":  # an offset in the padded block, which the structure does not keep
+                continue
             got = getattr(structure, name)
             if isinstance(want, dict):
                 assert got == want, name
@@ -475,7 +489,7 @@ class TestForward:
                 assert np.max(np.abs(norms - 1.0)) <= 1e-9
             valid = run.structure.member_mask
             for flat in run.alphas:
-                alpha = padded_alpha(flat.data, valid, run.structure.pair_slot)
+                alpha = padded_alpha(flat.data, ds, False)
                 sums = alpha.sum(axis=2)
                 for e_row in range(alpha.shape[0]):
                     for slot in range(alpha.shape[1]):
@@ -506,7 +520,7 @@ class TestForward:
             structure = compile_structure(ds, None, cfg)
             run = run_model(structure, params, mode="eval")
             embeds = {n.node_id: project(n.features[-1], params) for n in ds.nodes}
-            alpha = padded_alpha(run.alphas[0].data, structure.member_mask, structure.pair_slot)
+            alpha = padded_alpha(run.alphas[0].data, ds, pairwise)
             edge_list = pairwise_expand(ds.hyperedges) if pairwise else ds.hyperedges
             assert alpha.shape[0] == len(edge_list)
             for row, e in enumerate(edge_list):
