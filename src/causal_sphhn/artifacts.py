@@ -3,7 +3,8 @@
 Every artifact of the pipeline is written atomically: into
 ``path + ".tmp"``, then moved onto ``path`` with ``os.replace``, so a
 reader never sees half a file.  A failed read raises ``ParseError`` and a
-failed write ``ContractViolation``, each naming the path.
+failed write ``ContractViolation``, each naming the path.  The loaders check
+the value types of what they read with ``check_fields``.
 
 Arrays are stored in the NumPy ``.npy`` format (NEP 1).  ``write_npy``
 returns the SHA-256 of the bytes it wrote, and ``read_npy`` loads only
@@ -17,11 +18,50 @@ import hashlib
 import io
 import json
 import os
+import typing
 from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ContractViolation, ParseError
+
+
+def check_fields(schema, doc, where: str = "") -> dict:
+    """``doc`` with each value checked against its key's type in ``schema``.
+
+    ``schema`` is a dataclass, whose field hints give the types, or a dict of
+    types.  A float takes an int, stored as a float; no other type takes a
+    value of another type, so an int rejects a bool.  A ``tuple[...]``, of
+    fixed length or with ``...``, takes a JSON list of typed entries and stores
+    a tuple.  Keys the schema lacks are left to the caller.  A failure raises
+    ``ParseError`` naming the key, prefixed by ``where``.
+    """
+    if type(doc) is not dict:
+        raise ParseError(f"{where or 'document'} must be an object, not {type(doc).__name__}")
+    hints = schema if type(schema) is dict else typing.get_type_hints(schema)
+    out = {}
+    for key, value in doc.items():
+        want = hints.get(key)
+        # A value of exactly its type, the common case, skips the general check.
+        if want is not None and type(value) is not want:
+            value = _typed(want, value, f"{where}.{key}" if where else key)
+        out[key] = value
+    return out
+
+
+def _typed(want, value, key: str):
+    if typing.get_origin(want) is tuple:
+        if type(value) not in (list, tuple):
+            raise ParseError(f"{key} must be a list, got {value!r}")
+        args = typing.get_args(want)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ParseError(f"{key} must have {len(args)} entries, got {value!r}")
+        return tuple(_typed(a, v, f"{key}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if type(value) not in ((int, float) if want is float else (want,)):
+        raise ParseError(f"{key} must be {want.__name__}, got {value!r}")
+    return want(value)
 
 
 def read_json(path: str) -> dict:

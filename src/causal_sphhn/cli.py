@@ -27,15 +27,14 @@ import dataclasses
 import os
 import sys
 import time
-import typing
 import zlib
 
 import numpy as np
 
 from . import __version__, metrics, synthgen, training
-from .artifacts import doc_digest, file_digest, read_json, write_json
-from .errors import ContractViolation, NumericalError, ParseError, TrainingDiverged, ValidationError
-from .granger import CausalGraph, GrangerConfig, infer_causal_graph
+from .artifacts import check_fields, doc_digest, file_digest, read_json, write_json
+from .errors import ContractViolation, NumericalError, ParseError, TrainingDiverged, ValidationError, naming
+from .granger import REDUCTIONS, CausalGraph, GrangerConfig, infer_causal_graph
 from .hypergraph import block_path, feature_dropout, load_dataset, save_dataset
 from .model import ModelConfig, compile_structure, run_model
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
@@ -81,21 +80,6 @@ def _write_manifest(
     write_json(os.path.join(out_dir, "manifest.json"), doc, indent=2)
 
 
-def _check_types(cls, doc: dict, path: str) -> dict:
-    """``doc`` with each value checked against the type of ``cls``'s field of
-    that name.  A float field also takes an int, stored as a float; no other
-    field takes a value of another type, so an int field rejects a bool.
-    Tuple fields, and keys ``cls`` lacks, are left to the caller."""
-    hints = typing.get_type_hints(cls)
-    for key, value in doc.items():
-        want = hints.get(key)
-        if want in (int, float, bool, str):
-            if type(value) not in ((int, float) if want is float else (want,)):
-                raise ParseError(f"{path}: {key} must be {want.__name__}, got {value!r}")
-            doc[key] = want(value)
-    return doc
-
-
 # --------------------------------------------------------------------------
 # Commands
 # --------------------------------------------------------------------------
@@ -105,17 +89,13 @@ def cmd_synth(args) -> int:
     start = time.monotonic()
     seed = derive_seed(args.seed, "synth")
     if args.config:
-        doc = _check_types(synthgen.SynthConfig, read_json(args.config), args.config)
-        doc.setdefault("seed", seed)
-        doc["planted_edges"] = tuple(
-            (int(s), int(d), float(c)) for s, d, c in doc.get("planted_edges", ())
-        )
-        if "split_fracs" in doc:
-            doc["split_fracs"] = tuple(doc["split_fracs"])
-        try:
-            cfg = synthgen.SynthConfig(**doc)
-        except TypeError as exc:  # names the unknown or missing key
-            raise ParseError(f"{args.config}: {exc}") from exc
+        doc = read_json(args.config)
+        with naming(args.config):
+            doc = {"seed": seed, "planted_edges": (), **check_fields(synthgen.SynthConfig, doc)}
+            try:
+                cfg = synthgen.SynthConfig(**doc)
+            except TypeError as exc:  # names the unknown or missing key
+                raise ParseError(str(exc)) from exc
     else:
         cfg = synthgen.preset(args.preset, seed=seed)
     ds, truth = synthgen.generate(cfg)
@@ -152,11 +132,12 @@ def cmd_granger(args) -> int:
 
 def _train_configs(args) -> tuple[ModelConfig, TrainConfig]:
     overrides = read_json(args.config) if args.config else {}
-    unknown = sorted(set(overrides) - set(MODEL_KEYS + TRAIN_KEYS))
-    if unknown:
-        raise ParseError(f"{args.config}: unknown config key(s) {', '.join(unknown)}")
-    model_doc = _check_types(ModelConfig, {k: v for k, v in overrides.items() if k in MODEL_KEYS}, args.config)
-    train_doc = _check_types(TrainConfig, {k: v for k, v in overrides.items() if k in TRAIN_KEYS}, args.config)
+    with naming(args.config):
+        unknown = sorted(set(overrides) - set(MODEL_KEYS + TRAIN_KEYS))
+        if unknown:
+            raise ParseError(f"unknown config key(s) {', '.join(unknown)}")
+        model_doc = check_fields(ModelConfig, {k: v for k, v in overrides.items() if k in MODEL_KEYS})
+        train_doc = check_fields(TrainConfig, {k: v for k, v in overrides.items() if k in TRAIN_KEYS})
     if args.embed_dim:
         model_doc["embed_dim"] = args.embed_dim
     if args.layers is not None:
@@ -307,10 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("granger", help="infer the causal graph from a dataset")
+    defaults = GrangerConfig()
     p.add_argument("--dataset", required=True)
-    p.add_argument("--lag", type=_positive_int, default=2)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--reduction", choices=("pca1", "mean"), default="pca1")
+    p.add_argument("--lag", type=_positive_int, default=defaults.lag)
+    p.add_argument("--alpha", type=float, default=defaults.alpha)
+    p.add_argument("--reduction", choices=REDUCTIONS, default=defaults.reduction)
     p.add_argument("--bonferroni", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_granger)

@@ -10,11 +10,12 @@ causal graph over the node series that ``reduce_features`` derives.
 are scaled to unit norm, and is the reference.  ``infer_causal_graph`` tests
 all pairs with one blocked Frisch–Waugh–Lovell kernel: centring, a QR basis
 per node, one product per target, and a p x p Schur step done elementwise.
-For every block of targets the step forms S = I - MMᵀ, factors S = LLᵀ and
-solves with L in O(p³) whole-array passes over the block's pairs, one pass
-per matrix entry and product term, instead of a LAPACK call per pair.  The
-kernel hands ill-conditioned or nearly exact pairs to ``granger_test``, and
-gets p-values only for F at or above the critical value, bisected once.
+For every block of targets the step factors S = I - MMᵀ = LLᵀ and solves
+with L in O(p³) whole-array passes over the block's pairs, one per matrix
+entry and product term, instead of a LAPACK call per pair.  A pair whose
+det S (a lower bound on λ_min(S)) or rss_u / rss_r falls in its band goes to
+``granger_test``; p-values are computed only for F at or above the critical
+value, bisected once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .artifacts import read_json, write_json
+from .artifacts import check_fields, read_json, write_json
 from .errors import ContractViolation, NumericalError, ParseError, RankDeficient, SeriesTooShort, naming
 from .hypergraph import NodeFeatureSeries
 
@@ -45,8 +46,8 @@ _EXACT_RSS_TOL = 1e-18
 
 # Targets per block of the pair kernel, whose arrays are (lag + 1, lag, _CHUNK, n).
 _CHUNK = 64
-# Pairs the kernel hands to ``granger_test``: the sine of the smallest principal
-# angle between the two lag spaces, or rss_u / rss_r, at most its band.
+# Pairs the kernel hands to ``granger_test``: √det S, a lower bound on the sine of the
+# smallest principal angle between the two lag spaces, or rss_u / rss_r, at most its band.
 _PIVOT_BAND = _FIT_BAND = 1e-2
 
 
@@ -114,15 +115,14 @@ class CausalGraph:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CausalGraph":
+        fields = {"src": str, "dst": str, "f": float, "p": float}
         try:
-            alpha, lag = float(doc["alpha"]), int(doc["lag"])
-            edges = [
-                CausalEdge(str(e["src"]), str(e["dst"]), float(e["f"]), float(e["p"]))
-                for e in doc["edges"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"causal graph: missing or malformed field {exc}") from exc
-        return cls(alpha=alpha, lag=lag, edges=edges)
+            head = check_fields({"alpha": float, "lag": int, "edges": list}, doc)
+            rows = [check_fields(fields, e, f"edges[{k}]") for k, e in enumerate(head["edges"])]
+            edges = [CausalEdge(e["src"], e["dst"], e["f"], e["p"]) for e in rows]
+        except KeyError as exc:
+            raise ParseError(f"causal graph: missing field {exc}") from exc
+        return cls(alpha=head["alpha"], lag=head["lag"], edges=edges)
 
     def save(self, path: str) -> None:
         write_json(path, self.to_dict())
@@ -341,47 +341,36 @@ def reduce_features(
     return {n.node_id: (n.features - center) @ w for n in nodes}
 
 
-def _schur(m: np.ndarray) -> np.ndarray:
-    """S = I - M Mᵀ for an entry-major stack of p x p matrices, shapes (p, p, ...).
+def _gain(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(bᵀS⁻¹b, det S) for S = I - MMᵀ, entry-major M (p, p, ...) and b (p, ...).
 
-    Each of the p(p + 1) / 2 distinct entries is one sum of p whole-array
-    products, written to both of its symmetric places.
+    An unpivoted Cholesky factorisation S = LLᵀ, forming each S_ik where it is
+    read, and forward substitution: bᵀS⁻¹b = ‖L⁻¹b‖² and det S = ∏ L_kk², each
+    entry one whole-array expression (Golub & Van Loan, Matrix Computations,
+    §4.2).  A pivot L_kk² is floored at ``_PIVOT_BAND``², so a singular S gives a
+    finite gain and, as no pivot exceeds S_kk <= 1, det S <= ``_PIVOT_BAND``².
     """
     p = m.shape[0]
-    s = np.empty(m.shape)
-    for a in range(p):
-        for c in range(a + 1):
-            acc = m[a, 0] * m[c, 0]
-            for k in range(1, p):
-                acc += m[a, k] * m[c, k]
-            s[a, c] = s[c, a] = float(a == c) - acc
-    return s
-
-
-def _cholesky_gain(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """bᵀS⁻¹b = ‖L⁻¹b‖², S = LLᵀ, for entry-major S (p, p, ...) and b (p, ...).
-
-    An unpivoted Cholesky factorisation and forward substitution, each entry one
-    whole-array expression (Golub & Van Loan, Matrix Computations, §4.2).  It
-    needs no pivoting because ``infer_causal_graph`` passes it only S with
-    λ_min(S) > ``_PIVOT_BAND``² = 1e-4, by the ‖M‖_F² screen or by ``eigvalsh``,
-    and S = I for every pair it hands to ``granger_test``.
-    """
-    p = s.shape[0]
     low = [[None] * p for _ in range(p)]
-    z, gain = [], 0.0
+    z, gain, det = [], 0.0, 1.0
     for i in range(p):
         for k in range(i + 1):
-            acc = s[i, k]
-            for m in range(k):
-                acc = acc - low[i][m] * low[k][m]
+            acc = m[i, 0] * m[k, 0]
+            for a in range(1, p):
+                acc += m[i, a] * m[k, a]
+            acc = float(i == k) - acc
+            for a in range(k):
+                acc = acc - low[i][a] * low[k][a]
+            if k == i:
+                acc = np.maximum(acc, _PIVOT_BAND**2)
+                det = det * acc
             low[i][k] = np.sqrt(acc) if k == i else acc / low[k][k]
         acc = b[i]
-        for m in range(i):
-            acc = acc - low[i][m] * z[m]
+        for a in range(i):
+            acc = acc - low[i][a] * z[a]
         z.append(acc / low[i][i])
         gain = gain + z[i] * z[i]
-    return gain
+    return gain, det
 
 
 def infer_causal_graph(
@@ -395,12 +384,14 @@ def infer_causal_graph(
     block gives its basis Q_i and, as a target, its residual r_j.  Source i,
     target j: M = Q_iᵀQ_j, b = Q_iᵀr_j, S = I - M Mᵀ, rss_u = rss_r - bᵀS⁻¹b.
     Per block of ``_CHUNK`` targets, [Q_j, r_j]ᵀQ_all lays M and b out
-    entry-major, each entry a (targets, n) array; ``_schur`` and
-    ``_cholesky_gain`` then take bᵀS⁻¹b = ‖L⁻¹b‖² in O(p³) whole-array passes.
-    A pair goes to ``granger_test`` (module global, ``reduce_features``'s
-    arrays) if either node's R diagonal is at most ``_RANK_TOL`` times its
-    uncentred lag column norms (the rank rule of ``granger_test``'s unit-column
-    design), if √λ_min(S) <= ``_PIVOT_BAND`` or if rss_u <= ``_FIT_BAND``·rss_r.
+    entry-major, each entry a (targets, n) array; ``_gain`` then takes
+    bᵀS⁻¹b = ‖L⁻¹b‖² and det S in O(p³) whole-array passes.  A pair goes to
+    ``granger_test`` (module global, ``reduce_features``'s arrays) if either
+    node's R diagonal is at most ``_RANK_TOL`` times its uncentred lag column
+    norms (the rank rule of ``granger_test``'s unit-column design), if
+    det S <= ``_PIVOT_BAND``² or if rss_u <= ``_FIT_BAND``·rss_r.  S's
+    eigenvalues lie in [0, 1], so a pair the kernel keeps has
+    λ_min(S) >= det S > ``_PIVOT_BAND``².
     """
     if len(nodes) < 2:
         raise ContractViolation("need at least 2 nodes")
@@ -437,13 +428,9 @@ def infer_causal_graph(
         mb = (targets[start:stop] @ q_all).reshape(stop - start, p + 1, p, n).transpose(1, 2, 0, 3)
         # Entry-major (a, c, j, i): m[a, c] = Q_i[:, a]·Q_j[:, c] and b[a] = Q_i[:, a]·r_j.
         m, b = mb[:p].transpose(1, 0, 2, 3), mb[p]
-        s = _schur(m)
-        # λ_min(S) >= 1 - ‖M‖_F² = 1 - (p - tr S): only pairs failing that, self pairs among them, need eigenvalues.
-        fallback = p - np.trace(s) >= 1.0 - _PIVOT_BAND**2
-        fallback[fallback] = np.linalg.eigvalsh(np.moveaxis(s[:, :, fallback], -1, 0))[:, 0] <= _PIVOT_BAND**2
-        fallback |= np.logical_or.outer(deficient[start:stop], deficient)
-        s[:, :, fallback] = np.eye(p)[:, :, None]
-        gain = _cholesky_gain(s, b)
+        gain, det = _gain(m, b)
+        # λ_min(S) >= det S, as S's eigenvalues lie in [0, 1]; self pairs have S ≈ 0.
+        fallback = (det <= _PIVOT_BAND**2) | np.logical_or.outer(deficient[start:stop], deficient)
         rss_u = rss_r[start:stop, None] - gain
         fallback |= rss_u <= _FIT_BAND * rss_r[start:stop, None]
         f_stat, p_value, is_edge = _f_test(np.where(fallback, 0.0, gain), rss_u, p, dof_u, alpha, f_crit)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import read_json, write_json
-from .errors import ContractViolation, ParseError
+from .artifacts import check_fields, read_json, write_json
+from .errors import ContractViolation, ParseError, naming
 from .hypergraph import Dataset, Hyperedge, NodeFeatureSeries
 
 EDGE_TYPES = ("class", "activity")
@@ -371,10 +371,11 @@ def save_truth(truth: list[PlantedEdge], path: str) -> None:
 
 def load_truth(path: str) -> list[PlantedEdge]:
     doc = read_json(path)
-    try:
-        return [
-            PlantedEdge(str(e["src"]), str(e["dst"]), float(e["coef"]))
-            for e in doc["true_edges"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: missing or malformed field {exc}") from exc
+    fields = {"src": str, "dst": str, "coef": float}
+    with naming(path):
+        try:
+            rows = [check_fields(fields, e, f"true_edges[{k}]")
+                    for k, e in enumerate(check_fields({"true_edges": list}, doc)["true_edges"])]
+            return [PlantedEdge(e["src"], e["dst"], e["coef"]) for e in rows]
+        except KeyError as exc:
+            raise ParseError(f"missing field {exc}") from exc

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .artifacts import atomic_write, doc_digest, read_json, write_json
+from .artifacts import atomic_write, check_fields, doc_digest, read_json, write_json
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericalError, ParseError, TrainingDiverged, naming
 from .granger import CausalGraph
@@ -323,15 +323,11 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainConfig, CausalGraph | 
         if doc.get("format_version") != CHECKPOINT_VERSION:
             raise ContractViolation(f"unsupported checkpoint version {doc.get('format_version')}")
         try:
-            model_cfg = ModelConfig(**doc["model_config"])
-            train_cfg = TrainConfig(**doc["train_config"])
-            arch = doc["arch"]
+            model_cfg = ModelConfig(**check_fields(ModelConfig, doc["model_config"], "model_config"))
+            train_cfg = TrainConfig(**check_fields(TrainConfig, doc["train_config"], "train_config"))
+            arch = check_fields({"in_dim": int, "classes": int, "edge_types": tuple[str, ...]}, doc["arch"], "arch")
             params = init_params(
-                model_cfg,
-                int(arch["in_dim"]),
-                int(arch["classes"]),
-                tuple(arch["edge_types"]),
-                np.random.default_rng(0),
+                model_cfg, arch["in_dim"], arch["classes"], arch["edge_types"], np.random.default_rng(0)
             )
             params.load_values({k: np.asarray(v) for k, v in doc["params"].items()})
             graph = CausalGraph.from_dict(doc["causal_graph"]) if doc["causal_graph"] else None

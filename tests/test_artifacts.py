@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from causal_sphhn.artifacts import doc_digest, file_digest, read_json, read_npy, write_json, write_npy
+from causal_sphhn.artifacts import check_fields, doc_digest, file_digest, read_json, read_npy, write_json, write_npy
 from causal_sphhn.errors import ContractViolation, ParseError
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "causal_sphhn"
@@ -133,3 +133,33 @@ def test_digests(tmp_path):
     assert doc_digest({"a": 1, "b": [2]}) == doc_digest({"b": [2], "a": 1})
     with pytest.raises(ParseError, match=re.escape(str(tmp_path / "gone"))):
         file_digest(str(tmp_path / "gone"))
+
+
+def test_check_fields_converts_typed_lists_to_tuples():
+    schema = {"n": int, "x": float, "pair": tuple[int, str], "rows": tuple[tuple[int, float], ...]}
+    doc = {"n": 3, "x": 2, "pair": [1, "a"], "rows": [[0, 0.5], [1, 2]], "other": [1]}
+    got = check_fields(schema, doc)
+    assert got == {"n": 3, "x": 2.0, "pair": (1, "a"), "rows": ((0, 0.5), (1, 2.0)), "other": [1]}
+    assert type(got["x"]) is float and type(got["rows"][1][1]) is float
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n": True}, "cfg.n must be int, got True"),
+        ({"x": "1.5"}, "cfg.x must be float"),
+        ({"pair": [1]}, "cfg.pair must have 2 entries"),
+        ({"pair": "ab"}, "cfg.pair must be a list"),
+        ({"rows": [[0, 0.5], [0.5, 1.0]]}, "cfg.rows[1][0] must be int, got 0.5"),
+        ({"rows": [[0, "0.5"]]}, "cfg.rows[0][1] must be float"),
+    ],
+)
+def test_check_fields_names_the_key_of_a_wrong_type(doc, message):
+    schema = {"n": int, "x": float, "pair": tuple[int, str], "rows": tuple[tuple[int, float], ...]}
+    with pytest.raises(ParseError, match=re.escape(message)):
+        check_fields(schema, doc, "cfg")
+
+
+def test_check_fields_needs_an_object():
+    with pytest.raises(ParseError, match="arch must be an object, not list"):
+        check_fields({"n": int}, [1, 2], "arch")

@@ -6,7 +6,7 @@ import pytest
 
 from causal_sphhn import artifacts, cli, synthgen
 from causal_sphhn.cli import main
-from causal_sphhn.granger import CausalEdge, CausalGraph
+from causal_sphhn.granger import REDUCTIONS, CausalEdge, CausalGraph, GrangerConfig
 from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries, load_dataset, save_dataset
 from causal_sphhn.training import load_checkpoint, save_checkpoint
 
@@ -109,8 +109,41 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 1
         assert f"{next(iter(change))} must be int" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"planted_edges": [[0.9, 5, 0.7]]}, "planted_edges[0][0] must be int, got 0.9"),
+            ({"planted_edges": [["0", 5, 0.7]]}, "planted_edges[0][0] must be int"),
+            ({"planted_edges": [[0, 5]]}, "planted_edges[0] must have 3 entries"),
+            ({"split_fracs": ["0.5", "0.25", "0.25"]}, "split_fracs[0] must be float"),
+            ({"split_fracs": [0.5, 0.5]}, "split_fracs must have 3 entries"),
+        ],
+        ids=["float_node", "str_node", "short_edge", "str_fracs", "two_fracs"],
+    )
+    def test_config_tuple_field_of_the_wrong_type_is_input_error(self, tmp_path, capsys, change, message):
+        cfg = {
+            "n_nodes": 20, "n_hyperedges": 15, "mean_edge_size": 3.0,
+            "feature_dim": 6, "timesteps": 40, "n_classes": 2, "planted_edges": [], **change,
+        }
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg_path) in err and message in err
+        assert not out.exists()
+
 
 class TestGranger:
+    def test_defaults_come_from_granger_config(self):
+        sub = cli.build_parser()._subparsers._group_actions[0].choices["granger"]
+        args = sub.parse_args(["--dataset", "d.json", "--out", "o"])
+        cfg = GrangerConfig()
+        assert (args.lag, args.alpha, args.reduction, args.bonferroni) == (
+            cfg.lag, cfg.alpha, cfg.reduction, cfg.bonferroni
+        )
+        assert tuple(next(a for a in sub._actions if a.dest == "reduction").choices) == REDUCTIONS
+
     def test_recovers_planted_edges(self, toy_run):
         truth = json.load(open(os.path.join(toy_run, "truth.json")))
         graph = json.load(open(os.path.join(toy_run, "causal.json")))
@@ -256,6 +289,36 @@ class TestTrain:
         assert ckpt["model_config"]["dropout"] == 0.0 and isinstance(ckpt["model_config"]["dropout"], float)
         assert ckpt["train_config"]["lambda2"] == 1.0 and isinstance(ckpt["train_config"]["lambda2"], float)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"lag": True}, "lag must be int, got True"),
+            ({"lag": 2.7}, "lag must be int, got 2.7"),
+            ({"alpha": "0.01"}, "alpha must be float"),
+            ({"edge_f": "abc"}, "edges[0].f must be float, got 'abc'"),
+            ({"edge_src": 3}, "edges[0].src must be str"),
+            ({"edges": {}}, "edges must be list"),
+        ],
+        ids=["bool_lag", "float_lag", "str_alpha", "str_f", "int_src", "object_edges"],
+    )
+    def test_graph_field_of_the_wrong_type_is_input_error(self, tmp_path, toy_run, capsys, change, message):
+        doc = json.load(open(f"{toy_run}/causal.json"))
+        assert doc["edges"]
+        for key, value in change.items():
+            if key.startswith("edge_"):
+                doc["edges"][0][key[5:]] = value
+            else:
+                doc[key] = value
+        graph = tmp_path / "causal.json"
+        graph.write_text(json.dumps(doc))
+        out = tmp_path / "t"
+        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--graph", str(graph),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(graph) in err and message in err
+        assert not out.exists()
+
     def test_graph_without_edges_is_input_error(self, tmp_path, toy_run):
         graph = tmp_path / "causal.json"
         graph.write_text(json.dumps({"alpha": 0.01, "lag": 2}))
@@ -370,6 +433,47 @@ class TestEval:
              "--out", str(tmp_path / "r")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("model_config", "euclidean", "no", "model_config.euclidean must be bool, got 'no'"),
+            ("model_config", "layers", 2.0, "model_config.layers must be int, got 2.0"),
+            ("train_config", "lr", "0.001", "train_config.lr must be float"),
+            ("arch", "edge_types", "class", "arch.edge_types must be a list"),
+            ("causal_graph", "lag", 2.5, "lag must be int, got 2.5"),
+        ],
+        ids=["str_bool", "float_int", "str_float", "str_tuple", "graph_float_lag"],
+    )
+    def test_checkpoint_field_of_the_wrong_type_is_input_error(
+        self, tmp_path, toy_run, capsys, section, key, value, message
+    ):
+        doc = json.load(open(f"{toy_run}/checkpoint.json"))
+        doc[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "r"
+        code = main(["eval", "--checkpoint", str(path), "--dataset", f"{toy_run}/dataset.json", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"coef": "0.8"}, "true_edges[0].coef must be float"), ({"dst": 5}, "true_edges[0].dst must be str")],
+        ids=["str_coef", "int_dst"],
+    )
+    def test_truth_field_of_the_wrong_type_is_input_error(self, tmp_path, toy_run, capsys, change, message):
+        doc = json.load(open(f"{toy_run}/truth.json"))
+        doc["true_edges"][0].update(change)
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", f"{toy_run}/checkpoint.json", "--dataset", f"{toy_run}/dataset.json",
+                     "--truth", str(path), "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
 
     @pytest.mark.parametrize("corrupt", ["unknown_train_key", "missing_arch"])
     def test_malformed_checkpoint_is_input_error(self, tmp_path, toy_run, corrupt):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special
@@ -308,20 +310,47 @@ def granger_instances(draw):
     return series, cfg
 
 
-class TestSchurStep:
+def lapack_gain(m, b):
+    """bᵀS⁻¹b and det S for S = I - MMᵀ, by LAPACK, for pair-major M (pairs, p, p) and b (pairs, p)."""
+    s = np.eye(m.shape[-1]) - m @ m.transpose(0, 2, 1)
+    return np.einsum("ka,ka->k", b, np.linalg.solve(s, b[..., None])[..., 0]), np.linalg.det(s), s
+
+
+class TestGainStep:
     @settings(max_examples=200, deadline=None)
-    @given(p=st.integers(1, 8), pairs=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @given(p=st.integers(1, 16), pairs=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
     def test_matches_lapack(self, p, pairs, seed):
-        # Entry-major batches of M with ‖M‖₂ <= 0.99, so S = I - MMᵀ has λ_min >= 0.0199.
+        # Entry-major batches of M with ‖M‖₂ <= 0.99, so S = I - MMᵀ has λ_min >= 0.0199 and no pivot is floored.
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((pairs, p, p))
         m *= (rng.uniform(0.0, 0.99, pairs) / np.linalg.norm(m, 2, axis=(1, 2)))[:, None, None]
         b = rng.standard_normal((pairs, p))
-        ref_s = np.eye(p) - m @ m.transpose(0, 2, 1)
-        ref_gain = np.einsum("ka,ka->k", b, np.linalg.solve(ref_s, b[..., None])[..., 0])
-        s = granger._schur(np.moveaxis(m, 0, -1))
-        assert np.abs(np.moveaxis(s, -1, 0) - ref_s).max() <= 1e-12 * np.abs(ref_s).max()
-        np.testing.assert_allclose(granger._cholesky_gain(s, b.T), ref_gain, rtol=1e-12, atol=0.0)
+        ref_gain, ref_det, _ = lapack_gain(m, b)
+        gain, det = granger._gain(np.moveaxis(m, 0, -1), b.T)
+        np.testing.assert_allclose(gain, ref_gain, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(det, ref_det, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 16])
+    def test_singular_s_is_floored(self, p):
+        # A self pair: M = I, so S = 0.  Every pivot is floored, the gain stays finite and det S flags the pair.
+        rng = np.random.default_rng(p)
+        m = np.broadcast_to(np.eye(p)[:, :, None], (p, p, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gain, det = granger._gain(m, rng.standard_normal((p, 3)))
+        assert np.isfinite(gain).all()
+        assert (det <= granger._PIVOT_BAND**2).all()
+
+    def test_small_det_flags_a_pair_whose_lambda_min_clears_the_band(self):
+        # Every cosine 0.99: S = 0.0199·I has λ_min = 0.0199 > 1e-4 but det S = 0.0199⁴ <= 1e-4, so the
+        # rule sends the pair to granger_test although no pivot is floored and the gain is still exact.
+        m = 0.99 * np.eye(4)[None]
+        b = np.random.default_rng(4).standard_normal((1, 4))
+        ref_gain, ref_det, s = lapack_gain(m, b)
+        gain, det = granger._gain(np.moveaxis(m, 0, -1), b.T)
+        assert np.linalg.eigvalsh(s)[0, 0] > granger._PIVOT_BAND**2 >= det[0]
+        np.testing.assert_allclose(gain, ref_gain, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(det, ref_det, rtol=1e-12, atol=0.0)
 
 
 class TestInferCausalGraph:
@@ -410,6 +439,31 @@ class TestInferCausalGraph:
         assert ref.is_edge
         assert abs(edge.f_statistic - ref.f_statistic) <= 1e-9 * ref.f_statistic
 
+    def test_kernel_matches_granger_test_at_high_lag(self, monkeypatch):
+        # At lag 12 ‖M‖_F² sums 144 squared cosines; the kernel must still decide most pairs itself.
+        rng = np.random.default_rng(23)
+        base = ar1(rng, 130, coef=0.5)
+        series = {
+            "a": base, "b": ar1(rng, 130, drive=base, drive_coef=0.8), "c": rng.standard_normal(130),
+            "d": ar1(rng, 130, coef=-0.4), "e": shifted(base) + 0.5 * rng.standard_normal(130),
+        }
+        nodes = series_nodes(series)
+        calls, test = [], granger.granger_test
+        monkeypatch.setattr(granger, "granger_test", lambda *a, **k: (calls.append(1), test(*a, **k))[1])
+        cfg = GrangerConfig(lag=12, alpha=0.3, reduction="mean")
+        by_pair = {(e.src, e.dst): e for e in infer_causal_graph(nodes, cfg).edges}
+        assert len(calls) < 10 and ("a", "b") in by_pair
+        for src in series:
+            for dst in series:
+                if src == dst:
+                    continue
+                ref = test(series[src], series[dst], cfg)
+                edge = by_pair.get((src, dst))
+                assert (edge is not None) == ref.is_edge, (src, dst, ref)
+                if edge is not None:
+                    assert abs(edge.f_statistic - ref.f_statistic) <= 1e-9 * ref.f_statistic
+                    assert abs(edge.p_value - ref.p_value) <= 1e-12
+
     @pytest.mark.parametrize("chunk", [1, 3, 9])
     def test_block_size_does_not_change_results(self, monkeypatch, chunk):
         rng = np.random.default_rng(17)
@@ -429,9 +483,11 @@ class TestInferCausalGraph:
                 assert infer_causal_graph(nodes, cfg).to_dict() == ref
 
     def test_no_batched_solve(self, monkeypatch):
-        # The p x p Schur step is elementwise; a stacked np.linalg.solve pays a loop per pair.
+        # The p x p Schur step is elementwise; a stacked np.linalg.solve pays a loop per pair, and the
+        # factorisation's det S picks the fallbacks, so no eigenvalues are needed.
         stacked, solve = [], np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: (stacked.append(np.ndim(a) > 2), solve(a, b))[1])
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: pytest.fail("np.linalg.eigvalsh called"))
         rng = np.random.default_rng(19)
         base = rng.standard_normal(100)
         nodes = series_nodes({"a": base, "b": shifted(base), "c": np.zeros(100), "d": rng.standard_normal(100)})
