@@ -4,7 +4,9 @@ Every artifact of the pipeline is written atomically: into
 ``path + ".tmp"``, then moved onto ``path`` with ``os.replace``, so a
 reader never sees half a file.  A failed read raises ``ParseError`` and a
 failed write ``ContractViolation``, each naming the path.  The loaders check
-the value types of what they read with ``check_fields``.
+what they read with ``check_fields``, which owns the document's shape: a
+missing key and a value of the wrong type each raise ``ParseError`` naming
+the key.  Ranges are the business of the object the fields build.
 
 Arrays are stored in the NumPy ``.npy`` format (NEP 1).  ``write_npy``
 returns the SHA-256 of the bytes it wrote, and ``read_npy`` loads only
@@ -14,10 +16,12 @@ array too.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import types
 import typing
 from contextlib import contextmanager
 
@@ -29,39 +33,54 @@ from .errors import ContractViolation, ParseError
 def check_fields(schema, doc, where: str = "") -> dict:
     """``doc`` with each value checked against its key's type in ``schema``.
 
-    ``schema`` is a dataclass, whose field hints give the types, or a dict of
-    types.  A float takes an int, stored as a float; no other type takes a
-    value of another type, so an int rejects a bool.  A ``tuple[...]``, of
-    fixed length or with ``...``, takes a JSON list of typed entries and stores
-    a tuple.  Keys the schema lacks are left to the caller.  A failure raises
-    ``ParseError`` naming the key, prefixed by ``where``.
+    ``schema`` is a dict of types, or a dataclass whose field hints give the
+    types.  ``doc`` must have every key of a dict schema, and other keys pass
+    through; it must have every field of a dataclass without a default, and
+    no other key.  A float takes an int, stored as a float; no other type
+    takes a value of another type, so an int rejects a bool.  A
+    ``tuple[...]``, of fixed length or with ``...``, or a ``list[...]`` takes
+    a JSON list of typed entries; a nested schema takes an object; a union
+    such as ``dict | None`` takes a value of one of its types.  A failure
+    raises ``ParseError`` naming the key, prefixed by ``where``.
     """
     if type(doc) is not dict:
         raise ParseError(f"{where or 'document'} must be an object, not {type(doc).__name__}")
-    hints = schema if type(schema) is dict else typing.get_type_hints(schema)
-    out = {}
-    for key, value in doc.items():
-        want = hints.get(key)
+    prefix = f"{where}." if where else ""
+    if type(schema) is dict:
+        hints, optional = schema, ()
+    else:
+        hints = typing.get_type_hints(schema)
+        optional = {f.name for f in dataclasses.fields(schema) if f.default is not dataclasses.MISSING}
+        unknown = sorted(doc.keys() - hints.keys())
+        if unknown:
+            raise ParseError(f"unknown field(s) {', '.join(prefix + k for k in unknown)}")
+    out = dict(doc)
+    for key, want in hints.items():
+        if key not in doc:
+            if key not in optional:
+                raise ParseError(f"missing field {prefix}{key}")
         # A value of exactly its type, the common case, skips the general check.
-        if want is not None and type(value) is not want:
-            value = _typed(want, value, f"{where}.{key}" if where else key)
-        out[key] = value
+        elif type(doc[key]) is not want:
+            out[key] = _typed(want, doc[key], prefix + key)
     return out
 
 
 def _typed(want, value, key: str):
-    if typing.get_origin(want) is tuple:
+    if type(want) is types.GenericAlias:  # tuple[...] or list[...]
         if type(value) not in (list, tuple):
             raise ParseError(f"{key} must be a list, got {value!r}")
-        args = typing.get_args(want)
-        if args[-1] is Ellipsis:
+        origin, args = want.__origin__, want.__args__
+        if origin is list or args[-1] is Ellipsis:
             args = args[:1] * len(value)
         elif len(value) != len(args):
             raise ParseError(f"{key} must have {len(args)} entries, got {value!r}")
-        return tuple(_typed(a, v, f"{key}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
-    if type(value) not in ((int, float) if want is float else (want,)):
-        raise ParseError(f"{key} must be {want.__name__}, got {value!r}")
-    return want(value)
+        return origin(v if type(v) is a else _typed(a, v, f"{key}[{i}]") for i, (a, v) in enumerate(zip(args, value)))
+    if type(want) is dict or dataclasses.is_dataclass(want):
+        return check_fields(want, value, key)
+    kinds = want.__args__ if type(want) is types.UnionType else (int, float) if want is float else (want,)
+    if type(value) not in kinds:
+        raise ParseError(f"{key} must be {getattr(want, '__name__', want)}, got {value!r}")
+    return float(value) if want is float else value
 
 
 def read_json(path: str) -> dict:

@@ -15,8 +15,10 @@ creates the ``--out`` directory.  All randomness flows from one
 Exit codes: 0 success, 1 input error, 2 usage, 3 training divergence,
 4 gradient-check failure.  Exit 1 covers the package's input errors
 (``INPUT_ERRORS``): a file that cannot be read, is not JSON or is not a
-JSON object raises ``ParseError``, and a file that cannot be written
-raises ``ContractViolation``, each naming the path.  Any other exception,
+JSON object, or lacks a key or holds a value of the wrong type, raises
+``ParseError``; a value out of range raises ``ContractViolation`` when
+its config or graph is built; a file that cannot be written raises
+``ContractViolation``.  Each names the path.  Any other exception,
 ``OSError`` and ``KeyError`` included, is a bug and propagates.
 """
 
@@ -91,11 +93,8 @@ def cmd_synth(args) -> int:
     if args.config:
         doc = read_json(args.config)
         with naming(args.config):
-            doc = {"seed": seed, "planted_edges": (), **check_fields(synthgen.SynthConfig, doc)}
-            try:
-                cfg = synthgen.SynthConfig(**doc)
-            except TypeError as exc:  # names the unknown or missing key
-                raise ParseError(str(exc)) from exc
+            doc = check_fields(synthgen.SynthConfig, {"seed": seed, "planted_edges": (), **doc})
+            cfg = synthgen.SynthConfig(**doc)
     else:
         cfg = synthgen.preset(args.preset, seed=seed)
     ds, truth = synthgen.generate(cfg)

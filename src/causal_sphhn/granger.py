@@ -28,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifacts import check_fields, read_json, write_json
-from .errors import ContractViolation, NumericalError, ParseError, RankDeficient, SeriesTooShort, naming
+from .errors import ContractViolation, NumericalError, RankDeficient, SeriesTooShort, naming
 from .hypergraph import NodeFeatureSeries
 
 REDUCTIONS = ("pca1", "mean")
@@ -88,6 +88,7 @@ class CausalGraph:
     edges: list[CausalEdge] = field(default_factory=list)
 
     def __post_init__(self):
+        GrangerConfig(lag=self.lag, alpha=self.alpha)  # checks their ranges
         self.edges = sorted(self.edges, key=lambda e: (e.src, e.dst))
         seen = set()
         for e in self.edges:
@@ -116,12 +117,9 @@ class CausalGraph:
     @classmethod
     def from_dict(cls, doc: dict) -> "CausalGraph":
         fields = {"src": str, "dst": str, "f": float, "p": float}
-        try:
-            head = check_fields({"alpha": float, "lag": int, "edges": list}, doc)
-            rows = [check_fields(fields, e, f"edges[{k}]") for k, e in enumerate(head["edges"])]
-            edges = [CausalEdge(e["src"], e["dst"], e["f"], e["p"]) for e in rows]
-        except KeyError as exc:
-            raise ParseError(f"causal graph: missing field {exc}") from exc
+        head = check_fields({"alpha": float, "lag": int, "edges": list}, doc)
+        rows = [check_fields(fields, e, f"edges[{k}]") for k, e in enumerate(head["edges"])]
+        edges = [CausalEdge(e["src"], e["dst"], e["f"], e["p"]) for e in rows]
         return cls(alpha=head["alpha"], lag=head["lag"], edges=edges)
 
     def save(self, path: str) -> None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_json, read_npy, write_json, write_npy
+from .artifacts import check_fields, read_json, read_npy, write_json, write_npy
 from .errors import ContractViolation, ParseError, ValidationError, naming
 
 SPLIT_NAMES = ("train", "val", "test")
@@ -147,14 +147,17 @@ def dataset_to_dict(ds: Dataset, block: dict) -> dict:
     }
 
 
+# The document's schema for ``check_fields``; ``_block_entry`` checks the format and features first.
+_DOCUMENT = {"dim": int, "timesteps": int, "classes": int, "horizon": int, "nodes": list[str],
+             "hyperedges": list, "labels": dict, "splits": dict.fromkeys(SPLIT_NAMES, list[str])}
+_HYPEREDGE = {"id": str, "members": tuple[str, ...], "type": str}
+
+
 def _block_entry(doc: dict) -> tuple[str, str]:
     """The (file name, SHA-256) of a document's feature block."""
     if doc.get("format") != FORMAT:
         raise ParseError(f"unsupported dataset format {doc.get('format')!r} (expected {FORMAT})")
-    entry = doc.get("features")
-    if not (isinstance(entry, dict) and isinstance(entry.get("file"), str)
-            and isinstance(entry.get("sha256"), str)):
-        raise ParseError("field 'features' must be {'file': str, 'sha256': str}")
+    entry = check_fields({"features": {"file": str, "sha256": str}}, doc)["features"]
     name = entry["file"]
     if name in ("", ".", "..") or "/" in name or "\\" in name:
         raise ParseError(f"features file {name!r} must be a file name in the dataset's directory")
@@ -163,19 +166,8 @@ def _block_entry(doc: dict) -> tuple[str, str]:
 
 def dataset_from_dict(doc: dict, features: np.ndarray) -> Dataset:
     """The dataset a document describes, with ``features`` as its (N, T, d) block."""
-    def need(key, kind, where="top level"):
-        if key not in doc:
-            raise ParseError(f"missing field {key!r} at {where}")
-        val = doc[key]
-        if type(val) is not kind:  # isinstance would take JSON true/false as an int
-            raise ParseError(f"field {key!r} at {where} has wrong type")
-        return val
-
-    dim = need("dim", int)
-    timesteps = need("timesteps", int)
-    classes = need("classes", int)
-    horizon = need("horizon", int)
-    ids = [str(i) for i in need("nodes", list)]
+    doc = check_fields(_DOCUMENT, doc)
+    ids, timesteps, dim = doc["nodes"], doc["timesteps"], doc["dim"]
     if features.dtype != np.float64:
         raise ParseError(f"features block has dtype {features.dtype}, expected float64")
     if features.shape != (len(ids), timesteps, dim):
@@ -185,20 +177,11 @@ def dataset_from_dict(doc: dict, features: np.ndarray) -> Dataset:
         )
     nodes = [NodeFeatureSeries(i, row) for i, row in zip(ids, features)]
     edges = []
-    for i, ed in enumerate(need("hyperedges", list)):
-        if not isinstance(ed, dict) or not {"id", "members", "type"} <= set(ed):
-            raise ParseError(f"hyperedges[{i}] must have 'id', 'members', 'type'")
-        edges.append(
-            Hyperedge(str(ed["id"]), tuple(str(m) for m in ed["members"]), str(ed["type"]))
-        )
-    labels = {str(k): v for k, v in need("labels", dict).items()}
-    splits_doc = need("splits", dict)
-    splits = {}
-    for name in SPLIT_NAMES:
-        if name not in splits_doc:
-            raise ParseError(f"missing split {name!r} in 'splits'")
-        splits[name] = [str(x) for x in splits_doc[name]]
-    ds = Dataset(dim, timesteps, classes, horizon, nodes, edges, labels, splits)
+    for i, ed in enumerate(doc["hyperedges"]):
+        ed = check_fields(_HYPEREDGE, ed, f"hyperedges[{i}]")
+        edges.append(Hyperedge(ed["id"], ed["members"], ed["type"]))
+    splits = {name: doc["splits"][name] for name in SPLIT_NAMES}
+    ds = Dataset(dim, timesteps, doc["classes"], doc["horizon"], nodes, edges, doc["labels"], splits)
     ds.validate()
     return ds
 

@@ -70,15 +70,15 @@ class ModelConfig:
     euclidean: bool = False
     pairwise: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.embed_dim < 2:
             raise ContractViolation("embed_dim must be >= 2")
         if self.layers < 0:
             raise ContractViolation("layers must be >= 0")
         if not (0.0 <= self.dropout < 1.0):
             raise ContractViolation("dropout must be in [0, 1)")
-        if self.attn_temp_init <= 0 or self.gamma_temp_init <= 0:
-            raise ContractViolation("temperatures must be positive")
+        if self.attn_temp_init <= 0 or self.gamma_temp_init <= 0 or self.kappa_init <= 0:
+            raise ContractViolation("temperatures and kappa_init must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -140,7 +140,6 @@ def init_params(
     edge_types: tuple[str, ...],
     rng: np.random.Generator,
 ) -> ModelParams:
-    cfg.validate()
     d = cfg.embed_dim
 
     def glorot(rows, cols):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import check_fields, read_json, write_json
-from .errors import ContractViolation, ParseError, naming
+from .errors import ContractViolation, naming
 from .hypergraph import Dataset, Hyperedge, NodeFeatureSeries
 
 EDGE_TYPES = ("class", "activity")
@@ -63,7 +63,7 @@ class SynthConfig:
     split_fracs: tuple[float, float, float] = (0.5, 0.25, 0.25)
     horizon: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_nodes < 2 or self.n_classes < 2:
             raise ContractViolation("need >= 2 nodes and >= 2 classes")
         if self.timesteps < 12:
@@ -129,7 +129,6 @@ def _anchors(cfg: SynthConfig, rng: np.random.Generator):
 
 def generate(cfg: SynthConfig) -> tuple[Dataset, list[PlantedEdge]]:
     """Build a dataset plus its planted causal edge list (the ground truth)."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     n, d, t_len = cfg.n_nodes, cfg.feature_dim, cfg.timesteps
 
@@ -355,9 +354,7 @@ def preset(name: str, seed: int | None = None) -> SynthConfig:
         )
         count, coef = 40, 0.8
     rng = np.random.default_rng(base.seed)
-    cfg = replace(base, planted_edges=_pick_planted(base, count, coef, rng))
-    cfg.validate()
-    return cfg
+    return replace(base, planted_edges=_pick_planted(base, count, coef, rng))
 
 
 def save_truth(truth: list[PlantedEdge], path: str) -> None:
@@ -373,9 +370,6 @@ def load_truth(path: str) -> list[PlantedEdge]:
     doc = read_json(path)
     fields = {"src": str, "dst": str, "coef": float}
     with naming(path):
-        try:
-            rows = [check_fields(fields, e, f"true_edges[{k}]")
-                    for k, e in enumerate(check_fields({"true_edges": list}, doc)["true_edges"])]
-            return [PlantedEdge(e["src"], e["dst"], e["coef"]) for e in rows]
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc}") from exc
+        rows = [check_fields(fields, e, f"true_edges[{k}]")
+                for k, e in enumerate(check_fields({"true_edges": list}, doc)["true_edges"])]
+        return [PlantedEdge(e["src"], e["dst"], e["coef"]) for e in rows]

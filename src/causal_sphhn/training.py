@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .artifacts import atomic_write, check_fields, doc_digest, read_json, write_json
 from .autodiff import Tensor
-from .errors import ContractViolation, NumericalError, ParseError, TrainingDiverged, naming
+from .errors import ContractViolation, NumericalError, TrainingDiverged, naming
 from .granger import CausalGraph
 from .hypergraph import Dataset
 from .model import (
@@ -52,7 +52,7 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.lr < 0:
             raise ContractViolation("lr must be >= 0")
         if self.lambda1 < 0 or self.lambda2 < 0:
@@ -191,8 +191,6 @@ def train(
     Raises :class:`TrainingDiverged` (carrying the last good checkpoint)
     when the loss goes nonfinite.
     """
-    cfg.validate()
-    model_cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     structure = compile_structure(ds, causal_graph, model_cfg)
     params = init_params(model_cfg, ds.dim, ds.classes, _edge_types(ds), rng)
@@ -322,17 +320,20 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainConfig, CausalGraph | 
     with naming(path):
         if doc.get("format_version") != CHECKPOINT_VERSION:
             raise ContractViolation(f"unsupported checkpoint version {doc.get('format_version')}")
-        try:
-            model_cfg = ModelConfig(**check_fields(ModelConfig, doc["model_config"], "model_config"))
-            train_cfg = TrainConfig(**check_fields(TrainConfig, doc["train_config"], "train_config"))
-            arch = check_fields({"in_dim": int, "classes": int, "edge_types": tuple[str, ...]}, doc["arch"], "arch")
-            params = init_params(
-                model_cfg, arch["in_dim"], arch["classes"], arch["edge_types"], np.random.default_rng(0)
-            )
-            params.load_values({k: np.asarray(v) for k, v in doc["params"].items()})
-            graph = CausalGraph.from_dict(doc["causal_graph"]) if doc["causal_graph"] else None
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"missing or malformed field {exc}") from exc
+        doc = check_fields({
+            "model_config": ModelConfig,
+            "train_config": TrainConfig,
+            "arch": {"in_dim": int, "classes": int, "edge_types": tuple[str, ...]},
+            "causal_graph": dict | None,
+            "params": dict,
+        }, doc)
+        model_cfg = ModelConfig(**doc["model_config"])
+        train_cfg = TrainConfig(**doc["train_config"])
+        arch = doc["arch"]
+        params = init_params(model_cfg, arch["in_dim"], arch["classes"], arch["edge_types"], np.random.default_rng(0))
+        values = check_fields(dict.fromkeys(params.named(), list | float), doc["params"], "params")
+        params.load_values(values)
+        graph = CausalGraph.from_dict(doc["causal_graph"]) if doc["causal_graph"] is not None else None
     return params, train_cfg, graph
 
 

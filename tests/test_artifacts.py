@@ -135,11 +135,13 @@ def test_digests(tmp_path):
         file_digest(str(tmp_path / "gone"))
 
 
+SCHEMA = {"n": int, "x": float, "pair": tuple[int, str], "rows": tuple[tuple[int, float], ...], "ids": list[str]}
+VALID = {"n": 3, "x": 2, "pair": [1, "a"], "rows": [[0, 0.5], [1, 2]], "ids": ["a"]}
+
+
 def test_check_fields_converts_typed_lists_to_tuples():
-    schema = {"n": int, "x": float, "pair": tuple[int, str], "rows": tuple[tuple[int, float], ...]}
-    doc = {"n": 3, "x": 2, "pair": [1, "a"], "rows": [[0, 0.5], [1, 2]], "other": [1]}
-    got = check_fields(schema, doc)
-    assert got == {"n": 3, "x": 2.0, "pair": (1, "a"), "rows": ((0, 0.5), (1, 2.0)), "other": [1]}
+    got = check_fields(SCHEMA, {**VALID, "other": [1]})
+    assert got == {"n": 3, "x": 2.0, "pair": (1, "a"), "rows": ((0, 0.5), (1, 2.0)), "ids": ["a"], "other": [1]}
     assert type(got["x"]) is float and type(got["rows"][1][1]) is float
 
 
@@ -152,12 +154,15 @@ def test_check_fields_converts_typed_lists_to_tuples():
         ({"pair": "ab"}, "cfg.pair must be a list"),
         ({"rows": [[0, 0.5], [0.5, 1.0]]}, "cfg.rows[1][0] must be int, got 0.5"),
         ({"rows": [[0, "0.5"]]}, "cfg.rows[0][1] must be float"),
+        ({"ids": ["a", 2]}, "cfg.ids[1] must be str, got 2"),
+        ({"n": None}, "missing field cfg.n"),
     ],
 )
 def test_check_fields_names_the_key_of_a_wrong_type(doc, message):
-    schema = {"n": int, "x": float, "pair": tuple[int, str], "rows": tuple[tuple[int, float], ...]}
+    """``doc`` changes a valid document; a key set to None is deleted."""
+    doc = {k: v for k, v in {**VALID, **doc}.items() if v is not None}
     with pytest.raises(ParseError, match=re.escape(message)):
-        check_fields(schema, doc, "cfg")
+        check_fields(SCHEMA, doc, "cfg")
 
 
 def test_check_fields_needs_an_object():

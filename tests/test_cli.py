@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
@@ -298,8 +299,10 @@ class TestTrain:
             ({"edge_f": "abc"}, "edges[0].f must be float, got 'abc'"),
             ({"edge_src": 3}, "edges[0].src must be str"),
             ({"edges": {}}, "edges must be list"),
+            ({"alpha": 5.0}, "alpha must be in (0, 1), got 5.0"),
+            ({"lag": -3}, "lag must be >= 1, got -3"),
         ],
-        ids=["bool_lag", "float_lag", "str_alpha", "str_f", "int_src", "object_edges"],
+        ids=["bool_lag", "float_lag", "str_alpha", "str_f", "int_src", "object_edges", "big_alpha", "negative_lag"],
     )
     def test_graph_field_of_the_wrong_type_is_input_error(self, tmp_path, toy_run, capsys, change, message):
         doc = json.load(open(f"{toy_run}/causal.json"))
@@ -442,8 +445,12 @@ class TestEval:
             ("train_config", "lr", "0.001", "train_config.lr must be float"),
             ("arch", "edge_types", "class", "arch.edge_types must be a list"),
             ("causal_graph", "lag", 2.5, "lag must be int, got 2.5"),
+            ("train_config", "patience", 0, "patience must be >= 1"),
+            ("train_config", "lr", -1.0, "lr must be >= 0"),
+            ("model_config", "kappa_init", -5.0, "kappa_init must be positive"),
         ],
-        ids=["str_bool", "float_int", "str_float", "str_tuple", "graph_float_lag"],
+        ids=["str_bool", "float_int", "str_float", "str_tuple", "graph_float_lag", "zero_patience", "negative_lr",
+             "negative_kappa"],
     )
     def test_checkpoint_field_of_the_wrong_type_is_input_error(
         self, tmp_path, toy_run, capsys, section, key, value, message
@@ -511,6 +518,15 @@ BAD_FILES = {
     "missing_field": '{"alpha": 0.01}',
 }
 
+# The top-level keys of each artifact, and the flag that reads it.
+REQUIRED_KEYS = {
+    "causal.json": ("train-graph", ["alpha", "lag", "edges"]),
+    "truth.json": ("eval-truth", ["true_edges"]),
+    "checkpoint.json": ("eval-checkpoint", ["model_config", "train_config", "arch", "causal_graph", "params"]),
+    "dataset.json": ("granger-dataset", ["format", "dim", "timesteps", "classes", "horizon", "features",
+                                         "nodes", "hyperedges", "labels", "splits"]),
+}
+
 
 class TestFiles:
     @pytest.mark.parametrize("content", list(BAD_FILES.values()), ids=list(BAD_FILES))
@@ -522,6 +538,19 @@ class TestFiles:
         args = [a.format(bad=bad, run=toy_run) for a in argv]
         assert main(args + ["--out", str(tmp_path / "out")]) == 1
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, key", [(name, key) for name, (_, keys) in REQUIRED_KEYS.items() for key in keys])
+    def test_missing_key_is_input_error(self, tmp_path, toy_run, capsys, name, key):
+        flag, _ = REQUIRED_KEYS[name]
+        doc = json.load(open(f"{toy_run}/{name}"))
+        del doc[key]
+        bad = tmp_path / name
+        bad.write_text(json.dumps(doc))
+        shutil.copy(f"{toy_run}/dataset.npy", tmp_path)  # the dataset document's feature block
+        args = [a.format(bad=bad, run=toy_run) for a in FILE_FLAGS[flag]]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and key in err
 
     def test_out_naming_a_file_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "taken"

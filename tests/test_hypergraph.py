@@ -230,12 +230,21 @@ def rewrite_block(change):
     return rewrite
 
 
-def set_file_entry(name):
+def edit_doc(change):
+    """Apply ``change`` to the document in place."""
     def rewrite(path, ds):
         doc = read_doc(path)
-        doc["features"]["file"] = name
+        change(doc)
         pathlib.Path(path).write_text(json.dumps(doc))
     return rewrite
+
+
+def set_file_entry(name):
+    return edit_doc(lambda doc: doc["features"].update(file=name))
+
+
+def set_edge_field(**change):
+    return edit_doc(lambda doc: doc["hyperedges"][0].update(change))
 
 
 BROKEN_FILES = {
@@ -248,6 +257,12 @@ BROKEN_FILES = {
     "parent_dir": (set_file_entry("../ds.npy"), "file name"),
     "sub_dir": (set_file_entry("sub/ds.npy"), "file name"),
     "dot_dot": (set_file_entry(".."), "file name"),
+    "int_edge_id": (set_edge_field(id=5), "hyperedges[0].id must be str, got 5"),
+    "list_edge_type": (set_edge_field(type=["x"]), "hyperedges[0].type must be str, got ['x']"),
+    "str_members": (set_edge_field(members="n0n1"), "hyperedges[0].members must be a list"),
+    "int_node_id": (edit_doc(lambda doc: doc["nodes"].__setitem__(0, 0)), "nodes[0] must be str, got 0"),
+    "int_split_id": (edit_doc(lambda doc: doc["splits"]["train"].__setitem__(0, 0)),
+                     "splits.train[0] must be str, got 0"),
 }
 
 
@@ -258,7 +273,7 @@ def test_broken_dataset_is_parse_error_naming_the_path(tmp_path, capsys, name):
     path = str(tmp_path / "ds.json")
     save_dataset(ds, path)
     breaker(path, ds)
-    with pytest.raises(ParseError, match=re.escape(path) + ".*" + message):
+    with pytest.raises(ParseError, match=re.escape(path) + ".*" + re.escape(message)):
         load_dataset(path)
     assert main(["granger", "--dataset", path, "--out", str(tmp_path / "out")]) == 1
     assert path in capsys.readouterr().err

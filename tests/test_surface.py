@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import importlib
 import inspect
 import itertools
 import pathlib
@@ -81,6 +83,24 @@ def test_unused_definitions_are_found(tmp_path):
         "helper()\n"
     )
     assert unreferenced(tmp_path) == {"mod.A.dead", "mod.orphan"}
+
+
+def test_every_config_checks_itself_when_built():
+    """Each frozen ``*Config`` dataclass checks its ranges in ``__post_init__``.
+
+    A config that exists is valid: no caller has to remember a ``validate()``.
+    """
+    configs = {
+        cls
+        for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"
+        for cls in vars(importlib.import_module(f"causal_sphhn.{path.stem}")).values()
+        if isinstance(cls, type) and cls.__name__.endswith("Config")
+        and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+    }
+    assert {c.__name__ for c in configs} >= {"GrangerConfig", "ModelConfig", "SynthConfig", "TrainConfig"}
+    for cls in configs:
+        assert "__post_init__" in vars(cls), cls.__name__
+        assert not hasattr(cls, "validate"), cls.__name__
 
 
 # Ops the coverage run below need not reach, each with the reason.

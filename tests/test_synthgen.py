@@ -34,17 +34,16 @@ def small_cfg(seed, planted=(), **kw):
 
 class TestConfigValidation:
     def test_unstable_coefficients_rejected(self):
-        cfg = small_cfg(0, planted=[(0, 1, 0.7), (2, 1, 0.4)])
         with pytest.raises(ContractViolation):
-            cfg.validate()
+            small_cfg(0, planted=[(0, 1, 0.7), (2, 1, 0.4)])
 
     def test_out_of_range_coefficient_rejected(self):
         with pytest.raises(ContractViolation):
-            small_cfg(0, planted=[(0, 1, 1.5)]).validate()
+            small_cfg(0, planted=[(0, 1, 1.5)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ContractViolation):
-            small_cfg(0, planted=[(1, 1, 0.5)]).validate()
+            small_cfg(0, planted=[(1, 1, 0.5)])
 
     def test_unknown_preset(self):
         with pytest.raises(ContractViolation):
