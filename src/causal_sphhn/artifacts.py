@@ -111,10 +111,10 @@ def atomic_write(path: str, binary: bool = False):
 
 
 def write_json(path: str, doc, indent: int | None = None) -> None:
-    # json.dump streams to the handle; building the whole string first
-    # would hold a second copy of a large dataset in memory.
+    # json.dumps encodes in C when indent is None; json.dump always runs the Python encoder.
+    text = json.dumps(doc, indent=indent)
     with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=indent)
+        fh.write(text)
 
 
 def write_npy(path: str, array: np.ndarray) -> str:

@@ -9,7 +9,8 @@ causal graph over the node series that ``reduce_features`` derives.
 ``granger_test`` fits one pair by Householder QR of a design whose columns
 are scaled to unit norm, and is the reference.  ``infer_causal_graph`` tests
 all pairs with one blocked Frisch–Waugh–Lovell kernel: centring, a QR basis
-per node, one product per target, and a p x p Schur step done elementwise.
+per node, one product per fixed group of targets, and a p x p Schur step done
+elementwise.
 For every block of targets the step factors S = I - MMᵀ = LLᵀ and solves
 with L in O(p³) whole-array passes over the block's pairs, one per matrix
 entry and product term, instead of a LAPACK call per pair.  A pair whose
@@ -44,8 +45,13 @@ _RANK_TOL = 1e-10
 # that is a deterministic lagged copy of the source).
 _EXACT_RSS_TOL = 1e-18
 
-# Targets per block of the pair kernel, whose arrays are (lag + 1, lag, _CHUNK, n).
+# Targets per block of the pair kernel, whose arrays are (lag + 1, lag, _CHUNK, n), and
+# per product: targets are multiplied in fixed groups of _GROUP, so target j's rows always
+# come from a gemm of one shape at row offset (j mod _GROUP)·(lag + 1), whatever _CHUNK
+# is, and the block size changes no bit of any result.  _CHUNK is a multiple of _GROUP,
+# so no group is multiplied twice.
 _CHUNK = 64
+_GROUP = 16
 # Pairs the kernel hands to ``granger_test``: √det S, a lower bound on the sine of the
 # smallest principal angle between the two lag spaces, or rss_u / rss_r, at most its band.
 _PIVOT_BAND = _FIT_BAND = 1e-2
@@ -331,7 +337,9 @@ def reduce_features(
     fit = set(fit_ids) if fit_ids else {n.node_id for n in nodes}
     pool = np.concatenate([n.features for n in nodes if n.node_id in fit], axis=0)
     center = pool.mean(axis=0)
-    cov = (pool - center).T @ (pool - center)
+    pool -= center  # a fresh array, centred in place
+    # Two operands, so numpy runs gemm: for pool.T @ pool it runs syrk, whose bits differ.
+    cov = pool.T @ pool.copy()
     _, vecs = np.linalg.eigh(cov)
     w = vecs[:, -1]
     if w[np.argmax(np.abs(w))] < 0:
@@ -381,15 +389,18 @@ def infer_causal_graph(
     Columns are centred (FWL on the intercept); one QR of each node's lag
     block gives its basis Q_i and, as a target, its residual r_j.  Source i,
     target j: M = Q_iᵀQ_j, b = Q_iᵀr_j, S = I - M Mᵀ, rss_u = rss_r - bᵀS⁻¹b.
-    Per block of ``_CHUNK`` targets, [Q_j, r_j]ᵀQ_all lays M and b out
-    entry-major, each entry a (targets, n) array; ``_gain`` then takes
-    bᵀS⁻¹b = ‖L⁻¹b‖² and det S in O(p³) whole-array passes.  A pair goes to
-    ``granger_test`` (module global, ``reduce_features``'s arrays) if either
-    node's R diagonal is at most ``_RANK_TOL`` times its uncentred lag column
-    norms (the rank rule of ``granger_test``'s unit-column design), if
-    det S <= ``_PIVOT_BAND``² or if rss_u <= ``_FIT_BAND``·rss_r.  S's
-    eigenvalues lie in [0, 1], so a pair the kernel keeps has
-    λ_min(S) >= det S > ``_PIVOT_BAND``².
+    [Q_j, r_j]ᵀQ_all lays M and b out entry-major, each entry a (targets, n)
+    array.  It is one gemm per group of ``_GROUP`` consecutive targets (the
+    last zero-padded), and a block of ``_CHUNK`` targets slices its rows out
+    of its groups' products, so every target's rows come from a product of
+    one shape at one row offset and no result depends on ``_CHUNK``.  Per
+    block, ``_gain`` then takes bᵀS⁻¹b = ‖L⁻¹b‖² and det S in O(p³)
+    whole-array passes.  A pair goes to ``granger_test`` (module global,
+    ``reduce_features``'s arrays) if either node's R diagonal is at most
+    ``_RANK_TOL`` times its uncentred lag column norms (the rank rule of
+    ``granger_test``'s unit-column design), if det S <= ``_PIVOT_BAND``² or
+    if rss_u <= ``_FIT_BAND``·rss_r.  S's eigenvalues lie in [0, 1], so a
+    pair the kernel keeps has λ_min(S) >= det S > ``_PIVOT_BAND``².
     """
     if len(nodes) < 2:
         raise ContractViolation("need at least 2 nodes")
@@ -417,13 +428,19 @@ def infer_causal_graph(
     rss_r = np.einsum("nr,nr->n", resid, resid)
     # Column a·n + i is Q_i[:, a].  C order also at lag 1, where reshape gives a transposed view BLAS runs slowly.
     q_all = np.ascontiguousarray(q.transpose(1, 2, 0).reshape(rows, p * n))
-    targets = np.concatenate([q.transpose(0, 2, 1), resid[:, None, :]], axis=1)  # rows of [Q_j, r_j]ᵀ
+    # Rows of [Q_j, r_j]ᵀ, zero-padded to whole groups of _GROUP targets.
+    n_groups = -(-n // _GROUP)
+    targets = np.zeros((n_groups * _GROUP, p + 1, rows))
+    targets[:n, :p], targets[:n, p] = q.transpose(0, 2, 1), resid
+    targets = targets.reshape(n_groups, _GROUP * (p + 1), rows)
     f_crit = _f_crit(alpha, p, dof_u)
     edges: list[CausalEdge] = []
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        # [Q_j, r_j]ᵀQ_all: one fixed-shape product per target, so _CHUNK changes no result.
-        mb = (targets[start:stop] @ q_all).reshape(stop - start, p + 1, p, n).transpose(1, 2, 0, 3)
+        # [Q_j, r_j]ᵀQ_all: one fixed-shape product per group, so _CHUNK changes no result.
+        off = start % _GROUP
+        mb = (targets[start // _GROUP : -(-stop // _GROUP)] @ q_all).reshape(-1, p + 1, p, n)
+        mb = mb[off : off + stop - start].transpose(1, 2, 0, 3)
         # Entry-major (a, c, j, i): m[a, c] = Q_i[:, a]·Q_j[:, c] and b[a] = Q_i[:, a]·r_j.
         m, b = mb[:p].transpose(1, 0, 2, 3), mb[p]
         gain, det = _gain(m, b)

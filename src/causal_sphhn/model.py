@@ -71,13 +71,14 @@ class ModelConfig:
     pairwise: bool = False
 
     def __post_init__(self):
+        # Each float check is written so that NaN fails it.
         if self.embed_dim < 2:
             raise ContractViolation("embed_dim must be >= 2")
         if self.layers < 0:
             raise ContractViolation("layers must be >= 0")
         if not (0.0 <= self.dropout < 1.0):
             raise ContractViolation("dropout must be in [0, 1)")
-        if self.attn_temp_init <= 0 or self.gamma_temp_init <= 0 or self.kappa_init <= 0:
+        if not (self.attn_temp_init > 0 and self.gamma_temp_init > 0 and self.kappa_init > 0):
             raise ContractViolation("temperatures and kappa_init must be positive")
 
     def to_dict(self) -> dict:

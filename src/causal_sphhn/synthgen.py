@@ -64,6 +64,7 @@ class SynthConfig:
     horizon: int = 1
 
     def __post_init__(self):
+        # Each float check is written so that NaN fails it.
         if self.n_nodes < 2 or self.n_classes < 2:
             raise ContractViolation("need >= 2 nodes and >= 2 classes")
         if self.timesteps < 12:
@@ -76,8 +77,16 @@ class SynthConfig:
             raise ContractViolation(f"unknown label rule {self.label_rule!r}")
         if not (0.0 <= self.noise_spread < 1.0):
             raise ContractViolation("noise_spread must be in [0, 1)")
-        if self.activity_spread < 0.0:
-            raise ContractViolation("activity_spread must be >= 0")
+        if not (self.mean_edge_size >= 2.0):
+            raise ContractViolation("mean_edge_size must be >= 2")
+        if not (self.noise_sigma >= 0.0 and self.activity_spread >= 0.0):
+            raise ContractViolation("noise_sigma and activity_spread must be >= 0")
+        if not (self.anchor_scale >= 0.0 and self.anchor_jitter >= 0.0):
+            raise ContractViolation("anchor_scale and anchor_jitter must be >= 0")
+        if not (0.0 <= self.follower_frac <= 1.0 and 0.0 <= self.label_noise <= 1.0):
+            raise ContractViolation("follower_frac and label_noise must be in [0, 1]")
+        if not (abs(self.leader_autocorr) < 1.0):
+            raise ContractViolation("leader_autocorr must be in (-1, 1)")
         if not (0.0 <= self.edge_contamination < 1.0):
             raise ContractViolation("edge_contamination must be in [0, 1)")
         if not math.isclose(sum(self.split_fracs), 1.0, abs_tol=1e-9):

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .artifacts import atomic_write, check_fields, doc_digest, read_json, write_json
 from .autodiff import Tensor
-from .errors import ContractViolation, NumericalError, TrainingDiverged, naming
+from .errors import ContractViolation, NumericalError, ParseError, TrainingDiverged, naming
 from .granger import CausalGraph
 from .hypergraph import Dataset
 from .model import (
@@ -53,9 +53,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
+        # Each float check is written so that NaN fails it.
+        if not (self.lr >= 0):
             raise ContractViolation("lr must be >= 0")
-        if self.lambda1 < 0 or self.lambda2 < 0:
+        if not (self.lambda1 >= 0 and self.lambda2 >= 0):
             raise ContractViolation("loss weights must be >= 0")
         if self.patience < 1:
             raise ContractViolation("patience must be >= 1")
@@ -330,8 +331,20 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainConfig, CausalGraph | 
         model_cfg = ModelConfig(**doc["model_config"])
         train_cfg = TrainConfig(**doc["train_config"])
         arch = doc["arch"]
+        for key in ("in_dim", "classes"):
+            if arch[key] < 1:
+                raise ParseError(f"arch.{key} must be >= 1, got {arch[key]}")
         params = init_params(model_cfg, arch["in_dim"], arch["classes"], arch["edge_types"], np.random.default_rng(0))
         values = check_fields(dict.fromkeys(params.named(), list | float), doc["params"], "params")
+        for name, tensor in params.named().items():
+            try:
+                values[name] = np.array(values[name], dtype=np.float64)
+            except (TypeError, ValueError) as exc:  # strings, or ragged nesting
+                raise ParseError(f"params.{name} must be an array of numbers") from exc
+            if values[name].shape != tensor.data.shape:
+                raise ParseError(f"params.{name} has shape {values[name].shape}, expected {tensor.data.shape}")
+            if not np.isfinite(values[name]).all():
+                raise ParseError(f"params.{name} must be finite")
         params.load_values(values)
         graph = CausalGraph.from_dict(doc["causal_graph"]) if doc["causal_graph"] is not None else None
     return params, train_cfg, graph

@@ -1,15 +1,30 @@
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
+import typing
 
 import pytest
 
 from causal_sphhn import artifacts, cli, synthgen
 from causal_sphhn.cli import main
+from causal_sphhn.errors import ContractViolation
 from causal_sphhn.granger import REDUCTIONS, CausalEdge, CausalGraph, GrangerConfig
 from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries, load_dataset, save_dataset
-from causal_sphhn.training import load_checkpoint, save_checkpoint
+from causal_sphhn.model import ModelConfig
+from causal_sphhn.training import TrainConfig, load_checkpoint, save_checkpoint
+
+
+CONFIGS = [TrainConfig(), ModelConfig(), GrangerConfig(), synthgen.preset("toy")]
+FLOAT_FIELDS = [(cfg, key) for cfg in CONFIGS for key, hint in typing.get_type_hints(type(cfg)).items() if hint is float]
+
+
+@pytest.mark.parametrize("cfg, key", FLOAT_FIELDS, ids=[f"{type(c).__name__}.{k}" for c, k in FLOAT_FIELDS])
+def test_nan_config_field_is_rejected(cfg, key):
+    with pytest.raises(ContractViolation):
+        dataclasses.replace(cfg, **{key: math.nan})
 
 
 def sha(path):
@@ -224,6 +239,16 @@ class TestTrain:
              "--config", str(cfg), "--out", str(tmp_path / "d")]
         )
         assert code == 3
+
+    def test_nan_config_value_is_input_error(self, tmp_path, toy_run, capsys):
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps({"lr": math.nan, "max_epochs": 1}))  # json writes a bare NaN
+        out = tmp_path / "n"
+        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "lr must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ablation_flags_accepted(self, tmp_path, toy_run):
         cfg = tmp_path / "fast.json"
@@ -448,9 +473,13 @@ class TestEval:
             ("train_config", "patience", 0, "patience must be >= 1"),
             ("train_config", "lr", -1.0, "lr must be >= 0"),
             ("model_config", "kappa_init", -5.0, "kappa_init must be positive"),
+            ("params", "proj_w", [[1.0]], "params.proj_w has shape (1, 1)"),
+            ("params", "proj_w", [["a"]], "params.proj_w must be an array of numbers"),
+            ("arch", "in_dim", -1, "arch.in_dim must be >= 1, got -1"),
+            ("params", "kappa_b", math.nan, "params.kappa_b must be finite"),
         ],
         ids=["str_bool", "float_int", "str_float", "str_tuple", "graph_float_lag", "zero_patience", "negative_lr",
-             "negative_kappa"],
+             "negative_kappa", "param_shape", "param_str", "negative_in_dim", "nan_param"],
     )
     def test_checkpoint_field_of_the_wrong_type_is_input_error(
         self, tmp_path, toy_run, capsys, section, key, value, message

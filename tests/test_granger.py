@@ -464,8 +464,9 @@ class TestInferCausalGraph:
                     assert abs(edge.f_statistic - ref.f_statistic) <= 1e-9 * ref.f_statistic
                     assert abs(edge.p_value - ref.p_value) <= 1e-12
 
-    @pytest.mark.parametrize("chunk", [1, 3, 9])
+    @pytest.mark.parametrize("chunk", [1, 3, 9, granger._GROUP + 1])
     def test_block_size_does_not_change_results(self, monkeypatch, chunk):
+        # 2·_GROUP + 5 nodes, so the last group of targets is padded and these chunks straddle groups.
         rng = np.random.default_rng(17)
         base = ar1(rng, 120, coef=0.5)
         series = {
@@ -473,11 +474,15 @@ class TestInferCausalGraph:
             "d": shifted(base), "e": rng.standard_normal(120), "f": ar1(rng, 120, coef=0.9),
             "g": ar1(rng, 120, coef=-0.3),
         }
+        series.update({f"n{k:02d}": ar1(rng, 120, coef=0.4) for k in range(2 * granger._GROUP + 5 - len(series))})
         nodes = series_nodes(series)
         for lag in (1, 2, 3):
             cfg = GrangerConfig(lag=lag, alpha=0.3, reduction="mean")
             ref = infer_causal_graph(nodes, cfg).to_dict()
             assert {("a", "b"), ("a", "d")} <= {(e["src"], e["dst"]) for e in ref["edges"]}
+            for e in ref["edges"]:
+                f_ref = granger.granger_test(series[e["src"]], series[e["dst"]], cfg).f_statistic
+                assert abs(e["f"] - f_ref) <= 1e-9 * f_ref, (lag, e)
             with monkeypatch.context() as m:
                 m.setattr(granger, "_CHUNK", chunk)
                 assert infer_causal_graph(nodes, cfg).to_dict() == ref
