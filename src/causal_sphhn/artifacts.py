@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import types
 import typing
@@ -118,35 +119,60 @@ def write_json(path: str, doc, indent: int | None = None) -> None:
 
 
 def write_npy(path: str, array: np.ndarray) -> str:
-    """Write ``array`` as ``.npy`` and return the SHA-256 of the bytes written."""
-    buf = io.BytesIO()
-    np.save(buf, array, allow_pickle=False)
-    data = buf.getbuffer()  # a view: no second copy of a large array
+    """Write ``array`` as ``.npy`` and return the SHA-256 of the bytes written.
+
+    The bytes are those ``np.save`` writes for ``np.ascontiguousarray(array)``:
+    the format's header, then the array's own buffer, with no copy between.
+    """
+    array = np.ascontiguousarray(array)
+    body = array.reshape(-1).view(np.uint8)  # an object array raises here, before any file is made
+    head = io.BytesIO()
+    np.lib.format.write_array_header_1_0(head, np.lib.format.header_data_from_array_1_0(array))
+    digest = hashlib.sha256()
     with atomic_write(path, binary=True) as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+        for part in (head.getbuffer(), body):
+            fh.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
 def read_npy(path: str, sha256: str) -> np.ndarray:
     """The array stored at ``path``, whose bytes must have SHA-256 ``sha256``.
 
-    The bytes are read once; the digest is checked on them and the same
-    bytes are parsed, so a block swapped between the two steps cannot load.
+    The array is read in place: the header is parsed, the array allocated
+    from it, and the data read straight into its buffer.  The bytes are read
+    once; the digest is checked on them and the same bytes are parsed, so a
+    block swapped between the two steps cannot load.  A file whose data is
+    not exactly the size the header's shape and dtype give, or whose dtype
+    holds Python objects, does not load.
     """
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            head = fh.read(10)  # the magic string, the format version and the header's length
+            try:
+                version = np.lib.format.read_magic(io.BytesIO(head))
+                if version != (1, 0):  # the version write_npy writes
+                    raise ValueError(f"unsupported .npy version {version}")
+                head += fh.read(int.from_bytes(head[8:], "little"))
+                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(io.BytesIO(head[8:]))
+            except ValueError as exc:  # not .npy, or a truncated or malformed header
+                raise ParseError(f"{path}: not a loadable .npy array: {exc}") from exc
+            if dtype.hasobject:
+                raise ParseError(f"{path}: not a loadable .npy array: dtype {dtype} holds Python objects")
+            size = math.prod(shape) * dtype.itemsize
+            stored = os.fstat(fh.fileno()).st_size - len(head)
+            if stored != size or min(shape, default=0) < 0:
+                raise ParseError(f"{path}: {stored} bytes of data, but the header's shape {shape} needs {size}")
+            array = np.empty(shape, dtype, order="F" if fortran_order else "C")
+            body = array.reshape(-1, order="A").view(np.uint8)
+            if fh.readinto(body) != size or fh.read(1):
+                raise ParseError(f"{path}: the file changed while it was read")
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != sha256:
-        raise ParseError(f"{path}: SHA-256 {digest[:12]}... does not match the recorded {sha256[:12]}...")
-    try:
-        array = np.load(io.BytesIO(data), allow_pickle=False)
-    except ValueError as exc:  # not .npy, truncated, or an object array
-        raise ParseError(f"{path}: not a loadable .npy array: {exc}") from exc
-    if not isinstance(array, np.ndarray):  # an .npz archive
-        raise ParseError(f"{path}: not a .npy array")
+    digest = hashlib.sha256(head)
+    digest.update(body)
+    if digest.hexdigest() != sha256:
+        raise ParseError(f"{path}: SHA-256 {digest.hexdigest()[:12]}... does not match the recorded {sha256[:12]}...")
     return array
 
 

@@ -10,6 +10,16 @@ another (a reshape, a transpose, a broadcast) and is stored as it comes,
 and accumulation allocates a new sum.  Constants, tensors with
 ``requires_grad=False``, get no gradient: a closure computes only the
 parent gradients that are needed, and a constant's ``.grad`` stays None.
+An op whose inputs are all constants keeps no closure and no parents, so
+a forward pass over constants builds no graph.
+
+Lifetime: ``backward()`` consumes the graph.  Once a node's closure has
+run, the node drops its gradient, its closure and its parents, so each
+intermediate value is freed as soon as the last node that reads it has
+been differentiated, and the root no longer keeps the graph alive.  Only
+leaves, tensors created with ``requires_grad=True``, keep ``.grad``.  A
+graph is differentiated once: a second ``backward()`` through a spent
+node raises ``ValueError``.
 
 The op set is exactly what the model and its loss call, and
 ``tests/test_surface.py`` runs every op: broadcast ``+ - *``, (batched)
@@ -42,7 +52,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -61,6 +71,12 @@ class Tensor:
         self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self) -> None:
+        """Accumulate d self / d leaf into the ``.grad`` of every leaf that requires grad.
+
+        This consumes the graph: each interior node drops its gradient, its
+        closure and its parents once its closure has run, so a graph can be
+        differentiated once, and a second call raises ``ValueError``.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         order: list[Tensor] = []
@@ -78,9 +94,15 @@ class Tensor:
             for p in node._parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        # Popping from the end walks the order in reverse, and the loop keeps
+        # no reference to a node it has finished with.
+        while order:
+            node = order.pop()
+            if node._backward is None:  # a leaf keeps its gradient
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _spent, ()
 
     def item(self) -> float:
         return float(self.data)
@@ -89,7 +111,6 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data + other.data, parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
@@ -97,20 +118,16 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(g)
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data + other.data, parents=(self, other), backward=bwd)
 
     def __neg__(self):
-        out = Tensor(-self.data, parents=(self,))
-        out._backward = lambda g: self._accumulate(-g)
-        return out
+        return Tensor(-self.data, parents=(self,), backward=lambda g: self._accumulate(-g))
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data * other.data, parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
@@ -118,14 +135,12 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(g * self.data)
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data * other.data, parents=(self, other), backward=bwd)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data @ other.data, parents=(self, other))
 
         def bwd(g):
             if self.requires_grad:
@@ -133,47 +148,39 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(np.swapaxes(self.data, -1, -2) @ g)
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data @ other.data, parents=(self, other), backward=bwd)
 
     # -- shape ops ---------------------------------------------------------
 
     def reshape(self, *shape):
         src_shape = self.data.shape
-        out = Tensor(self.data.reshape(*shape), parents=(self,))
-        out._backward = lambda g: self._accumulate(g.reshape(src_shape))
-        return out
+        return Tensor(
+            self.data.reshape(*shape), parents=(self,), backward=lambda g: self._accumulate(g.reshape(src_shape))
+        )
 
     def transpose(self, axes):
         inv = np.argsort(axes)
-        out = Tensor(self.data.transpose(axes), parents=(self,))
-        out._backward = lambda g: self._accumulate(g.transpose(inv))
-        return out
+        return Tensor(self.data.transpose(axes), parents=(self,), backward=lambda g: self._accumulate(g.transpose(inv)))
 
     def __getitem__(self, key: slice):
         """A basic slice along axis 0; backward pads the gradient with zeros."""
-        out = Tensor(self.data[key], parents=(self,))
 
         def bwd(g):
             full = np.zeros_like(self.data)
             full[key] = g
             self._accumulate(full)
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data[key], parents=(self,), backward=bwd)
 
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,))
-
         def bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.data.shape))
 
-        out._backward = bwd
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,), backward=bwd)
 
     def mean(self, axis=None, keepdims: bool = False):
         count = self.data.size if axis is None else self.data.shape[axis]
@@ -183,22 +190,20 @@ class Tensor:
 
     def exp(self):
         val = np.exp(self.data)
-        out = Tensor(val, parents=(self,))
-        out._backward = lambda g: self._accumulate(g * val)
-        return out
+        return Tensor(val, parents=(self,), backward=lambda g: self._accumulate(g * val))
 
     def relu(self):
         mask = self.data > 0
-        out = Tensor(np.where(mask, self.data, 0.0), parents=(self,))
-        out._backward = lambda g: self._accumulate(g * mask)
-        return out
+        return Tensor(np.where(mask, self.data, 0.0), parents=(self,), backward=lambda g: self._accumulate(g * mask))
 
     def softplus(self):
-        val = np.logaddexp(0.0, self.data)
-        out = Tensor(val, parents=(self,))
         sig = _sigmoid(self.data)
-        out._backward = lambda g: self._accumulate(g * sig)
-        return out
+        return Tensor(np.logaddexp(0.0, self.data), parents=(self,), backward=lambda g: self._accumulate(g * sig))
+
+
+def _spent(g: np.ndarray) -> None:
+    """The closure of a node whose graph ``backward()`` has consumed."""
+    raise ValueError("this graph was already differentiated; backward() runs once per graph")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -235,18 +240,20 @@ class ScatterPlan:
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """x[idx] along axis 0; idx is a constant integer array."""
     idx = np.asarray(idx)
-    out = Tensor(x.data[idx], parents=(x,))
     plan = ScatterPlan(idx.reshape(-1), x.data.shape[0])
-    out._backward = lambda g: x._accumulate(plan.apply(g.reshape(-1, *g.shape[idx.ndim :])))
-    return out
+    return Tensor(
+        x.data[idx], parents=(x,), backward=lambda g: x._accumulate(plan.apply(g.reshape(-1, *g.shape[idx.ndim :])))
+    )
 
 
 def scatter_flat(src: Tensor, idx: np.ndarray, size: int) -> Tensor:
     """1-D array of length size whose element k sums src.ravel()[p] over idx[p] == k; backward is g[idx]."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(np.bincount(idx, weights=src.data.reshape(-1), minlength=size), parents=(src,))
-    out._backward = lambda g: src._accumulate(g[idx].reshape(src.data.shape))
-    return out
+    return Tensor(
+        np.bincount(idx, weights=src.data.reshape(-1), minlength=size),
+        parents=(src,),
+        backward=lambda g: src._accumulate(g[idx].reshape(src.data.shape)),
+    )
 
 
 def gram_gather(h: Tensor, cells: np.ndarray, cells_t: np.ndarray) -> Tensor:
@@ -258,7 +265,6 @@ def gram_gather(h: Tensor, cells: np.ndarray, cells_t: np.ndarray) -> Tensor:
     arrays, and returns the single product dG @ h.
     """
     n = h.data.shape[0]
-    out = Tensor((h.data @ h.data.T).reshape(-1)[cells], parents=(h,))
 
     def bwd(g):
         sym = np.bincount(
@@ -266,14 +272,12 @@ def gram_gather(h: Tensor, cells: np.ndarray, cells_t: np.ndarray) -> Tensor:
         )
         h._accumulate(sym.reshape(n, n) @ h.data)
 
-    out._backward = bwd
-    return out
+    return Tensor((h.data @ h.data.T).reshape(-1)[cells], parents=(h,), backward=bwd)
 
 
 def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise select with a constant boolean condition."""
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(np.where(cond, a.data, b.data), parents=(a, b))
 
     def bwd(g):
         if a.requires_grad:
@@ -281,8 +285,7 @@ def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(np.where(cond, 0.0, g))
 
-    out._backward = bwd
-    return out
+    return Tensor(np.where(cond, a.data, b.data), parents=(a, b), backward=bwd)
 
 
 def normalize_rows(t: Tensor, eps: float) -> Tensor:
@@ -297,13 +300,11 @@ def normalize_rows(t: Tensor, eps: float) -> Tensor:
     e1 = np.zeros((1, t.data.shape[-1]))
     e1[0, 0] = 1.0
     u = np.where(safe, t.data / norm, e1)
-    out = Tensor(u, parents=(t,))
 
     def bwd(g):
         t._accumulate(np.where(safe, (g - u * (u * g).sum(axis=-1, keepdims=True)) / norm, 0.0))
 
-    out._backward = bwd
-    return out
+    return Tensor(u, parents=(t,), backward=bwd)
 
 
 # -- softmax-family ops -------------------------------------------------------
@@ -319,13 +320,11 @@ def segment_softmax(x: Tensor, starts: np.ndarray, ids: np.ndarray) -> Tensor:
     mx = np.maximum.reduceat(x.data, starts)
     e = np.exp(x.data - mx[ids])
     val = e / np.add.reduceat(e, starts)[ids]
-    out = Tensor(val, parents=(x,))
 
     def bwd(g):
         x._accumulate((g - np.add.reduceat(g * val, starts)[ids]) * val)
 
-    out._backward = bwd
-    return out
+    return Tensor(val, parents=(x,), backward=bwd)
 
 
 def segment_logsumexp(x: Tensor, starts: np.ndarray, ids: np.ndarray) -> Tensor:
@@ -336,10 +335,10 @@ def segment_logsumexp(x: Tensor, starts: np.ndarray, ids: np.ndarray) -> Tensor:
     mx = np.maximum.reduceat(x.data, starts)
     e = np.exp(x.data - mx[ids])
     s = np.add.reduceat(e, starts)
-    out = Tensor((mx + np.log(s))[ids], parents=(x,))
     soft = e / s[ids]
-    out._backward = lambda g: x._accumulate(np.add.reduceat(g, starts)[ids] * soft)
-    return out
+    return Tensor(
+        (mx + np.log(s))[ids], parents=(x,), backward=lambda g: x._accumulate(np.add.reduceat(g, starts)[ids] * soft)
+    )
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -348,14 +347,8 @@ def log_softmax(x: Tensor) -> Tensor:
     shifted = x.data - mx
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     val = shifted - lse
-    out = Tensor(val, parents=(x,))
     soft = np.exp(val)
-
-    def bwd(g):
-        x._accumulate(g - soft * g.sum(axis=-1, keepdims=True))
-
-    out._backward = bwd
-    return out
+    return Tensor(val, parents=(x,), backward=lambda g: x._accumulate(g - soft * g.sum(axis=-1, keepdims=True)))
 
 
 # The entropy objective is log-unbounded below in kappa; past this point the
@@ -367,12 +360,9 @@ VMF_ENTROPY_KAPPA_CAP = 1e4
 def vmf_entropy(kappa: Tensor, dim: int) -> Tensor:
     """Elementwise vMF entropy of concentrations, differentiable in kappa."""
     capped = np.minimum(kappa.data, VMF_ENTROPY_KAPPA_CAP)
-    val = vmf.entropy_from_kappa(dim, capped)
-    out = Tensor(val, parents=(kappa,))
 
     def bwd(g):
         dh = -capped * vmf.mean_resultant_deriv(dim, capped)
         kappa._accumulate(g * dh * (kappa.data < VMF_ENTROPY_KAPPA_CAP))
 
-    out._backward = bwd
-    return out
+    return Tensor(vmf.entropy_from_kappa(dim, capped), parents=(kappa,), backward=bwd)

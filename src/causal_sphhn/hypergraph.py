@@ -186,17 +186,32 @@ def dataset_from_dict(doc: dict, features: np.ndarray) -> Dataset:
     return ds
 
 
+def _feature_block(ds: Dataset) -> np.ndarray:
+    """The (N, T, d) float64 block whose row i is node i's features.
+
+    ``generate`` and ``load_dataset`` give every node a row of one such
+    block, in order; that block is returned as it is, with no copy.  Other
+    features are stacked into a new block.
+    """
+    rows = [n.features for n in ds.nodes]
+    block = rows[0].base if rows else None
+    if (
+        isinstance(block, np.ndarray)
+        and block.dtype == np.float64
+        and block.shape == (len(rows), ds.timesteps, ds.dim)
+        and all(r.__array_interface__ == block[i].__array_interface__ for i, r in enumerate(rows))
+    ):
+        return block
+    return np.stack(rows, dtype=np.float64) if rows else np.empty((0, ds.timesteps, ds.dim))
+
+
 def save_dataset(ds: Dataset, path: str) -> str:
     """Write the feature block, then the document that records its digest.
 
     Returns the block's SHA-256.
     """
     block = block_path(path)
-    if ds.nodes:
-        features = np.stack([n.features for n in ds.nodes], dtype=np.float64)
-    else:
-        features = np.empty((0, ds.timesteps, ds.dim))
-    sha256 = write_npy(block, features)
+    sha256 = write_npy(block, _feature_block(ds))
     write_json(path, dataset_to_dict(ds, {"file": os.path.basename(block), "sha256": sha256}))
     return sha256
 

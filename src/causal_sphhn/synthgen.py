@@ -161,7 +161,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, list[PlantedEdge]]:
         sigma[src, 0] = cfg.noise_sigma
         sigma[dst, 0] = cfg.noise_sigma
     x = mu + sigma * rng.standard_normal((n, d))
-    history = np.empty((t_len, n, d))
+    history = np.empty((n, t_len, d))  # node-major: each node's series is one row
     total = cfg.burn_in + t_len
     in_edges: dict[int, list[tuple[int, float]]] = {}
     for src, dst, coef in cfg.planted_edges:
@@ -173,13 +173,13 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, list[PlantedEdge]]:
                 nxt[dst] += coef * (x[src] - mu[src])
         x = nxt
         if step >= cfg.burn_in:
-            history[step - cfg.burn_in] = x
+            history[:, step - cfg.burn_in] = x
 
     # Observed features carry a per-node activity level: a lognormal scale
     # that is pure nuisance for the prediction task (direction is what
     # matters) and leaves pairwise Granger decisions invariant.
     activity = np.exp(cfg.activity_spread * rng.standard_normal(n))
-    history *= activity.reshape(1, n, 1)
+    history *= activity.reshape(n, 1, 1)
 
     # Hyperedges: per community, chunk passes cover the eligible pool, then
     # random within-community subsets fill the remaining budget.
@@ -225,7 +225,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, list[PlantedEdge]]:
         edges.append(_edge(len(edges), np.sort(members), rng))
 
     # Labels from the realized community mean direction at the final step.
-    final = history[-1]
+    final = history[:, -1]
     labels: dict[str, int] = {}
     comm_label = np.empty(cfg.n_communities, dtype=int)
     for g in range(cfg.n_communities):
@@ -253,10 +253,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, list[PlantedEdge]]:
         "test": sorted(node_id(i) for i in perm[n_train + n_val :]),
     }
 
-    nodes = [
-        NodeFeatureSeries(node_id(i), np.ascontiguousarray(history[:, i, :]))
-        for i in range(n)
-    ]
+    nodes = [NodeFeatureSeries(node_id(i), history[i]) for i in range(n)]
     ds = Dataset(
         dim=d,
         timesteps=t_len,

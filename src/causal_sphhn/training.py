@@ -129,8 +129,7 @@ def gradients(
     # Overflow shows up as nonfinite values, which the check below turns
     # into a NumericalError; the intermediate warnings are just noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        run = run_model(structure, params, mode=mode, rng=rng)
-        total, breakdown = build_loss(run, batch_rows, batch_labels, cfg)
+        total, breakdown = build_loss(run_model(structure, params, mode=mode, rng=rng), batch_rows, batch_labels, cfg)
         total.backward()
     grads = {}
     for name, t in params.named().items():
@@ -239,9 +238,9 @@ def train(
             params.gamma_temp.data = np.asarray(np.maximum(params.gamma_temp.data, TEMP_FLOOR))
             batch_losses.append(breakdown.total)
 
+        # No name holds the validation run, so its graph is freed with its loss.
         with np.errstate(over="ignore", invalid="ignore"):
-            val_run = run_model(structure, params, mode="eval")
-            val_breakdown = build_loss(val_run, val_rows, val_labels, cfg)[1]
+            val_breakdown = build_loss(run_model(structure, params, mode="eval"), val_rows, val_labels, cfg)[1]
         if not np.isfinite(val_breakdown.total):
             raise TrainingDiverged(
                 f"validation loss became {val_breakdown.total} at epoch {epoch}",

@@ -1,10 +1,16 @@
 import ast
+import hashlib
+import io
 import os
 import pathlib
+import pickle
 import re
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_sphhn.artifacts import check_fields, doc_digest, file_digest, read_json, read_npy, write_json, write_npy
 from causal_sphhn.errors import ContractViolation, ParseError
@@ -95,6 +101,27 @@ def test_npy_round_trip_is_exact(tmp_path):
     assert os.listdir(tmp_path / "new") == ["a.npy"]
 
 
+VALUES = st.floats(width=64) | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300])
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6), elements=VALUES),
+       st.booleans())
+def test_npy_bytes_are_np_save_bytes(tmp_path_factory, array, fortran):
+    if fortran:
+        array = np.asfortranarray(array)
+    path = str(tmp_path_factory.getbasetemp() / "property.npy")
+    sha256 = write_npy(path, array)
+    expected = io.BytesIO()
+    np.save(expected, np.ascontiguousarray(array))
+    written = pathlib.Path(path).read_bytes()
+    assert written == expected.getvalue()
+    assert sha256 == hashlib.sha256(written).hexdigest()
+    back = read_npy(path, sha256)
+    assert back.flags.c_contiguous and back.flags.writeable
+    assert back.dtype == array.dtype and back.shape == array.shape and back.tobytes() == array.tobytes()
+
+
 def _bytes(data):
     def write(path):
         pathlib.Path(path).write_bytes(data)
@@ -108,6 +135,21 @@ def _npz(path):
     return file_digest(path)
 
 
+def _edited(edit):
+    """A block of 3 floats whose file bytes ``edit`` changes after its digest is recorded."""
+    def write(path):
+        digest = write_npy(path, np.arange(3.0))
+        pathlib.Path(path).write_bytes(edit(pathlib.Path(path).read_bytes()))
+        return digest
+    return write
+
+
+def _object_array(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.array([1, None], dtype=object), allow_pickle=True)
+    return file_digest(path)
+
+
 # Each writes a faulty file at the path and returns the digest to read it with.
 NPY_FAULTS = {
     "missing": lambda path: "0" * 64,
@@ -115,13 +157,22 @@ NPY_FAULTS = {
     "not_npy": _bytes(b"not an array"),
     "truncated": _bytes(b"\x93NUMPY\x01\x00v\x00{'descr': '<f8', 'fortran_order': False, 'shape': (9,), }"),
     "npz": _npz,
+    "short_data": _edited(lambda data: data[:-8]),
+    "trailing_bytes": _edited(lambda data: data + bytes(8)),
+    "object_dtype": _object_array,
 }
 
 
+def _no_unpickling(*args, **kwargs):
+    raise AssertionError("read_npy unpickled its input")
+
+
 @pytest.mark.parametrize("fault", list(NPY_FAULTS))
-def test_read_npy_failure_names_the_path(tmp_path, fault):
+def test_read_npy_failure_names_the_path(tmp_path, monkeypatch, fault):
     path = str(tmp_path / "a.npy")
     digest = NPY_FAULTS[fault](path)
+    monkeypatch.setattr(pickle, "load", _no_unpickling)
+    monkeypatch.setattr(pickle, "loads", _no_unpickling)
     with pytest.raises(ParseError, match=re.escape(path)):
         read_npy(path, digest)
 

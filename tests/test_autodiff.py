@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -368,3 +371,38 @@ class TestGraphMechanics:
         (c * c).sum().backward()
         numeric = fd_grad(lambda: (((a + a * 3.0) * (a + a * 3.0)).sum()).item(), a.data)
         assert np.allclose(a.grad, numeric, atol=1e-6)
+
+    def test_backward_releases_every_interior_node(self):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        hidden = (x @ w).relu()
+        loss = ad.normalize_rows(hidden + x, 1e-12).sum()
+        interior = weakref.ref(hidden)
+        del hidden
+        assert interior() is not None  # the graph holds it until backward
+        loss.backward()
+        gc.collect()
+        assert interior() is None
+        assert x.grad is not None and w.grad is not None  # leaves keep their gradients
+
+    def test_a_graph_is_differentiated_once(self):
+        a = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        loss = (a * a).sum()
+        loss.backward()
+        first = a.grad
+        with pytest.raises(ValueError, match="already differentiated"):
+            loss.backward()
+        with pytest.raises(ValueError, match="already differentiated"):
+            (loss * 2.0).backward()
+        assert a.grad is first
+
+    def test_a_forward_over_constants_keeps_no_graph(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.standard_normal((4, 3)))
+        hidden = (x @ Tensor(rng.standard_normal((3, 3)))).exp()
+        out = ad.log_softmax(ad.normalize_rows(hidden, 1e-12))
+        interior = weakref.ref(hidden)
+        del hidden
+        gc.collect()
+        assert interior() is None and not out.requires_grad

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from causal_sphhn import hypergraph
+from causal_sphhn.artifacts import write_npy
 from causal_sphhn.cli import main
 from causal_sphhn.errors import ContractViolation, ParseError, ValidationError
 from causal_sphhn.hypergraph import (
@@ -21,6 +23,7 @@ from causal_sphhn.hypergraph import (
     load_dataset,
     save_dataset,
 )
+from causal_sphhn.synthgen import generate, preset
 
 
 def make_dataset(rng=None, n=6, t=4, d=3, edges=None):
@@ -145,7 +148,7 @@ def datasets(draw):
     t, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     values = st.one_of(EDGE_VALUES, st.floats(allow_nan=False, allow_infinity=False))
     flat = draw(st.lists(values, min_size=n * t * d, max_size=n * t * d))
-    features = np.array(flat, dtype=np.float64).reshape(n, t, d)
+    features = np.array(flat, dtype=np.float64).reshape(n, t, d).copy()  # owns its data, as a loaded block does
     ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=n, max_size=n, unique=True))
     edges = []
     if n >= 2:
@@ -157,7 +160,11 @@ def datasets(draw):
     splits = {name: [] for name in SPLIT_NAMES}
     for i in ids:
         splits[draw(st.sampled_from(SPLIT_NAMES))].append(i)
+    # Rows of one block, as a loaded dataset holds them; in reverse order,
+    # save_dataset must not write that block as it is.
     nodes = [NodeFeatureSeries(i, row) for i, row in zip(ids, features)]
+    if draw(st.booleans()):
+        nodes.reverse()
     ds = Dataset(d, t, classes, draw(st.integers(0, 3)), nodes, edges, labels, splits)
     ds.validate()
     return ds
@@ -194,6 +201,24 @@ class TestRoundTrip:
                 save_dataset(ds, path)
             for ds, path in zip((first, second), paths):
                 assert_same_dataset(load_dataset(path), ds)
+
+    def test_a_block_of_rows_is_written_without_a_copy(self, tmp_path, monkeypatch):
+        # A generated and a loaded dataset each hold their features as the
+        # rows of one block, and save_dataset writes that block itself.
+        written = []
+
+        def recording(path, array):
+            written.append(array)
+            return write_npy(path, array)
+
+        monkeypatch.setattr(hypergraph, "write_npy", recording)
+        generated, _ = generate(preset("toy"))
+        save_dataset(generated, str(tmp_path / "ds.json"))
+        loaded = load_dataset(str(tmp_path / "ds.json"))
+        save_dataset(loaded, str(tmp_path / "again.json"))
+        assert np.shares_memory(written[0], generated.nodes[0].features)
+        assert np.shares_memory(written[1], loaded.nodes[0].features)
+        assert (tmp_path / "ds.npy").read_bytes() == (tmp_path / "again.npy").read_bytes()
 
     def test_npy_name_is_refused(self, tmp_path):
         with pytest.raises(ContractViolation, match="npy"):

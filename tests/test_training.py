@@ -1,11 +1,14 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from causal_sphhn import synthgen, training
+from causal_sphhn.cli import derive_seed
 from causal_sphhn.errors import ContractViolation, TrainingDiverged
-from causal_sphhn.granger import CausalEdge, CausalGraph
+from causal_sphhn.granger import CausalEdge, CausalGraph, GrangerConfig, infer_causal_graph
 from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries
 from causal_sphhn.model import ModelConfig, compile_structure, init_params, run_model
 from causal_sphhn.training import (
@@ -177,6 +180,53 @@ class TestGradients:
         for name, t in params.named().items():
             ref = t.grad if t.grad is not None else np.zeros_like(t.data)
             assert np.allclose(g_zero[name], ref, atol=1e-15), name
+
+
+    def test_leaf_gradients_equal_the_pinned_values(self, monkeypatch):
+        # The SHA-256 of gradient_check's analytic gradients, by sorted
+        # parameter name, as computed before backward released its graph.
+        seen = []
+        exact = training.gradients
+
+        def recording(*args, **kwargs):
+            grads, rest = exact(*args, **kwargs)
+            seen.append(grads)
+            return grads, rest
+
+        monkeypatch.setattr(training, "gradients", recording)
+        gradient_check(seed=0)
+        digest = hashlib.sha256()
+        for name in sorted(seen[0]):
+            digest.update(np.ascontiguousarray(seen[0][name], dtype=np.float64).tobytes())
+        assert digest.hexdigest() == "d820e0f5b88c01bec9e6d277eb4d0da125f2b7936f1249e7df1ba46259efca62"
+
+
+class TestMemory:
+    def test_one_step_peaks_near_one_forward_graph(self):
+        """On ``small`` with the default-alpha graph, one gradients() call
+        holds little more than its forward graph: backward frees each
+        dense (N, N) matrix once its consumer is differentiated."""
+        ds, _ = synthgen.generate(synthgen.preset("small", seed=derive_seed(0, "synth")))
+        graph = infer_causal_graph(ds.nodes, GrangerConfig(), fit_ids=ds.splits["train"])
+        model_cfg = ModelConfig()
+        structure = compile_structure(ds, graph, model_cfg)
+        params = init_params(model_cfg, ds.dim, ds.classes, training._edge_types(ds), np.random.default_rng(0))
+        rows = training._split_rows(ds, "train")[:128]
+        labels = training._labels_for(ds, rows)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run = run_model(structure, params, mode="eval")
+            graph_bytes = tracemalloc.get_traced_memory()[0] - before
+            del run
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            gradients(params, structure, rows, labels, TrainConfig(), mode="train", rng=np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert graph_bytes > 10e6  # the dense matrices dominate it
+        assert peak <= 1.3 * graph_bytes, (peak / 1e6, graph_bytes / 1e6)
 
 
 class TestTrainLoop:
