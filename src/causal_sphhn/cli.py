@@ -151,14 +151,14 @@ def _train_configs(args) -> tuple[ModelConfig, TrainConfig]:
 
 def cmd_train(args) -> int:
     start = time.monotonic()
-    ds = load_dataset(args.dataset)
     graph = None
     if not args.no_causal:
         if not args.graph:
             raise ContractViolation("--graph is required unless --no-causal is set")
         graph = CausalGraph.load(args.graph)
     model_cfg, train_cfg = _train_configs(args)
-    params, history = train(ds, graph, model_cfg, train_cfg)
+    # train() holds the only reference to the dataset, and drops it once it has compiled the structure.
+    params, history = train(load_dataset(args.dataset), graph, model_cfg, train_cfg)
     ckpt = os.path.join(args.out, "checkpoint.json")
     hist = os.path.join(args.out, "history.csv")
     save_checkpoint(ckpt, params, train_cfg, graph)

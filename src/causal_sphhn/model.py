@@ -42,13 +42,16 @@ its pairs are gathered; each A_t and the (P, N) matrix live as long as the
 graph does.  Backward frees each of them, and its gradient, once its
 consumer has been differentiated (see ``autodiff``), so one training step
 peaks near the size of its forward graph: 24 MB against 21 MB on
-``small`` with the default-alpha causal graph.
+``small`` with the default-alpha causal graph.  A forward pass that nothing
+differentiates, ``eval``'s and training's per-epoch validation, runs on
+``ModelParams.constants()`` (a loaded checkpoint's parameters are constants
+already), so it keeps no graph: each dense buffer is freed once read.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -125,6 +128,12 @@ class ModelParams:
             head_b=self.head_b,
         )
         return out
+
+    def constants(self) -> "ModelParams":
+        """The same arrays as constant tensors: a forward pass over them builds no graph."""
+        const = {k: Tensor(v.data) for k, v in self.named().items()}
+        edge_w = {t: const.pop(f"edge_w:{t}") for t in self.edge_types}
+        return replace(self, edge_w=edge_w, **const)
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.named().items()}

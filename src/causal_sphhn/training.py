@@ -202,6 +202,9 @@ def train(
         raise ContractViolation("train and val splits must be nonempty")
     train_labels_all = _labels_for(ds, train_rows)
     val_labels = _labels_for(ds, val_rows)
+    # The model reads only the structure's copy of the last timestep, so the
+    # (N, T, d) features are freed here unless the caller keeps the dataset.
+    del ds
 
     history: list[dict] = []
     best_val = np.inf
@@ -238,9 +241,11 @@ def train(
             params.gamma_temp.data = np.asarray(np.maximum(params.gamma_temp.data, TEMP_FLOOR))
             batch_losses.append(breakdown.total)
 
-        # No name holds the validation run, so its graph is freed with its loss.
+        # Over constant parameters the validation forward builds no graph.
         with np.errstate(over="ignore", invalid="ignore"):
-            val_breakdown = build_loss(run_model(structure, params, mode="eval"), val_rows, val_labels, cfg)[1]
+            val_run = run_model(structure, params.constants(), mode="eval")
+            val_breakdown = build_loss(val_run, val_rows, val_labels, cfg)[1]
+        del val_run
         if not np.isfinite(val_breakdown.total):
             raise TrainingDiverged(
                 f"validation loss became {val_breakdown.total} at epoch {epoch}",
@@ -316,6 +321,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, TrainConfig, CausalGraph | None]:
+    """Parameters for inference, as constants, with the training config and causal graph."""
     doc = read_json(path)
     with naming(path):
         if doc.get("format_version") != CHECKPOINT_VERSION:
@@ -346,7 +352,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainConfig, CausalGraph | 
                 raise ParseError(f"params.{name} must be finite")
         params.load_values(values)
         graph = CausalGraph.from_dict(doc["causal_graph"]) if doc["causal_graph"] is not None else None
-    return params, train_cfg, graph
+    return params.constants(), train_cfg, graph
 
 
 # --------------------------------------------------------------------------

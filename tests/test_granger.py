@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +9,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causal_sphhn import granger
+from causal_sphhn import cli, granger, synthgen
 from causal_sphhn.errors import ContractViolation, RankDeficient, SeriesTooShort
 from causal_sphhn.granger import (
     CausalEdge,
@@ -559,6 +561,33 @@ class TestInferCausalGraph:
         graph = infer_causal_graph(nodes, GrangerConfig())
         assert isinstance(graph, CausalGraph)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_toy_edges_come_out_sorted_and_unchanged(self, monkeypatch, seed):
+        # SHA-256 of the "src\tdst\n" lines of the default-lag edges, as the pooled PCA found them.
+        pinned = {
+            (0, False): "bd4e0397442c4c186be550d3ff556ccd651386ada72799f37853d4dba0c9807c",
+            (0, True): "c347c0d964d1ade7cc3c58136b4700d1d7bbe9b21e87e3c920ed658b78006e2b",
+            (1, False): "eb8f917f2f57a5e689698140968c67960705dcb550507f3a71a0ddcd2327e0a6",
+            (1, True): "dae3157ab74cf821b50be6077e92e5772695ded3e9d7e665ec9ab943d33de833",
+            (2, False): "0e41f5663a95e0ae0668ebc7f1fc7d0ad3ed7c810cc96a975f4f46e0dd0490d8",
+            (2, True): "3c254bd66c5e127815e86e51004377e7d9eab276e8548fa3b552d978095c6ea4",
+        }
+        handed = []
+
+        class Recording(CausalGraph):
+            def __post_init__(self):
+                handed.append([(e.src, e.dst) for e in self.edges])
+                super().__post_init__()
+
+        monkeypatch.setattr(granger, "CausalGraph", Recording)
+        ds, _ = synthgen.generate(synthgen.preset("toy", seed=cli.derive_seed(seed, "synth")))
+        for bonferroni in (False, True):
+            cfg = GrangerConfig(bonferroni=bonferroni)
+            graph = infer_causal_graph(ds.nodes, cfg, fit_ids=ds.splits["train"])
+            assert handed[-1] == sorted(handed[-1])  # emitted in order, not sorted by CausalGraph
+            text = "".join(f"{e.src}\t{e.dst}\n" for e in graph.edges)
+            assert hashlib.sha256(text.encode()).hexdigest() == pinned[seed, bonferroni]
+
     def test_graph_invariants_enforced(self):
         with pytest.raises(ContractViolation):
             CausalGraph(0.01, 2, [CausalEdge("a", "a", 1.0, 0.001)])
@@ -569,3 +598,57 @@ class TestInferCausalGraph:
                 0.01, 2,
                 [CausalEdge("a", "b", 1.0, 0.001), CausalEdge("a", "b", 2.0, 0.002)],
             )
+
+
+def pooled_reduce_features(nodes, fit_ids=None):
+    """The "pca1" reduction with every fit row pooled into one array: the oracle of the blockwise one."""
+    fit = set(fit_ids) if fit_ids else {n.node_id for n in nodes}
+    pool = np.concatenate([n.features for n in nodes if n.node_id in fit], axis=0)
+    center = pool.mean(axis=0)
+    _, vecs = np.linalg.eigh((pool - center).T @ (pool - center))
+    w = vecs[:, -1]
+    if w[np.argmax(np.abs(w))] < 0:
+        w = -w
+    return {n.node_id: (n.features - center) @ w for n in nodes}
+
+
+class TestReduceFeatures:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_fit=st.sampled_from([1, granger._PCA_BLOCK - 1, granger._PCA_BLOCK, granger._PCA_BLOCK + 1, None]),
+        others=st.integers(0, 3),
+        t=st.integers(2, 24),
+        d=st.integers(1, 5),
+    )
+    def test_blockwise_matches_pooled(self, seed, n_fit, others, t, d):
+        # Distinct column scales give a clear leading eigenvalue, so the direction is well conditioned.
+        rng = np.random.default_rng(seed)
+        scale = 4.0 ** -np.arange(d)
+        n_nodes = (n_fit or granger._PCA_BLOCK + 1) + others
+        nodes = [NodeFeatureSeries(f"n{i:02d}", 3.0 + scale * rng.standard_normal((t, d))) for i in range(n_nodes)]
+        fit_ids = None if n_fit is None else [nodes[k].node_id for k in rng.permutation(n_nodes)[:n_fit]]
+        got, ref = reduce_features(nodes, "pca1", fit_ids), pooled_reduce_features(nodes, fit_ids)
+        assert list(got) == list(ref)
+        for nid in ref:
+            assert np.max(np.abs(got[nid] - ref[nid])) <= 1e-12 * max(1.0, np.max(np.abs(ref[nid])))
+
+    def test_unknown_fit_ids_are_a_contract_violation(self):
+        nodes = [NodeFeatureSeries("a", np.ones((5, 2)))]
+        with pytest.raises(ContractViolation):
+            reduce_features(nodes, "pca1", ["b"])
+
+    def test_peak_stays_below_a_quarter_of_the_pool(self):
+        # medium's shape: 1000 nodes of 160 x 32 features, half of them fit.  The pool is 20.5 MB.
+        rng = np.random.default_rng(3)
+        block = rng.standard_normal((1000, 160, 32))
+        nodes = [NodeFeatureSeries(f"n{i:04d}", block[i]) for i in range(1000)]
+        fit_ids = [n.node_id for n in nodes[::2]]
+        tracemalloc.start()
+        try:
+            series = reduce_features(nodes, "pca1", fit_ids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 1000
+        assert peak < 0.25 * 500 * 160 * 32 * 8

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -299,6 +300,14 @@ class TestTrainLoop:
             train(ds, graph, mc, tc)
         assert info.value.params is not None
 
+    def test_dataset_is_dropped_before_the_first_step(self, monkeypatch):
+        # The CLI hands train() its only reference, so the (N, T, d) block is not kept through training.
+        args = list(toy_instance(seed=15))
+        dataset, alive, step = weakref.ref(args[0]), [], training.Adam.step
+        monkeypatch.setattr(training.Adam, "step", lambda opt, grads: (alive.append(dataset() is not None), step(opt, grads)))
+        train(args.pop(0), args.pop(0), ModelConfig(embed_dim=4, layers=1), TrainConfig(max_epochs=2, seed=6))
+        assert alive and not any(alive)
+
     def test_entropy_term_weakly_decreases_with_lambda1(self):
         ds, graph = toy_instance(seed=13, n=10)
         finals = []
@@ -326,6 +335,23 @@ class TestCheckpoint:
         assert loaded_graph.edges == graph.edges
         doc = json.load(open(path))
         assert "config_digest" in doc and len(doc["config_digest"]) == 64
+
+    def test_loaded_parameters_are_constants(self, tmp_path):
+        # A checkpoint is loaded for inference: its forward builds no graph, at the same bits.
+        ds, graph = toy_instance(seed=16, two_parents=True)
+        mc = ModelConfig(embed_dim=4, layers=2, dropout=0.0)
+        params = randomized_params(mc, ds, 8)
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(path, params, TrainConfig(), graph)
+        loaded, _, loaded_graph = load_checkpoint(path)
+        structure = compile_structure(ds, loaded_graph, mc)
+        run, ref = run_model(structure, loaded, mode="eval"), run_model(structure, params, mode="eval")
+        assert not any(t.requires_grad for t in loaded.named().values())
+        assert run.logits.requires_grad is False and ref.logits.requires_grad
+        for got, want in ((run.logits, ref.logits), (run.probs, ref.probs), (run.entropy, ref.entropy)):
+            assert np.array_equal(got.data, want.data)
+        view = params.constants()
+        assert all(view.named()[k].data is t.data for k, t in params.named().items())
 
     def test_history_csv(self, tmp_path):
         history = [

@@ -232,16 +232,32 @@ class TestEntropy:
         se = logp.std(ddof=1) / math.sqrt(n)
         assert abs(vmf.entropy_from_kappa(d, kappa) - mc) < 3 * se
 
-    @pytest.mark.parametrize("d", [2, 3, 8, 64])
-    @pytest.mark.parametrize("kappa", [1e5, 1e12, 1e18, 1e20])
-    def test_large_kappa_against_mpmath(self, d, kappa):
-        # The direct form returned 0.0 at d = 64, kappa = 1e20.
+    @staticmethod
+    def mp_entropy_and_ratio(d, kappa):
         with mp.workdps(60):  # -log C and kappa * A both reach 1e20
             nu, k = mp.mpf(d) / 2 - 1, mp.mpf(kappa)
             i_nu, i_next = mp.besseli(nu, k), mp.besseli(nu + 1, k)
             log_c = nu * mp.log(k) - mp.mpf(d) / 2 * mp.log(2 * mp.pi) - mp.log(i_nu)
-            expected = float(-log_c - k * i_next / i_nu)
+            return float(-log_c - k * i_next / i_nu), float(i_next / i_nu)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    @pytest.mark.parametrize("kappa", [1e5, 1e12, 1e18, 1e20])
+    def test_large_kappa_against_mpmath(self, d, kappa):
+        # The direct form returned 0.0 at d = 64, kappa = 1e20.
+        expected, _ = self.mp_entropy_and_ratio(d, kappa)
         assert abs(vmf.entropy_from_kappa(d, kappa) - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("d", [64, 200, 1000])
+    @pytest.mark.parametrize("kappa", [1e5, 1e6])
+    def test_large_dimension_against_mpmath(self, d, kappa):
+        # With the switch fixed at kappa = 1e5 the divergent series put d = 1000 off by 5.8e-5.
+        entropy, ratio = self.mp_entropy_and_ratio(d, kappa)
+        assert abs(vmf.entropy_from_kappa(d, kappa) - entropy) <= 1e-13 * abs(entropy)
+        assert abs(vmf.mean_resultant(d, kappa) - ratio) <= 1e-14 * ratio
+
+    def test_series_length_is_unchanged_up_to_d_200(self):
+        assert all(vmf._asymptotic_length(0.5 * d) == vmf._ASYMPTOTIC_TERMS for d in range(2, 201))
+        assert vmf._asymptotic_min(100.0) == vmf._RATIO_ASYMPTOTIC_MIN
 
     def test_continuous_across_the_large_kappa_switch(self):
         # The direct form below the switch loses about kappa * eps to cancellation.
