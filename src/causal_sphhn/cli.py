@@ -181,14 +181,12 @@ def cmd_eval(args) -> int:
         rng = np.random.default_rng(derive_seed(args.seed, "eval.dropout"))
         ds = feature_dropout(ds, args.dropout_rate, rng)
     structure = compile_structure(ds, graph, params.config)
+    # The structure holds the last timestep, labels and splits: all eval reads
+    # of the dataset, so the (N, T, d) feature block is freed before the forward.
+    del ds
     run = run_model(structure, params, mode="eval")
-    index = ds.node_index()
-    if args.split == "all":
-        ids = [n.node_id for n in ds.nodes]
-    else:
-        ids = list(ds.splits[args.split])
-    rows = np.asarray([index[i] for i in sorted(ids)], dtype=np.int64)
-    labels = np.asarray([ds.labels[ds.nodes[r].node_id] for r in rows], dtype=np.int64)
+    rows = np.arange(len(structure.node_ids)) if args.split == "all" else structure.splits[args.split]
+    labels = structure.labels[rows]
     probs = run.probs.data[rows]
     preds = probs.argmax(axis=1)
 
@@ -207,14 +205,14 @@ def cmd_eval(args) -> int:
             rank_corr = metrics.rank_correlation(gamma, structure.parent_f)
 
     report = metrics.EvalReport(
-        accuracy=metrics.accuracy(preds, labels, ds.classes),
-        macro_f1=metrics.macro_f1(preds, labels, ds.classes),
-        auc=metrics.auc_ovr(probs, labels, ds.classes),
+        accuracy=metrics.accuracy(preds, labels, structure.classes),
+        macro_f1=metrics.macro_f1(preds, labels, structure.classes),
+        auc=metrics.auc_ovr(probs, labels, structure.classes),
         ece=metrics.ece(probs, labels, bins=args.bins),
         mean_entropy=metrics.predictive_entropy(probs),
         mean_vmf_entropy=float(np.mean(run.entropy.data[rows])),
         p_at_k=p_at_k,
-        per_class_f1=metrics.per_class_f1(preds, labels, ds.classes),
+        per_class_f1=metrics.per_class_f1(preds, labels, structure.classes),
         rank_corr=rank_corr,
         config={
             "bins": args.bins,

@@ -28,12 +28,7 @@ class NumericalError(ArithmeticError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Training loss became nonfinite; carries the last good checkpoint."""
-
-    def __init__(self, message, params=None, history=None):
-        super().__init__(message)
-        self.params = params
-        self.history = history
+    """Training or validation loss, or a gradient, became nonfinite."""
 
 
 @contextmanager

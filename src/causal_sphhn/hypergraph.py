@@ -232,13 +232,7 @@ def feature_dropout(ds: Dataset, rate: float, rng: np.random.Generator) -> Datas
     """
     if not (0.0 <= rate < 1.0):
         raise ContractViolation(f"dropout rate must be in [0, 1), got {rate}")
-    nodes = []
-    for n in ds.nodes:
-        if rate == 0.0:
-            nodes.append(NodeFeatureSeries(n.node_id, n.features.copy()))
-            continue
-        keep = rng.random(n.features.shape) >= rate
-        nodes.append(NodeFeatureSeries(n.node_id, n.features * keep))
+    nodes = [NodeFeatureSeries(n.node_id, n.features * (rng.random(n.features.shape) >= rate)) for n in ds.nodes]
     return Dataset(
         dim=ds.dim,
         timesteps=ds.timesteps,

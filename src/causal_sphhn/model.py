@@ -29,10 +29,13 @@ and it scatters onto a (P, N) matrix of child rows by parent node, times h.
 That (P, d) context is scattered by flat element index onto the child rows
 of h; a select keeps h bit for bit at the rows without causal parents.
 
-``GraphStructure`` also keeps the padded (E, K) member arrays, the (P, Kc)
-mask a padded parent block would have, and ``plans``, a dict that is
-always empty.  The forward pass reads none of them: ``perfbench`` reports
-its padding and scatter-plan figures from them.
+``GraphStructure`` is the model's whole view of a dataset: it also holds
+each node row's label, ``labels``, and each split's rows, ``splits``, so
+the loss and its callers keep no dataset.  It keeps the padded (E, K)
+member arrays, the (P, Kc) mask a padded parent block would have, and
+``plans``, a dict that is always empty, too.  The forward pass reads none
+of them: ``perfbench`` reports its padding and scatter-plan figures from
+them.
 
 Memory: a layer holds G and the T matrices A_t, and the causal step one
 (P, N) matrix with P <= N, so the dense buffers take at most
@@ -65,14 +68,16 @@ log = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
 
+# Initial attention and causal softmax temperatures.  Both are learned.
+ATTN_TEMP_INIT = 20.0
+GAMMA_TEMP_INIT = 1.0
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     embed_dim: int = 64
     layers: int = 2
     dropout: float = 0.2
-    attn_temp_init: float = 20.0
-    gamma_temp_init: float = 1.0
     kappa_init: float = 20.0
     euclidean: bool = False
     pairwise: bool = False
@@ -85,8 +90,8 @@ class ModelConfig:
             raise ContractViolation("layers must be >= 0")
         if not (0.0 <= self.dropout < 1.0):
             raise ContractViolation("dropout must be in [0, 1)")
-        if not (self.attn_temp_init > 0 and self.gamma_temp_init > 0 and self.kappa_init > 0):
-            raise ContractViolation("temperatures and kappa_init must be positive")
+        if not (self.kappa_init > 0):
+            raise ContractViolation("kappa_init must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -170,9 +175,9 @@ def init_params(
         kappa_w=Tensor(np.zeros(d), requires_grad=True),
         kappa_b=Tensor(softplus_inverse(cfg.kappa_init), requires_grad=True),
         edge_w={t: glorot(d, d) for t in sorted(edge_types)},
-        attn_temp=Tensor(cfg.attn_temp_init, requires_grad=True),
+        attn_temp=Tensor(ATTN_TEMP_INIT, requires_grad=True),
         causal_w=glorot(d, d),
-        gamma_temp=Tensor(cfg.gamma_temp_init, requires_grad=True),
+        gamma_temp=Tensor(GAMMA_TEMP_INIT, requires_grad=True),
         head_w=Tensor(np.zeros((classes, d)), requires_grad=True),
         head_b=Tensor(np.zeros(classes), requires_grad=True),
     )
@@ -210,6 +215,8 @@ class GraphStructure:
     # never builds that block: only perfbench reads this, for its padding figure.
     parent_mask: np.ndarray
     classes: int
+    labels: np.ndarray  # (N,) int64 class of each node row, in [0, classes)
+    splits: dict[str, np.ndarray]  # split name -> its node rows, ascending int64
     plans: dict = field(default_factory=dict)  # always empty; only perfbench reads it
 
 
@@ -253,11 +260,19 @@ def _member_rows(
 def compile_structure(
     ds: Dataset, causal_graph: CausalGraph | None, cfg: ModelConfig
 ) -> GraphStructure:
-    """The arrays one forward pass reads, for a dataset already validated."""
+    """The arrays a forward pass and its loss read, for a dataset already validated.
+
+    A label outside [0, classes) raises ContractViolation, since the loss
+    would read a negative one as the last class.
+    """
     index = ds.node_index()
     node_ids = [n.node_id for n in ds.nodes]
     features = np.stack([n.features[-1] for n in ds.nodes])
     n_nodes = len(node_ids)
+    labels = np.fromiter((ds.labels[i] for i in node_ids), np.int64, n_nodes)
+    if np.any((labels < 0) | (labels >= ds.classes)):
+        raise ContractViolation("label out of range")
+    splits = {name: np.sort([index[i] for i in ids]).astype(np.int64) for name, ids in ds.splits.items()}
 
     member_idx, member_mask, source = _member_rows(ds, index, cfg.pairwise)
     types, type_code = np.unique([e.context_type for e in ds.hyperedges], return_inverse=True)
@@ -302,6 +317,8 @@ def compile_structure(
         ghat=ad.segment_softmax(Tensor(parent_f), parent_starts, parent_seg).data,
         parent_mask=np.arange(parent_lens.max(initial=1)) < parent_lens[:, None],
         classes=ds.classes,
+        labels=labels,
+        splits=splits,
     )
 
 

@@ -1,9 +1,11 @@
 """Joint objective, reverse-mode gradients, Adam loop, and gradient checking.
 
-The loss combines batch-mean cross-entropy, the batch-mean vMF entropy of
-per-node concentrations (weight lambda1), and the mean KL divergence from
-the temperature-1 softmax of Granger F scores to the model's causal
-attention, over batch nodes that have causal parents (weight lambda2).
+A batch is a set of node rows of one compiled ``GraphStructure``, and the
+loss reads the batch's labels from that structure.  It combines batch-mean
+cross-entropy, the batch-mean vMF entropy of per-node concentrations
+(weight lambda1), and the mean KL divergence from the temperature-1
+softmax of Granger F scores to the model's causal attention, over batch
+nodes that have causal parents (weight lambda2).
 
 Training runs Adam (0.9 / 0.999 / 1e-8) over node minibatches with a
 full-graph forward per step, early-stops on validation loss, and returns
@@ -75,23 +77,16 @@ class LossBreakdown:
     causal: float
 
 
-def build_loss(
-    run: ModelRun,
-    batch_rows: np.ndarray,
-    batch_labels: np.ndarray,
-    cfg: TrainConfig,
-) -> tuple[Tensor, LossBreakdown]:
-    """Loss tensor over a node batch plus its float breakdown."""
+def build_loss(run: ModelRun, batch_rows: np.ndarray, cfg: TrainConfig) -> tuple[Tensor, LossBreakdown]:
+    """Loss tensor over a batch of node rows plus its float breakdown."""
     structure = run.structure
     n_batch = batch_rows.size
     if n_batch == 0:
         raise ContractViolation("empty batch")
-    if np.any(batch_labels < 0) or np.any(batch_labels >= structure.classes):
-        raise ContractViolation("label out of range")
 
     logp = ad.gather_rows(run.log_probs, batch_rows)
     onehot = np.zeros((n_batch, structure.classes))
-    onehot[np.arange(n_batch), batch_labels] = 1.0
+    onehot[np.arange(n_batch), structure.labels[batch_rows]] = 1.0
     pred = -(logp * Tensor(onehot)).sum() * (1.0 / n_batch)
 
     ent = ad.gather_rows(run.entropy, batch_rows).mean()
@@ -118,7 +113,6 @@ def gradients(
     params: ModelParams,
     structure: GraphStructure,
     batch_rows: np.ndarray,
-    batch_labels: np.ndarray,
     cfg: TrainConfig,
     mode: str = "train",
     rng: np.random.Generator | None = None,
@@ -129,7 +123,7 @@ def gradients(
     # Overflow shows up as nonfinite values, which the check below turns
     # into a NumericalError; the intermediate warnings are just noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        total, breakdown = build_loss(run_model(structure, params, mode=mode, rng=rng), batch_rows, batch_labels, cfg)
+        total, breakdown = build_loss(run_model(structure, params, mode=mode, rng=rng), batch_rows, cfg)
         total.backward()
     grads = {}
     for name, t in params.named().items():
@@ -164,21 +158,6 @@ class Adam:
             )
 
 
-def _edge_types(ds: Dataset) -> tuple[str, ...]:
-    """The dataset's context types, sorted: the model has one edge weight each."""
-    return tuple(sorted({e.context_type for e in ds.hyperedges}))
-
-
-def _split_rows(ds: Dataset, name: str) -> np.ndarray:
-    index = ds.node_index()
-    return np.asarray(sorted(index[i] for i in ds.splits[name]), dtype=np.int64)
-
-
-def _labels_for(ds: Dataset, rows: np.ndarray) -> np.ndarray:
-    ids = [ds.nodes[r].node_id for r in rows]
-    return np.asarray([ds.labels[i] for i in ids], dtype=np.int64)
-
-
 def train(
     ds: Dataset,
     causal_graph: CausalGraph | None,
@@ -188,23 +167,19 @@ def train(
     """Adam training with early stopping on validation loss.
 
     Returns the best-validation parameters and the per-epoch history.
-    Raises :class:`TrainingDiverged` (carrying the last good checkpoint)
-    when the loss goes nonfinite.
+    Raises :class:`TrainingDiverged` when the loss goes nonfinite.
     """
     rng = np.random.default_rng(cfg.seed)
     structure = compile_structure(ds, causal_graph, model_cfg)
-    params = init_params(model_cfg, ds.dim, ds.classes, _edge_types(ds), rng)
+    # The structure holds all the model and loss read, so the (N, T, d)
+    # features are freed here unless the caller keeps the dataset.
+    del ds
+    params = init_params(model_cfg, structure.features.shape[1], structure.classes, tuple(structure.type_pairs), rng)
     opt = Adam(params.named(), cfg.lr)
 
-    train_rows = _split_rows(ds, "train")
-    val_rows = _split_rows(ds, "val")
+    train_rows, val_rows = structure.splits["train"], structure.splits["val"]
     if train_rows.size == 0 or val_rows.size == 0:
         raise ContractViolation("train and val splits must be nonempty")
-    train_labels_all = _labels_for(ds, train_rows)
-    val_labels = _labels_for(ds, val_rows)
-    # The model reads only the structure's copy of the last timestep, so the
-    # (N, T, d) features are freed here unless the caller keeps the dataset.
-    del ds
 
     history: list[dict] = []
     best_val = np.inf
@@ -213,25 +188,16 @@ def train(
     start = time.monotonic()
 
     for epoch in range(cfg.max_epochs):
-        order = rng.permutation(train_rows.size)
-        rows_shuffled = train_rows[order]
-        labels_shuffled = train_labels_all[order]
+        rows_shuffled = train_rows[rng.permutation(train_rows.size)]
         batch_losses = []
         for lo in range(0, rows_shuffled.size, cfg.batch_size):
             batch = rows_shuffled[lo : lo + cfg.batch_size]
-            labels = labels_shuffled[lo : lo + cfg.batch_size]
             try:
-                grads, breakdown = gradients(
-                    params, structure, batch, labels, cfg, mode="train", rng=rng
-                )
+                grads, breakdown = gradients(params, structure, batch, cfg, mode="train", rng=rng)
             except NumericalError as exc:
-                raise TrainingDiverged(str(exc), params=best_values, history=history) from exc
+                raise TrainingDiverged(str(exc)) from exc
             if not np.isfinite(breakdown.total):
-                raise TrainingDiverged(
-                    f"loss became {breakdown.total} at epoch {epoch}",
-                    params=best_values,
-                    history=history,
-                )
+                raise TrainingDiverged(f"loss became {breakdown.total} at epoch {epoch}")
             # An overflowing step leaves nonfinite parameters, which the next
             # gradients() call or the validation check below turns into
             # TrainingDiverged; the float warnings are noise, as in gradients().
@@ -244,14 +210,10 @@ def train(
         # Over constant parameters the validation forward builds no graph.
         with np.errstate(over="ignore", invalid="ignore"):
             val_run = run_model(structure, params.constants(), mode="eval")
-            val_breakdown = build_loss(val_run, val_rows, val_labels, cfg)[1]
+            val_breakdown = build_loss(val_run, val_rows, cfg)[1]
         del val_run
         if not np.isfinite(val_breakdown.total):
-            raise TrainingDiverged(
-                f"validation loss became {val_breakdown.total} at epoch {epoch}",
-                params=best_values,
-                history=history,
-            )
+            raise TrainingDiverged(f"validation loss became {val_breakdown.total} at epoch {epoch}")
         history.append(
             {
                 "epoch": epoch,
@@ -290,7 +252,7 @@ def write_history_csv(history: list[dict], path: str) -> None:
 # Checkpoints
 # --------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def config_digest(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
@@ -365,7 +327,12 @@ class GradientCheckReport:
     max_rel_error: float
     per_parameter: dict[str, float]
     passed: bool
-    tolerance: float = 1e-4
+    tolerance: float
+
+
+# Central-difference step and the relative error gradient_check accepts.
+_GRADCHECK_STEP = 1e-5
+_GRADCHECK_TOLERANCE = 1e-4
 
 
 def _tiny_instance(seed: int):
@@ -401,11 +368,7 @@ def _tiny_instance(seed: int):
     return ds, graph, rng
 
 
-def gradient_check(
-    seed: int = 0,
-    step: float = 1e-5,
-    tolerance: float = 1e-4,
-) -> GradientCheckReport:
+def gradient_check(seed: int = 0) -> GradientCheckReport:
     """Compare reverse-mode gradients against central finite differences.
 
     Runs the tiny model with randomized parameters, all loss terms active,
@@ -413,10 +376,13 @@ def gradient_check(
     as denominator so sub-noise gradients do not produce spurious ratios.
     """
     ds, graph, rng = _tiny_instance(seed)
-    model_cfg = ModelConfig(embed_dim=4, layers=2, dropout=0.0, attn_temp_init=1.5, gamma_temp_init=0.7, kappa_init=2.0)
+    model_cfg = ModelConfig(embed_dim=4, layers=2, dropout=0.0, kappa_init=2.0)
     cfg = TrainConfig(lambda1=0.7, lambda2=0.9, seed=seed)
     structure = compile_structure(ds, graph, model_cfg)
-    params = init_params(model_cfg, 4, 2, _edge_types(ds), rng)
+    del ds
+    params = init_params(model_cfg, 4, 2, tuple(structure.type_pairs), rng)
+    params.attn_temp.data = np.asarray(1.5)
+    params.gamma_temp.data = np.asarray(0.7)
     # Randomize away from zero-init so every path carries signal.
     for name, t in params.named().items():
         if name in ("attn_temp", "gamma_temp"):
@@ -424,12 +390,11 @@ def gradient_check(
         t.data = np.asarray(t.data + 0.4 * rng.standard_normal(t.data.shape), dtype=np.float64)
 
     rows = np.arange(6, dtype=np.int64)
-    labels = _labels_for(ds, rows)
-    grads, _ = gradients(params, structure, rows, labels, cfg, mode="eval")
+    grads, _ = gradients(params, structure, rows, cfg, mode="eval")
 
     def eval_loss() -> float:
         run = run_model(structure, params, mode="eval")
-        return build_loss(run, rows, labels, cfg)[0].item()
+        return build_loss(run, rows, cfg)[0].item()
 
     per_param: dict[str, float] = {}
     for name, t in params.named().items():
@@ -438,12 +403,12 @@ def gradient_check(
         gflat = np.asarray(grads[name]).reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + _GRADCHECK_STEP
             up = eval_loss()
-            flat[i] = orig - step
+            flat[i] = orig - _GRADCHECK_STEP
             down = eval_loss()
             flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * _GRADCHECK_STEP)
             denom = max(abs(gflat[i]), abs(numeric), 1e-3)
             worst = max(worst, abs(gflat[i] - numeric) / denom)
         per_param[name] = float(worst)
@@ -451,6 +416,6 @@ def gradient_check(
     return GradientCheckReport(
         max_rel_error=max_err,
         per_parameter=per_param,
-        passed=bool(max_err <= tolerance),
-        tolerance=tolerance,
+        passed=bool(max_err <= _GRADCHECK_TOLERANCE),
+        tolerance=_GRADCHECK_TOLERANCE,
     )

@@ -5,6 +5,7 @@ import math
 import os
 import shutil
 import typing
+import weakref
 
 import pytest
 
@@ -408,6 +409,49 @@ class TestEval:
             report = self.eval_with_graph(tmp_path / tag, toy_run, edges, dataset=path)
             assert report["p_at_k"] == {"1": 0.0}, tag
 
+    def test_metrics_do_not_depend_on_the_node_order(self, tmp_path, toy_run):
+        # Ids v0, v1, ..., v39 listed in numeric order are out of sorted-id
+        # order ("v10" sorts before "v2"); the same dataset listed in sorted-id
+        # order must score the same on the same model and causal graph.
+        ds = load_dataset(f"{toy_run}/dataset.json")
+        name = {n.node_id: f"v{k}" for k, n in enumerate(ds.nodes)}
+        params, train_cfg, graph = load_checkpoint(f"{toy_run}/checkpoint.json")
+        assert graph.edges
+        edges = [CausalEdge(name[e.src], name[e.dst], e.f_statistic, e.p_value) for e in graph.edges]
+        ckpt = str(tmp_path / "checkpoint.json")
+        save_checkpoint(ckpt, params, train_cfg, CausalGraph(graph.alpha, graph.lag, edges))
+        numeric = relabelled(ds, name)
+        in_id_order = dataclasses.replace(numeric, nodes=sorted(numeric.nodes, key=lambda n: n.node_id))
+        assert [n.node_id for n in in_id_order.nodes] != [n.node_id for n in numeric.nodes]
+        reports = {}
+        for tag, dataset in (("numeric", numeric), ("sorted", in_id_order)):
+            path = str(tmp_path / tag / "dataset.json")
+            save_dataset(dataset, path)
+            for split in ("test", "all"):
+                out = str(tmp_path / tag / split)
+                assert main(["eval", "--checkpoint", ckpt, "--dataset", path, "--split", split, "--out", out]) == 0
+                reports[tag, split] = json.load(open(f"{out}/report.json"))
+        for split in ("test", "all"):
+            a, b = reports["numeric", split], reports["sorted", split]
+            assert a["accuracy"] == b["accuracy"] and a["per_class_f1"] == b["per_class_f1"], split
+            assert a["ece"] == pytest.approx(b["ece"], abs=1e-12), split
+            assert a["auc"] == pytest.approx(b["auc"], abs=1e-12), split
+
+    def test_feature_block_is_dropped_before_the_forward(self, tmp_path, toy_run, monkeypatch):
+        # The structure holds all eval reads of the dataset, so the (N, T, d) block is not kept through the forward.
+        blocks, alive, load, run_model = [], [], cli.load_dataset, cli.run_model
+
+        def loading(path):
+            ds = load(path)
+            blocks.append(weakref.ref(ds.nodes[0].features.base))
+            return ds
+
+        monkeypatch.setattr(cli, "load_dataset", loading)
+        monkeypatch.setattr(cli, "run_model", lambda *a, **k: (alive.append(blocks[0]() is not None), run_model(*a, **k))[1])
+        assert main(["eval", "--checkpoint", f"{toy_run}/checkpoint.json", "--dataset", f"{toy_run}/dataset.json",
+                     "--out", str(tmp_path / "r")]) == 0
+        assert alive == [False]
+
     def test_negative_dropout_rate_is_input_error(self, tmp_path, toy_run, capsys):
         out = tmp_path / "r"
         code = main(["eval", "--checkpoint", f"{toy_run}/checkpoint.json",
@@ -450,17 +494,19 @@ class TestEval:
         )
         assert code == 1
 
-    def test_old_checkpoint_version_is_input_error(self, tmp_path, toy_run):
+    def test_old_checkpoint_version_is_input_error(self, tmp_path, toy_run, capsys):
         doc = json.load(open(f"{toy_run}/checkpoint.json"))
-        doc["format_version"] = 1
-        doc["train_config"].update(dropout=0.2, kappa_init=20.0)
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(doc))
-        code = main(
-            ["eval", "--checkpoint", str(path), "--dataset", f"{toy_run}/dataset.json",
-             "--out", str(tmp_path / "r")]
-        )
-        assert code == 1
+        v1 = dict(doc, format_version=1, train_config=dict(doc["train_config"], dropout=0.2, kappa_init=20.0))
+        v2 = dict(doc, format_version=2, model_config=dict(doc["model_config"], attn_temp_init=20.0, gamma_temp_init=1.0))
+        for old in (v1, v2):
+            path = tmp_path / f"v{old['format_version']}.json"
+            path.write_text(json.dumps(old))
+            code = main(
+                ["eval", "--checkpoint", str(path), "--dataset", f"{toy_run}/dataset.json",
+                 "--out", str(tmp_path / "r")]
+            )
+            assert code == 1
+            assert f"unsupported checkpoint version {old['format_version']}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, key, value, message",

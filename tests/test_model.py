@@ -326,6 +326,15 @@ class TestCompiledPlans:
         with pytest.raises(ValidationError, match="unknown node ghost"):
             compile_structure(ds, graph, ModelConfig())
 
+    def test_label_out_of_range_is_rejected(self):
+        # A hand-built dataset need not be validated; a label of -1 would
+        # otherwise pick the last class in the loss's one-hot lookup.
+        for label in (9, -1):
+            ds, graph = mixed_size_instance()
+            ds.labels["n3"] = label
+            with pytest.raises(ContractViolation, match="label out of range"):
+                compile_structure(ds, graph, ModelConfig())
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.integers(0, 7), st.integers(0, 30), st.booleans())
     def test_arrays_match_edge_by_edge_construction(self, seed, n, n_edges, n_causal, pairwise):
@@ -347,6 +356,11 @@ class TestCompiledPlans:
         pairs = {tuple(str(m) for m in rng.choice(ids + ["ghost"], size=2, replace=False)) for _ in range(n_causal)}
         graph = CausalGraph(0.01, 2, [CausalEdge(s, d, float(rng.uniform(0.0, 50.0)), 1e-3) for s, d in pairs])
         structure = compile_structure(ds, graph, ModelConfig(pairwise=pairwise))
+        assert structure.labels.dtype == np.int64
+        assert structure.labels.tolist() == [labels[i] for i in ids]
+        for name, part in ds.splits.items():
+            assert structure.splits[name].dtype == np.int64
+            assert structure.splits[name].tolist() == sorted(ids.index(i) for i in part), name
         want = causal_parents(ds, graph)
         for name, expected in want.items():
             got = getattr(structure, name)
@@ -532,17 +546,17 @@ class TestForward:
         # Edges of 2, 3 and 5 members and parent sets of 1 and 3: the
         # kernel's flat gathers and scatters see padding on both sides.
         ds, graph = mixed_size_instance()
-        cfg = ModelConfig(embed_dim=3, layers=2, dropout=0.0, attn_temp_init=1.5)
+        cfg = ModelConfig(embed_dim=3, layers=2, dropout=0.0)
         params = tiny_params(cfg, in_dim=4, types=("a", "b"), seed=33)
+        params.attn_temp.data = np.asarray(1.5)
         structure = compile_structure(ds, graph, cfg)
         rows = np.arange(len(structure.node_ids))
-        labels = np.array([ds.labels[nid] for nid in structure.node_ids])
         train_cfg = TrainConfig(lambda1=0.7, lambda2=0.9)
-        grads, _ = gradients(params, structure, rows, labels, train_cfg, mode="eval")
+        grads, _ = gradients(params, structure, rows, train_cfg, mode="eval")
 
         def loss_value():
             run = run_model(structure, params, mode="eval")
-            return build_loss(run, rows, labels, train_cfg)[0].item()
+            return build_loss(run, rows, train_cfg)[0].item()
 
         step = 1e-5
         for name, t in params.named().items():
@@ -575,9 +589,8 @@ class TestForward:
         params = tiny_params(cfg, in_dim=4, types=("a", "b"), seed=35)
         structure = compile_structure(ds, graph, cfg)
         rows = np.arange(len(structure.node_ids))
-        labels = np.array([ds.labels[nid] for nid in structure.node_ids])
         made.clear()
-        gradients(params, structure, rows, labels, TrainConfig(), rng=np.random.default_rng(0))
+        gradients(params, structure, rows, TrainConfig(), rng=np.random.default_rng(0))
         constants = [t for t in made if not t.requires_grad]
         assert len(constants) > 10
         assert all(t.grad is None for t in constants)

@@ -10,7 +10,7 @@ import pytest
 
 import causal_sphhn
 from causal_sphhn import autodiff as ad
-from causal_sphhn import training
+from causal_sphhn import cli, training
 from causal_sphhn.model import ModelConfig, compile_structure, init_params
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "causal_sphhn"
@@ -103,6 +103,13 @@ def test_every_config_checks_itself_when_built():
         assert not hasattr(cls, "validate"), cls.__name__
 
 
+def test_every_config_field_is_settable():
+    """Each ``ModelConfig`` and ``TrainConfig`` field is set by ``train --config``,
+    by its own flag, or by ``--seed``: a field no caller reaches is a constant."""
+    assert {f.name for f in dataclasses.fields(ModelConfig)} == set(cli.MODEL_KEYS) | {"euclidean", "pairwise"}
+    assert {f.name for f in dataclasses.fields(training.TrainConfig)} == set(cli.TRAIN_KEYS) | {"seed"}
+
+
 # Ops the coverage run below need not reach, each with the reason.
 NOT_ON_THE_TRAINING_PATH = {
     "Tensor.__repr__",  # for debugging output only
@@ -147,10 +154,9 @@ def test_every_autodiff_op_runs_in_training():
 
         ds, graph, _ = training._tiny_instance(0)
         rows = np.arange(len(ds.nodes))
-        labels = np.array([ds.labels[n.node_id] for n in ds.nodes])
         for euclidean, pairwise, g in itertools.product((False, True), (False, True), (graph, None)):
             cfg = ModelConfig(embed_dim=4, layers=2, dropout=0.5, euclidean=euclidean, pairwise=pairwise)
-            params = init_params(cfg, ds.dim, ds.classes, training._edge_types(ds), np.random.default_rng(0))
             structure = compile_structure(ds, g, cfg)
-            training.gradients(params, structure, rows, labels, training.TrainConfig(), rng=np.random.default_rng(1))
+            params = init_params(cfg, ds.dim, ds.classes, tuple(structure.type_pairs), np.random.default_rng(0))
+            training.gradients(params, structure, rows, training.TrainConfig(), rng=np.random.default_rng(1))
     assert set(ops) - ran - NOT_ON_THE_TRAINING_PATH == set()

@@ -8,7 +8,7 @@ import pytest
 
 from causal_sphhn import synthgen, training
 from causal_sphhn.cli import derive_seed
-from causal_sphhn.errors import ContractViolation, TrainingDiverged
+from causal_sphhn.errors import TrainingDiverged
 from causal_sphhn.granger import CausalEdge, CausalGraph, GrangerConfig, infer_causal_graph
 from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries
 from causal_sphhn.model import ModelConfig, compile_structure, init_params, run_model
@@ -56,7 +56,7 @@ def randomized_params(cfg, ds, seed, types=("ctx",)):
 class TestLoss:
     def setup_method(self):
         self.ds, self.graph = toy_instance()
-        self.cfg = ModelConfig(embed_dim=4, layers=1, dropout=0.0, gamma_temp_init=1.0)
+        self.cfg = ModelConfig(embed_dim=4, layers=1, dropout=0.0)
         self.structure = compile_structure(self.ds, self.graph, self.cfg)
         self.params = randomized_params(self.cfg, self.ds, 1)
         self.rows = np.arange(6, dtype=np.int64)
@@ -68,14 +68,14 @@ class TestLoss:
         perfect = np.full((6, 2), -745.0)
         perfect[np.arange(6), self.labels] = 0.0
         run.log_probs.data = perfect
-        breakdown = build_loss(run, self.rows, self.labels, TrainConfig(lambda1=0.0, lambda2=0.0))[1]
+        breakdown = build_loss(run, self.rows, TrainConfig(lambda1=0.0, lambda2=0.0))[1]
         assert breakdown.pred == 0.0
 
     def test_gamma_equal_reference_gives_zero_causal(self):
         # gamma_temp = 1 makes gamma identical to the observed reference.
         self.params.gamma_temp.data = np.asarray(1.0)
         run = run_model(self.structure, self.params, mode="eval")
-        breakdown = build_loss(run, self.rows, self.labels, TrainConfig(lambda2=5.0))[1]
+        breakdown = build_loss(run, self.rows, TrainConfig(lambda2=5.0))[1]
         assert abs(breakdown.causal) < 1e-15
 
     def test_hand_summed_toy_total(self):
@@ -85,7 +85,7 @@ class TestLoss:
             ds, graph = toy_instance(two_parents=two_parents)
             structure = compile_structure(ds, graph, self.cfg)
             run = run_model(structure, self.params, mode="eval")
-            total, breakdown = build_loss(run, self.rows, self.labels, cfg)
+            total, breakdown = build_loss(run, self.rows, cfg)
             # independent recomputation from the trace arrays, one child at a time
             logp = run.log_probs.data
             pred = -np.mean([logp[i, self.labels[i]] for i in range(6)])
@@ -102,10 +102,16 @@ class TestLoss:
             assert abs(total.item() - expected) < 1e-12
             assert abs(breakdown.total - (breakdown.pred + 0.7 * breakdown.entropy + 0.9 * breakdown.causal)) < 1e-10
 
-    def test_label_out_of_range(self):
+    def test_labels_come_from_the_structure(self):
+        # The batch is its rows: relabelling the dataset changes the loss.
         run = run_model(self.structure, self.params, mode="eval")
-        with pytest.raises(ContractViolation):
-            build_loss(run, self.rows, np.array([0, 1, 0, 1, 0, 9]), TrainConfig())
+        flipped = {k: 1 - v for k, v in self.ds.labels.items()}
+        ds = Dataset(4, 3, 2, 1, self.ds.nodes, self.ds.hyperedges, flipped, self.ds.splits)
+        run_flipped = run_model(compile_structure(ds, self.graph, self.cfg), self.params, mode="eval")
+        logp = run.log_probs.data
+        for r, labels in ((run, self.labels), (run_flipped, 1 - self.labels)):
+            pred = build_loss(r, self.rows[1:4], TrainConfig())[1].pred
+            assert pred == pytest.approx(-np.mean(logp[np.arange(1, 4), labels[1:4]]), abs=1e-12)
 
 
 class TestGradients:
@@ -117,8 +123,8 @@ class TestGradients:
         # zero head, balanced labels: probabilities are uniform, so the two
         # bias gradients (mean of p - y per class) must match.
         rows = np.arange(6, dtype=np.int64)
-        labels = np.array([0, 1, 0, 1, 0, 1])
-        grads, _ = gradients(params, structure, rows, labels, TrainConfig(lambda1=0, lambda2=0), mode="eval")
+        assert np.array_equal(structure.labels, [0, 1, 0, 1, 0, 1])
+        grads, _ = gradients(params, structure, rows, TrainConfig(lambda1=0, lambda2=0), mode="eval")
         assert np.allclose(grads["head_b"][0], grads["head_b"][1], atol=1e-12)
 
     def test_gradcheck_tiny_model(self):
@@ -133,18 +139,18 @@ class TestGradients:
     def test_gradcheck_two_parent_gamma_path(self):
         # two causal parents with distinct F: gamma_temp has real gradient
         ds, graph = toy_instance(seed=4, two_parents=True)
-        cfg = ModelConfig(embed_dim=4, layers=1, dropout=0.0, gamma_temp_init=0.6)
+        cfg = ModelConfig(embed_dim=4, layers=1, dropout=0.0)
         params = randomized_params(cfg, ds, 5)
+        params.gamma_temp.data = np.asarray(0.6)
         structure = compile_structure(ds, graph, cfg)
         rows = np.arange(6, dtype=np.int64)
-        labels = np.array([ds.labels[n.node_id] for n in ds.nodes])
         tc = TrainConfig(lambda1=0.4, lambda2=0.8)
-        grads, _ = gradients(params, structure, rows, labels, tc, mode="eval")
+        grads, _ = gradients(params, structure, rows, tc, mode="eval")
         assert abs(grads["gamma_temp"]) > 0.0
 
         def eval_loss():
             run = run_model(structure, params, mode="eval")
-            return build_loss(run, rows, labels, tc)[0].item()
+            return build_loss(run, rows, tc)[0].item()
 
         h = 1e-5
         orig = float(params.gamma_temp.data)
@@ -163,8 +169,7 @@ class TestGradients:
         structure = compile_structure(ds, graph, cfg)
         rows = np.arange(6, dtype=np.int64)
         labels = np.array([ds.labels[n.node_id] for n in ds.nodes])
-        g_zero, _ = gradients(params, structure, rows, labels,
-                              TrainConfig(lambda1=0.0, lambda2=0.0), mode="eval")
+        g_zero, _ = gradients(params, structure, rows, TrainConfig(lambda1=0.0, lambda2=0.0), mode="eval")
 
         # independent pure-CE gradient: rebuild the loss with only the
         # prediction term
@@ -211,9 +216,8 @@ class TestMemory:
         graph = infer_causal_graph(ds.nodes, GrangerConfig(), fit_ids=ds.splits["train"])
         model_cfg = ModelConfig()
         structure = compile_structure(ds, graph, model_cfg)
-        params = init_params(model_cfg, ds.dim, ds.classes, training._edge_types(ds), np.random.default_rng(0))
-        rows = training._split_rows(ds, "train")[:128]
-        labels = training._labels_for(ds, rows)
+        params = init_params(model_cfg, ds.dim, ds.classes, tuple(structure.type_pairs), np.random.default_rng(0))
+        rows = structure.splits["train"][:128]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -222,7 +226,7 @@ class TestMemory:
             del run
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            gradients(params, structure, rows, labels, TrainConfig(), mode="train", rng=np.random.default_rng(1))
+            gradients(params, structure, rows, TrainConfig(), mode="train", rng=np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -286,19 +290,15 @@ class TestTrainLoop:
         best = min(h["val_loss"] for h in history)
         structure = compile_structure(ds, graph, params.config)
         run = run_model(structure, params, mode="eval")
-        idx = ds.node_index()
-        val_rows = np.asarray(sorted(idx[i] for i in ds.splits["val"]), dtype=np.int64)
-        val_labels = np.array([ds.labels[ds.nodes[r].node_id] for r in val_rows])
-        breakdown = build_loss(run, val_rows, val_labels, tc)[1]
+        breakdown = build_loss(run, structure.splits["val"], tc)[1]
         assert breakdown.total <= best + 1e-9
 
     def test_divergence_raises_with_checkpoint(self):
         ds, graph = toy_instance(seed=12)
         mc = ModelConfig(embed_dim=4, layers=1)
         tc = TrainConfig(lr=1e155, max_epochs=10, seed=3)
-        with pytest.raises(TrainingDiverged) as info:
+        with pytest.raises(TrainingDiverged):
             train(ds, graph, mc, tc)
-        assert info.value.params is not None
 
     def test_dataset_is_dropped_before_the_first_step(self, monkeypatch):
         # The CLI hands train() its only reference, so the (N, T, d) block is not kept through training.
