@@ -163,7 +163,7 @@ def cmd_train(args) -> int:
     hist = os.path.join(args.out, "history.csv")
     save_checkpoint(ckpt, params, train_cfg, graph)
     training.write_history_csv(history, hist)
-    cfg_doc = {"model": params.config.to_dict(), "train": train_cfg.to_dict()}
+    cfg_doc = {"model": dataclasses.asdict(params.config), "train": dataclasses.asdict(train_cfg)}
     inputs = {"dataset": file_digest(args.dataset)}
     if args.graph:
         inputs["graph"] = file_digest(args.graph)
@@ -177,13 +177,15 @@ def cmd_eval(args) -> int:
     params, train_cfg, graph = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
     inputs = {"dataset": file_digest(args.dataset), "checkpoint": file_digest(args.checkpoint)}
+    structure = compile_structure(ds, graph, params.config)
+    timesteps = ds.timesteps
+    # The structure holds the last timestep, labels and splits: all eval reads
+    # of the dataset, so the (N, T, d) feature block is freed before the mask
+    # and the forward, and only one feature block is ever alive.
+    del ds
     if args.dropout_rate != 0.0:  # feature_dropout rejects a rate outside [0, 1)
         rng = np.random.default_rng(derive_seed(args.seed, "eval.dropout"))
-        ds = feature_dropout(ds, args.dropout_rate, rng)
-    structure = compile_structure(ds, graph, params.config)
-    # The structure holds the last timestep, labels and splits: all eval reads
-    # of the dataset, so the (N, T, d) feature block is freed before the forward.
-    del ds
+        structure.features = feature_dropout(structure.features, timesteps, args.dropout_rate, rng)
     run = run_model(structure, params, mode="eval")
     rows = np.arange(len(structure.node_ids)) if args.split == "all" else structure.splits[args.split]
     labels = structure.labels[rows]
@@ -242,13 +244,7 @@ def cmd_gradcheck(args) -> int:
         print(f"{name:24s} max rel error {report.per_parameter[name]:.3e}")
     print(f"overall max rel error {report.max_rel_error:.3e} (tolerance {report.tolerance:g})")
     if args.out:
-        doc = {
-            "max_rel_error": report.max_rel_error,
-            "per_parameter": report.per_parameter,
-            "passed": report.passed,
-            "tolerance": report.tolerance,
-        }
-        write_json(os.path.join(args.out, "gradcheck.json"), doc, indent=2)
+        write_json(os.path.join(args.out, "gradcheck.json"), dataclasses.asdict(report), indent=2)
     if not report.passed:
         worst = sorted(report.per_parameter, key=report.per_parameter.get, reverse=True)
         print("FAIL; worst parameters: " + ", ".join(worst[:3]), file=sys.stderr)

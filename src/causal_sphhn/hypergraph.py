@@ -224,22 +224,16 @@ def load_dataset(path: str) -> Dataset:
         return dataset_from_dict(doc, features)
 
 
-def feature_dropout(ds: Dataset, rate: float, rng: np.random.Generator) -> Dataset:
-    """Zero each feature entry independently with probability ``rate``.
+def feature_dropout(last: np.ndarray, timesteps: int, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Zero each entry of the (N, d) last-timestep features independently
+    with probability ``rate``; deterministic given the generator state.
 
-    Labels and structure are untouched; deterministic given the generator
-    state.
+    The mask is the last timestep of one (N, timesteps, d) draw.  That draw
+    takes the generator's stream in the order the per-node (T, d) masks of a
+    whole feature block took it, so a seed keeps masking the entries it
+    always masked, although only the timestep the model reads is kept.
     """
     if not (0.0 <= rate < 1.0):
         raise ContractViolation(f"dropout rate must be in [0, 1), got {rate}")
-    nodes = [NodeFeatureSeries(n.node_id, n.features * (rng.random(n.features.shape) >= rate)) for n in ds.nodes]
-    return Dataset(
-        dim=ds.dim,
-        timesteps=ds.timesteps,
-        classes=ds.classes,
-        horizon=ds.horizon,
-        nodes=nodes,
-        hyperedges=list(ds.hyperedges),
-        labels=dict(ds.labels),
-        splits={k: list(v) for k, v in ds.splits.items()},
-    )
+    n, d = last.shape
+    return last * (rng.random((n, timesteps, d))[:, -1] >= rate)

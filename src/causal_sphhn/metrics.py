@@ -10,7 +10,7 @@ zero-variance ranking) yield ``None`` rather than an exception.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,17 +57,8 @@ def macro_f1(preds, labels, classes: int) -> float:
 
 def _midranks(x: np.ndarray) -> np.ndarray:
     """Average ranks (1-based) with ties sharing their midrank."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1.0))[group]
 
 
 def auc_ovr(probs, labels, classes: int) -> float | None:
@@ -173,19 +164,6 @@ class EvalReport:
     rank_corr: float | None
     config: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "auc": self.auc,
-            "ece": self.ece,
-            "mean_entropy": self.mean_entropy,
-            "mean_vmf_entropy": self.mean_vmf_entropy,
-            "p_at_k": {str(k): v for k, v in self.p_at_k.items()},
-            "per_class_f1": self.per_class_f1,
-            "rank_corr": self.rank_corr,
-            "config": self.config,
-        }
-
     def save(self, path: str) -> None:
-        write_json(path, self.to_dict())
+        # json writes the int keys of p_at_k as strings.
+        write_json(path, asdict(self))

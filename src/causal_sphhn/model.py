@@ -28,6 +28,8 @@ are the children, gamma is a segment softmax of the tempered F scores,
 and it scatters onto a (P, N) matrix of child rows by parent node, times h.
 That (P, d) context is scattered by flat element index onto the child rows
 of h; a select keeps h bit for bit at the rows without causal parents.
+Every causal edge must join two nodes of the dataset: a graph inferred on
+another dataset is an input error, not a graph to apply in part.
 
 ``GraphStructure`` is the model's whole view of a dataset: it also holds
 each node row's label, ``labels``, and each split's rows, ``splits``, so
@@ -54,7 +56,7 @@ already), so it keeps no graph: each dense buffer is freed once read.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -92,9 +94,6 @@ class ModelConfig:
             raise ContractViolation("dropout must be in [0, 1)")
         if not (self.kappa_init > 0):
             raise ContractViolation("kappa_init must be positive")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -203,7 +202,7 @@ class GraphStructure:
     seg_starts: np.ndarray  # (S,) first pair of each segment
     seg_ids: np.ndarray  # (Q,) segment of each pair
     type_pairs: dict[str, slice]  # context type -> its range of the pair arrays
-    # One entry per kept causal edge, sorted by (child id, parent id): each
+    # One entry per causal edge, sorted by (child id, parent id): each
     # child's parents form one contiguous softmax segment.
     child_rows: np.ndarray  # (P,) nodes with causal parents, one per segment
     parent_starts: np.ndarray  # (P,) first entry of each segment
@@ -263,7 +262,9 @@ def compile_structure(
     """The arrays a forward pass and its loss read, for a dataset already validated.
 
     A label outside [0, classes) raises ContractViolation, since the loss
-    would read a negative one as the last class.
+    would read a negative one as the last class.  A hyperedge member or a
+    causal edge endpoint that is not a node of the dataset raises
+    ValidationError, naming the edge and the node.
     """
     index = ds.node_index()
     node_ids = [n.node_id for n in ds.nodes]
@@ -287,12 +288,13 @@ def compile_structure(
     bounds = np.searchsorted(type_code[pe], np.arange(types.size + 1))
     type_pairs = {str(t): slice(int(bounds[c]), int(bounds[c + 1])) for c, t in enumerate(types)}
 
-    kept = sorted(
-        (e for e in (causal_graph.edges if causal_graph else ()) if e.src in index and e.dst in index),
-        key=lambda e: (e.dst, e.src),
-    )
-    child, parent = np.array([(index[e.dst], index[e.src]) for e in kept], dtype=np.int64).reshape(-1, 2).T
-    parent_f = np.array([e.f_statistic for e in kept], dtype=np.float64)
+    causal = sorted(causal_graph.edges if causal_graph else (), key=lambda e: (e.dst, e.src))
+    for e in causal:
+        for end in (e.src, e.dst):
+            if end not in index:
+                raise ValidationError(f"causal edge {e.src} -> {e.dst} references unknown node {end}")
+    child, parent = np.array([(index[e.dst], index[e.src]) for e in causal], dtype=np.int64).reshape(-1, 2).T
+    parent_f = np.array([e.f_statistic for e in causal], dtype=np.float64)
     new_child = np.diff(child, prepend=-1) != 0
     parent_starts = np.flatnonzero(new_child)
     parent_seg = np.cumsum(new_child) - 1

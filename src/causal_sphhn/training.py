@@ -65,9 +65,6 @@ class TrainConfig:
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ContractViolation("batch_size and max_epochs must be >= 1")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -256,7 +253,7 @@ CHECKPOINT_VERSION = 3
 
 
 def config_digest(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
-    return doc_digest({"model": model_cfg.to_dict(), "train": train_cfg.to_dict()})
+    return doc_digest({"model": asdict(model_cfg), "train": asdict(train_cfg)})
 
 
 def save_checkpoint(
@@ -268,8 +265,8 @@ def save_checkpoint(
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "config_digest": config_digest(params.config, train_cfg),
-        "model_config": params.config.to_dict(),
-        "train_config": train_cfg.to_dict(),
+        "model_config": asdict(params.config),
+        "train_config": asdict(train_cfg),
         "arch": {
             "in_dim": params.in_dim,
             "classes": params.classes,

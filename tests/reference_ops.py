@@ -2,10 +2,13 @@
 
 Most functions compute, for one node or one hyperedge at a time and with
 plain numpy loops, a quantity the batched ``causal_sphhn.model.run_model``
-computes for the whole graph at once.  The autodiff ops at the end (a
+computes for the whole graph at once.  The autodiff ops after them (a
 row scatter-add, the composite row normalisation, a flat gather, and the
 softmax and log-sum-exp over the masked rows of a padded block) are the
-oracles of the ops in ``causal_sphhn.autodiff``.
+oracles of the ops in ``causal_sphhn.autodiff``.  The last two are the
+tie-walking midranks of ``causal_sphhn.metrics`` and the whole-dataset
+feature dropout that ``causal_sphhn.hypergraph.feature_dropout`` keeps
+the last timestep of.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from causal_sphhn.autodiff import Tensor
 from causal_sphhn.errors import ContractViolation
 from causal_sphhn.granger import CausalGraph
-from causal_sphhn.hypergraph import Dataset, Hyperedge
+from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries
 from causal_sphhn.model import _NORM_EPS, ModelParams
 
 
@@ -217,12 +220,12 @@ def causal_parents(ds: Dataset, causal_graph: CausalGraph) -> dict:
     """
     index = ds.node_index()
     n = len(ds.nodes)
-    children = sorted({e.dst for e in causal_graph.edges if e.src in index and e.dst in index})
+    children = sorted({e.dst for e in causal_graph.edges})
     rows, starts, seg, cells, f_stats, lens = [], [], [], [], [], []
     for r, child in enumerate(children):
         starts.append(len(seg))
         rows.append(index[child])
-        parents = sorted((e for e in causal_graph.edges if e.dst == child and e.src in index), key=lambda e: e.src)
+        parents = sorted((e for e in causal_graph.edges if e.dst == child), key=lambda e: e.src)
         for e in parents:
             seg.append(r)
             cells.append(r * n + index[e.src])
@@ -316,3 +319,26 @@ def masked_logsumexp(x: Tensor, mask: np.ndarray) -> Tensor:
     soft = e / np.where(s == 0.0, 1.0, s)
     out._backward = lambda g: x._accumulate(g * soft)
     return out
+
+
+def midranks(x: np.ndarray) -> np.ndarray:
+    """Average ranks (1-based), walking each run of ties in sorted order."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size)
+    sx = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def dataset_feature_dropout(ds: Dataset, rate: float, rng: np.random.Generator) -> Dataset:
+    """A copy of ``ds`` with each entry of every node's (T, d) features
+    zeroed independently with probability ``rate``, node by node."""
+    nodes = [NodeFeatureSeries(n.node_id, n.features * (rng.random(n.features.shape) >= rate)) for n in ds.nodes]
+    return Dataset(ds.dim, ds.timesteps, ds.classes, ds.horizon, nodes, list(ds.hyperedges),
+                   dict(ds.labels), {k: list(v) for k, v in ds.splits.items()})

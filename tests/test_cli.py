@@ -14,8 +14,9 @@ from causal_sphhn.cli import main
 from causal_sphhn.errors import ContractViolation
 from causal_sphhn.granger import REDUCTIONS, CausalEdge, CausalGraph, GrangerConfig
 from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries, load_dataset, save_dataset
+from causal_sphhn.metrics import EvalReport
 from causal_sphhn.model import ModelConfig
-from causal_sphhn.training import TrainConfig, load_checkpoint, save_checkpoint
+from causal_sphhn.training import GradientCheckReport, TrainConfig, load_checkpoint, save_checkpoint
 
 
 CONFIGS = [TrainConfig(), ModelConfig(), GrangerConfig(), synthgen.preset("toy")]
@@ -348,6 +349,18 @@ class TestTrain:
         assert str(graph) in err and message in err
         assert not out.exists()
 
+    def test_graph_naming_an_unknown_node_is_input_error(self, tmp_path, toy_run, capsys):
+        # A graph inferred on another dataset: its edges are not applied in part.
+        graph = CausalGraph.load(f"{toy_run}/causal.json")
+        edges = [*graph.edges, CausalEdge(graph.edges[0].src, "n9999", 2.0, 1e-3)]
+        path = str(tmp_path / "causal.json")
+        CausalGraph(graph.alpha, graph.lag, edges).save(path)
+        out = tmp_path / "t"
+        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--graph", path, "--out", str(out)])
+        assert code == 1
+        assert f"causal edge {graph.edges[0].src} -> n9999 references unknown node n9999" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_graph_without_edges_is_input_error(self, tmp_path, toy_run):
         graph = tmp_path / "causal.json"
         graph.write_text(json.dumps({"alpha": 0.01, "lag": 2}))
@@ -362,6 +375,7 @@ class TestEval:
         for key in ("accuracy", "macro_f1", "auc", "ece", "mean_entropy",
                     "mean_vmf_entropy", "p_at_k", "per_class_f1", "rank_corr", "config"):
             assert key in report
+        assert list(report) == [f.name for f in dataclasses.fields(EvalReport)]
         assert 0.0 <= report["accuracy"] <= 1.0
         assert report["config"]["split"] == "test"
         assert "5" in report["p_at_k"]
@@ -438,19 +452,28 @@ class TestEval:
             assert a["auc"] == pytest.approx(b["auc"], abs=1e-12), split
 
     def test_feature_block_is_dropped_before_the_forward(self, tmp_path, toy_run, monkeypatch):
-        # The structure holds all eval reads of the dataset, so the (N, T, d) block is not kept through the forward.
-        blocks, alive, load, run_model = [], [], cli.load_dataset, cli.run_model
+        # The structure holds all eval reads of the dataset, so the (N, T, d)
+        # block is not kept through the forward, nor through the dropout mask:
+        # only one feature block is ever alive.
+        load, dropout, run_model = cli.load_dataset, cli.feature_dropout, cli.run_model
+        for rate in ("0", "0.2"):
+            blocks, alive = [], []
 
-        def loading(path):
-            ds = load(path)
-            blocks.append(weakref.ref(ds.nodes[0].features.base))
-            return ds
+            def loading(path):
+                ds = load(path)
+                blocks.append(weakref.ref(ds.nodes[0].features.base))
+                return ds
 
-        monkeypatch.setattr(cli, "load_dataset", loading)
-        monkeypatch.setattr(cli, "run_model", lambda *a, **k: (alive.append(blocks[0]() is not None), run_model(*a, **k))[1])
-        assert main(["eval", "--checkpoint", f"{toy_run}/checkpoint.json", "--dataset", f"{toy_run}/dataset.json",
-                     "--out", str(tmp_path / "r")]) == 0
-        assert alive == [False]
+            def observed(step):
+                return lambda *a, **k: (alive.append((step, blocks[0]() is not None)), step(*a, **k))[1]
+
+            monkeypatch.setattr(cli, "load_dataset", loading)
+            monkeypatch.setattr(cli, "feature_dropout", observed(dropout))
+            monkeypatch.setattr(cli, "run_model", observed(run_model))
+            assert main(["eval", "--checkpoint", f"{toy_run}/checkpoint.json", "--dataset", f"{toy_run}/dataset.json",
+                         "--dropout-rate", rate, "--out", str(tmp_path / rate)]) == 0
+            steps = [(dropout, False)] if rate != "0" else []
+            assert alive == steps + [(run_model, False)], rate
 
     def test_negative_dropout_rate_is_input_error(self, tmp_path, toy_run, capsys):
         out = tmp_path / "r"
@@ -639,6 +662,7 @@ class TestGradcheck:
         out = str(tmp_path / "g")
         assert main(["gradcheck", "--seed", "0", "--out", out]) == 0
         report = json.load(open(f"{out}/gradcheck.json"))
+        assert list(report) == [f.name for f in dataclasses.fields(GradientCheckReport)]
         assert report["passed"] and report["max_rel_error"] <= 1e-4
         assert len(report["per_parameter"]) >= 8
 

@@ -24,6 +24,7 @@ from causal_sphhn.hypergraph import (
     save_dataset,
 )
 from causal_sphhn.synthgen import generate, preset
+from reference_ops import dataset_feature_dropout
 
 
 def make_dataset(rng=None, n=6, t=4, d=3, edges=None):
@@ -325,34 +326,46 @@ class TestSplitsValidation:
 
 
 class TestFeatureDropout:
+    @staticmethod
+    def last(rng, n=6, d=3):
+        return rng.standard_normal((n, d))
+
     def test_rate_zero_identical(self):
-        ds = make_dataset(np.random.default_rng(7))
-        out = feature_dropout(ds, 0.0, np.random.default_rng(1))
-        for a, b in zip(ds.nodes, out.nodes):
-            assert np.array_equal(a.features, b.features)
+        last = self.last(np.random.default_rng(7))
+        assert np.array_equal(feature_dropout(last, 4, 0.0, np.random.default_rng(1)), last)
 
     def test_zeroed_fraction_concentrates(self):
-        rng = np.random.default_rng(8)
-        ds = make_dataset(rng, n=10, t=100, d=10, edges=[Hyperedge("e0", ("n0", "n1"), "c")])
-        out = feature_dropout(ds, 0.4, np.random.default_rng(2))
-        total = sum(n.features.size for n in out.nodes)
-        zeroed = sum(int((n.features == 0.0).sum()) for n in out.nodes)
-        assert abs(zeroed / total - 0.4) < 0.02
+        out = feature_dropout(self.last(np.random.default_rng(8), n=100, d=100), 3, 0.4, np.random.default_rng(2))
+        assert abs(np.mean(out == 0.0) - 0.4) < 0.02
 
-    def test_labels_and_structure_untouched(self):
-        ds = make_dataset(np.random.default_rng(9))
-        out = feature_dropout(ds, 0.5, np.random.default_rng(3))
-        assert out.labels == ds.labels
-        assert [e.members for e in out.hyperedges] == [e.members for e in ds.hyperedges]
+    def test_input_is_not_modified(self):
+        last = self.last(np.random.default_rng(9))
+        before = last.copy()
+        out = feature_dropout(last, 4, 0.5, np.random.default_rng(3))
+        assert np.array_equal(last, before)
+        assert out.shape == last.shape and out.dtype == np.float64
+        assert np.array_equal(out[out != 0.0], last[out != 0.0])
 
     def test_same_seed_reproducible(self):
-        ds = make_dataset(np.random.default_rng(10))
-        a = feature_dropout(ds, 0.3, np.random.default_rng(42))
-        b = feature_dropout(ds, 0.3, np.random.default_rng(42))
-        for x, z in zip(a.nodes, b.nodes):
-            assert np.array_equal(x.features, z.features)
+        last = self.last(np.random.default_rng(10))
+        a = feature_dropout(last, 4, 0.3, np.random.default_rng(42))
+        b = feature_dropout(last, 4, 0.3, np.random.default_rng(42))
+        assert np.array_equal(a, b)
 
     def test_invalid_rate_rejected(self):
-        ds = make_dataset()
-        with pytest.raises(ContractViolation):
-            feature_dropout(ds, 1.0, np.random.default_rng(0))
+        for rate in (1.0, float("nan"), -0.1):
+            with pytest.raises(ContractViolation):
+                feature_dropout(self.last(np.random.default_rng(0)), 4, rate, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("t", [1, 3, 17])
+    def test_mask_is_the_last_timestep_of_the_dataset_mask(self, t, seed):
+        # One (N, T, d) draw takes the stream the per-node (T, d) draws took,
+        # so the entries the model reads are masked exactly as before.
+        ds = make_dataset(np.random.default_rng(seed), n=9, t=t, d=5)
+        last = np.stack([n.features[-1] for n in ds.nodes])
+        whole = dataset_feature_dropout(ds, 0.3, np.random.default_rng(seed + 100))
+        want = np.stack([n.features[-1] for n in whole.nodes])
+        got = feature_dropout(last, t, 0.3, np.random.default_rng(seed + 100))
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_sphhn import metrics
 from causal_sphhn.errors import ContractViolation
+from reference_ops import midranks
 
 
 class TestMacroF1:
@@ -39,6 +42,17 @@ def auc_pair_oracle(scores, pos):
         for q in neg_scores:
             wins += 1.0 if p > q else (0.5 if p == q else 0.0)
     return wins / (len(pos_scores) * len(neg_scores))
+
+
+class TestMidranks:
+    # Values from a small pool, so most arrays hold runs of ties; -0.0 ties with 0.0.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-np.inf, -2.5, -1.0, -0.0, 0.0, 1e-300, 0.5, 3.0, np.inf]), max_size=60))
+    def test_equals_the_tie_walk_bitwise(self, values):
+        x = np.array(values, dtype=np.float64)
+        got, want = metrics._midranks(x), midranks(x)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want)
 
 
 class TestAucOvr:

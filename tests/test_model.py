@@ -326,6 +326,15 @@ class TestCompiledPlans:
         with pytest.raises(ValidationError, match="unknown node ghost"):
             compile_structure(ds, graph, ModelConfig())
 
+    @pytest.mark.parametrize("end", ["src", "dst"])
+    def test_unknown_causal_endpoint_is_validation_error(self, end):
+        # A graph naming a node the dataset lacks is not applied to the rest.
+        ds, graph = mixed_size_instance()
+        edge = {"src": "n0", "dst": "n1", end: "ghost"}
+        graph = CausalGraph(graph.alpha, graph.lag, [*graph.edges, CausalEdge(edge["src"], edge["dst"], 2.0, 1e-3)])
+        with pytest.raises(ValidationError, match=f"causal edge {edge['src']} -> {edge['dst']} .*unknown node ghost"):
+            compile_structure(ds, graph, ModelConfig())
+
     def test_label_out_of_range_is_rejected(self):
         # A hand-built dataset need not be validated; a label of -1 would
         # otherwise pick the last class in the loss's one-hot lookup.
@@ -352,8 +361,8 @@ class TestCompiledPlans:
         ds = Dataset(3, 2, 2, 1, nodes, edges, labels,
                      {"train": ids[:1], "val": ids[1:2], "test": ids[2:]})
         ds.validate()
-        # Distinct ordered pairs, some naming a node the dataset lacks.
-        pairs = {tuple(str(m) for m in rng.choice(ids + ["ghost"], size=2, replace=False)) for _ in range(n_causal)}
+        # Distinct ordered pairs of dataset nodes.
+        pairs = {tuple(str(m) for m in rng.choice(ids, size=2, replace=False)) for _ in range(n_causal)}
         graph = CausalGraph(0.01, 2, [CausalEdge(s, d, float(rng.uniform(0.0, 50.0)), 1e-3) for s, d in pairs])
         structure = compile_structure(ds, graph, ModelConfig(pairwise=pairwise))
         assert structure.labels.dtype == np.int64
