@@ -10,7 +10,9 @@ covers the features too.  All files are read and written through
 ``artifacts.py``, which writes atomically (write-temp-then-rename) and
 creates the ``--out`` directory.  All randomness flows from one
 ``--seed``; components receive subseeds derived as
-``(seed * 2654435761 + crc32(tag)) mod 2^32``.
+``(seed * 2654435761 + crc32(tag)) mod 2^32``.  A ``synth --config`` file
+that names ``seed`` is refused, as ``train --config`` refuses it: the seed
+is set by ``--seed`` alone.
 
 Exit codes: 0 success, 1 input error, 2 usage, 3 training divergence,
 4 gradient-check failure.  Exit 1 covers the package's input errors
@@ -37,7 +39,7 @@ from . import __version__, metrics, synthgen, training
 from .artifacts import check_fields, doc_digest, file_digest, read_json, write_json
 from .errors import ContractViolation, NumericalError, ParseError, TrainingDiverged, ValidationError, naming
 from .granger import REDUCTIONS, CausalGraph, GrangerConfig, infer_causal_graph
-from .hypergraph import block_path, feature_dropout, load_dataset, save_dataset
+from .hypergraph import SPLIT_NAMES, block_path, feature_dropout, load_dataset, save_dataset
 from .model import ModelConfig, compile_structure, run_model
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
@@ -93,6 +95,8 @@ def cmd_synth(args) -> int:
     if args.config:
         doc = read_json(args.config)
         with naming(args.config):
+            if "seed" in doc:
+                raise ParseError("seed is set by --seed, not by the config")
             doc = check_fields(synthgen.SynthConfig, {"seed": seed, "planted_edges": (), **doc})
             cfg = synthgen.SynthConfig(**doc)
     else:
@@ -174,6 +178,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     start = time.monotonic()
+    settings = {"bins": args.bins, "k": args.k, "split": args.split, "dropout_rate": args.dropout_rate}
     params, train_cfg, graph = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.dataset)
     inputs = {"dataset": file_digest(args.dataset), "checkpoint": file_digest(args.checkpoint)}
@@ -216,21 +221,13 @@ def cmd_eval(args) -> int:
         p_at_k=p_at_k,
         per_class_f1=metrics.per_class_f1(preds, labels, structure.classes),
         rank_corr=rank_corr,
-        config={
-            "bins": args.bins,
-            "k": args.k,
-            "split": args.split,
-            "dropout_rate": args.dropout_rate,
-            "dataset_digest": inputs["dataset"],
-            "checkpoint_digest": inputs["checkpoint"],
-        },
+        config={**settings, "dataset_digest": inputs["dataset"], "checkpoint_digest": inputs["checkpoint"]},
     )
     path = os.path.join(args.out, "report.json")
     report.save(path)
     if args.truth:
         inputs["truth"] = file_digest(args.truth)
-    cfg_doc = {"split": args.split, "dropout_rate": args.dropout_rate, "bins": args.bins, "k": args.k}
-    _write_manifest(args.out, "eval", args.seed, cfg_doc, inputs, [path], start)
+    _write_manifest(args.out, "eval", args.seed, settings, inputs, [path], start)
     print(
         f"accuracy {report.accuracy:.4f}  macro-F1 {report.macro_f1:.4f}  "
         f"ECE {report.ece:.4f}" + (f"  P@{args.k} {p_at_k[args.k]:.3f}" if p_at_k[args.k] is not None else "")
@@ -274,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset with planted causal edges")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preset", choices=("toy", "small", "medium"))
+    group.add_argument("--preset", choices=tuple(synthgen.PRESETS))
     group.add_argument("--config", help="JSON file of generator settings")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -310,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="planted-edge ground truth JSON")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
+    p.add_argument("--split", choices=(*SPLIT_NAMES, "all"), default="test")
     p.add_argument("--dropout-rate", type=float, default=0.0)
     p.add_argument("--bins", type=_positive_int, default=10)
     p.add_argument("--k", type=_positive_int, default=5)

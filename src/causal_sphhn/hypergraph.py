@@ -228,12 +228,16 @@ def feature_dropout(last: np.ndarray, timesteps: int, rate: float, rng: np.rando
     """Zero each entry of the (N, d) last-timestep features independently
     with probability ``rate``; deterministic given the generator state.
 
-    The mask is the last timestep of one (N, timesteps, d) draw.  That draw
-    takes the generator's stream in the order the per-node (T, d) masks of a
-    whole feature block took it, so a seed keeps masking the entries it
-    always masked, although only the timestep the model reads is kept.
+    Node by node, the mask is the last timestep of a (timesteps, d) draw.
+    The draws take the generator's stream in the order the per-node masks of
+    a whole feature block took it, so a seed keeps masking the entries it
+    always masked, although only the timestep the model reads is kept, and
+    no (N, timesteps, d) block is drawn.
     """
     if not (0.0 <= rate < 1.0):
         raise ContractViolation(f"dropout rate must be in [0, 1), got {rate}")
     n, d = last.shape
-    return last * (rng.random((n, timesteps, d))[:, -1] >= rate)
+    draws = np.empty((n, d))
+    for row in draws:  # one (timesteps, d) draw alive at a time
+        row[:] = rng.random((timesteps, d))[-1]
+    return last * (draws >= rate)

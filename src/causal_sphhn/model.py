@@ -56,7 +56,7 @@ already), so it keeps no graph: each dense buffer is freed once read.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -116,21 +116,15 @@ class ModelParams:
     head_b: Tensor
 
     def named(self) -> dict[str, Tensor]:
-        out = {
-            "proj_w": self.proj_w,
-            "proj_b": self.proj_b,
-            "kappa_w": self.kappa_w,
-            "kappa_b": self.kappa_b,
-        }
-        for t in self.edge_types:
-            out[f"edge_w:{t}"] = self.edge_w[t]
-        out.update(
-            attn_temp=self.attn_temp,
-            causal_w=self.causal_w,
-            gamma_temp=self.gamma_temp,
-            head_w=self.head_w,
-            head_b=self.head_b,
-        )
+        """Every learnable tensor in field order, which is the checkpoint's order:
+        a dict field gives one ``<field>:<key>`` entry per key."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                out[f.name] = value
+            elif isinstance(value, dict):
+                out.update((f"{f.name}:{k}", t) for k, t in value.items())
         return out
 
     def constants(self) -> "ModelParams":
@@ -225,9 +219,13 @@ def _member_rows(
     """The (E, K) member rows and mask of the edges the model attends over,
     and the hyperedge each of the E rows comes from.
 
-    With ``pairwise`` every hyperedge becomes the 2-cliques of its members
-    in sorted-id order, (a, b) for a before b, edge by edge.  Only the
-    member ids are checked: an unknown one raises ValidationError.
+    Each hyperedge is first one row of a padded (edges, K) block.  With
+    ``pairwise`` its members are sorted by id, and its 2-cliques (a, b),
+    a before b, are read off that block: slot pair (a, b) of the upper
+    triangle is a pair of the edge wherever slot b is a member, since then
+    so is a < b.  Boolean indexing keeps edge order, and the triangle's
+    order within each edge.  Only the member ids are checked: an unknown
+    one raises ValidationError.
     """
     flat = []
     for e in ds.hyperedges:
@@ -236,24 +234,16 @@ def _member_rows(
             if row is None:
                 raise ValidationError(f"hyperedge {e.edge_id} references unknown node {m}")
             flat.append(row)
-    flat = np.asarray(flat, dtype=np.int64)
     sizes = np.fromiter((len(e.members) for e in ds.hyperedges), np.int64, len(ds.hyperedges))
+    mask = np.arange(sizes.max(initial=2)) < sizes[:, None]
+    rows = np.zeros(mask.shape, dtype=np.int64)
+    rows[mask] = flat
     if not pairwise:
-        mask = np.arange(sizes.max(initial=2)) < sizes[:, None]
-        rows = np.zeros(mask.shape, dtype=np.int64)
-        rows[mask] = flat
         return rows, mask, np.arange(sizes.size)
-    first = np.cumsum(sizes) - sizes  # each edge's offset in flat
-    n_pairs = sizes * (sizes - 1) // 2
-    out_first = np.cumsum(n_pairs) - n_pairs  # each edge's first row
-    rows = np.empty((int(n_pairs.sum()), 2), dtype=np.int64)
-    for size in np.unique(sizes):
-        edges = np.flatnonzero(sizes == size)
-        a, b = np.triu_indices(size, 1)
-        dest = out_first[edges, None] + np.arange(a.size)
-        rows[dest, 0] = flat[first[edges, None] + a]
-        rows[dest, 1] = flat[first[edges, None] + b]
-    return rows, np.ones(rows.shape, dtype=bool), np.repeat(np.arange(sizes.size), n_pairs)
+    a, b = np.triu_indices(mask.shape[1], 1)
+    keep = mask[:, b]
+    pairs = np.stack([rows[:, a][keep], rows[:, b][keep]], axis=1)
+    return pairs, np.ones(pairs.shape, dtype=bool), np.nonzero(keep)[0]
 
 
 def compile_structure(

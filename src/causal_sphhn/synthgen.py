@@ -312,55 +312,27 @@ def _pick_planted(
     return tuple(picked)
 
 
-_PRESET_SEEDS = {"toy": 7, "small": 11, "medium": 13}
+# Each preset: its default seed, its planted-edge count, and the SynthConfig
+# fields that shape it.  Every planted edge has the same coefficient.
+PRESETS = {
+    "toy": (7, 6, dict(n_nodes=40, n_hyperedges=120, mean_edge_size=4.0, feature_dim=16,
+                       timesteps=100, n_classes=4, n_communities=8)),
+    "small": (11, 20, dict(n_nodes=540, n_hyperedges=1120, mean_edge_size=5.0, feature_dim=24,
+                           timesteps=200, n_classes=3, n_communities=18)),
+    "medium": (13, 40, dict(n_nodes=1000, n_hyperedges=2000, mean_edge_size=5.0, feature_dim=32,
+                            timesteps=160, n_classes=4, n_communities=32)),
+}
+_PLANTED_COEF = 0.8
 
 
 def preset(name: str, seed: int | None = None) -> SynthConfig:
-    """Named configurations: "toy" (40 nodes), "small" (540), "medium" (1000)."""
-    if name not in _PRESET_SEEDS:
+    """The named configuration of ``PRESETS``, at its default seed unless one is given."""
+    if name not in PRESETS:
         raise ContractViolation(f"unknown preset {name!r}")
-    seed = _PRESET_SEEDS[name] if seed is None else seed
-    if name == "toy":
-        base = SynthConfig(
-            n_nodes=40,
-            n_hyperedges=120,
-            mean_edge_size=4.0,
-            feature_dim=16,
-            timesteps=100,
-            n_classes=4,
-            planted_edges=(),
-            n_communities=8,
-            seed=seed,
-        )
-        count, coef = 6, 0.8
-    elif name == "small":
-        base = SynthConfig(
-            n_nodes=540,
-            n_hyperedges=1120,
-            mean_edge_size=5.0,
-            feature_dim=24,
-            timesteps=200,
-            n_classes=3,
-            planted_edges=(),
-            n_communities=18,
-            seed=seed,
-        )
-        count, coef = 20, 0.8
-    else:
-        base = SynthConfig(
-            n_nodes=1000,
-            n_hyperedges=2000,
-            mean_edge_size=5.0,
-            feature_dim=32,
-            timesteps=160,
-            n_classes=4,
-            planted_edges=(),
-            n_communities=32,
-            seed=seed,
-        )
-        count, coef = 40, 0.8
+    default_seed, count, shape = PRESETS[name]
+    base = SynthConfig(**shape, planted_edges=(), seed=default_seed if seed is None else seed)
     rng = np.random.default_rng(base.seed)
-    return replace(base, planted_edges=_pick_planted(base, count, coef, rng))
+    return replace(base, planted_edges=_pick_planted(base, count, _PLANTED_COEF, rng))
 
 
 def save_truth(truth: list[PlantedEdge], path: str) -> None:

@@ -13,7 +13,7 @@ from causal_sphhn import artifacts, cli, synthgen
 from causal_sphhn.cli import main
 from causal_sphhn.errors import ContractViolation
 from causal_sphhn.granger import REDUCTIONS, CausalEdge, CausalGraph, GrangerConfig
-from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries, load_dataset, save_dataset
+from causal_sphhn.hypergraph import SPLIT_NAMES, Dataset, Hyperedge, NodeFeatureSeries, load_dataset, save_dataset
 from causal_sphhn.metrics import EvalReport
 from causal_sphhn.model import ModelConfig
 from causal_sphhn.training import GradientCheckReport, TrainConfig, load_checkpoint, save_checkpoint
@@ -101,6 +101,28 @@ class TestSynth:
         truth = json.load(open(f"{out}/truth.json"))
         assert truth["true_edges"] == [{"src": "n0000", "dst": "n0005", "coef": 0.7}]
 
+    def test_config_seed_is_refused_and_seed_sets_the_block(self, tmp_path, capsys):
+        # A seed in the file would override --seed while the manifest records --seed.
+        cfg = {
+            "n_nodes": 20, "n_hyperedges": 15, "mean_edge_size": 3.0,
+            "feature_dim": 6, "timesteps": 40, "n_classes": 2, "planted_edges": [],
+        }
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps({**cfg, "seed": 3}))
+        out = tmp_path / "refused"
+        assert main(["synth", "--config", str(cfg_path), "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(cfg_path) in err and "seed is set by --seed, not by the config" in err
+        assert not out.exists()
+        cfg_path.write_text(json.dumps(cfg))
+        blocks = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["synth", "--config", str(cfg_path), "--seed", seed, "--out", str(out)]) == 0
+            blocks.append(sha(out / "dataset.npy"))
+            assert json.load(open(out / "manifest.json"))["seed"] == int(seed)
+        assert blocks[0] != blocks[1]
+
     @pytest.mark.parametrize(
         "change, key", [({"n_layers": 3}, "n_layers"), ({"n_classes": None}, "n_classes")]
     )
@@ -150,6 +172,16 @@ class TestSynth:
         err = capsys.readouterr().err
         assert str(cfg_path) in err and message in err
         assert not out.exists()
+
+
+def test_choices_come_from_the_modules_that_own_them():
+    subs = cli.build_parser()._subparsers._group_actions[0].choices
+
+    def choices(command, dest):
+        return tuple(next(a for a in subs[command]._actions if a.dest == dest).choices)
+
+    assert choices("synth", "preset") == tuple(synthgen.PRESETS)
+    assert choices("eval", "split") == (*SPLIT_NAMES, "all")
 
 
 class TestGranger:

@@ -4,6 +4,7 @@ import os
 import pathlib
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +357,22 @@ class TestFeatureDropout:
         for rate in (1.0, float("nan"), -0.1):
             with pytest.raises(ContractViolation):
                 feature_dropout(self.last(np.random.default_rng(0)), 4, rate, np.random.default_rng(0))
+
+    def test_no_whole_block_is_drawn(self):
+        # One (N, T, d) block of small is 20.7 MB; the mask needs only (N, d).
+        n, t, d = 540, 200, 24
+        last = self.last(np.random.default_rng(12), n=n, d=d)
+        tracemalloc.start()
+        try:
+            feature_dropout(last, t, 0.2, np.random.default_rng(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * t * d * 8 / 4
+
+    def test_no_nodes(self):
+        out = feature_dropout(np.empty((0, 5)), 3, 0.2, np.random.default_rng(5))
+        assert out.shape == (0, 5) and out.dtype == np.float64
 
     @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.parametrize("t", [1, 3, 17])

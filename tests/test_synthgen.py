@@ -1,11 +1,15 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from causal_sphhn.errors import ContractViolation
 from causal_sphhn.granger import GrangerConfig, infer_causal_graph
 from causal_sphhn.hypergraph import save_dataset
 from causal_sphhn.synthgen import (
+    PRESETS,
     PlantedEdge,
     SynthConfig,
     generate,
@@ -83,7 +87,29 @@ class TestGenerate:
         assert load_truth(path) == truth
 
 
+# SHA-256 of each preset's whole config, as sorted-key JSON, by seed
+# (None is the preset's default seed).
+PRESET_DIGESTS = {
+    ("toy", None): "5684e9440d493cc17d8f4c28081337b8399e5ad36785e38f2332030f5ad27a3d",
+    ("toy", 0): "380b827c6eff1e8a13cf1ed4fc17366e201ca3b10813d5288816bfdc02cef59e",
+    ("toy", 1): "4940ff43e4a1e7129d10048e765d50df449db15f462ada4df2c8da6d7a0a467f",
+    ("small", None): "0bd217feec5ae52c5c6e6cfc7165995e4570b70da5c3f7903f686739a427fa44",
+    ("small", 0): "212b39f62782c235abc4e65bd9902dbb7da9d3869f6d4b6b46a8ccf7a349789e",
+    ("small", 1): "5953f8eee6f4417f149bf291762d690d157e021e7b36c31c9f8bf15a6a20065d",
+    ("medium", None): "ee47951ac1598281deed1e6235cd33714d14d866bb8f883a6cdcf5558f779a0e",
+    ("medium", 0): "e2b76516dd81978ee590190fb758b0a66356c9b175082ad00121da853c81ce75",
+    ("medium", 1): "8f88c1ff82e2642749f6280480ffde390c9518a6dfa15e6f38878ae07d64797b",
+}
+
+
 class TestPresets:
+    def test_every_preset_config_is_pinned(self):
+        # Every field of every preset, the planted edges included.
+        assert {name for name, _ in PRESET_DIGESTS} == set(PRESETS)
+        for (name, seed), digest in PRESET_DIGESTS.items():
+            doc = json.dumps(asdict(preset(name, seed)), sort_keys=True)
+            assert hashlib.sha256(doc.encode()).hexdigest() == digest, (name, seed)
+
     def test_toy_shape(self):
         cfg = preset("toy")
         ds, truth = generate(cfg)

@@ -336,6 +336,21 @@ class TestCheckpoint:
         doc = json.load(open(path))
         assert "config_digest" in doc and len(doc["config_digest"]) == 64
 
+    def test_parameter_names_follow_the_fields_and_the_checkpoint_follows_them(self, tmp_path):
+        # The context types are given unsorted; names and weights follow their sorted order.
+        params = init_params(ModelConfig(embed_dim=4), 3, 2, ("class", "activity"), np.random.default_rng(0))
+        names = [
+            "proj_w", "proj_b", "kappa_w", "kappa_b", "edge_w:activity", "edge_w:class",
+            "attn_temp", "causal_w", "gamma_temp", "head_w", "head_b",
+        ]
+        assert list(params.named()) == names
+        assert list(params.constants().named()) == names
+        assert params.named()["edge_w:class"] is params.edge_w["class"]
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(path, params, TrainConfig(), None)
+        assert list(json.load(open(path))["params"]) == names
+        assert list(load_checkpoint(path)[0].named()) == names
+
     def test_loaded_parameters_are_constants(self, tmp_path):
         # A checkpoint is loaded for inference: its forward builds no graph, at the same bits.
         ds, graph = toy_instance(seed=16, two_parents=True)
