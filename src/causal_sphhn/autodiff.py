@@ -174,17 +174,13 @@ class Tensor:
 
     # -- reductions ----------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
-        def bwd(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape))
+    def sum(self):
+        """The sum of every entry, a scalar."""
+        return Tensor(self.data.sum(), parents=(self,),
+                      backward=lambda g: self._accumulate(np.broadcast_to(g, self.data.shape)))
 
-        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), parents=(self,), backward=bwd)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
     # -- elementwise nonlinearities -----------------------------------------
 

@@ -183,7 +183,7 @@ def cmd_eval(args) -> int:
     ds = load_dataset(args.dataset)
     inputs = {"dataset": file_digest(args.dataset), "checkpoint": file_digest(args.checkpoint)}
     structure = compile_structure(ds, graph, params.config)
-    timesteps = ds.timesteps
+    timesteps = ds.features.shape[1]
     # The structure holds the last timestep, labels and splits: all eval reads
     # of the dataset, so the (N, T, d) feature block is freed before the mask
     # and the forward, and only one feature block is ever alive.

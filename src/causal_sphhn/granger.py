@@ -105,12 +105,15 @@ class CausalGraph:
             if (e.src, e.dst) in seen:
                 raise ContractViolation(f"duplicate edge {e.src}->{e.dst}")
             seen.add((e.src, e.dst))
-            if e.p_value > self.alpha:
+            # Written so that NaN fails both checks.
+            if not (0.0 <= e.p_value <= self.alpha):
                 raise ContractViolation(
-                    f"stored edge {e.src}->{e.dst} has p {e.p_value} > alpha"
+                    f"stored edge {e.src}->{e.dst} has p {e.p_value}, not in [0, alpha]"
                 )
-            if not (e.f_statistic >= 0.0):
-                raise ContractViolation("edge F statistic must be >= 0")
+            if not (0.0 <= e.f_statistic < np.inf):
+                raise ContractViolation(
+                    f"stored edge {e.src}->{e.dst} has F {e.f_statistic}, not finite and >= 0"
+                )
 
     def to_dict(self) -> dict:
         return {

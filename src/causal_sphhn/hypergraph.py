@@ -1,9 +1,11 @@
 """Dynamic social hypergraph data model and dataset ingestion.
 
-A dataset bundles per-node time-indexed feature matrices, hyperedges
+A dataset bundles its nodes' time-indexed features, hyperedges
 (multi-party contexts), per-node class labels at a fixed prediction
 horizon, and train/val/test node splits.  Hyperedges are static over time;
-isolated nodes are legal.
+isolated nodes are legal.  In memory as on disk, the features are one
+(N, T, d) float64 block whose row i is node i; a node's
+``NodeFeatureSeries`` is a view of its row.
 
 File format, version 2: a JSON document and a ``.npy`` feature block.
 
@@ -30,7 +32,7 @@ swapped, another dtype or shape) fails to load.  A document without
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,35 +62,48 @@ class Hyperedge:
 
 @dataclass
 class Dataset:
-    dim: int
-    timesteps: int
+    """A dataset in memory: ``features`` is its one (N, T, d) float64 block,
+    row i is node ``node_ids[i]``, time-major; ``dim`` and ``timesteps`` are
+    read off its shape.
+
+    ``nodes`` is built once, on construction, as the block's rows: each
+    node's ``features`` is a view of ``features[i]``, not a copy.  Nothing
+    reassigns ``features`` afterwards, so the views cannot go stale.
+    """
+
+    node_ids: list[str]
+    features: np.ndarray
     classes: int
     horizon: int
-    nodes: list[NodeFeatureSeries]
     hyperedges: list[Hyperedge]
     labels: dict[str, int]
     splits: dict[str, list[str]]
+    nodes: list[NodeFeatureSeries] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=np.float64)
+        self.nodes = [NodeFeatureSeries(i, row) for i, row in zip(self.node_ids, self.features)]
 
     def node_index(self) -> dict[str, int]:
-        return {n.node_id: i for i, n in enumerate(self.nodes)}
+        return {nid: i for i, nid in enumerate(self.node_ids)}
 
     def validate(self) -> None:
         if self.classes < 2:
             raise ValidationError(f"classes must be >= 2, got {self.classes}")
-        if self.timesteps < 1:
+        if self.features.ndim != 3 or self.features.shape[0] != len(self.node_ids):
+            raise ValidationError(
+                f"features shape {self.features.shape} is not (nodes, timesteps, dim) "
+                f"for {len(self.node_ids)} nodes"
+            )
+        if self.features.shape[1] < 1:
             raise ValidationError("timesteps must be >= 1")
-        ids = [n.node_id for n in self.nodes]
+        ids = self.node_ids
         idset = set(ids)
         if len(idset) != len(ids):
             raise ValidationError("duplicate node ids")
-        for n in self.nodes:
-            if n.features.shape != (self.timesteps, self.dim):
-                raise ValidationError(
-                    f"node {n.node_id}: features shape {n.features.shape} != "
-                    f"({self.timesteps}, {self.dim})"
-                )
-            if not np.all(np.isfinite(n.features)):
-                raise ValidationError(f"node {n.node_id}: nonfinite features")
+        for nid, row in zip(ids, self.features):  # one row's mask at a time, not the block's
+            if not np.all(np.isfinite(row)):
+                raise ValidationError(f"node {nid}: nonfinite features")
         edge_ids = set()
         for e in self.hyperedges:
             if e.edge_id in edge_ids:
@@ -130,14 +145,15 @@ def block_path(path: str) -> str:
 
 def dataset_to_dict(ds: Dataset, block: dict) -> dict:
     """The dataset document; ``block`` is its feature block's {"file", "sha256"}."""
+    _, timesteps, dim = ds.features.shape
     return {
         "format": FORMAT,
-        "dim": ds.dim,
-        "timesteps": ds.timesteps,
+        "dim": dim,
+        "timesteps": timesteps,
         "classes": ds.classes,
         "horizon": ds.horizon,
         "features": block,
-        "nodes": [n.node_id for n in ds.nodes],
+        "nodes": list(ds.node_ids),
         "hyperedges": [
             {"id": e.edge_id, "members": list(e.members), "type": e.context_type}
             for e in ds.hyperedges
@@ -175,34 +191,14 @@ def dataset_from_dict(doc: dict, features: np.ndarray) -> Dataset:
             f"features block has shape {features.shape}, expected "
             f"(nodes, timesteps, dim) = {(len(ids), timesteps, dim)}"
         )
-    nodes = [NodeFeatureSeries(i, row) for i, row in zip(ids, features)]
     edges = []
     for i, ed in enumerate(doc["hyperedges"]):
         ed = check_fields(_HYPEREDGE, ed, f"hyperedges[{i}]")
         edges.append(Hyperedge(ed["id"], ed["members"], ed["type"]))
     splits = {name: doc["splits"][name] for name in SPLIT_NAMES}
-    ds = Dataset(dim, timesteps, doc["classes"], doc["horizon"], nodes, edges, doc["labels"], splits)
+    ds = Dataset(ids, features, doc["classes"], doc["horizon"], edges, doc["labels"], splits)
     ds.validate()
     return ds
-
-
-def _feature_block(ds: Dataset) -> np.ndarray:
-    """The (N, T, d) float64 block whose row i is node i's features.
-
-    ``generate`` and ``load_dataset`` give every node a row of one such
-    block, in order; that block is returned as it is, with no copy.  Other
-    features are stacked into a new block.
-    """
-    rows = [n.features for n in ds.nodes]
-    block = rows[0].base if rows else None
-    if (
-        isinstance(block, np.ndarray)
-        and block.dtype == np.float64
-        and block.shape == (len(rows), ds.timesteps, ds.dim)
-        and all(r.__array_interface__ == block[i].__array_interface__ for i, r in enumerate(rows))
-    ):
-        return block
-    return np.stack(rows, dtype=np.float64) if rows else np.empty((0, ds.timesteps, ds.dim))
 
 
 def save_dataset(ds: Dataset, path: str) -> str:
@@ -211,7 +207,7 @@ def save_dataset(ds: Dataset, path: str) -> str:
     Returns the block's SHA-256.
     """
     block = block_path(path)
-    sha256 = write_npy(block, _feature_block(ds))
+    sha256 = write_npy(block, ds.features)
     write_json(path, dataset_to_dict(ds, {"file": os.path.basename(block), "sha256": sha256}))
     return sha256
 

@@ -142,7 +142,8 @@ class ModelParams:
 
 
 def softplus_inverse(y: float) -> float:
-    return float(np.log(np.expm1(y)))
+    """log(expm1(y)), in a form that does not overflow for y > 709."""
+    return float(y + np.log(-np.expm1(-y)))
 
 
 def init_params(
@@ -257,8 +258,8 @@ def compile_structure(
     ValidationError, naming the edge and the node.
     """
     index = ds.node_index()
-    node_ids = [n.node_id for n in ds.nodes]
-    features = np.stack([n.features[-1] for n in ds.nodes])
+    node_ids = ds.node_ids
+    features = ds.features[:, -1].copy()  # the caller may free the block
     n_nodes = len(node_ids)
     labels = np.fromiter((ds.labels[i] for i in node_ids), np.int64, n_nodes)
     if np.any((labels < 0) | (labels >= ds.classes)):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .artifacts import check_fields, read_json, write_json
 from .errors import ContractViolation, naming
-from .hypergraph import Dataset, Hyperedge, NodeFeatureSeries
+from .hypergraph import Dataset, Hyperedge
 
 EDGE_TYPES = ("class", "activity")
 
@@ -161,7 +161,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, list[PlantedEdge]]:
         sigma[src, 0] = cfg.noise_sigma
         sigma[dst, 0] = cfg.noise_sigma
     x = mu + sigma * rng.standard_normal((n, d))
-    history = np.empty((n, t_len, d))  # node-major: each node's series is one row
+    history = np.empty((n, t_len, d))  # the dataset's (N, T, d) feature block
     total = cfg.burn_in + t_len
     in_edges: dict[int, list[tuple[int, float]]] = {}
     for src, dst, coef in cfg.planted_edges:
@@ -253,13 +253,11 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, list[PlantedEdge]]:
         "test": sorted(node_id(i) for i in perm[n_train + n_val :]),
     }
 
-    nodes = [NodeFeatureSeries(node_id(i), history[i]) for i in range(n)]
     ds = Dataset(
-        dim=d,
-        timesteps=t_len,
+        node_ids=[node_id(i) for i in range(n)],
+        features=history,
         classes=cfg.n_classes,
         horizon=cfg.horizon,
-        nodes=nodes,
         hyperedges=edges,
         labels=labels,
         splits=splits,

@@ -298,6 +298,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainConfig, CausalGraph | 
         for key in ("in_dim", "classes"):
             if arch[key] < 1:
                 raise ParseError(f"arch.{key} must be >= 1, got {arch[key]}")
+        if len(set(arch["edge_types"])) != len(arch["edge_types"]):
+            raise ParseError(f"arch.edge_types repeats a type: {list(arch['edge_types'])}")
         params = init_params(model_cfg, arch["in_dim"], arch["classes"], arch["edge_types"], np.random.default_rng(0))
         values = check_fields(dict.fromkeys(params.named(), list | float), doc["params"], "params")
         for name, tensor in params.named().items():
@@ -338,22 +340,20 @@ def _tiny_instance(seed: int):
     message sums two types; two causal parents of one node with distinct
     F, so gamma_temp has a gradient; d = d' = 4."""
     from .granger import CausalEdge
-    from .hypergraph import Hyperedge, NodeFeatureSeries
+    from .hypergraph import Hyperedge
 
     rng = np.random.default_rng(seed)
     ids = [f"n{i}" for i in range(6)]
-    nodes = [NodeFeatureSeries(i, rng.standard_normal((3, 4))) for i in ids]
     edges = [
         Hyperedge("e0", ("n0", "n1", "n2", "n3"), "ctx"),
         Hyperedge("e1", ("n3", "n4"), "pair"),
     ]
     labels = {i: k % 2 for k, i in enumerate(ids)}
     ds = Dataset(
-        dim=4,
-        timesteps=3,
+        node_ids=ids,
+        features=rng.standard_normal((6, 3, 4)),
         classes=2,
         horizon=1,
-        nodes=nodes,
         hyperedges=edges,
         labels=labels,
         splits={"train": ids[:4], "val": ids[4:5], "test": ids[5:]},

@@ -20,7 +20,7 @@ import numpy as np
 from causal_sphhn.autodiff import Tensor
 from causal_sphhn.errors import ContractViolation
 from causal_sphhn.granger import CausalGraph
-from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries
+from causal_sphhn.hypergraph import Dataset, Hyperedge
 from causal_sphhn.model import _NORM_EPS, ModelParams
 
 
@@ -339,6 +339,8 @@ def midranks(x: np.ndarray) -> np.ndarray:
 def dataset_feature_dropout(ds: Dataset, rate: float, rng: np.random.Generator) -> Dataset:
     """A copy of ``ds`` with each entry of every node's (T, d) features
     zeroed independently with probability ``rate``, node by node."""
-    nodes = [NodeFeatureSeries(n.node_id, n.features * (rng.random(n.features.shape) >= rate)) for n in ds.nodes]
-    return Dataset(ds.dim, ds.timesteps, ds.classes, ds.horizon, nodes, list(ds.hyperedges),
+    features = np.empty_like(ds.features)
+    for row, n in zip(features, ds.nodes):
+        row[:] = n.features * (rng.random(n.features.shape) >= rate)
+    return Dataset(list(ds.node_ids), features, ds.classes, ds.horizon, list(ds.hyperedges),
                    dict(ds.labels), {k: list(v) for k, v in ds.splits.items()})

@@ -13,7 +13,7 @@ from causal_sphhn import artifacts, cli, synthgen
 from causal_sphhn.cli import main
 from causal_sphhn.errors import ContractViolation
 from causal_sphhn.granger import REDUCTIONS, CausalEdge, CausalGraph, GrangerConfig
-from causal_sphhn.hypergraph import SPLIT_NAMES, Dataset, Hyperedge, NodeFeatureSeries, load_dataset, save_dataset
+from causal_sphhn.hypergraph import SPLIT_NAMES, Dataset, Hyperedge, load_dataset, save_dataset
 from causal_sphhn.metrics import EvalReport
 from causal_sphhn.model import ModelConfig
 from causal_sphhn.training import GradientCheckReport, TrainConfig, load_checkpoint, save_checkpoint
@@ -36,8 +36,7 @@ def sha(path):
 def relabelled(ds, name):
     """ds with every node id replaced by name[id], in the same node order."""
     return Dataset(
-        ds.dim, ds.timesteps, ds.classes, ds.horizon,
-        [NodeFeatureSeries(name[n.node_id], n.features) for n in ds.nodes],
+        [name[i] for i in ds.node_ids], ds.features, ds.classes, ds.horizon,
         [Hyperedge(e.edge_id, tuple(name[m] for m in e.members), e.context_type) for e in ds.hyperedges],
         {name[k]: v for k, v in ds.labels.items()},
         {k: [name[i] for i in v] for k, v in ds.splits.items()},
@@ -360,8 +359,12 @@ class TestTrain:
             ({"edges": {}}, "edges must be list"),
             ({"alpha": 5.0}, "alpha must be in (0, 1), got 5.0"),
             ({"lag": -3}, "lag must be >= 1, got -3"),
+            ({"edge_p": math.nan}, "has p nan, not in [0, alpha]"),
+            ({"edge_p": -0.5}, "has p -0.5, not in [0, alpha]"),
+            ({"edge_f": math.inf}, "has F inf, not finite and >= 0"),
         ],
-        ids=["bool_lag", "float_lag", "str_alpha", "str_f", "int_src", "object_edges", "big_alpha", "negative_lag"],
+        ids=["bool_lag", "float_lag", "str_alpha", "str_f", "int_src", "object_edges", "big_alpha", "negative_lag",
+             "nan_p", "negative_p", "infinite_f"],
     )
     def test_graph_field_of_the_wrong_type_is_input_error(self, tmp_path, toy_run, capsys, change, message):
         doc = json.load(open(f"{toy_run}/causal.json"))
@@ -467,7 +470,9 @@ class TestEval:
         ckpt = str(tmp_path / "checkpoint.json")
         save_checkpoint(ckpt, params, train_cfg, CausalGraph(graph.alpha, graph.lag, edges))
         numeric = relabelled(ds, name)
-        in_id_order = dataclasses.replace(numeric, nodes=sorted(numeric.nodes, key=lambda n: n.node_id))
+        order = sorted(range(len(numeric.node_ids)), key=numeric.node_ids.__getitem__)
+        in_id_order = dataclasses.replace(
+            numeric, node_ids=[numeric.node_ids[k] for k in order], features=numeric.features[order])
         assert [n.node_id for n in in_id_order.nodes] != [n.node_id for n in numeric.nodes]
         reports = {}
         for tag, dataset in (("numeric", numeric), ("sorted", in_id_order)):
@@ -493,7 +498,7 @@ class TestEval:
 
             def loading(path):
                 ds = load(path)
-                blocks.append(weakref.ref(ds.nodes[0].features.base))
+                blocks.append(weakref.ref(ds.features))
                 return ds
 
             def observed(step):
@@ -578,9 +583,10 @@ class TestEval:
             ("params", "proj_w", [["a"]], "params.proj_w must be an array of numbers"),
             ("arch", "in_dim", -1, "arch.in_dim must be >= 1, got -1"),
             ("params", "kappa_b", math.nan, "params.kappa_b must be finite"),
+            ("arch", "edge_types", ["class", "class"], "arch.edge_types repeats a type: ['class', 'class']"),
         ],
         ids=["str_bool", "float_int", "str_float", "str_tuple", "graph_float_lag", "zero_patience", "negative_lr",
-             "negative_kappa", "param_shape", "param_str", "negative_in_dim", "nan_param"],
+             "negative_kappa", "param_shape", "param_str", "negative_in_dim", "nan_param", "repeated_edge_type"],
     )
     def test_checkpoint_field_of_the_wrong_type_is_input_error(
         self, tmp_path, toy_run, capsys, section, key, value, message

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 import warnings
 
@@ -587,6 +588,13 @@ class TestInferCausalGraph:
             assert handed[-1] == sorted(handed[-1])  # emitted in order, not sorted by CausalGraph
             text = "".join(f"{e.src}\t{e.dst}\n" for e in graph.edges)
             assert hashlib.sha256(text.encode()).hexdigest() == pinned[seed, bonferroni]
+
+    @pytest.mark.parametrize("f, p", [(1.0, math.nan), (1.0, -0.5), (math.inf, 0.001), (math.nan, 0.001), (-1.0, 0.001)],
+                             ids=["nan_p", "negative_p", "infinite_f", "nan_f", "negative_f"])
+    def test_stored_edge_statistics_are_checked(self, f, p):
+        doc = {"alpha": 0.01, "lag": 2, "edges": [{"src": "a", "dst": "b", "f": f, "p": p}]}
+        with pytest.raises(ContractViolation, match="stored edge a->b has"):
+            CausalGraph.from_dict(doc)
 
     def test_graph_invariants_enforced(self):
         with pytest.raises(ContractViolation):

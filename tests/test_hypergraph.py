@@ -19,7 +19,6 @@ from causal_sphhn.hypergraph import (
     SPLIT_NAMES,
     Dataset,
     Hyperedge,
-    NodeFeatureSeries,
     feature_dropout,
     load_dataset,
     save_dataset,
@@ -31,7 +30,7 @@ from reference_ops import dataset_feature_dropout
 def make_dataset(rng=None, n=6, t=4, d=3, edges=None):
     rng = rng or np.random.default_rng(0)
     ids = [f"n{i}" for i in range(n)]
-    nodes = [NodeFeatureSeries(i, rng.standard_normal((t, d))) for i in ids]
+    features = rng.standard_normal((n, t, d))
     if edges is None:
         edges = [
             Hyperedge("e0", ("n0", "n1", "n2"), "class"),
@@ -39,7 +38,7 @@ def make_dataset(rng=None, n=6, t=4, d=3, edges=None):
         ]
     labels = {i: k % 2 for k, i in enumerate(ids)}
     splits = {"train": ids[:3], "val": ids[3:4], "test": ids[4:]}
-    ds = Dataset(d, t, 2, 1, nodes, edges, labels, splits)
+    ds = Dataset(ids, features, 2, 1, edges, labels, splits)
     ds.validate()
     return ds
 
@@ -162,19 +161,18 @@ def datasets(draw):
     splits = {name: [] for name in SPLIT_NAMES}
     for i in ids:
         splits[draw(st.sampled_from(SPLIT_NAMES))].append(i)
-    # Rows of one block, as a loaded dataset holds them; in reverse order,
-    # save_dataset must not write that block as it is.
-    nodes = [NodeFeatureSeries(i, row) for i, row in zip(ids, features)]
+    # A block that owns its data, as a loaded one does, or a reversed view of
+    # it, which save_dataset must write in the view's order.
     if draw(st.booleans()):
-        nodes.reverse()
-    ds = Dataset(d, t, classes, draw(st.integers(0, 3)), nodes, edges, labels, splits)
+        ids, features = ids[::-1], features[::-1]
+    ds = Dataset(ids, features, classes, draw(st.integers(0, 3)), edges, labels, splits)
     ds.validate()
     return ds
 
 
 def assert_same_dataset(back, ds):
-    assert (back.dim, back.timesteps, back.classes, back.horizon) == (
-        ds.dim, ds.timesteps, ds.classes, ds.horizon)
+    assert (back.features.shape, back.classes, back.horizon) == (ds.features.shape, ds.classes, ds.horizon)
+    assert back.node_ids == ds.node_ids
     assert [n.node_id for n in back.nodes] == [n.node_id for n in ds.nodes]
     for a, b in zip(back.nodes, ds.nodes):
         assert a.features.dtype == np.float64 and a.features.shape == b.features.shape
@@ -186,9 +184,8 @@ def assert_same_dataset(back, ds):
     assert back.splits == ds.splits
 
 
-EMPTY = Dataset(1, 1, 2, 0, [], [], {}, {name: [] for name in SPLIT_NAMES})
-SINGLE = Dataset(1, 1, 2, 1, [NodeFeatureSeries("a", np.array([[-0.0]]))], [], {"a": 1},
-                 {"train": ["a"], "val": [], "test": []})
+EMPTY = Dataset([], np.empty((0, 1, 1)), 2, 0, [], {}, {name: [] for name in SPLIT_NAMES})
+SINGLE = Dataset(["a"], np.array([[[-0.0]]]), 2, 1, [], {"a": 1}, {"train": ["a"], "val": [], "test": []})
 
 
 class TestRoundTrip:
@@ -205,8 +202,8 @@ class TestRoundTrip:
                 assert_same_dataset(load_dataset(path), ds)
 
     def test_a_block_of_rows_is_written_without_a_copy(self, tmp_path, monkeypatch):
-        # A generated and a loaded dataset each hold their features as the
-        # rows of one block, and save_dataset writes that block itself.
+        # A generated and a loaded dataset each hold their features as one
+        # block, and save_dataset writes that block itself.
         written = []
 
         def recording(path, array):
@@ -218,9 +215,19 @@ class TestRoundTrip:
         save_dataset(generated, str(tmp_path / "ds.json"))
         loaded = load_dataset(str(tmp_path / "ds.json"))
         save_dataset(loaded, str(tmp_path / "again.json"))
+        assert written[0] is generated.features and written[1] is loaded.features
         assert np.shares_memory(written[0], generated.nodes[0].features)
         assert np.shares_memory(written[1], loaded.nodes[0].features)
         assert (tmp_path / "ds.npy").read_bytes() == (tmp_path / "again.npy").read_bytes()
+
+    def test_a_float32_block_is_saved_as_float64(self, tmp_path):
+        ds = make_dataset()
+        narrow = Dataset(ds.node_ids, ds.features.astype(np.float32), ds.classes, ds.horizon,
+                         ds.hyperedges, ds.labels, ds.splits)
+        save_dataset(narrow, str(tmp_path / "ds.json"))
+        back = load_dataset(str(tmp_path / "ds.json"))
+        assert back.features.dtype == np.float64
+        assert np.array_equal(back.features, ds.features.astype(np.float32))
 
     def test_npy_name_is_refused(self, tmp_path):
         with pytest.raises(ContractViolation, match="npy"):
@@ -253,7 +260,7 @@ def rewrite_block(change):
     def rewrite(path, ds):
         doc = read_doc(path)
         del doc["format"], doc["features"]
-        write_pair(path, doc, change(np.stack([n.features for n in ds.nodes])))
+        write_pair(path, doc, change(ds.features))
     return rewrite
 
 
@@ -304,6 +311,44 @@ def test_broken_dataset_is_parse_error_naming_the_path(tmp_path, capsys, name):
         load_dataset(path)
     assert main(["granger", "--dataset", path, "--out", str(tmp_path / "out")]) == 1
     assert path in capsys.readouterr().err
+
+
+class TestFeatureBlock:
+    def test_nodes_are_built_once_as_views_of_the_block(self):
+        ds = make_dataset(n=5, t=3, d=2)
+        assert ds.nodes is ds.nodes
+        assert [n.node_id for n in ds.nodes] == ds.node_ids
+        for i, node in enumerate(ds.nodes):
+            assert np.shares_memory(node.features, ds.features)
+            assert node.features.shape == (3, 2) and np.array_equal(node.features, ds.features[i])
+        ds.features[2, 1, 0] = 7.5  # a write to the block shows in the node's row
+        assert ds.nodes[2].features[1, 0] == 7.5
+
+    def test_a_float64_block_is_held_as_it_is(self):
+        block = np.random.default_rng(1).standard_normal((2, 3, 4))
+        ds = Dataset(["a", "b"], block, 2, 1, [], {"a": 0, "b": 1}, {"train": ["a", "b"], "val": [], "test": []})
+        assert ds.features is block
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_node_with_a_nonfinite_row_is_named(self, bad):
+        ds = make_dataset(n=6)
+        ds.features[4, 0, 1] = bad
+        ds.features[2, 3, 2] = bad
+        with pytest.raises(ValidationError, match="node n2: nonfinite features"):
+            ds.validate()
+
+    @pytest.mark.parametrize("shape", [(6, 4), (5, 4, 3), (7, 4, 3), (6, 4, 3, 1)])
+    def test_a_block_of_the_wrong_shape_is_refused(self, shape):
+        ds = make_dataset(n=6, t=4, d=3)
+        wrong = Dataset(ds.node_ids, np.zeros(shape), ds.classes, ds.horizon, ds.hyperedges, ds.labels, ds.splits)
+        with pytest.raises(ValidationError, match=re.escape(f"features shape {shape}")):
+            wrong.validate()
+
+    def test_no_timesteps_is_refused(self):
+        ds = make_dataset(n=6, t=4, d=3)
+        empty = Dataset(ds.node_ids, np.zeros((6, 0, 3)), ds.classes, ds.horizon, ds.hyperedges, ds.labels, ds.splits)
+        with pytest.raises(ValidationError, match="timesteps must be >= 1"):
+            empty.validate()
 
 
 class TestSplitsValidation:
@@ -380,9 +425,9 @@ class TestFeatureDropout:
         # One (N, T, d) draw takes the stream the per-node (T, d) draws took,
         # so the entries the model reads are masked exactly as before.
         ds = make_dataset(np.random.default_rng(seed), n=9, t=t, d=5)
-        last = np.stack([n.features[-1] for n in ds.nodes])
+        last = ds.features[:, -1]
         whole = dataset_feature_dropout(ds, 0.3, np.random.default_rng(seed + 100))
-        want = np.stack([n.features[-1] for n in whole.nodes])
+        want = whole.features[:, -1]
         got = feature_dropout(last, t, 0.3, np.random.default_rng(seed + 100))
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))

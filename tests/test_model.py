@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from causal_sphhn import autodiff as ad
 from causal_sphhn.errors import ContractViolation, ValidationError
 from causal_sphhn.granger import CausalEdge, CausalGraph
-from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries
+from causal_sphhn.hypergraph import Dataset, Hyperedge
 from causal_sphhn.model import (
     ModelConfig,
     compile_structure,
     forward,
     init_params,
     run_model,
+    softplus_inverse,
 )
 from causal_sphhn.training import TrainConfig, build_loss, gradients
 from causal_sphhn.vmf import log_uniform_density
@@ -48,14 +49,27 @@ def tiny_params(cfg, in_dim=2, classes=2, types=("c",), seed=0, randomize=True):
 
 def make_dataset(rng, n=5, t=3, d=4, classes=2, edges=None):
     ids = [f"n{i}" for i in range(n)]
-    nodes = [NodeFeatureSeries(i, rng.standard_normal((t, d))) for i in ids]
+    features = rng.standard_normal((len(ids), t, d))
     if edges is None:
         edges = [Hyperedge("e0", tuple(ids[: min(4, n)]), "c")]
     labels = {i: k % classes for k, i in enumerate(ids)}
     splits = {"train": ids[: n - 2], "val": ids[n - 2 : n - 1], "test": ids[n - 1 :]}
-    ds = Dataset(d, t, classes, 1, nodes, edges, labels, splits)
+    ds = Dataset(ids, features, classes, 1, edges, labels, splits)
     ds.validate()
     return ds
+
+
+class TestSoftplusInverse:
+    @pytest.mark.parametrize("y", [1e-300, 1e-3, 0.5, 2.0, 20.0, 709.0, 800.0, 1e6])
+    def test_inverts_softplus_without_overflow(self, y):
+        x = softplus_inverse(y)
+        assert math.isfinite(x)
+        assert np.logaddexp(0.0, x) == pytest.approx(y, rel=1e-15)
+
+    @pytest.mark.parametrize("y", [2.0, 20.0])
+    def test_matches_the_direct_form_bitwise(self, y):
+        # The default kappa_init and gradient_check's keep their exact bits.
+        assert softplus_inverse(y) == float(np.log(np.expm1(y)))
 
 
 class TestProject:
@@ -356,9 +370,9 @@ class TestCompiledPlans:
             size = int(rng.integers(2, min(6, n) + 1))
             members = tuple(str(m) for m in rng.choice(ids, size=size, replace=False))
             edges.append(Hyperedge(f"e{k}", members, "abc"[int(rng.integers(0, 3))]))
-        nodes = [NodeFeatureSeries(i, rng.standard_normal((2, 3))) for i in ids]
+        features = rng.standard_normal((len(ids), 2, 3))
         labels = {i: k % 2 for k, i in enumerate(ids)}
-        ds = Dataset(3, 2, 2, 1, nodes, edges, labels,
+        ds = Dataset(ids, features, 2, 1, edges, labels,
                      {"train": ids[:1], "val": ids[1:2], "test": ids[2:]})
         ds.validate()
         # Distinct ordered pairs of dataset nodes.
@@ -451,9 +465,9 @@ class TestForward:
         # 1-edge, 1-causal-link instance; no shared code with the model.
         rng = np.random.default_rng(14)
         ids = ["a", "b", "c"]
-        nodes = [NodeFeatureSeries(i, rng.standard_normal((2, 3))) for i in ids]
+        features = rng.standard_normal((len(ids), 2, 3))
         edges = [Hyperedge("e", ("a", "b", "c"), "t")]
-        ds = Dataset(3, 2, 2, 1, nodes, edges, {"a": 0, "b": 1, "c": 0},
+        ds = Dataset(ids, features, 2, 1, edges, {"a": 0, "b": 1, "c": 0},
                      {"train": ["a"], "val": ["b"], "test": ["c"]})
         graph = CausalGraph(0.01, 2, [CausalEdge("a", "c", 4.0, 1e-3)])
         cfg = ModelConfig(embed_dim=3, layers=1, dropout=0.0)
@@ -467,7 +481,7 @@ class TestForward:
         temp = float(params.attn_temp.data)
         hw, hb = params.head_w.data, params.head_b.data
 
-        x = np.stack([n.features[-1] for n in nodes])
+        x = features[:, -1]
         z = x @ w.T + b
         h0 = z / np.linalg.norm(z, axis=1, keepdims=True)
         # attention within the single edge
@@ -494,14 +508,14 @@ class TestForward:
             rng = np.random.default_rng(2000 + seed)
             n = int(rng.integers(4, 9))
             ids = [f"n{i}" for i in range(n)]
-            nodes = [NodeFeatureSeries(i, rng.standard_normal((2, 3))) for i in ids]
+            features = rng.standard_normal((len(ids), 2, 3))
             edges = []
             for k in range(int(rng.integers(1, 4))):
                 size = int(rng.integers(2, min(5, n) + 1))
                 members = tuple(rng.choice(ids, size=size, replace=False))
                 edges.append(Hyperedge(f"e{k}", members, "t"))
             labels = {i: j % 2 for j, i in enumerate(ids)}
-            ds = Dataset(3, 2, 2, 1, nodes, edges, labels,
+            ds = Dataset(ids, features, 2, 1, edges, labels,
                          {"train": ids[:2], "val": ids[2:3], "test": ids[3:]})
             graph = CausalGraph(0.01, 2, [CausalEdge(ids[0], ids[1], 5.0, 1e-3)])
             cfg = ModelConfig(embed_dim=5, layers=2, dropout=0.0)

@@ -157,6 +157,6 @@ def test_every_autodiff_op_runs_in_training():
         for euclidean, pairwise, g in itertools.product((False, True), (False, True), (graph, None)):
             cfg = ModelConfig(embed_dim=4, layers=2, dropout=0.5, euclidean=euclidean, pairwise=pairwise)
             structure = compile_structure(ds, g, cfg)
-            params = init_params(cfg, ds.dim, ds.classes, tuple(structure.type_pairs), np.random.default_rng(0))
+            params = init_params(cfg, ds.features.shape[-1], ds.classes, tuple(structure.type_pairs), np.random.default_rng(0))
             training.gradients(params, structure, rows, training.TrainConfig(), rng=np.random.default_rng(1))
     assert set(ops) - ran - NOT_ON_THE_TRAINING_PATH == set()

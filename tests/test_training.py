@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ from causal_sphhn import synthgen, training
 from causal_sphhn.cli import derive_seed
 from causal_sphhn.errors import TrainingDiverged
 from causal_sphhn.granger import CausalEdge, CausalGraph, GrangerConfig, infer_causal_graph
-from causal_sphhn.hypergraph import Dataset, Hyperedge, NodeFeatureSeries
+from causal_sphhn.hypergraph import Dataset, Hyperedge
 from causal_sphhn.model import ModelConfig, compile_structure, init_params, run_model
 from causal_sphhn.training import (
     TrainConfig,
@@ -28,10 +29,10 @@ from causal_sphhn.vmf import entropy_from_kappa
 def toy_instance(seed=0, n=6, with_graph=True, two_parents=False):
     rng = np.random.default_rng(seed)
     ids = [f"n{i}" for i in range(n)]
-    nodes = [NodeFeatureSeries(i, rng.standard_normal((3, 4))) for i in ids]
+    features = rng.standard_normal((len(ids), 3, 4))
     edges = [Hyperedge("e0", tuple(ids[:4]), "ctx")]
     labels = {i: k % 2 for k, i in enumerate(ids)}
-    ds = Dataset(4, 3, 2, 1, nodes, edges, labels,
+    ds = Dataset(ids, features, 2, 1, edges, labels,
                  {"train": ids[:4], "val": ids[4:5], "test": ids[5:]})
     ds.validate()
     graph = None
@@ -44,7 +45,7 @@ def toy_instance(seed=0, n=6, with_graph=True, two_parents=False):
 
 
 def randomized_params(cfg, ds, seed, types=("ctx",)):
-    params = init_params(cfg, ds.dim, ds.classes, tuple(types), np.random.default_rng(seed))
+    params = init_params(cfg, ds.features.shape[-1], ds.classes, tuple(types), np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 100)
     for name, t in params.named().items():
         if name in ("attn_temp", "gamma_temp"):
@@ -106,7 +107,7 @@ class TestLoss:
         # The batch is its rows: relabelling the dataset changes the loss.
         run = run_model(self.structure, self.params, mode="eval")
         flipped = {k: 1 - v for k, v in self.ds.labels.items()}
-        ds = Dataset(4, 3, 2, 1, self.ds.nodes, self.ds.hyperedges, flipped, self.ds.splits)
+        ds = Dataset(self.ds.node_ids, self.ds.features, 2, 1, self.ds.hyperedges, flipped, self.ds.splits)
         run_flipped = run_model(compile_structure(ds, self.graph, self.cfg), self.params, mode="eval")
         logp = run.log_probs.data
         for r, labels in ((run, self.labels), (run_flipped, 1 - self.labels)):
@@ -216,7 +217,7 @@ class TestMemory:
         graph = infer_causal_graph(ds.nodes, GrangerConfig(), fit_ids=ds.splits["train"])
         model_cfg = ModelConfig()
         structure = compile_structure(ds, graph, model_cfg)
-        params = init_params(model_cfg, ds.dim, ds.classes, tuple(structure.type_pairs), np.random.default_rng(0))
+        params = init_params(model_cfg, ds.features.shape[-1], ds.classes, tuple(structure.type_pairs), np.random.default_rng(0))
         rows = structure.splits["train"][:128]
         tracemalloc.start()
         try:
@@ -240,7 +241,7 @@ class TestTrainLoop:
         mc = ModelConfig(embed_dim=4, layers=1)
         tc = TrainConfig(lr=0.0, max_epochs=3, seed=0)
         params, history = train(ds, graph, mc, tc)
-        fresh = init_params(mc, ds.dim, ds.classes, ("ctx",), np.random.default_rng(0))
+        fresh = init_params(mc, ds.features.shape[-1], ds.classes, ("ctx",), np.random.default_rng(0))
         for name, t in params.named().items():
             assert np.array_equal(t.data, fresh.named()[name].data), name
 
@@ -249,14 +250,14 @@ class TestTrainLoop:
         n = 40
         ids = [f"n{i}" for i in range(n)]
         centers = {0: np.array([3.0, 0.0, 0.0]), 1: np.array([0.0, 3.0, 0.0])}
-        nodes, labels = [], {}
+        features = np.empty((n, 2, 3))
+        labels = {}
         for k, i in enumerate(ids):
             c = k % 2
-            feats = centers[c] + 0.2 * rng.standard_normal((2, 3))
-            nodes.append(NodeFeatureSeries(i, feats))
+            features[k] = centers[c] + 0.2 * rng.standard_normal((2, 3))
             labels[i] = c
         edges = [Hyperedge(f"e{j}", (ids[2 * j], ids[2 * j + 1]), "t") for j in range(n // 2)]
-        ds = Dataset(3, 2, 2, 1, nodes, edges, labels,
+        ds = Dataset(ids, features, 2, 1, edges, labels,
                      {"train": ids[: n - 8], "val": ids[n - 8 : n - 4], "test": ids[n - 4 :]})
         ds.validate()
         mc = ModelConfig(embed_dim=8, layers=1, dropout=0.0)
@@ -367,6 +368,20 @@ class TestCheckpoint:
             assert np.array_equal(got.data, want.data)
         view = params.constants()
         assert all(view.named()[k].data is t.data for k, t in params.named().items())
+
+    def test_large_kappa_init_trains_and_its_checkpoint_loads(self, tmp_path):
+        # softplus_inverse(800) overflowed expm1 into an infinite kappa_b,
+        # which the checkpoint then stored and eval refused.
+        ds, graph = toy_instance(seed=17)
+        mc = ModelConfig(embed_dim=4, layers=1, kappa_init=800.0)
+        tc = TrainConfig(max_epochs=2, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            params, _ = train(ds, graph, mc, tc)
+        path = str(tmp_path / "ckpt.json")
+        save_checkpoint(path, params, tc, graph)
+        loaded = load_checkpoint(path)[0]
+        assert np.isfinite(loaded.kappa_b.data) and abs(float(loaded.kappa_b.data) - 800.0) < 1.0
 
     def test_history_csv(self, tmp_path):
         history = [
