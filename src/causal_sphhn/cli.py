@@ -155,11 +155,7 @@ def _train_configs(args) -> tuple[ModelConfig, TrainConfig]:
 
 def cmd_train(args) -> int:
     start = time.monotonic()
-    graph = None
-    if not args.no_causal:
-        if not args.graph:
-            raise ContractViolation("--graph is required unless --no-causal is set")
-        graph = CausalGraph.load(args.graph)
+    graph = CausalGraph.load(args.graph) if args.graph is not None else None
     model_cfg, train_cfg = _train_configs(args)
     # train() holds the only reference to the dataset, and drops it once it has compiled the structure.
     params, history = train(load_dataset(args.dataset), graph, model_cfg, train_cfg)
@@ -169,7 +165,7 @@ def cmd_train(args) -> int:
     training.write_history_csv(history, hist)
     cfg_doc = {"model": dataclasses.asdict(params.config), "train": dataclasses.asdict(train_cfg)}
     inputs = {"dataset": file_digest(args.dataset)}
-    if args.graph:
+    if graph is not None:
         inputs["graph"] = file_digest(args.graph)
     _write_manifest(args.out, "train", args.seed, cfg_doc, inputs, [ckpt, hist], start)
     print(f"wrote {ckpt} ({len(history)} epochs, best val loss {min(h['val_loss'] for h in history):.4f})")
@@ -183,22 +179,20 @@ def cmd_eval(args) -> int:
     ds = load_dataset(args.dataset)
     inputs = {"dataset": file_digest(args.dataset), "checkpoint": file_digest(args.checkpoint)}
     structure = compile_structure(ds, graph, params.config)
-    timesteps = ds.features.shape[1]
-    # The structure holds the last timestep, labels and splits: all eval reads
-    # of the dataset, so the (N, T, d) feature block is freed before the mask
-    # and the forward, and only one feature block is ever alive.
+    # The structure holds the model's (N, d) inputs, labels and splits: all
+    # eval reads of the dataset, so the (N, T, d) feature block is freed
+    # before the mask and the forward, and only one feature block is ever alive.
     del ds
     if args.dropout_rate != 0.0:  # feature_dropout rejects a rate outside [0, 1)
         rng = np.random.default_rng(derive_seed(args.seed, "eval.dropout"))
-        structure.features = feature_dropout(structure.features, timesteps, args.dropout_rate, rng)
+        structure.features = feature_dropout(structure.features, args.dropout_rate, rng)
     run = run_model(structure, params, mode="eval")
     rows = np.arange(len(structure.node_ids)) if args.split == "all" else structure.splits[args.split]
     labels = structure.labels[rows]
     probs = run.probs.data[rows]
     preds = probs.argmax(axis=1)
 
-    p_at_k: dict[int, float | None] = {args.k: None}
-    rank_corr = None
+    p_at_k = rank_corr = None
     if args.truth and run.gamma is not None:
         # Each flat parent entry is one graph edge, scored by its learned gamma;
         # a single-parent child's gamma is exactly 1, so ties break by F.
@@ -207,7 +201,7 @@ def cmd_eval(args) -> int:
         parents, children = structure.parent_cell % len(ids), structure.child_rows[structure.parent_seg]
         edges = zip(parents, children, gamma.tolist(), structure.parent_f.tolist())
         scored = [(ids[p], ids[c], (g, f)) for p, c, g, f in edges]
-        p_at_k[args.k] = metrics.precision_at_k(scored, true_set, k=args.k)
+        p_at_k = metrics.precision_at_k(scored, true_set, k=args.k)
         if gamma.size > 1:
             rank_corr = metrics.rank_correlation(gamma, structure.parent_f)
 
@@ -230,7 +224,7 @@ def cmd_eval(args) -> int:
     _write_manifest(args.out, "eval", args.seed, settings, inputs, [path], start)
     print(
         f"accuracy {report.accuracy:.4f}  macro-F1 {report.macro_f1:.4f}  "
-        f"ECE {report.ece:.4f}" + (f"  P@{args.k} {p_at_k[args.k]:.3f}" if p_at_k[args.k] is not None else "")
+        f"ECE {report.ece:.4f}" + (f"  P@{args.k} {p_at_k:.3f}" if p_at_k is not None else "")
     )
     return 0
 
@@ -289,13 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--graph", help="causal graph JSON from the granger command")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--graph", help="causal graph JSON from the granger command")
+    group.add_argument("--no-causal", action="store_true", help="drop the causal graph")
     p.add_argument("--config", help="JSON file of training overrides")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--embed-dim", type=_positive_int, default=None)
     p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--no-causal", action="store_true", help="drop the causal graph")
     p.add_argument("--no-entropy", action="store_true", help="set lambda1 = 0")
     p.add_argument("--euclidean", action="store_true", help="skip sphere normalization")
     p.add_argument("--pairwise", action="store_true", help="expand hyperedges to 2-cliques")

@@ -7,11 +7,11 @@ isolated nodes are legal.  In memory as on disk, the features are one
 (N, T, d) float64 block whose row i is node i; a node's
 ``NodeFeatureSeries`` is a view of its row.
 
-File format, version 2: a JSON document and a ``.npy`` feature block.
+File format, version 3: a JSON document and a ``.npy`` feature block.
 
 ``<stem>.json`` (UTF-8)::
 
-    {"format": 2, "dim": d, "timesteps": T, "classes": C, "horizon": h,
+    {"format": 3, "classes": C, "horizon": h,
      "features": {"file": "<stem>.npy", "sha256": hex},
      "nodes": [id, ...],
      "hyperedges": [{"id": str, "members": [...], "type": str}],
@@ -20,13 +20,14 @@ File format, version 2: a JSON document and a ``.npy`` feature block.
 
 ``<stem>.npy`` beside it holds every node's features as one float64
 array of shape (N, T, d) in the NumPy ``.npy`` format: row i is node
-``nodes[i]``, time-major.  The block is named after the document's stem,
-so datasets saved into one directory keep separate blocks, and the
-document records the block's SHA-256, so a digest of the document covers
-the features.  ``save_dataset`` writes the block first and the document
-second, each atomically; a block that does not match its document (stale,
-swapped, another dtype or shape) fails to load.  A document without
-``"format": 2`` is refused.
+``nodes[i]``, time-major.  The block's header is the one statement of T
+and d.  The block is named after the document's stem, so datasets saved
+into one directory keep separate blocks, and the document records the
+block's SHA-256, so a digest of the document covers the features.
+``save_dataset`` writes the block first and the document second, each
+atomically; a block that does not match its document (stale, swapped,
+another dtype, or not one row per node) fails to load.  A document
+without ``"format": 3`` is refused.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .artifacts import check_fields, read_json, read_npy, write_json, write_npy
 from .errors import ContractViolation, ParseError, ValidationError, naming
 
 SPLIT_NAMES = ("train", "val", "test")
-FORMAT = 2
+FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,11 @@ class Dataset:
                 f"features shape {self.features.shape} is not (nodes, timesteps, dim) "
                 f"for {len(self.node_ids)} nodes"
             )
-        if self.features.shape[1] < 1:
-            raise ValidationError("timesteps must be >= 1")
+        for name, size in zip(("timesteps", "dim"), self.features.shape[1:]):
+            if size < 1:
+                raise ValidationError(f"{name} must be >= 1")
+        if self.horizon < 1:
+            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         ids = self.node_ids
         idset = set(ids)
         if len(idset) != len(ids):
@@ -145,11 +149,8 @@ def block_path(path: str) -> str:
 
 def dataset_to_dict(ds: Dataset, block: dict) -> dict:
     """The dataset document; ``block`` is its feature block's {"file", "sha256"}."""
-    _, timesteps, dim = ds.features.shape
     return {
         "format": FORMAT,
-        "dim": dim,
-        "timesteps": timesteps,
         "classes": ds.classes,
         "horizon": ds.horizon,
         "features": block,
@@ -164,8 +165,8 @@ def dataset_to_dict(ds: Dataset, block: dict) -> dict:
 
 
 # The document's schema for ``check_fields``; ``_block_entry`` checks the format and features first.
-_DOCUMENT = {"dim": int, "timesteps": int, "classes": int, "horizon": int, "nodes": list[str],
-             "hyperedges": list, "labels": dict, "splits": dict.fromkeys(SPLIT_NAMES, list[str])}
+_DOCUMENT = {"classes": int, "horizon": int, "nodes": list[str], "hyperedges": list, "labels": dict,
+             "splits": dict.fromkeys(SPLIT_NAMES, list[str])}
 _HYPEREDGE = {"id": str, "members": tuple[str, ...], "type": str}
 
 
@@ -183,20 +184,14 @@ def _block_entry(doc: dict) -> tuple[str, str]:
 def dataset_from_dict(doc: dict, features: np.ndarray) -> Dataset:
     """The dataset a document describes, with ``features`` as its (N, T, d) block."""
     doc = check_fields(_DOCUMENT, doc)
-    ids, timesteps, dim = doc["nodes"], doc["timesteps"], doc["dim"]
     if features.dtype != np.float64:
         raise ParseError(f"features block has dtype {features.dtype}, expected float64")
-    if features.shape != (len(ids), timesteps, dim):
-        raise ParseError(
-            f"features block has shape {features.shape}, expected "
-            f"(nodes, timesteps, dim) = {(len(ids), timesteps, dim)}"
-        )
     edges = []
     for i, ed in enumerate(doc["hyperedges"]):
         ed = check_fields(_HYPEREDGE, ed, f"hyperedges[{i}]")
         edges.append(Hyperedge(ed["id"], ed["members"], ed["type"]))
     splits = {name: doc["splits"][name] for name in SPLIT_NAMES}
-    ds = Dataset(ids, features, doc["classes"], doc["horizon"], edges, doc["labels"], splits)
+    ds = Dataset(doc["nodes"], features, doc["classes"], doc["horizon"], edges, doc["labels"], splits)
     ds.validate()
     return ds
 
@@ -220,20 +215,10 @@ def load_dataset(path: str) -> Dataset:
         return dataset_from_dict(doc, features)
 
 
-def feature_dropout(last: np.ndarray, timesteps: int, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Zero each entry of the (N, d) last-timestep features independently
-    with probability ``rate``; deterministic given the generator state.
-
-    Node by node, the mask is the last timestep of a (timesteps, d) draw.
-    The draws take the generator's stream in the order the per-node masks of
-    a whole feature block took it, so a seed keeps masking the entries it
-    always masked, although only the timestep the model reads is kept, and
-    no (N, timesteps, d) block is drawn.
-    """
+def feature_dropout(features: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Zero each entry of the model's (N, d) input features independently
+    with probability ``rate``, in one (N, d) draw; deterministic given the
+    generator state."""
     if not (0.0 <= rate < 1.0):
         raise ContractViolation(f"dropout rate must be in [0, 1), got {rate}")
-    n, d = last.shape
-    draws = np.empty((n, d))
-    for row in draws:  # one (timesteps, d) draw alive at a time
-        row[:] = rng.random((timesteps, d))[-1]
-    return last * (draws >= rate)
+    return features * (rng.random(features.shape) >= rate)

@@ -159,11 +159,10 @@ class EvalReport:
     ece: float
     mean_entropy: float
     mean_vmf_entropy: float
-    p_at_k: dict[int, float | None]
+    p_at_k: float | None
     per_class_f1: list[float]
     rank_corr: float | None
     config: dict = field(default_factory=dict)
 
     def save(self, path: str) -> None:
-        # json writes the int keys of p_at_k as strings.
         write_json(path, asdict(self))

@@ -91,6 +91,8 @@ class SynthConfig:
             raise ContractViolation("edge_contamination must be in [0, 1)")
         if not math.isclose(sum(self.split_fracs), 1.0, abs_tol=1e-9):
             raise ContractViolation("split fractions must sum to 1")
+        if self.horizon < 1:
+            raise ContractViolation(f"horizon must be >= 1, got {self.horizon}")
         incoming: dict[int, float] = {}
         for src, dst, coef in self.planted_edges:
             if not (0 <= src < self.n_nodes and 0 <= dst < self.n_nodes):

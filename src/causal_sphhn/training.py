@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .artifacts import atomic_write, check_fields, doc_digest, read_json, write_json
+from .artifacts import atomic_write, check_fields, read_json, write_json
 from .autodiff import Tensor
 from .errors import ContractViolation, NumericalError, ParseError, TrainingDiverged, naming
 from .granger import CausalGraph
@@ -249,11 +249,7 @@ def write_history_csv(history: list[dict], path: str) -> None:
 # Checkpoints
 # --------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 3
-
-
-def config_digest(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
-    return doc_digest({"model": asdict(model_cfg), "train": asdict(train_cfg)})
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(
@@ -264,7 +260,6 @@ def save_checkpoint(
 ) -> None:
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "config_digest": config_digest(params.config, train_cfg),
         "model_config": asdict(params.config),
         "train_config": asdict(train_cfg),
         "arch": {
@@ -272,7 +267,6 @@ def save_checkpoint(
             "classes": params.classes,
             "edge_types": list(params.edge_types),
         },
-        "adam": {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "eps": ADAM_EPS},
         "causal_graph": causal_graph.to_dict() if causal_graph is not None else None,
         "params": {k: v.tolist() for k, v in params.copy_values().items()},
     }

@@ -5,10 +5,8 @@ plain numpy loops, a quantity the batched ``causal_sphhn.model.run_model``
 computes for the whole graph at once.  The autodiff ops after them (a
 row scatter-add, the composite row normalisation, a flat gather, and the
 softmax and log-sum-exp over the masked rows of a padded block) are the
-oracles of the ops in ``causal_sphhn.autodiff``.  The last two are the
-tie-walking midranks of ``causal_sphhn.metrics`` and the whole-dataset
-feature dropout that ``causal_sphhn.hypergraph.feature_dropout`` keeps
-the last timestep of.
+oracles of the ops in ``causal_sphhn.autodiff``.  The last is the
+tie-walking midranks of ``causal_sphhn.metrics``.
 """
 
 from __future__ import annotations
@@ -334,13 +332,3 @@ def midranks(x: np.ndarray) -> np.ndarray:
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
-
-
-def dataset_feature_dropout(ds: Dataset, rate: float, rng: np.random.Generator) -> Dataset:
-    """A copy of ``ds`` with each entry of every node's (T, d) features
-    zeroed independently with probability ``rate``, node by node."""
-    features = np.empty_like(ds.features)
-    for row, n in zip(features, ds.nodes):
-        row[:] = n.features * (rng.random(n.features.shape) >= rate)
-    return Dataset(list(ds.node_ids), features, ds.classes, ds.horizon, list(ds.hyperedges),
-                   dict(ds.labels), {k: list(v) for k, v in ds.splits.items()})

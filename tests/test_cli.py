@@ -172,6 +172,19 @@ class TestSynth:
         assert str(cfg_path) in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_config_horizon_below_one_is_input_error(self, tmp_path, capsys, horizon):
+        cfg = {
+            "n_nodes": 20, "n_hyperedges": 15, "mean_edge_size": 3.0,
+            "feature_dim": 6, "timesteps": 40, "n_classes": 2, "planted_edges": [], "horizon": horizon,
+        }
+        cfg_path = tmp_path / "gen.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"{cfg_path}: horizon must be >= 1, got {horizon}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_choices_come_from_the_modules_that_own_them():
     subs = cli.build_parser()._subparsers._group_actions[0].choices
@@ -256,6 +269,35 @@ class TestTrain:
         ca = json.load(open(f"{out_a}/checkpoint.json"))
         cb = json.load(open(f"{out_b}/checkpoint.json"))
         assert ca["params"] == cb["params"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--graph", "{run}/causal.json", "--no-causal"], "not allowed with argument"),
+            (["--graph", "{tmp}/missing.json", "--no-causal"], "not allowed with argument"),
+            ([], "one of the arguments --graph --no-causal is required"),
+        ],
+        ids=["graph_and_no_causal", "missing_graph_and_no_causal", "neither"],
+    )
+    def test_exactly_one_of_graph_and_no_causal_is_given(self, tmp_path, toy_run, capsys, flags, message):
+        # --no-causal trains without a graph, so a --graph beside it would be read for nothing.
+        out = tmp_path / "t"
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--dataset", f"{toy_run}/dataset.json", *[f.format(run=toy_run, tmp=tmp_path) for f in flags],
+                  "--out", str(out)])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dataset_horizon_below_one_is_input_error(self, tmp_path, toy_run, capsys):
+        doc = json.load(open(f"{toy_run}/dataset.json"))
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(dict(doc, horizon=-3)))
+        shutil.copy(f"{toy_run}/dataset.npy", tmp_path)
+        out = tmp_path / "t"
+        assert main(["train", "--dataset", str(path), "--no-causal", "--out", str(out)]) == 1
+        assert f"{path}: horizon must be >= 1, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_reproducible_checkpoint(self, tmp_path, toy_run):
         ds, graph = f"{toy_run}/dataset.json", f"{toy_run}/causal.json"
@@ -413,7 +455,7 @@ class TestEval:
         assert list(report) == [f.name for f in dataclasses.fields(EvalReport)]
         assert 0.0 <= report["accuracy"] <= 1.0
         assert report["config"]["split"] == "test"
-        assert "5" in report["p_at_k"]
+        assert report["config"]["k"] == 5 and report["p_at_k"] is not None
 
     @staticmethod
     def eval_with_graph(tmp_path, toy_run, edges, dataset=None):
@@ -438,12 +480,12 @@ class TestEval:
         # them 1, 3, 2.
         report = self.eval_with_graph(tmp_path, toy_run, [(0, 1, 1.0), (2, 3, 5.0), (4, 3, 3.0)])
         assert report["rank_corr"] == pytest.approx(-0.5, abs=1e-12)
-        assert report["p_at_k"] == {"1": 1.0}
+        assert report["p_at_k"] == 1.0
 
     def test_one_edge_graph_has_no_rank_correlation(self, tmp_path, toy_run):
         report = self.eval_with_graph(tmp_path, toy_run, [(0, 1, 1.0)])
         assert report["rank_corr"] is None
-        assert report["p_at_k"] == {"1": 1.0}
+        assert report["p_at_k"] == 1.0
 
     def test_tied_gamma_ranks_by_f_not_by_node_id(self, tmp_path, toy_run):
         # Four single-parent children, so gamma is exactly 1 on every edge.
@@ -456,7 +498,7 @@ class TestEval:
             path = str(tmp_path / tag / "dataset.json")
             save_dataset(relabelled(ds, name), path)
             report = self.eval_with_graph(tmp_path / tag, toy_run, edges, dataset=path)
-            assert report["p_at_k"] == {"1": 0.0}, tag
+            assert report["p_at_k"] == 0.0, tag
 
     def test_metrics_do_not_depend_on_the_node_order(self, tmp_path, toy_run):
         # Ids v0, v1, ..., v39 listed in numeric order are out of sorted-id
@@ -558,7 +600,8 @@ class TestEval:
         doc = json.load(open(f"{toy_run}/checkpoint.json"))
         v1 = dict(doc, format_version=1, train_config=dict(doc["train_config"], dropout=0.2, kappa_init=20.0))
         v2 = dict(doc, format_version=2, model_config=dict(doc["model_config"], attn_temp_init=20.0, gamma_temp_init=1.0))
-        for old in (v1, v2):
+        v3 = dict(doc, format_version=3, config_digest="0" * 64, adam={"beta1": 0.9, "beta2": 0.999, "eps": 1e-8})
+        for old in (v1, v2, v3):
             path = tmp_path / f"v{old['format_version']}.json"
             path.write_text(json.dumps(old))
             code = main(
@@ -566,7 +609,7 @@ class TestEval:
                  "--out", str(tmp_path / "r")]
             )
             assert code == 1
-            assert f"unsupported checkpoint version {old['format_version']}" in capsys.readouterr().err
+            assert f"{path}: unsupported checkpoint version {old['format_version']}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, key, value, message",
@@ -659,8 +702,8 @@ REQUIRED_KEYS = {
     "causal.json": ("train-graph", ["alpha", "lag", "edges"]),
     "truth.json": ("eval-truth", ["true_edges"]),
     "checkpoint.json": ("eval-checkpoint", ["model_config", "train_config", "arch", "causal_graph", "params"]),
-    "dataset.json": ("granger-dataset", ["format", "dim", "timesteps", "classes", "horizon", "features",
-                                         "nodes", "hyperedges", "labels", "splits"]),
+    "dataset.json": ("granger-dataset", ["format", "classes", "horizon", "features", "nodes", "hyperedges",
+                                         "labels", "splits"]),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,7 +25,6 @@ from causal_sphhn.hypergraph import (
     save_dataset,
 )
 from causal_sphhn.synthgen import generate, preset
-from reference_ops import dataset_feature_dropout
 
 
 def make_dataset(rng=None, n=6, t=4, d=3, edges=None):
@@ -44,21 +44,19 @@ def make_dataset(rng=None, n=6, t=4, d=3, edges=None):
 
 
 def write_pair(path, doc, features):
-    """Hand-write a format-2 dataset: ``doc`` at ``path`` and ``features``
+    """Hand-write a format-3 dataset: ``doc`` at ``path`` and ``features``
     as the ``.npy`` block beside it, with its digest recorded."""
     path = pathlib.Path(path)
     block = path.with_suffix(".npy")
     np.save(block, features, allow_pickle=True)  # lets a test write an object block
     sha256 = hashlib.sha256(block.read_bytes()).hexdigest()
-    path.write_text(json.dumps({"format": 2, **doc, "features": {"file": block.name, "sha256": sha256}}))
+    path.write_text(json.dumps({"format": 3, **doc, "features": {"file": block.name, "sha256": sha256}}))
     return str(path)
 
 
 class TestLoadSave:
     def test_minimal_file_loads(self, tmp_path):
         doc = {
-            "dim": 2,
-            "timesteps": 3,
             "classes": 2,
             "horizon": 1,
             "nodes": ["a", "b"],
@@ -72,7 +70,7 @@ class TestLoadSave:
 
     def test_duplicate_member_rejected(self, tmp_path):
         doc = {
-            "dim": 1, "timesteps": 1, "classes": 2, "horizon": 1,
+            "classes": 2, "horizon": 1,
             "nodes": ["a", "b"],
             "hyperedges": [{"id": "e", "members": ["a", "a"], "type": "t"}],
             "labels": {"a": 0, "b": 1},
@@ -84,12 +82,12 @@ class TestLoadSave:
 
     @pytest.mark.parametrize("field, value, error", [
         ("horizon", False, ParseError),
-        ("dim", True, ParseError),
+        ("classes", True, ParseError),
         ("labels", {"a": True, "b": 0}, ValidationError),
     ])
     def test_json_booleans_are_not_integers(self, tmp_path, field, value, error):
         doc = {
-            "dim": 1, "timesteps": 1, "classes": 2, "horizon": 1,
+            "classes": 2, "horizon": 1,
             "nodes": ["a", "b"],
             "hyperedges": [{"id": "e", "members": ["a", "b"], "type": "t"}],
             "labels": {"a": 0, "b": 1},
@@ -107,8 +105,8 @@ class TestLoadSave:
             load_dataset(str(path))
 
     def test_missing_field_reported(self, tmp_path):
-        path = write_pair(tmp_path / "missing.json", {"dim": 2}, np.zeros((0, 1, 2)))
-        with pytest.raises(ParseError, match="timesteps"):
+        path = write_pair(tmp_path / "missing.json", {"classes": 2}, np.zeros((0, 1, 2)))
+        with pytest.raises(ParseError, match="horizon"):
             load_dataset(path)
 
     def test_round_trip_structural_equality(self, tmp_path):
@@ -165,7 +163,7 @@ def datasets(draw):
     # it, which save_dataset must write in the view's order.
     if draw(st.booleans()):
         ids, features = ids[::-1], features[::-1]
-    ds = Dataset(ids, features, classes, draw(st.integers(0, 3)), edges, labels, splits)
+    ds = Dataset(ids, features, classes, draw(st.integers(1, 3)), edges, labels, splits)
     ds.validate()
     return ds
 
@@ -184,7 +182,7 @@ def assert_same_dataset(back, ds):
     assert back.splits == ds.splits
 
 
-EMPTY = Dataset([], np.empty((0, 1, 1)), 2, 0, [], {}, {name: [] for name in SPLIT_NAMES})
+EMPTY = Dataset([], np.empty((0, 1, 1)), 2, 1, [], {}, {name: [] for name in SPLIT_NAMES})
 SINGLE = Dataset(["a"], np.array([[[-0.0]]]), 2, 1, [], {"a": 1}, {"train": ["a"], "val": [], "test": []})
 
 
@@ -283,9 +281,10 @@ def set_edge_field(**change):
 
 BROKEN_FILES = {
     "v1_inline_features": (break_v1, "unsupported dataset format"),
+    "format_2": (edit_doc(lambda doc: doc.update(format=2, dim=3, timesteps=4)), "unsupported dataset format 2"),
     "missing_block": (break_missing, "cannot read"),
     "other_seed_block": (break_other_seed, "SHA-256"),
-    "wrong_shape": (rewrite_block(lambda f: f[:, :, :-1]), "shape"),
+    "wrong_shape": (rewrite_block(lambda f: f[:-1]), "features shape (5, 4, 3)"),
     "float32": (rewrite_block(lambda f: f.astype(np.float32)), "float32"),
     "object_dtype": (rewrite_block(lambda f: f.astype(object)), "not a loadable"),
     "parent_dir": (set_file_entry("../ds.npy"), "file name"),
@@ -307,7 +306,9 @@ def test_broken_dataset_is_parse_error_naming_the_path(tmp_path, capsys, name):
     path = str(tmp_path / "ds.json")
     save_dataset(ds, path)
     breaker(path, ds)
-    with pytest.raises(ParseError, match=re.escape(path) + ".*" + re.escape(message)):
+    # The block's header alone states its shape, which Dataset.validate checks against the node list.
+    error = ValidationError if name == "wrong_shape" else ParseError
+    with pytest.raises(error, match=re.escape(path) + ".*" + re.escape(message)):
         load_dataset(path)
     assert main(["granger", "--dataset", path, "--out", str(tmp_path / "out")]) == 1
     assert path in capsys.readouterr().err
@@ -350,6 +351,15 @@ class TestFeatureBlock:
         with pytest.raises(ValidationError, match="timesteps must be >= 1"):
             empty.validate()
 
+    def test_no_feature_dim_is_refused_at_load(self, tmp_path, capsys):
+        # An (N, T, 0) block trained into a checkpoint that eval refused.
+        ds = make_dataset(n=6, t=4, d=3)
+        path = str(tmp_path / "ds.json")
+        save_dataset(dataclasses.replace(ds, features=np.zeros((6, 4, 0))), path)
+        assert main(["train", "--dataset", path, "--no-causal", "--out", str(tmp_path / "t")]) == 1
+        assert f"{path}: dim must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
 
 class TestSplitsValidation:
     def test_overlapping_splits_rejected(self):
@@ -378,30 +388,30 @@ class TestFeatureDropout:
 
     def test_rate_zero_identical(self):
         last = self.last(np.random.default_rng(7))
-        assert np.array_equal(feature_dropout(last, 4, 0.0, np.random.default_rng(1)), last)
+        assert np.array_equal(feature_dropout(last, 0.0, np.random.default_rng(1)), last)
 
     def test_zeroed_fraction_concentrates(self):
-        out = feature_dropout(self.last(np.random.default_rng(8), n=100, d=100), 3, 0.4, np.random.default_rng(2))
+        out = feature_dropout(self.last(np.random.default_rng(8), n=100, d=100), 0.4, np.random.default_rng(2))
         assert abs(np.mean(out == 0.0) - 0.4) < 0.02
 
     def test_input_is_not_modified(self):
         last = self.last(np.random.default_rng(9))
         before = last.copy()
-        out = feature_dropout(last, 4, 0.5, np.random.default_rng(3))
+        out = feature_dropout(last, 0.5, np.random.default_rng(3))
         assert np.array_equal(last, before)
         assert out.shape == last.shape and out.dtype == np.float64
         assert np.array_equal(out[out != 0.0], last[out != 0.0])
 
     def test_same_seed_reproducible(self):
         last = self.last(np.random.default_rng(10))
-        a = feature_dropout(last, 4, 0.3, np.random.default_rng(42))
-        b = feature_dropout(last, 4, 0.3, np.random.default_rng(42))
+        a = feature_dropout(last, 0.3, np.random.default_rng(42))
+        b = feature_dropout(last, 0.3, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_invalid_rate_rejected(self):
         for rate in (1.0, float("nan"), -0.1):
             with pytest.raises(ContractViolation):
-                feature_dropout(self.last(np.random.default_rng(0)), 4, rate, np.random.default_rng(0))
+                feature_dropout(self.last(np.random.default_rng(0)), rate, np.random.default_rng(0))
 
     def test_no_whole_block_is_drawn(self):
         # One (N, T, d) block of small is 20.7 MB; the mask needs only (N, d).
@@ -409,25 +419,25 @@ class TestFeatureDropout:
         last = self.last(np.random.default_rng(12), n=n, d=d)
         tracemalloc.start()
         try:
-            feature_dropout(last, t, 0.2, np.random.default_rng(4))
+            feature_dropout(last, 0.2, np.random.default_rng(4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < n * t * d * 8 / 4
 
     def test_no_nodes(self):
-        out = feature_dropout(np.empty((0, 5)), 3, 0.2, np.random.default_rng(5))
+        out = feature_dropout(np.empty((0, 5)), 0.2, np.random.default_rng(5))
         assert out.shape == (0, 5) and out.dtype == np.float64
 
     @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.parametrize("t", [1, 3, 17])
     def test_mask_is_the_last_timestep_of_the_dataset_mask(self, t, seed):
-        # One (N, T, d) draw takes the stream the per-node (T, d) draws took,
-        # so the entries the model reads are masked exactly as before.
+        # The mask on a dataset's last timestep, the model's (N, d) input, is
+        # the generator's next (N, d) uniforms entry for entry, so a seed
+        # masks the same entries whatever the dataset's timesteps.
         ds = make_dataset(np.random.default_rng(seed), n=9, t=t, d=5)
         last = ds.features[:, -1]
-        whole = dataset_feature_dropout(ds, 0.3, np.random.default_rng(seed + 100))
-        want = whole.features[:, -1]
-        got = feature_dropout(last, t, 0.3, np.random.default_rng(seed + 100))
+        got = feature_dropout(last, 0.3, np.random.default_rng(seed + 100))
+        want = last * (np.random.default_rng(seed + 100).random((9, 5)) >= 0.3)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))

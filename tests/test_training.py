@@ -334,8 +334,9 @@ class TestCheckpoint:
             assert np.array_equal(t.data, loaded.named()[name].data)
         assert loaded_tc == tc
         assert loaded_graph.edges == graph.edges
+        # The manifest digests the configs, and Adam's constants are the module's own.
         doc = json.load(open(path))
-        assert "config_digest" in doc and len(doc["config_digest"]) == 64
+        assert doc["format_version"] == 4 and not {"config_digest", "adam"} & doc.keys()
 
     def test_parameter_names_follow_the_fields_and_the_checkpoint_follows_them(self, tmp_path):
         # The context types are given unsorted; names and weights follow their sorted order.
