@@ -25,10 +25,11 @@ The op set is exactly what the model and its loss call, and
 ``tests/test_surface.py`` runs every op: broadcast ``+ - *``, (batched)
 matmul, reshape, transpose and a slice, sum and mean, exp, relu and
 softplus, a row gather (its backward a :class:`ScatterPlan`), scatter by
-flat element index, the gathered Gram matrix, an elementwise select, row
-normalisation onto the unit sphere, softmax and log-sum-exp over
-contiguous segments, log-softmax, and the vMF entropy with its analytic
-d/dkappa = -kappa * A'_d(kappa).
+flat element index, a scatter-then-matmul whose dense matrix forward
+frees and backward rebuilds, the gathered Gram matrix, an elementwise
+select, row normalisation onto the unit sphere, softmax and log-sum-exp
+over contiguous segments, log-softmax, and the vMF entropy with its
+analytic d/dkappa = -kappa * A'_d(kappa).
 """
 
 from __future__ import annotations
@@ -250,6 +251,28 @@ def scatter_flat(src: Tensor, idx: np.ndarray, size: int) -> Tensor:
         parents=(src,),
         backward=lambda g: src._accumulate(g[idx].reshape(src.data.shape)),
     )
+
+
+def scatter_matmul(w: Tensor, h: Tensor, cells: np.ndarray, rows: int) -> Tensor:
+    """A @ h, where A is the (rows, N) matrix whose flat cell k sums w over cells == k.
+
+    A is a transient: forward frees it once the product is taken, and
+    backward gathers dw = (g h^T).ravel()[cells] from a product it frees,
+    then rebuilds A from ``w`` for dh = A^T g.  So the graph keeps ``w``
+    and ``h`` but no dense (rows, N) array.
+    """
+    n = h.data.shape[0]
+
+    def dense() -> np.ndarray:
+        return np.bincount(cells, weights=w.data, minlength=rows * n).reshape(rows, n)
+
+    def bwd(g):
+        if w.requires_grad:
+            w._accumulate((g @ h.data.T).reshape(-1)[cells])
+        if h.requires_grad:
+            h._accumulate(dense().T @ g)
+
+    return Tensor(dense() @ h.data, parents=(w, h), backward=bwd)
 
 
 def gram_gather(h: Tensor, cells: np.ndarray, cells_t: np.ndarray) -> Tensor:

@@ -215,7 +215,7 @@ def cmd_eval(args) -> int:
         p_at_k=p_at_k,
         per_class_f1=metrics.per_class_f1(preds, labels, structure.classes),
         rank_corr=rank_corr,
-        config={**settings, "dataset_digest": inputs["dataset"], "checkpoint_digest": inputs["checkpoint"]},
+        config=settings,
     )
     path = os.path.join(args.out, "report.json")
     report.save(path)

@@ -19,15 +19,18 @@ row form a contiguous segment.  Each round computes G = h h^T once, an
 (N, N) matrix, and gathers one scalar per pair: the attention logit of
 pair (i, j) in edge e is the temperature times G[m_i, m_j].  A softmax
 runs within every segment, so alpha[e, i, :] is a distribution over the
-members of e, with no padded entries to mask.  Each pair's weight is then
-scattered onto a dense (N, N) matrix A_t for its edge's context type t,
-so the round's message is m = sum_t (A_t h) W_t^T and every d-wide step
-is a dense matmul.  Causal injection takes the same form: the causal
-edges, sorted by (child, parent id), are one flat array whose segments
-are the children, gamma is a segment softmax of the tempered F scores,
-and it scatters onto a (P, N) matrix of child rows by parent node, times h.
-That (P, d) context is scattered by flat element index onto the child rows
-of h; a select keeps h bit for bit at the rows without causal parents.
+members of e, with no padded entries to mask.  The round's message is
+m = sum_t (A_t h) W_t^T, where A_t is the dense (N, N) matrix of the pair
+weights of context type t, so every d-wide step is a dense matmul.  A_t
+exists only inside one ``scatter_matmul`` op: forward scatters the
+weights onto it and frees it once A_t h is taken, and backward rebuilds
+it from the same weights.  Causal injection takes the same form: the
+causal edges, sorted by (child, parent id), are one flat array whose
+segments are the children, gamma is a segment softmax of the tempered F
+scores, and one ``scatter_matmul`` takes the (P, N) matrix of gamma at
+child rows and parent columns times h.  That (P, d) context is scattered
+by flat element index onto the child rows of h; a select keeps h bit for
+bit at the rows without causal parents.
 Every causal edge must join two nodes of the dataset: a graph inferred on
 another dataset is an input error, not a graph to apply in part.
 
@@ -39,18 +42,20 @@ member arrays, the (P, Kc) mask a padded parent block would have, and
 of them: ``perfbench`` reports its padding and scatter-plan figures from
 them.
 
-Memory: a layer holds G and the T matrices A_t, and the causal step one
-(P, N) matrix with P <= N, so the dense buffers take at most
-(T + 1) * N^2 * 8 bytes per layer: about 7 MB on ``small`` (N = 540) and
-24 MB on ``medium`` (N = 1000) with T = 2 context types.  G is freed once
-its pairs are gathered; each A_t and the (P, N) matrix live as long as the
-graph does.  Backward frees each of them, and its gradient, once its
-consumer has been differentiated (see ``autodiff``), so one training step
-peaks near the size of its forward graph: 24 MB against 21 MB on
-``small`` with the default-alpha causal graph.  A forward pass that nothing
-differentiates, ``eval``'s and training's per-epoch validation, runs on
-``ModelParams.constants()`` (a loaded checkpoint's parameters are constants
-already), so it keeps no graph: each dense buffer is freed once read.
+Memory: the graph keeps no dense (N, N) or (P, N) matrix.  G is freed
+once its pairs are gathered, and each A_t and the (P, N) matrix once its
+product with h is taken.  Backward forms each dense matrix it needs, a
+rebuilt A_t or (P, N) matrix or the gradient of one of them or of G,
+inside one op call and frees it there, so a training step holds at most
+one transient N^2 * 8-byte matrix at a time: 2.3 MB on ``small``
+(N = 540) and 8 MB on ``medium`` (N = 1000).  Backward also frees each
+node, and its gradient, once its consumer has been differentiated (see
+``autodiff``), so one training step peaks near the size of its forward
+graph: 12.2 MB against 9.5 MB on ``small`` with the default-alpha causal
+graph.  A forward pass that nothing differentiates, ``eval``'s and
+training's per-epoch validation, runs on ``ModelParams.constants()`` (a
+loaded checkpoint's parameters are constants already), so it keeps no
+graph: each dense buffer is freed once read.
 """
 
 from __future__ import annotations
@@ -189,8 +194,9 @@ class GraphStructure:
     member_idx: np.ndarray  # (E, K) node rows, padded with 0
     member_mask: np.ndarray  # (E, K) bool, False at padding
     # Every valid member pair (e, i, j), grouped by context type and then
-    # ordered by (e, i, j): its flat offset m_i*N + m_j in an (N, N) matrix
-    # (the Gram matrix, or A_t), and that offset transposed, m_j*N + m_i.
+    # ordered by (e, i, j): its flat offset m_i*N + m_j in an (N, N) matrix,
+    # the Gram matrix whose cell it reads or the transient A_t it scatters
+    # onto, and that offset transposed, m_j*N + m_i.
     pair_cell: np.ndarray  # (Q,)
     pair_cell_t: np.ndarray  # (Q,)
     # The pairs of one (e, i) row are contiguous: a softmax segment.
@@ -385,8 +391,8 @@ def run_model(
             alpha = ad.segment_softmax(params.attn_temp * cos, structure.seg_starts, structure.seg_ids)
             alphas.append(alpha)
             for t, span in structure.type_pairs.items():
-                a_t = ad.scatter_flat(alpha[span], structure.pair_cell[span], n * n).reshape(n, n)
-                m = m + (a_t @ h) @ params.edge_w[t].transpose((1, 0))
+                a_t_h = ad.scatter_matmul(alpha[span], h, structure.pair_cell[span], n)
+                m = m + a_t_h @ params.edge_w[t].transpose((1, 0))
         if mode == "train" and cfg.dropout > 0.0:
             keep = (rng.random((n, d)) >= cfg.dropout) / (1.0 - cfg.dropout)
             m = m * Tensor(keep)
@@ -400,9 +406,8 @@ def run_model(
         glogits = params.gamma_temp * Tensor(structure.parent_f)
         gamma = ad.segment_softmax(glogits, *segments)
         log_gamma = glogits - ad.segment_logsumexp(glogits, *segments)
-        p_rows = structure.child_rows.size
-        weights = ad.scatter_flat(gamma, structure.parent_cell, p_rows * n).reshape(p_rows, n)
-        ctx = (weights @ h) @ params.causal_w.transpose((1, 0))
+        pooled = ad.scatter_matmul(gamma, h, structure.parent_cell, structure.child_rows.size)
+        ctx = pooled @ params.causal_w.transpose((1, 0))
         # Row r of ctx lands on node row child_rows[r]; every other row adds 0.
         cells = (structure.child_rows[:, None] * d + np.arange(d)).reshape(-1)
         combined = h + ad.scatter_flat(ctx, cells, n * d).reshape(n, d)

@@ -155,6 +155,22 @@ class TestIndexing:
         w = Tensor(rng.standard_normal(cells.size))
         check_op(lambda h: (ad.gram_gather(h, cells, cells_t) * w).sum(), (n, 3))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 4), st.integers(0, 60), st.integers(0, 2**32 - 1))
+    def test_scatter_matmul_equals_the_dense_product_bitwise(self, rows, n, d, q, seed):
+        # q cells drawn from rows*n repeat whenever q > rows*n, and often before.
+        rng = np.random.default_rng(seed)
+        w, h = rng.standard_normal(q), rng.standard_normal((n, d))
+        cells = rng.integers(0, rows * n, q)
+        out = ad.scatter_matmul(Tensor(w), Tensor(h), cells, rows).data
+        assert np.array_equal(out, np.bincount(cells, weights=w, minlength=rows * n).reshape(rows, n) @ h)
+
+    def test_scatter_matmul_gradient_with_repeated_cells(self):
+        rows, n = 3, 4
+        cells = np.array([0, 1, 4, 1, 6, 9, 11, 9, 9, 3])  # (0,1) twice, (2,1) thrice
+        g = Tensor(np.random.default_rng(9).standard_normal((rows, 2)))
+        check_op(lambda w, h: (ad.scatter_matmul(w, h, cells, rows) * g).sum(), (cells.size,), (n, 2))
+
     def test_where_routes_gradients(self):
         cond = np.array([True, False, True])
         a = Tensor(np.ones(3), requires_grad=True)

@@ -454,8 +454,14 @@ class TestEval:
             assert key in report
         assert list(report) == [f.name for f in dataclasses.fields(EvalReport)]
         assert 0.0 <= report["accuracy"] <= 1.0
-        assert report["config"]["split"] == "test"
-        assert report["config"]["k"] == 5 and report["p_at_k"] is not None
+        assert report["p_at_k"] is not None
+        # The eval settings alone: the input digests are the manifest's.
+        assert report["config"] == {"bins": 10, "k": 5, "split": "test", "dropout_rate": 0.0}
+        manifest = json.load(open(os.path.join(toy_run, "manifest.json")))
+        assert manifest["command"] == "eval"
+        assert manifest["config_digest"] == artifacts.doc_digest(report["config"])
+        assert manifest["inputs"]["dataset"] == artifacts.file_digest(f"{toy_run}/dataset.json")
+        assert manifest["inputs"]["checkpoint"] == artifacts.file_digest(f"{toy_run}/checkpoint.json")
 
     @staticmethod
     def eval_with_graph(tmp_path, toy_run, edges, dataset=None):

@@ -208,31 +208,75 @@ class TestGradients:
         assert digest.hexdigest() == "d820e0f5b88c01bec9e6d277eb4d0da125f2b7936f1249e7df1ba46259efca62"
 
 
+def graph_shapes(root):
+    """The shape of every tensor reachable from root through ``_parents``."""
+    shapes, seen, stack = set(), set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            shapes.add(t.data.shape)
+            stack.extend(t._parents)
+    return shapes
+
+
 class TestMemory:
     def test_one_step_peaks_near_one_forward_graph(self):
-        """On ``small`` with the default-alpha graph, one gradients() call
-        holds little more than its forward graph: backward frees each
-        dense (N, N) matrix once its consumer is differentiated."""
+        """On ``small`` with the default-alpha graph, no tensor of a training
+        step's graph is an (N, N) or (P, N) matrix, flat or not: each
+        context type's A_t and the causal weights are rebuilt in backward.
+        So one gradients() call holds little more than its forward graph."""
         ds, _ = synthgen.generate(synthgen.preset("small", seed=derive_seed(0, "synth")))
         graph = infer_causal_graph(ds.nodes, GrangerConfig(), fit_ids=ds.splits["train"])
         model_cfg = ModelConfig()
         structure = compile_structure(ds, graph, model_cfg)
         params = init_params(model_cfg, ds.features.shape[-1], ds.classes, tuple(structure.type_pairs), np.random.default_rng(0))
         rows = structure.splits["train"][:128]
+        n, p = len(structure.node_ids), structure.child_rows.size
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             run = run_model(structure, params, mode="eval")
             graph_bytes = tracemalloc.get_traced_memory()[0] - before
-            del run
+            total, _ = build_loss(run, rows, TrainConfig())
+            dense = graph_shapes(total) & {(n, n), (p, n), (n * n,), (p * n,)}
+            del run, total
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             gradients(params, structure, rows, TrainConfig(), mode="train", rng=np.random.default_rng(1))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert graph_bytes > 10e6  # the dense matrices dominate it
+        assert p > 0 and dense == set()
         assert peak <= 1.3 * graph_bytes, (peak / 1e6, graph_bytes / 1e6)
+
+    def test_one_step_holds_one_dense_matrix_at_a_time(self):
+        """Where N^2 dominates, N = 400 nodes in 200 four-member hyperedges
+        of two context types and 40 caused nodes with embed_dim 4, one
+        gradients() call peaks below two (N, N) float64 matrices.  A graph
+        that kept every A_t and the (P, N) weights would peak above five."""
+        n = 400
+        rng = np.random.default_rng(0)
+        ids = [f"n{i}" for i in range(n)]
+        edges = [
+            Hyperedge(f"e{k}", tuple(ids[(4 * k + j) % n] for j in range(4)), ("a", "b")[k % 2])
+            for k in range(n // 2)
+        ]
+        causal = [CausalEdge(ids[(k + 7) % n], ids[k], 2.0 + k, 0.01) for k in range(0, n, 10)]
+        ds = Dataset(ids, rng.standard_normal((n, 2, 4)), 2, 1, edges, {i: k % 2 for k, i in enumerate(ids)},
+                     {"train": ids[: n // 2], "val": ids[n // 2 : 3 * n // 4], "test": ids[3 * n // 4 :]})
+        ds.validate()
+        model_cfg = ModelConfig(embed_dim=4)
+        structure = compile_structure(ds, CausalGraph(alpha=0.05, lag=2, edges=causal), model_cfg)
+        params = init_params(model_cfg, 4, 2, tuple(structure.type_pairs), np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gradients(params, structure, structure.splits["train"], TrainConfig(), rng=np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8, peak / (n * n * 8)
 
 
 class TestTrainLoop:
