@@ -45,35 +45,37 @@ def relabelled(ds, name):
 
 @pytest.fixture(scope="module")
 def toy_run(tmp_path_factory):
-    """One toy pipeline shared by the read-only CLI tests."""
-    root = tmp_path_factory.mktemp("toy")
-    out = str(root / "run")
-    assert main(["synth", "--preset", "toy", "--seed", "7", "--out", out]) == 0
-    assert main(["granger", "--dataset", f"{out}/dataset.json", "--bonferroni", "--out", out]) == 0
+    """One toy pipeline shared by the read-only CLI tests, each command writing its own directory."""
+    run = str(tmp_path_factory.mktemp("toy") / "run")
+    dataset = f"{run}/synth/dataset.json"
+    assert main(["synth", "--preset", "toy", "--seed", "7", "--out", f"{run}/synth"]) == 0
+    assert main(["granger", "--dataset", dataset, "--bonferroni", "--out", f"{run}/granger"]) == 0
     assert (
         main(
-            ["train", "--dataset", f"{out}/dataset.json", "--graph", f"{out}/causal.json",
-             "--seed", "7", "--out", out]
+            ["train", "--dataset", dataset, "--graph", f"{run}/granger/causal.json",
+             "--seed", "7", "--out", f"{run}/train"]
         )
         == 0
     )
     assert (
         main(
-            ["eval", "--checkpoint", f"{out}/checkpoint.json", "--dataset", f"{out}/dataset.json",
-             "--truth", f"{out}/truth.json", "--seed", "7", "--out", out]
+            ["eval", "--checkpoint", f"{run}/train/checkpoint.json", "--dataset", dataset,
+             "--truth", f"{run}/synth/truth.json", "--seed", "7", "--out", f"{run}/eval"]
         )
         == 0
     )
-    return out
+    return run
 
 
 class TestSynth:
     def test_outputs_and_manifest(self, toy_run):
         for name in ("dataset.json", "dataset.npy", "truth.json", "manifest.json"):
-            assert os.path.exists(os.path.join(toy_run, name))
-        manifest = json.load(open(os.path.join(toy_run, "manifest.json")))
-        assert manifest["command"] == "eval"  # last command rewrote it
+            assert os.path.exists(os.path.join(toy_run, "synth", name))
+        manifest = json.load(open(os.path.join(toy_run, "synth", "manifest.json")))
+        assert manifest["command"] == "synth"
         assert "versions" in manifest and "wallclock_ms" in manifest
+        for command in ("granger", "train", "eval"):
+            assert json.load(open(os.path.join(toy_run, command, "manifest.json")))["command"] == command
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -207,8 +209,8 @@ class TestGranger:
         assert tuple(next(a for a in sub._actions if a.dest == "reduction").choices) == REDUCTIONS
 
     def test_recovers_planted_edges(self, toy_run):
-        truth = json.load(open(os.path.join(toy_run, "truth.json")))
-        graph = json.load(open(os.path.join(toy_run, "causal.json")))
+        truth = json.load(open(os.path.join(toy_run, "synth", "truth.json")))
+        graph = json.load(open(os.path.join(toy_run, "granger", "causal.json")))
         found = {(e["src"], e["dst"]) for e in graph["edges"]}
         planted = {(e["src"], e["dst"]) for e in truth["true_edges"]}
         assert len(found & planted) >= 0.8 * len(planted)
@@ -229,12 +231,12 @@ class TestGranger:
 
     def test_zero_lag_is_usage_error(self, toy_run):
         with pytest.raises(SystemExit) as info:
-            main(["granger", "--dataset", f"{toy_run}/dataset.json", "--lag", "0", "--out", "/tmp/x"])
+            main(["granger", "--dataset", f"{toy_run}/synth/dataset.json", "--lag", "0", "--out", "/tmp/x"])
         assert info.value.code == 2
 
     def test_series_shorter_than_min_length_is_input_error(self, toy_run, tmp_path, capsys):
         # lag 1000 needs 4004 timesteps; SeriesTooShort is a ContractViolation.
-        argv = ["granger", "--dataset", f"{toy_run}/dataset.json", "--lag", "1000", "--out", str(tmp_path)]
+        argv = ["granger", "--dataset", f"{toy_run}/synth/dataset.json", "--lag", "1000", "--out", str(tmp_path)]
         assert main(argv) == 1
         assert "series length" in capsys.readouterr().err
 
@@ -250,17 +252,17 @@ class TestGranger:
 
         monkeypatch.setattr("causal_sphhn.cli.infer_causal_graph", broken)
         with pytest.raises(error):
-            main(["granger", "--dataset", f"{toy_run}/dataset.json", "--out", str(tmp_path)])
+            main(["granger", "--dataset", f"{toy_run}/synth/dataset.json", "--out", str(tmp_path)])
 
 
 class TestTrain:
     def test_history_within_epoch_budget(self, toy_run):
-        lines = open(os.path.join(toy_run, "history.csv")).read().strip().split("\n")
+        lines = open(os.path.join(toy_run, "train", "history.csv")).read().strip().split("\n")
         assert lines[0].startswith("epoch,train_loss,val_loss,pred,entropy,causal,wallclock_ms")
         assert len(lines) - 1 <= 100
 
     def test_no_causal_equals_empty_graph_training(self, tmp_path, toy_run):
-        ds = f"{toy_run}/dataset.json"
+        ds = f"{toy_run}/synth/dataset.json"
         empty = tmp_path / "empty_graph.json"
         empty.write_text(json.dumps({"alpha": 0.01, "lag": 2, "edges": []}))
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -273,7 +275,7 @@ class TestTrain:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--graph", "{run}/causal.json", "--no-causal"], "not allowed with argument"),
+            (["--graph", "{run}/granger/causal.json", "--no-causal"], "not allowed with argument"),
             (["--graph", "{tmp}/missing.json", "--no-causal"], "not allowed with argument"),
             ([], "one of the arguments --graph --no-causal is required"),
         ],
@@ -283,24 +285,25 @@ class TestTrain:
         # --no-causal trains without a graph, so a --graph beside it would be read for nothing.
         out = tmp_path / "t"
         with pytest.raises(SystemExit) as info:
-            main(["train", "--dataset", f"{toy_run}/dataset.json", *[f.format(run=toy_run, tmp=tmp_path) for f in flags],
+            main(["train", "--dataset", f"{toy_run}/synth/dataset.json",
+                  *[f.format(run=toy_run, tmp=tmp_path) for f in flags],
                   "--out", str(out)])
         assert info.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_dataset_horizon_below_one_is_input_error(self, tmp_path, toy_run, capsys):
-        doc = json.load(open(f"{toy_run}/dataset.json"))
+        doc = json.load(open(f"{toy_run}/synth/dataset.json"))
         path = tmp_path / "dataset.json"
         path.write_text(json.dumps(dict(doc, horizon=-3)))
-        shutil.copy(f"{toy_run}/dataset.npy", tmp_path)
+        shutil.copy(f"{toy_run}/synth/dataset.npy", tmp_path)
         out = tmp_path / "t"
         assert main(["train", "--dataset", str(path), "--no-causal", "--out", str(out)]) == 1
         assert f"{path}: horizon must be >= 1, got -3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_reproducible_checkpoint(self, tmp_path, toy_run):
-        ds, graph = f"{toy_run}/dataset.json", f"{toy_run}/causal.json"
+        ds, graph = f"{toy_run}/synth/dataset.json", f"{toy_run}/granger/causal.json"
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (out_a, out_b):
             assert main(["train", "--dataset", ds, "--graph", graph, "--seed", "11", "--out", out]) == 0
@@ -310,7 +313,7 @@ class TestTrain:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"lr": 1e155, "max_epochs": 5}))
         code = main(
-            ["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal",
+            ["train", "--dataset", f"{toy_run}/synth/dataset.json", "--no-causal",
              "--config", str(cfg), "--out", str(tmp_path / "d")]
         )
         assert code == 3
@@ -319,7 +322,7 @@ class TestTrain:
         cfg = tmp_path / "nan.json"
         cfg.write_text(json.dumps({"lr": math.nan, "max_epochs": 1}))  # json writes a bare NaN
         out = tmp_path / "n"
-        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal",
+        code = main(["train", "--dataset", f"{toy_run}/synth/dataset.json", "--no-causal",
                      "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert "lr must be >= 0" in capsys.readouterr().err
@@ -330,7 +333,7 @@ class TestTrain:
         cfg.write_text(json.dumps({"max_epochs": 2, "dropout": 0.1, "kappa_init": 5.0}))
         out = str(tmp_path / "abl")
         code = main(
-            ["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal", "--no-entropy",
+            ["train", "--dataset", f"{toy_run}/synth/dataset.json", "--no-causal", "--no-entropy",
              "--euclidean", "--pairwise", "--config", str(cfg), "--out", out]
         )
         assert code == 0
@@ -346,7 +349,7 @@ class TestTrain:
         cfg = tmp_path / "all.json"
         cfg.write_text(json.dumps({**model, **train}))
         out = str(tmp_path / "all")
-        assert main(["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal",
+        assert main(["train", "--dataset", f"{toy_run}/synth/dataset.json", "--no-causal",
                      "--config", str(cfg), "--out", out]) == 0
         ckpt = json.load(open(f"{out}/checkpoint.json"))
         assert model.items() <= ckpt["model_config"].items()
@@ -355,7 +358,7 @@ class TestTrain:
     def test_unknown_config_key_is_input_error(self, tmp_path, toy_run, capsys):
         cfg = tmp_path / "typo.json"
         cfg.write_text(json.dumps({"learning_rate": 0.5}))
-        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal",
+        code = main(["train", "--dataset", f"{toy_run}/synth/dataset.json", "--no-causal",
                      "--config", str(cfg), "--out", str(tmp_path / "t")])
         assert code == 1
         assert "learning_rate" in capsys.readouterr().err
@@ -374,7 +377,7 @@ class TestTrain:
         cfg = tmp_path / "typed.json"
         cfg.write_text(json.dumps(change))
         out = tmp_path / "t"
-        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal",
+        code = main(["train", "--dataset", f"{toy_run}/synth/dataset.json", "--no-causal",
                      "--config", str(cfg), "--out", str(out)])
         assert code == 1
         assert message in capsys.readouterr().err
@@ -384,7 +387,7 @@ class TestTrain:
         cfg = tmp_path / "int.json"
         cfg.write_text(json.dumps({"dropout": 0, "lambda2": 1, "max_epochs": 1}))
         out = str(tmp_path / "t")
-        assert main(["train", "--dataset", f"{toy_run}/dataset.json", "--no-causal",
+        assert main(["train", "--dataset", f"{toy_run}/synth/dataset.json", "--no-causal",
                      "--config", str(cfg), "--out", out]) == 0
         ckpt = json.load(open(f"{out}/checkpoint.json"))
         assert ckpt["model_config"]["dropout"] == 0.0 and isinstance(ckpt["model_config"]["dropout"], float)
@@ -409,7 +412,7 @@ class TestTrain:
              "nan_p", "negative_p", "infinite_f"],
     )
     def test_graph_field_of_the_wrong_type_is_input_error(self, tmp_path, toy_run, capsys, change, message):
-        doc = json.load(open(f"{toy_run}/causal.json"))
+        doc = json.load(open(f"{toy_run}/granger/causal.json"))
         assert doc["edges"]
         for key, value in change.items():
             if key.startswith("edge_"):
@@ -419,7 +422,7 @@ class TestTrain:
         graph = tmp_path / "causal.json"
         graph.write_text(json.dumps(doc))
         out = tmp_path / "t"
-        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--graph", str(graph),
+        code = main(["train", "--dataset", f"{toy_run}/synth/dataset.json", "--graph", str(graph),
                      "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
@@ -428,12 +431,12 @@ class TestTrain:
 
     def test_graph_naming_an_unknown_node_is_input_error(self, tmp_path, toy_run, capsys):
         # A graph inferred on another dataset: its edges are not applied in part.
-        graph = CausalGraph.load(f"{toy_run}/causal.json")
+        graph = CausalGraph.load(f"{toy_run}/granger/causal.json")
         edges = [*graph.edges, CausalEdge(graph.edges[0].src, "n9999", 2.0, 1e-3)]
         path = str(tmp_path / "causal.json")
         CausalGraph(graph.alpha, graph.lag, edges).save(path)
         out = tmp_path / "t"
-        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--graph", path, "--out", str(out)])
+        code = main(["train", "--dataset", f"{toy_run}/synth/dataset.json", "--graph", path, "--out", str(out)])
         assert code == 1
         assert f"causal edge {graph.edges[0].src} -> n9999 references unknown node n9999" in capsys.readouterr().err
         assert not out.exists()
@@ -441,14 +444,14 @@ class TestTrain:
     def test_graph_without_edges_is_input_error(self, tmp_path, toy_run):
         graph = tmp_path / "causal.json"
         graph.write_text(json.dumps({"alpha": 0.01, "lag": 2}))
-        code = main(["train", "--dataset", f"{toy_run}/dataset.json", "--graph", str(graph),
+        code = main(["train", "--dataset", f"{toy_run}/synth/dataset.json", "--graph", str(graph),
                      "--out", str(tmp_path / "t")])
         assert code == 1
 
 
 class TestEval:
     def test_report_schema(self, toy_run):
-        report = json.load(open(os.path.join(toy_run, "report.json")))
+        report = json.load(open(os.path.join(toy_run, "eval", "report.json")))
         for key in ("accuracy", "macro_f1", "auc", "ece", "mean_entropy",
                     "mean_vmf_entropy", "p_at_k", "per_class_f1", "rank_corr", "config"):
             assert key in report
@@ -457,21 +460,21 @@ class TestEval:
         assert report["p_at_k"] is not None
         # The eval settings alone: the input digests are the manifest's.
         assert report["config"] == {"bins": 10, "k": 5, "split": "test", "dropout_rate": 0.0}
-        manifest = json.load(open(os.path.join(toy_run, "manifest.json")))
+        manifest = json.load(open(os.path.join(toy_run, "eval", "manifest.json")))
         assert manifest["command"] == "eval"
         assert manifest["config_digest"] == artifacts.doc_digest(report["config"])
-        assert manifest["inputs"]["dataset"] == artifacts.file_digest(f"{toy_run}/dataset.json")
-        assert manifest["inputs"]["checkpoint"] == artifacts.file_digest(f"{toy_run}/checkpoint.json")
+        assert manifest["inputs"]["dataset"] == artifacts.file_digest(f"{toy_run}/synth/dataset.json")
+        assert manifest["inputs"]["checkpoint"] == artifacts.file_digest(f"{toy_run}/train/checkpoint.json")
 
     @staticmethod
     def eval_with_graph(tmp_path, toy_run, edges, dataset=None):
         """Eval the toy checkpoint's parameters on ``dataset`` (the toy one by
         default) against the causal graph of ``edges`` (indices into the node
         list), with the first edge planted."""
-        dataset = dataset or f"{toy_run}/dataset.json"
+        dataset = dataset or f"{toy_run}/synth/dataset.json"
         ids = [n.node_id for n in load_dataset(dataset).nodes]
         graph = CausalGraph(0.01, 2, [CausalEdge(ids[s], ids[d], f, 1e-3) for s, d, f in edges])
-        params, train_cfg, _ = load_checkpoint(f"{toy_run}/checkpoint.json")
+        params, train_cfg, _ = load_checkpoint(f"{toy_run}/train/checkpoint.json")
         ckpt, truth = str(tmp_path / "checkpoint.json"), str(tmp_path / "truth.json")
         save_checkpoint(ckpt, params, train_cfg, graph)
         synthgen.save_truth([synthgen.PlantedEdge(graph.edges[0].src, graph.edges[0].dst, 0.5)], truth)
@@ -497,7 +500,7 @@ class TestEval:
         # Four single-parent children, so gamma is exactly 1 on every edge.
         # The planted edge has the second-highest F, so P@1 is 0; reversing
         # the node ids must not change that, as a tie broken by id would.
-        ds = load_dataset(f"{toy_run}/dataset.json")
+        ds = load_dataset(f"{toy_run}/synth/dataset.json")
         ids = [n.node_id for n in ds.nodes]
         edges = [(0, 1, 3.0), (2, 3, 5.0), (4, 5, 2.0), (6, 7, 1.0)]
         for tag, name in [("same", dict(zip(ids, ids))), ("reversed", dict(zip(ids, reversed(ids))))]:
@@ -510,9 +513,9 @@ class TestEval:
         # Ids v0, v1, ..., v39 listed in numeric order are out of sorted-id
         # order ("v10" sorts before "v2"); the same dataset listed in sorted-id
         # order must score the same on the same model and causal graph.
-        ds = load_dataset(f"{toy_run}/dataset.json")
+        ds = load_dataset(f"{toy_run}/synth/dataset.json")
         name = {n.node_id: f"v{k}" for k, n in enumerate(ds.nodes)}
-        params, train_cfg, graph = load_checkpoint(f"{toy_run}/checkpoint.json")
+        params, train_cfg, graph = load_checkpoint(f"{toy_run}/train/checkpoint.json")
         assert graph.edges
         edges = [CausalEdge(name[e.src], name[e.dst], e.f_statistic, e.p_value) for e in graph.edges]
         ckpt = str(tmp_path / "checkpoint.json")
@@ -555,22 +558,23 @@ class TestEval:
             monkeypatch.setattr(cli, "load_dataset", loading)
             monkeypatch.setattr(cli, "feature_dropout", observed(dropout))
             monkeypatch.setattr(cli, "run_model", observed(run_model))
-            assert main(["eval", "--checkpoint", f"{toy_run}/checkpoint.json", "--dataset", f"{toy_run}/dataset.json",
+            assert main(["eval", "--checkpoint", f"{toy_run}/train/checkpoint.json",
+                         "--dataset", f"{toy_run}/synth/dataset.json",
                          "--dropout-rate", rate, "--out", str(tmp_path / rate)]) == 0
             steps = [(dropout, False)] if rate != "0" else []
             assert alive == steps + [(run_model, False)], rate
 
     def test_negative_dropout_rate_is_input_error(self, tmp_path, toy_run, capsys):
         out = tmp_path / "r"
-        code = main(["eval", "--checkpoint", f"{toy_run}/checkpoint.json",
-                     "--dataset", f"{toy_run}/dataset.json", "--dropout-rate", "-0.5", "--out", str(out)])
+        code = main(["eval", "--checkpoint", f"{toy_run}/train/checkpoint.json",
+                     "--dataset", f"{toy_run}/synth/dataset.json", "--dropout-rate", "-0.5", "--out", str(out)])
         assert code == 1
         assert "dropout rate" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
     def test_dropout_rate_zero_equals_no_flag(self, tmp_path, toy_run):
-        args = ["eval", "--checkpoint", f"{toy_run}/checkpoint.json",
-                "--dataset", f"{toy_run}/dataset.json", "--truth", f"{toy_run}/truth.json",
+        args = ["eval", "--checkpoint", f"{toy_run}/train/checkpoint.json",
+                "--dataset", f"{toy_run}/synth/dataset.json", "--truth", f"{toy_run}/synth/truth.json",
                 "--seed", "7"]
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(args + ["--out", out_a]) == 0
@@ -578,8 +582,8 @@ class TestEval:
         assert sha(f"{out_a}/report.json") == sha(f"{out_b}/report.json")
 
     def test_eval_deterministic_with_dropout(self, tmp_path, toy_run):
-        args = ["eval", "--checkpoint", f"{toy_run}/checkpoint.json",
-                "--dataset", f"{toy_run}/dataset.json", "--seed", "9",
+        args = ["eval", "--checkpoint", f"{toy_run}/train/checkpoint.json",
+                "--dataset", f"{toy_run}/synth/dataset.json", "--seed", "9",
                 "--dropout-rate", "0.4"]
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(args + ["--out", out_a]) == 0
@@ -597,13 +601,13 @@ class TestEval:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["synth", "--config", str(cfg_path), "--seed", "1", "--out", other]) == 0
         code = main(
-            ["eval", "--checkpoint", f"{toy_run}/checkpoint.json",
+            ["eval", "--checkpoint", f"{toy_run}/train/checkpoint.json",
              "--dataset", f"{other}/dataset.json", "--out", str(tmp_path / "r")]
         )
         assert code == 1
 
     def test_old_checkpoint_version_is_input_error(self, tmp_path, toy_run, capsys):
-        doc = json.load(open(f"{toy_run}/checkpoint.json"))
+        doc = json.load(open(f"{toy_run}/train/checkpoint.json"))
         v1 = dict(doc, format_version=1, train_config=dict(doc["train_config"], dropout=0.2, kappa_init=20.0))
         v2 = dict(doc, format_version=2, model_config=dict(doc["model_config"], attn_temp_init=20.0, gamma_temp_init=1.0))
         v3 = dict(doc, format_version=3, config_digest="0" * 64, adam={"beta1": 0.9, "beta2": 0.999, "eps": 1e-8})
@@ -611,7 +615,7 @@ class TestEval:
             path = tmp_path / f"v{old['format_version']}.json"
             path.write_text(json.dumps(old))
             code = main(
-                ["eval", "--checkpoint", str(path), "--dataset", f"{toy_run}/dataset.json",
+                ["eval", "--checkpoint", str(path), "--dataset", f"{toy_run}/synth/dataset.json",
                  "--out", str(tmp_path / "r")]
             )
             assert code == 1
@@ -640,12 +644,12 @@ class TestEval:
     def test_checkpoint_field_of_the_wrong_type_is_input_error(
         self, tmp_path, toy_run, capsys, section, key, value, message
     ):
-        doc = json.load(open(f"{toy_run}/checkpoint.json"))
+        doc = json.load(open(f"{toy_run}/train/checkpoint.json"))
         doc[section][key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "r"
-        code = main(["eval", "--checkpoint", str(path), "--dataset", f"{toy_run}/dataset.json", "--out", str(out)])
+        code = main(["eval", "--checkpoint", str(path), "--dataset", f"{toy_run}/synth/dataset.json", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert str(path) in err and message in err
@@ -657,19 +661,19 @@ class TestEval:
         ids=["str_coef", "int_dst"],
     )
     def test_truth_field_of_the_wrong_type_is_input_error(self, tmp_path, toy_run, capsys, change, message):
-        doc = json.load(open(f"{toy_run}/truth.json"))
+        doc = json.load(open(f"{toy_run}/synth/truth.json"))
         doc["true_edges"][0].update(change)
         path = tmp_path / "truth.json"
         path.write_text(json.dumps(doc))
-        code = main(["eval", "--checkpoint", f"{toy_run}/checkpoint.json", "--dataset", f"{toy_run}/dataset.json",
-                     "--truth", str(path), "--out", str(tmp_path / "r")])
+        code = main(["eval", "--checkpoint", f"{toy_run}/train/checkpoint.json",
+                     "--dataset", f"{toy_run}/synth/dataset.json", "--truth", str(path), "--out", str(tmp_path / "r")])
         assert code == 1
         err = capsys.readouterr().err
         assert str(path) in err and message in err
 
     @pytest.mark.parametrize("corrupt", ["unknown_train_key", "missing_arch"])
     def test_malformed_checkpoint_is_input_error(self, tmp_path, toy_run, corrupt):
-        doc = json.load(open(f"{toy_run}/checkpoint.json"))
+        doc = json.load(open(f"{toy_run}/train/checkpoint.json"))
         if corrupt == "unknown_train_key":
             doc["train_config"]["momentum"] = 0.9
         else:
@@ -677,7 +681,7 @@ class TestEval:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code = main(
-            ["eval", "--checkpoint", str(path), "--dataset", f"{toy_run}/dataset.json",
+            ["eval", "--checkpoint", str(path), "--dataset", f"{toy_run}/synth/dataset.json",
              "--out", str(tmp_path / "r")]
         )
         assert code == 1
@@ -688,12 +692,12 @@ class TestEval:
 FILE_FLAGS = {
     "synth-config": ["synth", "--config", "{bad}"],
     "granger-dataset": ["granger", "--dataset", "{bad}"],
-    "train-dataset": ["train", "--dataset", "{bad}", "--graph", "{run}/causal.json"],
-    "train-graph": ["train", "--dataset", "{run}/dataset.json", "--graph", "{bad}"],
-    "train-config": ["train", "--dataset", "{run}/dataset.json", "--no-causal", "--config", "{bad}"],
-    "eval-checkpoint": ["eval", "--checkpoint", "{bad}", "--dataset", "{run}/dataset.json"],
-    "eval-dataset": ["eval", "--checkpoint", "{run}/checkpoint.json", "--dataset", "{bad}"],
-    "eval-truth": ["eval", "--checkpoint", "{run}/checkpoint.json", "--dataset", "{run}/dataset.json",
+    "train-dataset": ["train", "--dataset", "{bad}", "--graph", "{run}/granger/causal.json"],
+    "train-graph": ["train", "--dataset", "{run}/synth/dataset.json", "--graph", "{bad}"],
+    "train-config": ["train", "--dataset", "{run}/synth/dataset.json", "--no-causal", "--config", "{bad}"],
+    "eval-checkpoint": ["eval", "--checkpoint", "{bad}", "--dataset", "{run}/synth/dataset.json"],
+    "eval-dataset": ["eval", "--checkpoint", "{run}/train/checkpoint.json", "--dataset", "{bad}"],
+    "eval-truth": ["eval", "--checkpoint", "{run}/train/checkpoint.json", "--dataset", "{run}/synth/dataset.json",
                    "--truth", "{bad}"],
 }
 BAD_FILES = {
@@ -703,6 +707,8 @@ BAD_FILES = {
     "missing_field": '{"alpha": 0.01}',
 }
 
+# The command whose directory of the toy run holds each artifact.
+MADE_BY = {"dataset.json": "synth", "truth.json": "synth", "causal.json": "granger", "checkpoint.json": "train"}
 # The top-level keys of each artifact, and the flag that reads it.
 REQUIRED_KEYS = {
     "causal.json": ("train-graph", ["alpha", "lag", "edges"]),
@@ -727,11 +733,11 @@ class TestFiles:
     @pytest.mark.parametrize("name, key", [(name, key) for name, (_, keys) in REQUIRED_KEYS.items() for key in keys])
     def test_missing_key_is_input_error(self, tmp_path, toy_run, capsys, name, key):
         flag, _ = REQUIRED_KEYS[name]
-        doc = json.load(open(f"{toy_run}/{name}"))
+        doc = json.load(open(f"{toy_run}/{MADE_BY[name]}/{name}"))
         del doc[key]
         bad = tmp_path / name
         bad.write_text(json.dumps(doc))
-        shutil.copy(f"{toy_run}/dataset.npy", tmp_path)  # the dataset document's feature block
+        shutil.copy(f"{toy_run}/synth/dataset.npy", tmp_path)  # the dataset document's feature block
         args = [a.format(bad=bad, run=toy_run) for a in FILE_FLAGS[flag]]
         assert main(args + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err

@@ -17,8 +17,9 @@ from causal_sphhn.granger import (
     CausalGraph,
     GrangerConfig,
     _f_crit,
-    _f_test,
+    _f_stat,
     _fit_var,
+    _scored,
     f_survival,
     granger_test,
     infer_causal_graph,
@@ -101,11 +102,10 @@ class TestSpecialFunctions:
         rel = [-1e-12, 1e-12, -2e-6, -1e-6, 1e-6, *offsets, *nudges]
         f = np.concatenate([f_crit * (1.0 + np.array(rel)), [0.0, np.inf]])
         # rss_u = dof_u makes the F denominator exactly 1, so F is the gain over lag.
-        f_stat, p_value, is_edge = _f_test(lag * f, np.full_like(f, dof_u), lag, dof_u, alpha, f_crit)
+        f_stat = _f_stat(lag * f, np.full_like(f, dof_u), lag, dof_u)
         np.testing.assert_allclose(f_stat, f, rtol=1e-15)
-        exact = f_survival(f_stat, lag, dof_u)
-        assert is_edge.tolist() == (exact <= alpha).tolist()
-        assert p_value[is_edge].tolist() == exact[is_edge].tolist()
+        # The kernel takes p-values only of the F that _scored keeps: every significant F must be one.
+        assert not np.any((f_survival(f_stat, lag, dof_u) <= alpha) & ~_scored(f_stat, f_crit))
 
 
 class TestRestrictedFit:
@@ -467,9 +467,11 @@ class TestInferCausalGraph:
                     assert abs(edge.f_statistic - ref.f_statistic) <= 1e-9 * ref.f_statistic
                     assert abs(edge.p_value - ref.p_value) <= 1e-12
 
-    @pytest.mark.parametrize("chunk", [1, 3, 9, granger._GROUP + 1])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 9, granger._CHUNK + 1])
     def test_block_size_does_not_change_results(self, monkeypatch, chunk):
-        # 2·_GROUP + 5 nodes, so the last group of targets is padded and these chunks straddle groups.
+        # The set-up factors blocks of `chunk` nodes: at 1 and 3 a block ends at the constant c
+        # (index 2) and the next begins at the copy d of a (index 3); at 2 they share the second block.
+        # 2·_GROUP + 5 nodes, so the pair loop's last group of targets is padded.
         rng = np.random.default_rng(17)
         base = ar1(rng, 120, coef=0.5)
         series = {
@@ -489,6 +491,23 @@ class TestInferCausalGraph:
             with monkeypatch.context() as m:
                 m.setattr(granger, "_CHUNK", chunk)
                 assert infer_causal_graph(nodes, cfg).to_dict() == ref
+
+    def test_kernel_holds_one_group_of_targets(self):
+        # medium's shape: 1,000 AR(1) series of 160 steps at lag 2.  The kernel holds the basis matrix
+        # q_all (rows x p·n), the (n, rows) residuals and the reduced series (about half a basis each
+        # at lag 2), plus one block's product and factor entries (a small fraction of a basis).  Node-sized
+        # lag windows, a full stacked QR or a second copy of every Q_j would each add one basis or more.
+        rng = np.random.default_rng(24)
+        nodes = series_nodes({f"n{i:04d}": ar1(rng, 160, coef=0.5) for i in range(1000)})
+        basis_bytes = (160 - CFG.lag) * CFG.lag * 1000 * 8
+        tracemalloc.start()
+        try:
+            graph = infer_causal_graph(nodes, CFG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.edges
+        assert peak < 5 * basis_bytes, peak / basis_bytes
 
     def test_no_batched_solve(self, monkeypatch):
         # The p x p Schur step is elementwise; a stacked np.linalg.solve pays a loop per pair, and the
@@ -601,11 +620,16 @@ class TestInferCausalGraph:
             CausalGraph(0.01, 2, [CausalEdge("a", "a", 1.0, 0.001)])
         with pytest.raises(ContractViolation):
             CausalGraph(0.01, 2, [CausalEdge("a", "b", 1.0, 0.5)])
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation, match="duplicate edge a->b"):
             CausalGraph(
                 0.01, 2,
                 [CausalEdge("a", "b", 1.0, 0.001), CausalEdge("a", "b", 2.0, 0.002)],
             )
+        # Twins apart in the given order still meet once the edges are sorted.
+        ab, ba = CausalEdge("a", "b", 1.0, 0.001), CausalEdge("b", "a", 1.0, 0.001)
+        with pytest.raises(ContractViolation, match="duplicate edge a->b"):
+            CausalGraph(0.01, 2, [ab, ba, CausalEdge("a", "b", 2.0, 0.002)])
+        assert CausalGraph(0.01, 2, [ba, ab]).edges == [ab, ba]
 
 
 def pooled_reduce_features(nodes, fit_ids=None):

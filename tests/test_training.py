@@ -225,14 +225,17 @@ class TestMemory:
         """On ``small`` with the default-alpha graph, no tensor of a training
         step's graph is an (N, N) or (P, N) matrix, flat or not: each
         context type's A_t and the causal weights are rebuilt in backward.
-        So one gradients() call holds little more than its forward graph."""
+        So one gradients() call holds its forward graph plus what one backward
+        op makes at a time: at most one N^2·8-byte matrix, beside the Gram
+        backward's concatenated cell indices and weights (4·Q·8 bytes for Q
+        member pairs)."""
         ds, _ = synthgen.generate(synthgen.preset("small", seed=derive_seed(0, "synth")))
         graph = infer_causal_graph(ds.nodes, GrangerConfig(), fit_ids=ds.splits["train"])
         model_cfg = ModelConfig()
         structure = compile_structure(ds, graph, model_cfg)
         params = init_params(model_cfg, ds.features.shape[-1], ds.classes, tuple(structure.type_pairs), np.random.default_rng(0))
         rows = structure.splits["train"][:128]
-        n, p = len(structure.node_ids), structure.child_rows.size
+        n, p, q = len(structure.node_ids), structure.child_rows.size, structure.pair_cell.size
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -248,7 +251,8 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert p > 0 and dense == set()
-        assert peak <= 1.3 * graph_bytes, (peak / 1e6, graph_bytes / 1e6)
+        bound = graph_bytes + n * n * 8 + 4 * q * 8
+        assert peak <= bound, (peak / 1e6, graph_bytes / 1e6, bound / 1e6)
 
     def test_one_step_holds_one_dense_matrix_at_a_time(self):
         """Where N^2 dominates, N = 400 nodes in 200 four-member hyperedges
