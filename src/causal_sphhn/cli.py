@@ -48,7 +48,7 @@ from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 INPUT_ERRORS = (ContractViolation, NumericalError, ParseError, ValidationError)
 
 # The --config keys of the train command, by the config they set.
-MODEL_KEYS = ("embed_dim", "layers", "dropout", "kappa_init")
+MODEL_KEYS = ("embed_dim", "layers", "dropout")
 TRAIN_KEYS = ("lambda1", "lambda2", "lr", "batch_size", "max_epochs", "patience")
 
 

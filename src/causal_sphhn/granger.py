@@ -80,8 +80,7 @@ class GrangerConfig:
         return 4 * self.lag + 4
 
 
-@dataclass(frozen=True)
-class CausalEdge:
+class CausalEdge(NamedTuple):
     src: str
     dst: str
     f_statistic: float
@@ -98,32 +97,29 @@ class CausalGraph:
 
     def __post_init__(self):
         GrangerConfig(lag=self.lag, alpha=self.alpha)  # checks their ranges
-        self.edges = sorted(self.edges, key=lambda e: (e.src, e.dst))
-        prev = None
-        for e in self.edges:
-            if e.src == e.dst:
-                raise ContractViolation(f"self loop {e.src}->{e.dst}")
-            if prev is not None and (prev.src, prev.dst) == (e.src, e.dst):  # sorted: a twin is adjacent
-                raise ContractViolation(f"duplicate edge {e.src}->{e.dst}")
-            prev = e
-            # Written so that NaN fails both checks.
-            if not (0.0 <= e.p_value <= self.alpha):
-                raise ContractViolation(
-                    f"stored edge {e.src}->{e.dst} has p {e.p_value}, not in [0, alpha]"
-                )
-            if not (0.0 <= e.f_statistic < np.inf):
-                raise ContractViolation(
-                    f"stored edge {e.src}->{e.dst} has F {e.f_statistic}, not finite and >= 0"
-                )
+        # Tuple order is (src, dst) order while no edge repeats, and a repeated edge sorts beside its twin.
+        self.edges = sorted(self.edges)
+        src, dst, f_stat, p_value = zip(*self.edges) if self.edges else ((),) * 4
+        src, dst = np.array(src, dtype=object), np.array(dst, dtype=object)
+        f_stat, p_value = np.array(f_stat, dtype=np.float64), np.array(p_value, dtype=np.float64)
+        # Each check marks the edges that fail it; the last two are written so that NaN fails them.
+        checks = (
+            (src == dst, "self loop {e.src}->{e.dst}"),
+            (np.append(False, (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])), "duplicate edge {e.src}->{e.dst}"),
+            (~((0.0 <= p_value) & (p_value <= self.alpha)),
+             "stored edge {e.src}->{e.dst} has p {e.p_value}, not in [0, alpha]"),
+            (~((0.0 <= f_stat) & (f_stat < np.inf)),
+             "stored edge {e.src}->{e.dst} has F {e.f_statistic}, not finite and >= 0"),
+        )
+        for bad, message in checks:
+            if bad.any():
+                raise ContractViolation(message.format(e=self.edges[np.argmax(bad)]))
 
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
             "lag": self.lag,
-            "edges": [
-                {"src": e.src, "dst": e.dst, "f": e.f_statistic, "p": e.p_value}
-                for e in self.edges
-            ],
+            "edges": [{"src": e.src, "dst": e.dst, "f": e.f_statistic, "p": e.p_value} for e in self.edges],
         }
 
     @classmethod
@@ -308,13 +304,16 @@ def _scored(f_stat: np.ndarray, f_crit: float) -> np.ndarray:
 
 
 def _f_crit(alpha: float, lag: int, dof_u: int) -> float:
-    """The largest F, bisected to 1e-9 relative, whose p-value exceeds alpha."""
+    """The largest F, to 1e-9 relative, whose p-value exceeds alpha: a doubling bracket
+    p(lo) > alpha >= p(hi), then 32 parts per round, each round one ``f_survival`` call."""
     lo, hi = 0.0, 1.0
     while f_survival(hi, lag, dof_u) > alpha:
         lo, hi = hi, 2.0 * hi
     while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if f_survival(mid, lag, dof_u) > alpha else (lo, mid)
+        grid = np.linspace(lo, hi, 33)
+        above = np.append(f_survival(grid[1:-1], lag, dof_u) > alpha, False)  # p(hi) <= alpha
+        k = 1 + int(np.argmin(above))
+        lo, hi = float(grid[k - 1]), float(grid[k])
     return lo
 
 
@@ -492,6 +491,7 @@ def infer_causal_graph(
     # Node ids are sorted, so ordering by index pair orders the edges by (src, dst).
     order = np.flatnonzero(p_value <= alpha)
     order = order[np.lexsort((dst[order], src[order]))]
-    kept = zip(src[order].tolist(), dst[order].tolist(), f_stat[order].tolist(), p_value[order].tolist())
-    edges = [CausalEdge(ids[i], ids[j], f, pv) for i, j, f, pv in kept]
+    names = np.array(ids, dtype=object)
+    columns = (names[src[order]], names[dst[order]], f_stat[order], p_value[order])
+    edges = list(map(CausalEdge._make, zip(*(c.tolist() for c in columns))))
     return CausalGraph(alpha=cfg.alpha, lag=cfg.lag, edges=edges)

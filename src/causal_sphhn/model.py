@@ -12,6 +12,11 @@ a plain dot product), ``pairwise`` expands hyperedges into 2-cliques,
 ``layers=0`` reduces to the projection, and an empty causal graph is
 bit-identical to removing the causal path.
 
+Initial values are module constants, not settings.  ``ModelParams`` holds
+the config and the arrays: the input dim, class count and context types
+are the column count of ``proj_w``, the length of ``head_b`` and the keys
+of ``edge_w``.
+
 Message passing is a Gram-matrix kernel over flat member pairs.  Each
 valid pair (i, j) of edge e is one entry of a flat array, grouped by
 context type and then ordered by (e, i, j), so the pairs of one (e, i)
@@ -51,7 +56,7 @@ one transient N^2 * 8-byte matrix at a time: 2.3 MB on ``small``
 (N = 540) and 8 MB on ``medium`` (N = 1000).  Backward also frees each
 node, and its gradient, once its consumer has been differentiated (see
 ``autodiff``), so one training step peaks near the size of its forward
-graph: 12.2 MB against 9.5 MB on ``small`` with the default-alpha causal
+graph: 11.1 MB against 8.4 MB on ``small`` with the default-alpha causal
 graph.  A forward pass that nothing differentiates, ``eval``'s and
 training's per-epoch validation, runs on ``ModelParams.constants()`` (a
 loaded checkpoint's parameters are constants already), so it keeps no
@@ -60,7 +65,9 @@ graph: each dense buffer is freed once read.
 
 from __future__ import annotations
 
+import functools
 import logging
+import operator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -75,9 +82,10 @@ log = logging.getLogger(__name__)
 
 _NORM_EPS = 1e-12
 
-# Initial attention and causal softmax temperatures.  Both are learned.
+# Initial attention and causal softmax temperatures and concentration kappa.  All are learned.
 ATTN_TEMP_INIT = 20.0
 GAMMA_TEMP_INIT = 1.0
+KAPPA_INIT = 20.0
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,6 @@ class ModelConfig:
     embed_dim: int = 64
     layers: int = 2
     dropout: float = 0.2
-    kappa_init: float = 20.0
     euclidean: bool = False
     pairwise: bool = False
 
@@ -97,18 +104,13 @@ class ModelConfig:
             raise ContractViolation("layers must be >= 0")
         if not (0.0 <= self.dropout < 1.0):
             raise ContractViolation("dropout must be in [0, 1)")
-        if not (self.kappa_init > 0):
-            raise ContractViolation("kappa_init must be positive")
 
 
 @dataclass
 class ModelParams:
-    """Learnable tensors plus the shape metadata needed to rebuild them."""
+    """Learnable tensors and the config that shapes them."""
 
     config: ModelConfig
-    in_dim: int
-    classes: int
-    edge_types: tuple[str, ...]
     proj_w: Tensor
     proj_b: Tensor
     kappa_w: Tensor
@@ -135,7 +137,7 @@ class ModelParams:
     def constants(self) -> "ModelParams":
         """The same arrays as constant tensors: a forward pass over them builds no graph."""
         const = {k: Tensor(v.data) for k, v in self.named().items()}
-        edge_w = {t: const.pop(f"edge_w:{t}") for t in self.edge_types}
+        edge_w = {t: const.pop(f"edge_w:{t}") for t in self.edge_w}
         return replace(self, edge_w=edge_w, **const)
 
     def copy_values(self) -> dict[str, np.ndarray]:
@@ -166,13 +168,10 @@ def init_params(
 
     return ModelParams(
         config=cfg,
-        in_dim=in_dim,
-        classes=classes,
-        edge_types=tuple(sorted(edge_types)),
         proj_w=glorot(d, in_dim),
         proj_b=Tensor(np.zeros(d), requires_grad=True),
         kappa_w=Tensor(np.zeros(d), requires_grad=True),
-        kappa_b=Tensor(softplus_inverse(cfg.kappa_init), requires_grad=True),
+        kappa_b=Tensor(softplus_inverse(KAPPA_INIT), requires_grad=True),
         edge_w={t: glorot(d, d) for t in sorted(edge_types)},
         attn_temp=Tensor(ATTN_TEMP_INIT, requires_grad=True),
         causal_w=glorot(d, d),
@@ -285,7 +284,7 @@ def compile_structure(
     bounds = np.searchsorted(type_code[pe], np.arange(types.size + 1))
     type_pairs = {str(t): slice(int(bounds[c]), int(bounds[c + 1])) for c, t in enumerate(types)}
 
-    causal = sorted(causal_graph.edges if causal_graph else (), key=lambda e: (e.dst, e.src))
+    causal = sorted(causal_graph.edges if causal_graph else (), key=operator.itemgetter(1, 0))
     for e in causal:
         for end in (e.src, e.dst):
             if end not in index:
@@ -361,13 +360,12 @@ def run_model(
     cfg = params.config
     d = cfg.embed_dim
     n = len(structure.node_ids)
-    if structure.features.shape[1] != params.in_dim:
-        raise ContractViolation(
-            f"feature dim {structure.features.shape[1]} != model in_dim {params.in_dim}"
-        )
-    if structure.classes != params.classes:
+    in_dim = params.proj_w.data.shape[1]
+    if structure.features.shape[1] != in_dim:
+        raise ContractViolation(f"feature dim {structure.features.shape[1]} != model in_dim {in_dim}")
+    if structure.classes != params.head_b.data.size:
         raise ContractViolation("dataset classes do not match model head")
-    missing = set(structure.type_pairs) - set(params.edge_types)
+    missing = set(structure.type_pairs) - set(params.edge_w)
     if missing:
         raise ContractViolation(f"no edge weights for context types {sorted(missing)}")
     if mode == "train" and cfg.dropout > 0.0 and rng is None:
@@ -385,14 +383,16 @@ def run_model(
     alphas: list[Tensor] = []
 
     for _ in range(cfg.layers):
-        m = Tensor(np.zeros((n, d)))
         if structure.pair_cell.size:
             cos = ad.gram_gather(h, structure.pair_cell, structure.pair_cell_t)
             alpha = ad.segment_softmax(params.attn_temp * cos, structure.seg_starts, structure.seg_ids)
             alphas.append(alpha)
-            for t, span in structure.type_pairs.items():
-                a_t_h = ad.scatter_matmul(alpha[span], h, structure.pair_cell[span], n)
-                m = m + a_t_h @ params.edge_w[t].transpose((1, 0))
+            # The sum starts from the first context type's term, so it keeps no zero (N, d) tensor.
+            m = functools.reduce(operator.add, (
+                ad.scatter_matmul(alpha[span], h, structure.pair_cell[span], n) @ params.edge_w[t].transpose((1, 0))
+                for t, span in structure.type_pairs.items()))
+        else:
+            m = Tensor(np.zeros((n, d)))
         if mode == "train" and cfg.dropout > 0.0:
             keep = (rng.random((n, d)) >= cfg.dropout) / (1.0 - cfg.dropout)
             m = m * Tensor(keep)

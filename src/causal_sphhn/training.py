@@ -11,6 +11,11 @@ Training runs Adam (0.9 / 0.999 / 1e-8) over node minibatches with a
 full-graph forward per step, early-stops on validation loss, and returns
 the best-validation checkpoint.  Everything is deterministic given the
 config seed.
+
+A checkpoint (format version 5; others are refused) holds the configs, the
+causal graph and the arrays.  The input dim, class count and context types
+are read off ``params.proj_w``, ``params.head_b`` and the
+``params.edge_w:<type>`` keys; initial values are ``model``'s constants.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .model import (
     compile_structure,
     init_params,
     run_model,
+    softplus_inverse,
 )
 
 ADAM_BETA1 = 0.9
@@ -249,7 +255,7 @@ def write_history_csv(history: list[dict], path: str) -> None:
 # Checkpoints
 # --------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def save_checkpoint(
@@ -262,15 +268,17 @@ def save_checkpoint(
         "format_version": CHECKPOINT_VERSION,
         "model_config": asdict(params.config),
         "train_config": asdict(train_cfg),
-        "arch": {
-            "in_dim": params.in_dim,
-            "classes": params.classes,
-            "edge_types": list(params.edge_types),
-        },
         "causal_graph": causal_graph.to_dict() if causal_graph is not None else None,
         "params": {k: v.tolist() for k, v in params.copy_values().items()},
     }
     write_json(path, doc)
+
+
+def _param_array(values: dict, name: str) -> np.ndarray:
+    try:
+        return np.array(values[name], dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # strings, or ragged nesting
+        raise ParseError(f"params.{name} must be an array of numbers") from exc
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, TrainConfig, CausalGraph | None]:
@@ -282,25 +290,22 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainConfig, CausalGraph | 
         doc = check_fields({
             "model_config": ModelConfig,
             "train_config": TrainConfig,
-            "arch": {"in_dim": int, "classes": int, "edge_types": tuple[str, ...]},
             "causal_graph": dict | None,
             "params": dict,
         }, doc)
         model_cfg = ModelConfig(**doc["model_config"])
         train_cfg = TrainConfig(**doc["train_config"])
-        arch = doc["arch"]
-        for key in ("in_dim", "classes"):
-            if arch[key] < 1:
-                raise ParseError(f"arch.{key} must be >= 1, got {arch[key]}")
-        if len(set(arch["edge_types"])) != len(arch["edge_types"]):
-            raise ParseError(f"arch.edge_types repeats a type: {list(arch['edge_types'])}")
-        params = init_params(model_cfg, arch["in_dim"], arch["classes"], arch["edge_types"], np.random.default_rng(0))
-        values = check_fields(dict.fromkeys(params.named(), list | float), doc["params"], "params")
+        # The arrays give the architecture: the last axes of proj_w and head_b, and the edge_w keys.
+        values = check_fields({"proj_w": list, "head_b": list}, doc["params"], "params")
+        shapes = {k: _param_array(values, k).shape for k in ("proj_w", "head_b")}
+        for key, shape in shapes.items():
+            if shape[-1] < 1:
+                raise ParseError(f"params.{key} has shape {shape}, whose last axis is empty")
+        edge_types = tuple(k.partition(":")[2] for k in values if k.startswith("edge_w:"))
+        params = init_params(model_cfg, shapes["proj_w"][-1], shapes["head_b"][-1], edge_types, np.random.default_rng(0))
+        values = check_fields(dict.fromkeys(params.named(), list | float), values, "params")
         for name, tensor in params.named().items():
-            try:
-                values[name] = np.array(values[name], dtype=np.float64)
-            except (TypeError, ValueError) as exc:  # strings, or ragged nesting
-                raise ParseError(f"params.{name} must be an array of numbers") from exc
+            values[name] = _param_array(values, name)
             if values[name].shape != tensor.data.shape:
                 raise ParseError(f"params.{name} has shape {values[name].shape}, expected {tensor.data.shape}")
             if not np.isfinite(values[name]).all():
@@ -367,11 +372,12 @@ def gradient_check(seed: int = 0) -> GradientCheckReport:
     as denominator so sub-noise gradients do not produce spurious ratios.
     """
     ds, graph, rng = _tiny_instance(seed)
-    model_cfg = ModelConfig(embed_dim=4, layers=2, dropout=0.0, kappa_init=2.0)
+    model_cfg = ModelConfig(embed_dim=4, layers=2, dropout=0.0)
     cfg = TrainConfig(lambda1=0.7, lambda2=0.9, seed=seed)
     structure = compile_structure(ds, graph, model_cfg)
     del ds
     params = init_params(model_cfg, 4, 2, tuple(structure.type_pairs), rng)
+    params.kappa_b.data = np.asarray(softplus_inverse(2.0))
     params.attn_temp.data = np.asarray(1.5)
     params.gamma_temp.data = np.asarray(0.7)
     # Randomize away from zero-init so every path carries signal.

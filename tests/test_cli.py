@@ -330,7 +330,7 @@ class TestTrain:
 
     def test_ablation_flags_accepted(self, tmp_path, toy_run):
         cfg = tmp_path / "fast.json"
-        cfg.write_text(json.dumps({"max_epochs": 2, "dropout": 0.1, "kappa_init": 5.0}))
+        cfg.write_text(json.dumps({"max_epochs": 2, "dropout": 0.1}))
         out = str(tmp_path / "abl")
         code = main(
             ["train", "--dataset", f"{toy_run}/synth/dataset.json", "--no-causal", "--no-entropy",
@@ -340,11 +340,10 @@ class TestTrain:
         ckpt = json.load(open(f"{out}/checkpoint.json"))
         assert ckpt["model_config"]["euclidean"] and ckpt["model_config"]["pairwise"]
         assert ckpt["train_config"]["lambda1"] == 0.0
-        assert ckpt["model_config"]["dropout"] == 0.1 and ckpt["model_config"]["kappa_init"] == 5.0
-        assert "dropout" not in ckpt["train_config"] and "kappa_init" not in ckpt["train_config"]
+        assert ckpt["model_config"]["dropout"] == 0.1 and "dropout" not in ckpt["train_config"]
 
     def test_config_keys_set_both_configs(self, tmp_path, toy_run):
-        model = {"embed_dim": 8, "layers": 1, "dropout": 0.1, "kappa_init": 5.0}
+        model = {"embed_dim": 8, "layers": 1, "dropout": 0.1}
         train = {"lambda1": 0.2, "lambda2": 0.3, "lr": 0.01, "batch_size": 16, "max_epochs": 1, "patience": 2}
         cfg = tmp_path / "all.json"
         cfg.write_text(json.dumps({**model, **train}))
@@ -362,6 +361,17 @@ class TestTrain:
                      "--config", str(cfg), "--out", str(tmp_path / "t")])
         assert code == 1
         assert "learning_rate" in capsys.readouterr().err
+
+    def test_kappa_init_is_not_a_config_key(self, tmp_path, toy_run, capsys):
+        # kappa's initial value is model.KAPPA_INIT, not a setting.
+        cfg = tmp_path / "kappa.json"
+        cfg.write_text(json.dumps({"kappa_init": 5.0}))
+        out = tmp_path / "t"
+        code = main(["train", "--dataset", f"{toy_run}/synth/dataset.json", "--no-causal",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "unknown config key(s) kappa_init" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "change, message",
@@ -611,7 +621,9 @@ class TestEval:
         v1 = dict(doc, format_version=1, train_config=dict(doc["train_config"], dropout=0.2, kappa_init=20.0))
         v2 = dict(doc, format_version=2, model_config=dict(doc["model_config"], attn_temp_init=20.0, gamma_temp_init=1.0))
         v3 = dict(doc, format_version=3, config_digest="0" * 64, adam={"beta1": 0.9, "beta2": 0.999, "eps": 1e-8})
-        for old in (v1, v2, v3):
+        v4 = dict(doc, format_version=4, model_config=dict(doc["model_config"], kappa_init=20.0),
+                  arch={"in_dim": 16, "classes": 4, "edge_types": ["activity", "class"]})
+        for old in (v1, v2, v3, v4):
             path = tmp_path / f"v{old['format_version']}.json"
             path.write_text(json.dumps(old))
             code = main(
@@ -627,19 +639,21 @@ class TestEval:
             ("model_config", "euclidean", "no", "model_config.euclidean must be bool, got 'no'"),
             ("model_config", "layers", 2.0, "model_config.layers must be int, got 2.0"),
             ("train_config", "lr", "0.001", "train_config.lr must be float"),
-            ("arch", "edge_types", "class", "arch.edge_types must be a list"),
+            ("params", "edge_w:class", "class", "params.edge_w:class must be list | float, got 'class'"),
             ("causal_graph", "lag", 2.5, "lag must be int, got 2.5"),
             ("train_config", "patience", 0, "patience must be >= 1"),
             ("train_config", "lr", -1.0, "lr must be >= 0"),
-            ("model_config", "kappa_init", -5.0, "kappa_init must be positive"),
+            ("model_config", "kappa_init", -5.0, "unknown field(s) model_config.kappa_init"),
             ("params", "proj_w", [[1.0]], "params.proj_w has shape (1, 1)"),
             ("params", "proj_w", [["a"]], "params.proj_w must be an array of numbers"),
-            ("arch", "in_dim", -1, "arch.in_dim must be >= 1, got -1"),
+            ("params", "proj_w", [[]], "params.proj_w has shape (1, 0), whose last axis is empty"),
             ("params", "kappa_b", math.nan, "params.kappa_b must be finite"),
-            ("arch", "edge_types", ["class", "class"], "arch.edge_types repeats a type: ['class', 'class']"),
+            ("params", "head_b", [], "params.head_b has shape (0,), whose last axis is empty"),
+            ("params", "edge_w:class", [[1.0]], "params.edge_w:class has shape (1, 1), expected (64, 64)"),
         ],
         ids=["str_bool", "float_int", "str_float", "str_tuple", "graph_float_lag", "zero_patience", "negative_lr",
-             "negative_kappa", "param_shape", "param_str", "negative_in_dim", "nan_param", "repeated_edge_type"],
+             "negative_kappa", "param_shape", "param_str", "negative_in_dim", "nan_param", "empty_head_b",
+             "edge_w_shape"],
     )
     def test_checkpoint_field_of_the_wrong_type_is_input_error(
         self, tmp_path, toy_run, capsys, section, key, value, message
@@ -676,8 +690,8 @@ class TestEval:
         doc = json.load(open(f"{toy_run}/train/checkpoint.json"))
         if corrupt == "unknown_train_key":
             doc["train_config"]["momentum"] = 0.9
-        else:
-            del doc["arch"]
+        else:  # the input dim is read off proj_w
+            del doc["params"]["proj_w"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         code = main(
@@ -713,7 +727,7 @@ MADE_BY = {"dataset.json": "synth", "truth.json": "synth", "causal.json": "grang
 REQUIRED_KEYS = {
     "causal.json": ("train-graph", ["alpha", "lag", "edges"]),
     "truth.json": ("eval-truth", ["true_edges"]),
-    "checkpoint.json": ("eval-checkpoint", ["model_config", "train_config", "arch", "causal_graph", "params"]),
+    "checkpoint.json": ("eval-checkpoint", ["model_config", "train_config", "causal_graph", "params"]),
     "dataset.json": ("granger-dataset", ["format", "classes", "horizon", "features", "nodes", "hyperedges",
                                          "labels", "splits"]),
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -13,6 +14,7 @@ from causal_sphhn.granger import CausalEdge, CausalGraph
 from causal_sphhn.hypergraph import Dataset, Hyperedge
 from causal_sphhn.model import (
     ModelConfig,
+    ModelParams,
     compile_structure,
     forward,
     init_params,
@@ -68,7 +70,7 @@ class TestSoftplusInverse:
 
     @pytest.mark.parametrize("y", [2.0, 20.0])
     def test_matches_the_direct_form_bitwise(self, y):
-        # The default kappa_init and gradient_check's keep their exact bits.
+        # KAPPA_INIT and gradient_check's initial kappa keep their exact bits.
         assert softplus_inverse(y) == float(np.log(np.expm1(y)))
 
 
@@ -632,6 +634,23 @@ class TestForward:
         cfg = ModelConfig(embed_dim=4, layers=1, dropout=0.0)
         params = tiny_params(cfg, in_dim=3, seed=23)
         with pytest.raises(ContractViolation):
+            forward(ds, None, params, mode="eval")
+
+    @pytest.mark.parametrize(
+        "in_dim, classes, types, message",
+        [
+            (3, 2, ("c",), "feature dim 4 != model in_dim 3"),
+            (4, 3, ("c",), "dataset classes do not match model head"),
+            (4, 2, ("d",), r"no edge weights for context types \['c'\]"),
+        ],
+        ids=["in_dim", "classes", "context_types"],
+    )
+    def test_architecture_is_read_off_the_arrays(self, in_dim, classes, types, message):
+        # ModelParams keeps no in_dim, class count or type list beside the arrays that state them.
+        assert not {"in_dim", "classes", "edge_types"} & {f.name for f in dataclasses.fields(ModelParams)}
+        ds = make_dataset(np.random.default_rng(26), d=4)
+        params = tiny_params(ModelConfig(embed_dim=4, layers=1, dropout=0.0), in_dim, classes, types, seed=27)
+        with pytest.raises(ContractViolation, match=message):
             forward(ds, None, params, mode="eval")
 
     def test_train_mode_needs_rng_with_dropout(self):
