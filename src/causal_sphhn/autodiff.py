@@ -23,11 +23,11 @@ node raises ``ValueError``.
 
 The op set is exactly what the model and its loss call, and
 ``tests/test_surface.py`` runs every op: broadcast ``+ - *``, (batched)
-matmul, reshape, transpose and a slice, sum and mean, exp, relu and
-softplus, a row gather (its backward a :class:`ScatterPlan`), scatter by
-flat element index, a scatter-then-matmul whose dense matrix forward
-frees and backward rebuilds, the gathered Gram matrix, an elementwise
-select, row normalisation onto the unit sphere, softmax and log-sum-exp
+matmul, reshape, transpose and a slice, sum, relu and softplus, a row
+gather (its backward a :class:`ScatterPlan`), a row put, a
+scatter-then-matmul whose dense matrix forward frees and backward
+rebuilds, the gathered Gram matrix, an elementwise select, row
+normalisation onto the unit sphere, softmax and log-sum-exp
 over contiguous segments, log-softmax, and the vMF entropy with its
 analytic d/dkappa = -kappa * A'_d(kappa).
 """
@@ -180,14 +180,7 @@ class Tensor:
         return Tensor(self.data.sum(), parents=(self,),
                       backward=lambda g: self._accumulate(np.broadcast_to(g, self.data.shape)))
 
-    def mean(self):
-        return self.sum() * (1.0 / self.data.size)
-
     # -- elementwise nonlinearities -----------------------------------------
-
-    def exp(self):
-        val = np.exp(self.data)
-        return Tensor(val, parents=(self,), backward=lambda g: self._accumulate(g * val))
 
     def relu(self):
         mask = self.data > 0
@@ -243,14 +236,22 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     )
 
 
-def scatter_flat(src: Tensor, idx: np.ndarray, size: int) -> Tensor:
-    """1-D array of length size whose element k sums src.ravel()[p] over idx[p] == k; backward is g[idx]."""
-    idx = np.asarray(idx, dtype=np.int64)
-    return Tensor(
-        np.bincount(idx, weights=src.data.reshape(-1), minlength=size),
-        parents=(src,),
-        backward=lambda g: src._accumulate(g[idx].reshape(src.data.shape)),
-    )
+def put_rows(x: Tensor, rows: np.ndarray, src: Tensor) -> Tensor:
+    """x with row ``rows[r]`` replaced by ``src[r]``, for distinct constant rows;
+    backward gives x the gradient with those rows zeroed, and src ``g[rows]``."""
+
+    def put(a: np.ndarray, value) -> np.ndarray:
+        a = a.copy()
+        a[rows] = value
+        return a
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accumulate(put(g, 0.0))
+        if src.requires_grad:
+            src._accumulate(g[rows])
+
+    return Tensor(put(x.data, src.data), parents=(x, src), backward=bwd)
 
 
 def scatter_matmul(w: Tensor, h: Tensor, cells: np.ndarray, rows: int) -> Tensor:

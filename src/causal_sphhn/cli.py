@@ -198,8 +198,8 @@ def cmd_eval(args) -> int:
         # a single-parent child's gamma is exactly 1, so ties break by F.
         true_set = {(e.src, e.dst) for e in synthgen.load_truth(args.truth)}
         ids, gamma = structure.node_ids, run.gamma.data
-        parents, children = structure.parent_cell % len(ids), structure.child_rows[structure.parent_seg]
-        edges = zip(parents, children, gamma.tolist(), structure.parent_f.tolist())
+        children = structure.child_rows[structure.parent_seg]
+        edges = zip(structure.parent_rows, children, gamma.tolist(), structure.parent_f.tolist())
         scored = [(ids[p], ids[c], (g, f)) for p, c, g, f in edges]
         p_at_k = metrics.precision_at_k(scored, true_set, k=args.k)
         if gamma.size > 1:

@@ -33,9 +33,9 @@ it from the same weights.  Causal injection takes the same form: the
 causal edges, sorted by (child, parent id), are one flat array whose
 segments are the children, gamma is a segment softmax of the tempered F
 scores, and one ``scatter_matmul`` takes the (P, N) matrix of gamma at
-child rows and parent columns times h.  That (P, d) context is scattered
-by flat element index onto the child rows of h; a select keeps h bit for
-bit at the rows without causal parents.
+child rows and parent columns times h.  Only the P child rows change:
+each is its row of h plus its (P, d) context row, renormalised, and one
+row put writes them into h, which every other row keeps bit for bit.
 Every causal edge must join two nodes of the dataset: a graph inferred on
 another dataset is an input error, not a graph to apply in part.
 
@@ -56,7 +56,7 @@ one transient N^2 * 8-byte matrix at a time: 2.3 MB on ``small``
 (N = 540) and 8 MB on ``medium`` (N = 1000).  Backward also frees each
 node, and its gradient, once its consumer has been differentiated (see
 ``autodiff``), so one training step peaks near the size of its forward
-graph: 11.1 MB against 8.4 MB on ``small`` with the default-alpha causal
+graph: 11.1 MB against 8.2 MB on ``small`` with the default-alpha causal
 graph.  A forward pass that nothing differentiates, ``eval``'s and
 training's per-epoch validation, runs on ``ModelParams.constants()`` (a
 loaded checkpoint's parameters are constants already), so it keeps no
@@ -207,7 +207,7 @@ class GraphStructure:
     child_rows: np.ndarray  # (P,) nodes with causal parents, one per segment
     parent_starts: np.ndarray  # (P,) first entry of each segment
     parent_seg: np.ndarray  # (F,) segment of each entry
-    parent_cell: np.ndarray  # (F,) offset segment*N + parent row in a (P, N) matrix
+    parent_rows: np.ndarray  # (F,) node row of each entry's parent
     parent_f: np.ndarray  # (F,) Granger F statistics
     ghat: np.ndarray  # (F,) reference softmax of F at temperature 1
     # (P, Kc) mask of a padded per-child parent block.  The forward pass
@@ -289,7 +289,8 @@ def compile_structure(
         for end in (e.src, e.dst):
             if end not in index:
                 raise ValidationError(f"causal edge {e.src} -> {e.dst} references unknown node {end}")
-    child, parent = np.array([(index[e.dst], index[e.src]) for e in causal], dtype=np.int64).reshape(-1, 2).T
+    child = np.fromiter((index[e.dst] for e in causal), np.int64, len(causal))
+    parent = np.fromiter((index[e.src] for e in causal), np.int64, len(causal))
     parent_f = np.array([e.f_statistic for e in causal], dtype=np.float64)
     new_child = np.diff(child, prepend=-1) != 0
     parent_starts = np.flatnonzero(new_child)
@@ -310,7 +311,7 @@ def compile_structure(
         child_rows=child_rows,
         parent_starts=parent_starts,
         parent_seg=parent_seg,
-        parent_cell=parent_seg * n_nodes + parent,
+        parent_rows=parent,
         parent_f=parent_f,
         ghat=ad.segment_softmax(Tensor(parent_f), parent_starts, parent_seg).data,
         parent_mask=np.arange(parent_lens.max(initial=1)) < parent_lens[:, None],
@@ -406,22 +407,19 @@ def run_model(
         glogits = params.gamma_temp * Tensor(structure.parent_f)
         gamma = ad.segment_softmax(glogits, *segments)
         log_gamma = glogits - ad.segment_logsumexp(glogits, *segments)
-        pooled = ad.scatter_matmul(gamma, h, structure.parent_cell, structure.child_rows.size)
-        ctx = pooled @ params.causal_w.transpose((1, 0))
-        # Row r of ctx lands on node row child_rows[r]; every other row adds 0.
-        cells = (structure.child_rows[:, None] * d + np.arange(d)).reshape(-1)
-        combined = h + ad.scatter_flat(ctx, cells, n * d).reshape(n, d)
+        # Entry k is cell (parent_seg[k], parent_rows[k]) of the (P, N) matrix of gamma.
+        cells = structure.parent_seg * n + structure.parent_rows
+        pooled = ad.scatter_matmul(gamma, h, cells, structure.child_rows.size)
+        combined = ad.gather_rows(h, structure.child_rows) + pooled @ params.causal_w.transpose((1, 0))
         if not cfg.euclidean:
             combined = _normalize_rows(combined)
-        child_mask = np.zeros((n, 1), dtype=bool)
-        child_mask[structure.child_rows] = True
-        h_final = ad.where(child_mask, combined, h)
+        h_final = ad.put_rows(h, structure.child_rows, combined)
     else:
         h_final = h
 
     logits = h_final @ params.head_w.transpose((1, 0)) + params.head_b
     log_probs = ad.log_softmax(logits)
-    probs = log_probs.exp()
+    probs = Tensor(np.exp(log_probs.data))
     ent = ad.vmf_entropy(kappa, d)
 
     return ModelRun(

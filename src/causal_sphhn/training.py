@@ -92,7 +92,7 @@ def build_loss(run: ModelRun, batch_rows: np.ndarray, cfg: TrainConfig) -> tuple
     onehot[np.arange(n_batch), structure.labels[batch_rows]] = 1.0
     pred = -(logp * Tensor(onehot)).sum() * (1.0 / n_batch)
 
-    ent = ad.gather_rows(run.entropy, batch_rows).mean()
+    ent = ad.gather_rows(run.entropy, batch_rows).sum() * (1.0 / n_batch)
 
     causal = Tensor(0.0)
     sel = np.isin(structure.child_rows, batch_rows)  # empty without causal parents

@@ -217,16 +217,15 @@ def causal_parents(ds: Dataset, causal_graph: CausalGraph) -> dict:
     mask one row at a time.
     """
     index = ds.node_index()
-    n = len(ds.nodes)
     children = sorted({e.dst for e in causal_graph.edges})
-    rows, starts, seg, cells, f_stats, lens = [], [], [], [], [], []
+    rows, starts, seg, parent_rows, f_stats, lens = [], [], [], [], [], []
     for r, child in enumerate(children):
         starts.append(len(seg))
         rows.append(index[child])
         parents = sorted((e for e in causal_graph.edges if e.dst == child), key=lambda e: e.src)
         for e in parents:
             seg.append(r)
-            cells.append(r * n + index[e.src])
+            parent_rows.append(index[e.src])
             f_stats.append(e.f_statistic)
         lens.append(len(parents))
     mask = np.zeros((len(children), max(lens, default=1)), dtype=bool)
@@ -236,7 +235,7 @@ def causal_parents(ds: Dataset, causal_graph: CausalGraph) -> dict:
         "child_rows": np.asarray(rows, dtype=np.int64),
         "parent_starts": np.asarray(starts, dtype=np.int64),
         "parent_seg": np.asarray(seg, dtype=np.int64),
-        "parent_cell": np.asarray(cells, dtype=np.int64),
+        "parent_rows": np.asarray(parent_rows, dtype=np.int64),
         "parent_f": np.asarray(f_stats, dtype=np.float64),
         "parent_mask": mask,
     }
@@ -269,19 +268,6 @@ def normalize_rows(x: np.ndarray, eps: float) -> np.ndarray:
     e1 = np.zeros((1, x.shape[-1]))
     e1[0, 0] = 1.0
     return np.where(safe, x / denom, e1)
-
-
-def gather_flat(x: Tensor, idx: np.ndarray) -> Tensor:
-    """x.ravel()[idx], shaped like idx; backward sums repeated elements' gradients."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(x.data.reshape(-1)[idx], parents=(x,))
-
-    def bwd(g):
-        flat = np.bincount(idx.reshape(-1), weights=g.reshape(-1), minlength=x.data.size)
-        x._accumulate(flat.reshape(x.data.shape))
-
-    out._backward = bwd
-    return out
 
 
 def masked_softmax(x: Tensor, mask: np.ndarray) -> Tensor:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from causal_sphhn import autodiff as ad
 from causal_sphhn.autodiff import ScatterPlan, Tensor
-from reference_ops import gather_flat, masked_logsumexp, masked_softmax, normalize_rows, scatter_rows
+from reference_ops import masked_logsumexp, masked_softmax, normalize_rows, scatter_rows
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -67,12 +67,11 @@ class TestArithmetic:
         check_op(lambda a, b: (a @ b).sum(), (2, 3, 4), (2, 4, 3))
 
     def test_reductions_and_reshape(self):
-        check_op(lambda a: a.sum() * a.mean(), (3, 5))
+        check_op(lambda a: a.sum() * a.sum(), (3, 5))
         check_op(lambda a: a.reshape(6).sum(), (2, 3))
-        check_op(lambda a: (a.transpose((1, 0)) @ a).mean(), (3, 4))
+        check_op(lambda a: (a.transpose((1, 0)) @ a).sum(), (3, 4))
 
     def test_nonlinearities(self):
-        check_op(lambda a: a.exp().sum(), (4,))
         check_op(lambda a: a.softplus().sum(), (6,))
 
     def test_relu_away_from_kink(self):
@@ -110,27 +109,56 @@ class TestIndexing:
         rhs = np.sum(x * ScatterPlan(idx, n).apply(src))
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + np.abs(src).sum())
 
-    @settings(max_examples=200, deadline=None)
-    @given(hnp.arrays(bool, st.integers(0, 300)), st.integers(1, 40), st.integers(0, 2**32 - 1))
-    def test_flat_gather_scatter_adjoint(self, mask, size, seed):
-        # The kernel's pattern: gather the slots inside the mask from an
-        # (E, K, K)-like block, scatter them onto cells that may repeat.
-        slots = np.flatnonzero(mask)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7), st.integers(1, 4), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    def test_flat_gather_scatter_adjoint(self, n, d, q, seed):
+        # The attention step's pair over flat cells of an (N, N) block:
+        # gram_gather reads the Gram matrix at the cells, scatter_matmul
+        # writes weights onto them, and the cells repeat whenever q > n*n.
         rng = np.random.default_rng(seed)
-        cells = rng.integers(0, size, slots.size)  # repeats whenever slots outnumber cells
-        x = Tensor(rng.standard_normal(mask.size), requires_grad=True)
-        b = rng.standard_normal(size)
-        a = rng.standard_normal(slots.size)
-        lhs = np.dot(ad.scatter_flat(Tensor(a), cells, size).data, b)
-        assert abs(lhs - np.dot(a, gather_flat(Tensor(b), cells).data)) <= 1e-12 * (1.0 + np.abs(a).sum())
-        out = ad.scatter_flat(gather_flat(x, slots), cells, size)
-        (out * Tensor(b)).sum().backward()
-        expected = ad.scatter_flat(gather_flat(Tensor(b), cells), slots, mask.size).data
-        assert np.allclose(x.grad, expected, rtol=0.0, atol=1e-12 * (1.0 + np.abs(b).sum()))
-        assert np.all(x.grad[~mask] == 0.0)
-        ref = np.zeros(size)
-        np.add.at(ref, cells, x.data[slots])
-        assert np.allclose(out.data, ref, rtol=0.0, atol=1e-12 * (1.0 + np.abs(x.data).sum()))
+        h, w = rng.standard_normal((n, d)), rng.standard_normal(q)
+        cells = rng.integers(0, n * n, q)
+        cells_t = (cells % n) * n + cells // n
+        tol = 1e-12 * (1.0 + np.abs(w).sum()) * (1.0 + np.abs(h).sum() ** 2)
+        gram = ad.gram_gather(Tensor(h), cells, cells_t).data
+        lhs = np.sum(ad.scatter_matmul(Tensor(w), Tensor(h), cells, n).data * h)
+        assert abs(lhs - np.dot(w, gram)) <= tol
+        # Under the cotangent h, scatter_matmul's w-gradient is gram_gather's forward.
+        w_leaf = Tensor(w, requires_grad=True)
+        (ad.scatter_matmul(w_leaf, Tensor(h), cells, n) * Tensor(h)).sum().backward()
+        assert np.allclose(w_leaf.grad, gram, rtol=0.0, atol=tol)
+        # Under the cotangent w, gram_gather's h-gradient is (A + A^T) h, A the scattered w.
+        h_leaf = Tensor(h, requires_grad=True)
+        (ad.gram_gather(h_leaf, cells, cells_t) * Tensor(w)).sum().backward()
+        a = np.bincount(cells, weights=w, minlength=n * n).reshape(n, n)
+        assert np.allclose(h_leaf.grad, (a + a.T) @ h, rtol=0.0, atol=tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_put_rows_adjoint(self, n, seed):
+        # put_rows' backward gives x the gradient off the distinct rows, and s the gradient on them.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 2))
+        rows = rng.permutation(n)[: rng.integers(0, n + 1)]
+        s, y = rng.standard_normal((rows.size, 2)), rng.standard_normal((n, 2))
+        y_off = y.copy()
+        y_off[rows] = 0.0
+        x_leaf, s_leaf = Tensor(x, requires_grad=True), Tensor(s, requires_grad=True)
+        out = ad.put_rows(x_leaf, rows, s_leaf)
+        (out * Tensor(y)).sum().backward()
+        assert np.array_equal(x_leaf.grad, y_off) and np.array_equal(s_leaf.grad, y[rows])
+        lhs = np.sum(out.data * y)
+        assert abs(lhs - np.sum(x * y_off) - np.sum(s * y[rows])) <= 1e-9 * (1.0 + np.abs(y).sum())
+
+    def test_put_rows_gradient(self):
+        rows = np.array([3, 0, 4])
+        w = Tensor(np.random.default_rng(3).standard_normal((5, 2)))
+
+        def build(x, s):
+            out = ad.put_rows(x, rows, s)
+            return (out * out * w).sum()
+
+        check_op(build, (5, 2), (3, 2))
 
     def test_slice_gradient(self):
         check_op(lambda a: (a[1:4] * a[2:5]).sum(), (6,))
@@ -416,7 +444,7 @@ class TestGraphMechanics:
     def test_a_forward_over_constants_keeps_no_graph(self):
         rng = np.random.default_rng(13)
         x = Tensor(rng.standard_normal((4, 3)))
-        hidden = (x @ Tensor(rng.standard_normal((3, 3)))).exp()
+        hidden = (x @ Tensor(rng.standard_normal((3, 3)))).softplus()
         out = ad.log_softmax(ad.normalize_rows(hidden, 1e-12))
         interior = weakref.ref(hidden)
         del hidden

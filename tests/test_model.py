@@ -265,11 +265,10 @@ class TestCausalAggregate:
         params.gamma_temp.data = np.asarray(0.7)
         structure = compile_structure(ds, graph, params.config)
         run = run_model(structure, params, mode="eval")
-        n = len(structure.node_ids)
         for r, row in enumerate(structure.child_rows):
             entries = structure.parent_seg == r
             parents, ref = causal_gamma(structure.node_ids[row], graph, 0.7)
-            assert [structure.node_ids[p] for p in structure.parent_cell[entries] % n] == [e.src for e in parents]
+            assert [structure.node_ids[p] for p in structure.parent_rows[entries]] == [e.src for e in parents]
             assert np.allclose(run.gamma.data[entries], ref, rtol=0.0, atol=1e-15)
             assert np.allclose(run.log_gamma.data[entries], np.log(ref), rtol=0.0, atol=1e-14)
 
@@ -298,7 +297,7 @@ class TestCompiledPlans:
         structure = compile_structure(ds, graph, ModelConfig(pairwise=pairwise))
         assert structure.plans == {}
         assert list(structure.type_pairs) == ["a", "b"]
-        for name in ("pair_cell", "pair_cell_t", "parent_starts", "parent_seg", "parent_cell"):
+        for name in ("pair_cell", "pair_cell_t", "parent_starts", "parent_seg", "parent_rows"):
             field = getattr(structure, name)
             assert field.ndim == 1 and field.dtype == np.int64, name
         # The type ranges tile the pair arrays in order.
@@ -326,14 +325,13 @@ class TestCompiledPlans:
             # One flat entry per causal edge, each child's parents one segment.
             parent_mask = structure.parent_mask
             assert not parent_mask.all()
-            assert structure.parent_cell.size == parent_mask.sum() == len(graph.edges)
+            assert structure.parent_rows.size == parent_mask.sum() == len(graph.edges)
             lens = np.diff(np.append(structure.parent_starts, structure.parent_seg.size))
             assert np.array_equal(lens, parent_mask.sum(axis=1))
             assert np.array_equal(structure.parent_seg, np.repeat(np.arange(lens.size), lens))
-            assert np.array_equal(structure.parent_cell // n, structure.parent_seg)
             ids = structure.node_ids
             children = structure.child_rows[structure.parent_seg]
-            edges = {(ids[c], ids[p]) for c, p in zip(children, structure.parent_cell % n)}
+            edges = {(ids[c], ids[p]) for c, p in zip(children, structure.parent_rows)}
             assert edges == {(e.dst, e.src) for e in graph.edges}
 
     def test_unknown_member_is_validation_error(self):
