@@ -9,7 +9,7 @@ causal-recovery metrics against planted ground truth.
 
 __version__ = "0.1.0"
 
-from .granger import CausalEdge, CausalGraph, GrangerConfig, granger_test, infer_causal_graph
+from .granger import CausalGraph, GrangerConfig, granger_test, infer_causal_graph
 from .hypergraph import Dataset, Hyperedge, NodeFeatureSeries, load_dataset, save_dataset
 from .metrics import EvalReport
 from .model import ForwardTrace, ModelConfig, ModelParams, forward, init_params
@@ -18,7 +18,6 @@ from .training import LossBreakdown, TrainConfig, gradient_check, train
 from .vmf import log_norm_const, mean_resultant
 
 __all__ = [
-    "CausalEdge",
     "CausalGraph",
     "Dataset",
     "EvalReport",

@@ -19,12 +19,15 @@ entry and product term, instead of a LAPACK call per pair.  A pair whose
 det S (a lower bound on λ_min(S)) or rss_u / rss_r falls in its band goes to
 ``granger_test``; p-values are computed only for F at or above the critical
 value, bisected once, in one call after the pair loop.
+
+From the kernel to ``compile_structure`` a graph's edges are one ``EDGE_DTYPE``
+record array, (src, dst, F, p), sorted by (src, dst) once, in ``CausalGraph``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -80,28 +83,23 @@ class GrangerConfig:
         return 4 * self.lag + 4
 
 
-class CausalEdge(NamedTuple):
-    src: str
-    dst: str
-    f_statistic: float
-    p_value: float
+EDGE_DTYPE = np.dtype([("src", object), ("dst", object), ("f_statistic", np.float64), ("p_value", np.float64)])
 
 
 @dataclass
 class CausalGraph:
-    """Directed graph of significant Granger edges, sorted by (src, dst)."""
+    """Directed graph of significant Granger edges: ``edges`` takes (src, dst, F, p) tuples or an
+    ``EDGE_DTYPE`` array and holds one record array sorted by (src, dst), whose ``edges.src`` is a column."""
 
     alpha: float
     lag: int
-    edges: list[CausalEdge] = field(default_factory=list)
+    edges: np.recarray
 
     def __post_init__(self):
         GrangerConfig(lag=self.lag, alpha=self.alpha)  # checks their ranges
-        # Tuple order is (src, dst) order while no edge repeats, and a repeated edge sorts beside its twin.
-        self.edges = sorted(self.edges)
-        src, dst, f_stat, p_value = zip(*self.edges) if self.edges else ((),) * 4
-        src, dst = np.array(src, dtype=object), np.array(dst, dtype=object)
-        f_stat, p_value = np.array(f_stat, dtype=np.float64), np.array(p_value, dtype=np.float64)
+        edges = np.array(self.edges, dtype=EDGE_DTYPE).view(np.recarray)
+        self.edges = edges = edges[np.lexsort((edges.dst, edges.src))]
+        src, dst, f_stat, p_value = edges.src, edges.dst, edges.f_statistic, edges.p_value
         # Each check marks the edges that fail it; the last two are written so that NaN fails them.
         checks = (
             (src == dst, "self loop {e.src}->{e.dst}"),
@@ -113,13 +111,13 @@ class CausalGraph:
         )
         for bad, message in checks:
             if bad.any():
-                raise ContractViolation(message.format(e=self.edges[np.argmax(bad)]))
+                raise ContractViolation(message.format(e=edges[np.argmax(bad)]))
 
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
             "lag": self.lag,
-            "edges": [{"src": e.src, "dst": e.dst, "f": e.f_statistic, "p": e.p_value} for e in self.edges],
+            "edges": [{"src": s, "dst": d, "f": f, "p": p} for s, d, f, p in self.edges.tolist()],
         }
 
     @classmethod
@@ -127,7 +125,7 @@ class CausalGraph:
         fields = {"src": str, "dst": str, "f": float, "p": float}
         head = check_fields({"alpha": float, "lag": int, "edges": list}, doc)
         rows = [check_fields(fields, e, f"edges[{k}]") for k, e in enumerate(head["edges"])]
-        edges = [CausalEdge(e["src"], e["dst"], e["f"], e["p"]) for e in rows]
+        edges = [(e["src"], e["dst"], e["f"], e["p"]) for e in rows]
         return cls(alpha=head["alpha"], lag=head["lag"], edges=edges)
 
     def save(self, path: str) -> None:
@@ -330,18 +328,19 @@ def reduce_features(
     """Collapse each node's T x d features to a scalar series.
 
     "pca1" projects onto the first principal direction of the pooled
-    (timestep, node) rows of the fit subset; "mean" averages feature
-    dimensions.  The principal direction's sign is fixed so its largest
-    component is positive.  The pool is never formed: its centre comes from
-    per-node column sums, and its centred second moment is summed over blocks
-    of ``_PCA_BLOCK`` fit nodes (the two-pass scheme of Chan, Golub &
-    LeVeque, Am. Stat. 37:242, 1983), so the fit holds one block at a time.
+    (timestep, node) rows of the fit subset, all nodes if ``fit_ids`` is None
+    and an error if empty; "mean" averages feature dimensions.  The principal
+    direction's sign is fixed so its largest component is positive.  The pool
+    is never formed: its centre comes from per-node column sums, and its
+    centred second moment is summed over blocks of ``_PCA_BLOCK`` fit nodes
+    (the two-pass scheme of Chan, Golub & LeVeque, Am. Stat. 37:242, 1983),
+    so the fit holds one block at a time.
     """
     if mode not in REDUCTIONS:
         raise ContractViolation(f"unknown reduction {mode!r}")
     if mode == "mean":
         return {n.node_id: n.features.mean(axis=1) for n in nodes}
-    fit = set(fit_ids) if fit_ids else {n.node_id for n in nodes}
+    fit = set(fit_ids) if fit_ids is not None else {n.node_id for n in nodes}
     blocks = [n.features for n in nodes if n.node_id in fit]
     if not blocks:
         raise ContractViolation("no node of the fit subset is in the dataset")
@@ -422,8 +421,8 @@ def infer_causal_graph(
     reduced series are held once, beside one set-up block's lag windows and
     QR or one group's product and factor entries, and each group keeps only
     the index and F arrays of the pairs it scored.  All of it is freed
-    before the edge list is built.  On ``medium`` (1,000 nodes, lag 2) the
-    traced peak is 8.2 MB, 3.3 times the 2.5 MB of ``q_all``.
+    before the graph's record array is built.  On ``medium`` (1,000 nodes,
+    lag 2) the traced peak is 8.2 MB, 3.3 times the 2.5 MB of ``q_all``.
     """
     if len(nodes) < 2:
         raise ContractViolation("need at least 2 nodes")
@@ -488,10 +487,7 @@ def infer_causal_graph(
     # One p-value call for every F that can pass; granger_test's p is f_survival of its F too.
     src, dst, f_stat = (np.concatenate(col) for col in zip(*found))
     p_value = f_survival(f_stat, p, dof_u)
-    # Node ids are sorted, so ordering by index pair orders the edges by (src, dst).
-    order = np.flatnonzero(p_value <= alpha)
-    order = order[np.lexsort((dst[order], src[order]))]
+    keep = p_value <= alpha
     names = np.array(ids, dtype=object)
-    columns = (names[src[order]], names[dst[order]], f_stat[order], p_value[order])
-    edges = list(map(CausalEdge._make, zip(*(c.tolist() for c in columns))))
-    return CausalGraph(alpha=cfg.alpha, lag=cfg.lag, edges=edges)
+    columns = (names[src[keep]], names[dst[keep]], f_stat[keep], p_value[keep])
+    return CausalGraph(alpha=cfg.alpha, lag=cfg.lag, edges=np.rec.fromarrays(columns, dtype=EDGE_DTYPE))

@@ -127,15 +127,16 @@ class Dataset:
         for nid, lab in self.labels.items():
             if not (type(lab) is int and 0 <= lab < self.classes):  # a bool is not a label
                 raise ValidationError(f"label {lab!r} of node {nid} out of range")
-        seen: set[str] = set()
+        seen: dict[str, str] = {}  # node id -> the split that lists it
         for name in SPLIT_NAMES:
             if name not in self.splits:
                 raise ValidationError(f"missing split {name!r}")
-            part = self.splits[name]
-            if seen & set(part):
-                raise ValidationError("splits are not disjoint")
-            seen.update(part)
-        if seen != idset:
+            for nid in self.splits[name]:
+                if nid in seen:
+                    raise ValidationError(f"split {name!r} lists node {nid} twice" if seen[nid] == name
+                                          else "splits are not disjoint")
+                seen[nid] = name
+        if seen.keys() != idset:
             raise ValidationError("splits must cover all labeled nodes")
 
 

@@ -75,7 +75,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractViolation, ValidationError
-from .granger import CausalGraph
+from .granger import EDGE_DTYPE, CausalGraph
 from .hypergraph import Dataset
 
 log = logging.getLogger(__name__)
@@ -260,7 +260,8 @@ def compile_structure(
     A label outside [0, classes) raises ContractViolation, since the loss
     would read a negative one as the last class.  A hyperedge member or a
     causal edge endpoint that is not a node of the dataset raises
-    ValidationError, naming the edge and the node.
+    ValidationError, naming the edge and the node.  The causal graph's
+    record array is read as columns, in (child id, parent id) order.
     """
     index = ds.node_index()
     node_ids = ds.node_ids
@@ -284,14 +285,16 @@ def compile_structure(
     bounds = np.searchsorted(type_code[pe], np.arange(types.size + 1))
     type_pairs = {str(t): slice(int(bounds[c]), int(bounds[c + 1])) for c, t in enumerate(types)}
 
-    causal = sorted(causal_graph.edges if causal_graph else (), key=operator.itemgetter(1, 0))
-    for e in causal:
-        for end in (e.src, e.dst):
-            if end not in index:
-                raise ValidationError(f"causal edge {e.src} -> {e.dst} references unknown node {end}")
-    child = np.fromiter((index[e.dst] for e in causal), np.int64, len(causal))
-    parent = np.fromiter((index[e.src] for e in causal), np.int64, len(causal))
-    parent_f = np.array([e.f_statistic for e in causal], dtype=np.float64)
+    edges = causal_graph.edges if causal_graph else np.empty(0, EDGE_DTYPE).view(np.recarray)
+    order = np.lexsort((edges.src, edges.dst))  # (child id, parent id)
+    # A fancy index copies each column, so parent_f is contiguous, not a strided view of the records.
+    src, dst, parent_f = edges.src[order], edges.dst[order], edges.f_statistic[order]
+    parent, child = (np.fromiter((index.get(v, -1) for v in ids), np.int64, ids.size) for ids in (src, dst))
+    unknown = (parent < 0) | (child < 0)
+    if unknown.any():
+        k = np.argmax(unknown)
+        end = src[k] if parent[k] < 0 else dst[k]
+        raise ValidationError(f"causal edge {src[k]} -> {dst[k]} references unknown node {end}")
     new_child = np.diff(child, prepend=-1) != 0
     parent_starts = np.flatnonzero(new_child)
     parent_seg = np.cumsum(new_child) - 1

@@ -304,6 +304,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainConfig, CausalGraph | 
         edge_types = tuple(k.partition(":")[2] for k in values if k.startswith("edge_w:"))
         params = init_params(model_cfg, shapes["proj_w"][-1], shapes["head_b"][-1], edge_types, np.random.default_rng(0))
         values = check_fields(dict.fromkeys(params.named(), list | float), values, "params")
+        unknown = sorted(values.keys() - params.named().keys())  # an array no parameter reads
+        if unknown:
+            raise ParseError(f"unknown field(s) {', '.join('params.' + k for k in unknown)}")
         for name, tensor in params.named().items():
             values[name] = _param_array(values, name)
             if values[name].shape != tensor.data.shape:
@@ -338,7 +341,6 @@ def _tiny_instance(seed: int):
     type, so attention runs over segments of length 4 and 2 and the
     message sums two types; two causal parents of one node with distinct
     F, so gamma_temp has a gradient; d = d' = 4."""
-    from .granger import CausalEdge
     from .hypergraph import Hyperedge
 
     rng = np.random.default_rng(seed)
@@ -358,9 +360,7 @@ def _tiny_instance(seed: int):
         splits={"train": ids[:4], "val": ids[4:5], "test": ids[5:]},
     )
     ds.validate()
-    graph = CausalGraph(
-        alpha=0.05, lag=2, edges=[CausalEdge("n4", "n5", 3.0, 0.01), CausalEdge("n3", "n5", 1.5, 0.02)]
-    )
+    graph = CausalGraph(alpha=0.05, lag=2, edges=[("n4", "n5", 3.0, 0.01), ("n3", "n5", 1.5, 0.02)])
     return ds, graph, rng
 
 

@@ -12,7 +12,7 @@ import pytest
 from causal_sphhn import artifacts, cli, synthgen
 from causal_sphhn.cli import main
 from causal_sphhn.errors import ContractViolation
-from causal_sphhn.granger import REDUCTIONS, CausalEdge, CausalGraph, GrangerConfig
+from causal_sphhn.granger import REDUCTIONS, CausalGraph, GrangerConfig
 from causal_sphhn.hypergraph import SPLIT_NAMES, Dataset, Hyperedge, load_dataset, save_dataset
 from causal_sphhn.metrics import EvalReport
 from causal_sphhn.model import ModelConfig
@@ -229,6 +229,15 @@ class TestGranger:
         graph = json.load(open(f"{out}/causal.json"))
         assert graph["edges"] == []
 
+    def test_empty_train_split_is_input_error(self, tmp_path, capsys):
+        # The reduction is fit on the train split alone: an empty one must not fall back to every node.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(synthgen.PRESETS["toy"][2], split_fracs=[0.0, 0.5, 0.5])))
+        out = str(tmp_path / "run")
+        assert main(["synth", "--config", str(cfg_path), "--out", out]) == 0
+        assert main(["granger", "--dataset", f"{out}/dataset.json", "--out", f"{out}/granger"]) == 1
+        assert "no node of the fit subset is in the dataset" in capsys.readouterr().err
+
     def test_zero_lag_is_usage_error(self, toy_run):
         with pytest.raises(SystemExit) as info:
             main(["granger", "--dataset", f"{toy_run}/synth/dataset.json", "--lag", "0", "--out", "/tmp/x"])
@@ -300,6 +309,18 @@ class TestTrain:
         out = tmp_path / "t"
         assert main(["train", "--dataset", str(path), "--no-causal", "--out", str(out)]) == 1
         assert f"{path}: horizon must be >= 1, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_split_listing_a_node_twice_is_input_error(self, tmp_path, toy_run, capsys):
+        # A repeated id would train that node twice: compile_structure keeps every listed row.
+        doc = json.load(open(f"{toy_run}/synth/dataset.json"))
+        train_ids = doc["splits"]["train"]
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(dict(doc, splits=dict(doc["splits"], train=[train_ids[0], *train_ids]))))
+        shutil.copy(f"{toy_run}/synth/dataset.npy", tmp_path)
+        out = tmp_path / "t"
+        assert main(["train", "--dataset", str(path), "--no-causal", "--out", str(out)]) == 1
+        assert f"{path}: split 'train' lists node {train_ids[0]} twice" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_reproducible_checkpoint(self, tmp_path, toy_run):
@@ -442,7 +463,7 @@ class TestTrain:
     def test_graph_naming_an_unknown_node_is_input_error(self, tmp_path, toy_run, capsys):
         # A graph inferred on another dataset: its edges are not applied in part.
         graph = CausalGraph.load(f"{toy_run}/granger/causal.json")
-        edges = [*graph.edges, CausalEdge(graph.edges[0].src, "n9999", 2.0, 1e-3)]
+        edges = [*graph.edges, (graph.edges[0].src, "n9999", 2.0, 1e-3)]
         path = str(tmp_path / "causal.json")
         CausalGraph(graph.alpha, graph.lag, edges).save(path)
         out = tmp_path / "t"
@@ -483,7 +504,7 @@ class TestEval:
         list), with the first edge planted."""
         dataset = dataset or f"{toy_run}/synth/dataset.json"
         ids = [n.node_id for n in load_dataset(dataset).nodes]
-        graph = CausalGraph(0.01, 2, [CausalEdge(ids[s], ids[d], f, 1e-3) for s, d, f in edges])
+        graph = CausalGraph(0.01, 2, [(ids[s], ids[d], f, 1e-3) for s, d, f in edges])
         params, train_cfg, _ = load_checkpoint(f"{toy_run}/train/checkpoint.json")
         ckpt, truth = str(tmp_path / "checkpoint.json"), str(tmp_path / "truth.json")
         save_checkpoint(ckpt, params, train_cfg, graph)
@@ -526,8 +547,8 @@ class TestEval:
         ds = load_dataset(f"{toy_run}/synth/dataset.json")
         name = {n.node_id: f"v{k}" for k, n in enumerate(ds.nodes)}
         params, train_cfg, graph = load_checkpoint(f"{toy_run}/train/checkpoint.json")
-        assert graph.edges
-        edges = [CausalEdge(name[e.src], name[e.dst], e.f_statistic, e.p_value) for e in graph.edges]
+        assert len(graph.edges)
+        edges = [(name[e.src], name[e.dst], e.f_statistic, e.p_value) for e in graph.edges]
         ckpt = str(tmp_path / "checkpoint.json")
         save_checkpoint(ckpt, params, train_cfg, CausalGraph(graph.alpha, graph.lag, edges))
         numeric = relabelled(ds, name)
@@ -650,10 +671,11 @@ class TestEval:
             ("params", "kappa_b", math.nan, "params.kappa_b must be finite"),
             ("params", "head_b", [], "params.head_b has shape (0,), whose last axis is empty"),
             ("params", "edge_w:class", [[1.0]], "params.edge_w:class has shape (1, 1), expected (64, 64)"),
+            ("params", "bogus", [1.0, 2.0], "unknown field(s) params.bogus"),
         ],
         ids=["str_bool", "float_int", "str_float", "str_tuple", "graph_float_lag", "zero_patience", "negative_lr",
              "negative_kappa", "param_shape", "param_str", "negative_in_dim", "nan_param", "empty_head_b",
-             "edge_w_shape"],
+             "edge_w_shape", "unknown_param"],
     )
     def test_checkpoint_field_of_the_wrong_type_is_input_error(
         self, tmp_path, toy_run, capsys, section, key, value, message

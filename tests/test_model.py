@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from causal_sphhn import autodiff as ad
 from causal_sphhn.errors import ContractViolation, ValidationError
-from causal_sphhn.granger import CausalEdge, CausalGraph
+from causal_sphhn.granger import CausalGraph
 from causal_sphhn.hypergraph import Dataset, Hyperedge
 from causal_sphhn.model import (
     ModelConfig,
@@ -217,7 +217,7 @@ class TestCausalAggregate:
     def test_single_parent_unit_weight(self):
         params = self.make()
         params.causal_w.data = np.eye(3)
-        graph = CausalGraph(0.01, 2, [CausalEdge("p", "x", 123.0, 1e-4)])
+        graph = CausalGraph(0.01, 2, [("p", "x", 123.0, 1e-4)])
         h = np.array([1.0, 0.0, 0.0])
         hp = np.array([0.0, 1.0, 0.0])
         out = causal_aggregate("x", h, graph, {"p": hp}, params)
@@ -229,7 +229,7 @@ class TestCausalAggregate:
         params.causal_w.data = np.eye(3)
         graph = CausalGraph(
             0.01, 2,
-            [CausalEdge("p", "x", 10.0, 1e-4), CausalEdge("q", "x", 10.0, 1e-4)],
+            [("p", "x", 10.0, 1e-4), ("q", "x", 10.0, 1e-4)],
         )
         h = np.array([1.0, 0.0, 0.0])
         embeds = {"p": np.array([0.0, 1.0, 0.0]), "q": np.array([0.0, 0.0, 1.0])}
@@ -282,10 +282,10 @@ def mixed_size_instance():
     edges += [Hyperedge("t0", ("n0", "n3", "n5"), "b"), Hyperedge("f0", tuple(ids[3:8]), "a")]
     ds = make_dataset(rng, n=8, edges=edges)
     graph = CausalGraph(0.01, 2, [
-        CausalEdge("n1", "n2", 2.0, 1e-3),
-        CausalEdge("n3", "n7", 5.0, 1e-3),
-        CausalEdge("n4", "n7", 1.0, 1e-3),
-        CausalEdge("n5", "n7", 3.0, 1e-3),
+        ("n1", "n2", 2.0, 1e-3),
+        ("n3", "n7", 5.0, 1e-3),
+        ("n4", "n7", 1.0, 1e-3),
+        ("n5", "n7", 3.0, 1e-3),
     ])
     return ds, graph
 
@@ -345,7 +345,7 @@ class TestCompiledPlans:
         # A graph naming a node the dataset lacks is not applied to the rest.
         ds, graph = mixed_size_instance()
         edge = {"src": "n0", "dst": "n1", end: "ghost"}
-        graph = CausalGraph(graph.alpha, graph.lag, [*graph.edges, CausalEdge(edge["src"], edge["dst"], 2.0, 1e-3)])
+        graph = CausalGraph(graph.alpha, graph.lag, [*graph.edges, (edge["src"], edge["dst"], 2.0, 1e-3)])
         with pytest.raises(ValidationError, match=f"causal edge {edge['src']} -> {edge['dst']} .*unknown node ghost"):
             compile_structure(ds, graph, ModelConfig())
 
@@ -377,7 +377,7 @@ class TestCompiledPlans:
         ds.validate()
         # Distinct ordered pairs of dataset nodes.
         pairs = {tuple(str(m) for m in rng.choice(ids, size=2, replace=False)) for _ in range(n_causal)}
-        graph = CausalGraph(0.01, 2, [CausalEdge(s, d, float(rng.uniform(0.0, 50.0)), 1e-3) for s, d in pairs])
+        graph = CausalGraph(0.01, 2, [(s, d, float(rng.uniform(0.0, 50.0)), 1e-3) for s, d in pairs])
         structure = compile_structure(ds, graph, ModelConfig(pairwise=pairwise))
         assert structure.labels.dtype == np.int64
         assert structure.labels.tolist() == [labels[i] for i in ids]
@@ -469,7 +469,7 @@ class TestForward:
         edges = [Hyperedge("e", ("a", "b", "c"), "t")]
         ds = Dataset(ids, features, 2, 1, edges, {"a": 0, "b": 1, "c": 0},
                      {"train": ["a"], "val": ["b"], "test": ["c"]})
-        graph = CausalGraph(0.01, 2, [CausalEdge("a", "c", 4.0, 1e-3)])
+        graph = CausalGraph(0.01, 2, [("a", "c", 4.0, 1e-3)])
         cfg = ModelConfig(embed_dim=3, layers=1, dropout=0.0)
         params = tiny_params(cfg, in_dim=3, classes=2, types=("t",), seed=15)
         trace = forward(ds, graph, params, mode="eval")
@@ -517,7 +517,7 @@ class TestForward:
             labels = {i: j % 2 for j, i in enumerate(ids)}
             ds = Dataset(ids, features, 2, 1, edges, labels,
                          {"train": ids[:2], "val": ids[2:3], "test": ids[3:]})
-            graph = CausalGraph(0.01, 2, [CausalEdge(ids[0], ids[1], 5.0, 1e-3)])
+            graph = CausalGraph(0.01, 2, [(ids[0], ids[1], 5.0, 1e-3)])
             cfg = ModelConfig(embed_dim=5, layers=2, dropout=0.0)
             params = tiny_params(cfg, in_dim=3, types=("t",), seed=seed)
             run = run_model(compile_structure(ds, graph, cfg), params, mode="eval")

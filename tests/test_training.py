@@ -9,7 +9,7 @@ import pytest
 from causal_sphhn import synthgen, training
 from causal_sphhn.cli import derive_seed
 from causal_sphhn.errors import TrainingDiverged
-from causal_sphhn.granger import CausalEdge, CausalGraph, GrangerConfig, infer_causal_graph
+from causal_sphhn.granger import CausalGraph, GrangerConfig, infer_causal_graph
 from causal_sphhn.hypergraph import Dataset, Hyperedge
 from causal_sphhn.model import ModelConfig, compile_structure, init_params, run_model
 from causal_sphhn.training import (
@@ -36,9 +36,9 @@ def toy_instance(seed=0, n=6, with_graph=True, two_parents=False):
     ds.validate()
     graph = None
     if with_graph:
-        causal = [CausalEdge("n4", "n5", 3.0, 0.01)]
+        causal = [("n4", "n5", 3.0, 0.01)]
         if two_parents:
-            causal.append(CausalEdge("n1", "n5", 1.0, 0.01))
+            causal.append(("n1", "n5", 1.0, 0.01))
         graph = CausalGraph(0.05, 2, causal)
     return ds, graph
 
@@ -282,7 +282,7 @@ class TestMemory:
             Hyperedge(f"e{k}", tuple(ids[(4 * k + j) % n] for j in range(4)), ("a", "b")[k % 2])
             for k in range(n // 2)
         ]
-        causal = [CausalEdge(ids[(k + 7) % n], ids[k], 2.0 + k, 0.01) for k in range(0, n, 10)]
+        causal = [(ids[(k + 7) % n], ids[k], 2.0 + k, 0.01) for k in range(0, n, 10)]
         ds = Dataset(ids, rng.standard_normal((n, 2, 4)), 2, 1, edges, {i: k % 2 for k, i in enumerate(ids)},
                      {"train": ids[: n // 2], "val": ids[n // 2 : 3 * n // 4], "test": ids[3 * n // 4 :]})
         ds.validate()
@@ -397,7 +397,7 @@ class TestCheckpoint:
         for name, t in params.named().items():
             assert np.array_equal(t.data, loaded.named()[name].data)
         assert loaded_tc == tc
-        assert loaded_graph.edges == graph.edges
+        assert loaded_graph.edges.tolist() == graph.edges.tolist()
         # The manifest digests the configs, and Adam's constants are the module's own.
         doc = json.load(open(path))
         # The arrays give the architecture, so no "arch" block restates it.
