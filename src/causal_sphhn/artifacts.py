@@ -4,9 +4,11 @@ Every artifact of the pipeline is written atomically: into
 ``path + ".tmp"``, then moved onto ``path`` with ``os.replace``, so a
 reader never sees half a file.  A failed read raises ``ParseError`` and a
 failed write ``ContractViolation``, each naming the path.  The loaders check
-what they read with ``check_fields``, which owns the document's shape: a
-missing key and a value of the wrong type each raise ``ParseError`` naming
-the key.  Ranges are the business of the object the fields build.
+what they read with ``check_fields``, which owns the document's shape.  Its
+one rule: a schema lists every key a document may hold, so a missing key, a
+key the schema does not list and a value of the wrong type each raise
+``ParseError`` naming the key, and each loader checks its whole file in one
+call.  Ranges are the business of the object the fields build.
 
 Arrays are stored in the NumPy ``.npy`` format (NEP 1).  ``write_npy``
 returns the SHA-256 of the bytes it wrote, and ``read_npy`` loads only
@@ -35,14 +37,15 @@ def check_fields(schema, doc, where: str = "") -> dict:
     """``doc`` with each value checked against its key's type in ``schema``.
 
     ``schema`` is a dict of types, or a dataclass whose field hints give the
-    types.  ``doc`` must have every key of a dict schema, and other keys pass
-    through; it must have every field of a dataclass without a default, and
-    no other key.  A float takes an int, stored as a float; no other type
-    takes a value of another type, so an int rejects a bool.  A
-    ``tuple[...]``, of fixed length or with ``...``, or a ``list[...]`` takes
-    a JSON list of typed entries; a nested schema takes an object; a union
+    types, and it lists every key ``doc`` may hold: a key it does not list is
+    refused, at every level.  ``doc`` must have every key of a dict schema,
+    and every field of a dataclass without a default.  A float takes an int,
+    stored as a float; no other type takes a value of another type, so an int
+    rejects a bool.  A ``tuple[...]``, of fixed length or with ``...``, or a
+    ``list[...]`` takes a JSON list of typed entries, so ``list[{...}]`` takes
+    a list of objects of one schema; a nested schema takes an object; a union
     such as ``dict | None`` takes a value of one of its types.  A failure
-    raises ``ParseError`` naming the key, prefixed by ``where``.
+    raises ``ParseError`` naming the dotted key, prefixed by ``where``.
     """
     if type(doc) is not dict:
         raise ParseError(f"{where or 'document'} must be an object, not {type(doc).__name__}")
@@ -52,9 +55,9 @@ def check_fields(schema, doc, where: str = "") -> dict:
     else:
         hints = typing.get_type_hints(schema)
         optional = {f.name for f in dataclasses.fields(schema) if f.default is not dataclasses.MISSING}
+    if not doc.keys() <= hints.keys():
         unknown = sorted(doc.keys() - hints.keys())
-        if unknown:
-            raise ParseError(f"unknown field(s) {', '.join(prefix + k for k in unknown)}")
+        raise ParseError(f"unknown field(s) {', '.join(prefix + k for k in unknown)}")
     out = dict(doc)
     for key, want in hints.items():
         if key not in doc:

@@ -17,10 +17,10 @@ is set by ``--seed`` alone.
 Exit codes: 0 success, 1 input error, 2 usage, 3 training divergence,
 4 gradient-check failure.  Exit 1 covers the package's input errors
 (``INPUT_ERRORS``): a file that cannot be read, is not JSON or is not a
-JSON object, or lacks a key or holds a value of the wrong type, raises
-``ParseError``; a value out of range raises ``ContractViolation`` when
-its config or graph is built; a file that cannot be written raises
-``ContractViolation``.  Each names the path.  Any other exception,
+JSON object, lacks a key, holds a key its format does not list, or holds a
+value of the wrong type, raises ``ParseError``; a value out of range raises
+``ContractViolation`` when its config or graph is built; a file that cannot
+be written raises ``ContractViolation``.  Each names the path.  Any other exception,
 ``OSError`` and ``KeyError`` included, is a bug and propagates.
 """
 
@@ -176,6 +176,8 @@ def cmd_eval(args) -> int:
     start = time.monotonic()
     settings = {"bins": args.bins, "k": args.k, "split": args.split, "dropout_rate": args.dropout_rate}
     params, train_cfg, graph = load_checkpoint(args.checkpoint)
+    # Read whenever given, so a bad file fails even when the model has no causal graph to score.
+    truth = synthgen.load_truth(args.truth) if args.truth else None
     ds = load_dataset(args.dataset)
     inputs = {"dataset": file_digest(args.dataset), "checkpoint": file_digest(args.checkpoint)}
     structure = compile_structure(ds, graph, params.config)
@@ -193,10 +195,10 @@ def cmd_eval(args) -> int:
     preds = probs.argmax(axis=1)
 
     p_at_k = rank_corr = None
-    if args.truth and run.gamma is not None:
+    if truth is not None and run.gamma is not None:
         # Each flat parent entry is one graph edge, scored by its learned gamma;
         # a single-parent child's gamma is exactly 1, so ties break by F.
-        true_set = {(e.src, e.dst) for e in synthgen.load_truth(args.truth)}
+        true_set = {(e.src, e.dst) for e in truth}
         ids, gamma = structure.node_ids, run.gamma.data
         children = structure.child_rows[structure.parent_seg]
         edges = zip(structure.parent_rows, children, gamma.tolist(), structure.parent_f.tolist())

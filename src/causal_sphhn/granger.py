@@ -17,8 +17,8 @@ For every group of targets the step factors S = I - MMᵀ = LLᵀ and solves
 with L in O(p³) whole-array passes over the group's pairs, one per matrix
 entry and product term, instead of a LAPACK call per pair.  A pair whose
 det S (a lower bound on λ_min(S)) or rss_u / rss_r falls in its band goes to
-``granger_test``; p-values are computed only for F at or above the critical
-value, bisected once, in one call after the pair loop.
+``granger_test``.  P-values are computed in one call after the pair loop, and
+only for F at or above the critical value, which a 32-part grid search finds once.
 
 From the kernel to ``compile_structure`` a graph's edges are one ``EDGE_DTYPE``
 record array, (src, dst, F, p), sorted by (src, dst) once, in ``CausalGraph``.
@@ -84,6 +84,8 @@ class GrangerConfig:
 
 
 EDGE_DTYPE = np.dtype([("src", object), ("dst", object), ("f_statistic", np.float64), ("p_value", np.float64)])
+# The schema of a graph document, ``causal.json`` and a checkpoint's ``causal_graph``.
+_DOCUMENT = {"alpha": float, "lag": int, "edges": list[{"src": str, "dst": str, "f": float, "p": float}]}
 
 
 @dataclass
@@ -122,11 +124,9 @@ class CausalGraph:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CausalGraph":
-        fields = {"src": str, "dst": str, "f": float, "p": float}
-        head = check_fields({"alpha": float, "lag": int, "edges": list}, doc)
-        rows = [check_fields(fields, e, f"edges[{k}]") for k, e in enumerate(head["edges"])]
-        edges = [(e["src"], e["dst"], e["f"], e["p"]) for e in rows]
-        return cls(alpha=head["alpha"], lag=head["lag"], edges=edges)
+        doc = check_fields(_DOCUMENT, doc)
+        edges = [(e["src"], e["dst"], e["f"], e["p"]) for e in doc["edges"]]
+        return cls(alpha=doc["alpha"], lag=doc["lag"], edges=edges)
 
     def save(self, path: str) -> None:
         write_json(path, self.to_dict())

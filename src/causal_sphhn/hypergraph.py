@@ -27,7 +27,8 @@ block's SHA-256, so a digest of the document covers the features.
 ``save_dataset`` writes the block first and the document second, each
 atomically; a block that does not match its document (stale, swapped,
 another dtype, or not one row per node) fails to load.  A document
-without ``"format": 3`` is refused.
+without ``"format": 3``, or with a key, at any level, that this format does
+not list, is refused.
 """
 
 from __future__ import annotations
@@ -148,53 +149,11 @@ def block_path(path: str) -> str:
     return stem + ".npy"
 
 
-def dataset_to_dict(ds: Dataset, block: dict) -> dict:
-    """The dataset document; ``block`` is its feature block's {"file", "sha256"}."""
-    return {
-        "format": FORMAT,
-        "classes": ds.classes,
-        "horizon": ds.horizon,
-        "features": block,
-        "nodes": list(ds.node_ids),
-        "hyperedges": [
-            {"id": e.edge_id, "members": list(e.members), "type": e.context_type}
-            for e in ds.hyperedges
-        ],
-        "labels": dict(ds.labels),
-        "splits": {k: list(v) for k, v in ds.splits.items()},
-    }
-
-
-# The document's schema for ``check_fields``; ``_block_entry`` checks the format and features first.
-_DOCUMENT = {"classes": int, "horizon": int, "nodes": list[str], "hyperedges": list, "labels": dict,
-             "splits": dict.fromkeys(SPLIT_NAMES, list[str])}
+# The document's schema for ``check_fields``; ``load_dataset`` checks the format value first.
 _HYPEREDGE = {"id": str, "members": tuple[str, ...], "type": str}
-
-
-def _block_entry(doc: dict) -> tuple[str, str]:
-    """The (file name, SHA-256) of a document's feature block."""
-    if doc.get("format") != FORMAT:
-        raise ParseError(f"unsupported dataset format {doc.get('format')!r} (expected {FORMAT})")
-    entry = check_fields({"features": {"file": str, "sha256": str}}, doc)["features"]
-    name = entry["file"]
-    if name in ("", ".", "..") or "/" in name or "\\" in name:
-        raise ParseError(f"features file {name!r} must be a file name in the dataset's directory")
-    return name, entry["sha256"]
-
-
-def dataset_from_dict(doc: dict, features: np.ndarray) -> Dataset:
-    """The dataset a document describes, with ``features`` as its (N, T, d) block."""
-    doc = check_fields(_DOCUMENT, doc)
-    if features.dtype != np.float64:
-        raise ParseError(f"features block has dtype {features.dtype}, expected float64")
-    edges = []
-    for i, ed in enumerate(doc["hyperedges"]):
-        ed = check_fields(_HYPEREDGE, ed, f"hyperedges[{i}]")
-        edges.append(Hyperedge(ed["id"], ed["members"], ed["type"]))
-    splits = {name: doc["splits"][name] for name in SPLIT_NAMES}
-    ds = Dataset(doc["nodes"], features, doc["classes"], doc["horizon"], edges, doc["labels"], splits)
-    ds.validate()
-    return ds
+_DOCUMENT = {"format": int, "classes": int, "horizon": int, "features": {"file": str, "sha256": str},
+             "nodes": list[str], "hyperedges": list[_HYPEREDGE], "labels": dict,
+             "splits": dict.fromkeys(SPLIT_NAMES, list[str])}
 
 
 def save_dataset(ds: Dataset, path: str) -> str:
@@ -204,16 +163,39 @@ def save_dataset(ds: Dataset, path: str) -> str:
     """
     block = block_path(path)
     sha256 = write_npy(block, ds.features)
-    write_json(path, dataset_to_dict(ds, {"file": os.path.basename(block), "sha256": sha256}))
+    write_json(path, {
+        "format": FORMAT,
+        "classes": ds.classes,
+        "horizon": ds.horizon,
+        "features": {"file": os.path.basename(block), "sha256": sha256},
+        "nodes": list(ds.node_ids),
+        "hyperedges": [
+            {"id": e.edge_id, "members": list(e.members), "type": e.context_type}
+            for e in ds.hyperedges
+        ],
+        "labels": dict(ds.labels),
+        "splits": {k: list(v) for k, v in ds.splits.items()},
+    })
     return sha256
 
 
 def load_dataset(path: str) -> Dataset:
     doc = read_json(path)
     with naming(path):
-        name, sha256 = _block_entry(doc)
-        features = read_npy(os.path.join(os.path.dirname(path), name), sha256)
-        return dataset_from_dict(doc, features)
+        if doc.get("format") != FORMAT:
+            raise ParseError(f"unsupported dataset format {doc.get('format')!r} (expected {FORMAT})")
+        doc = check_fields(_DOCUMENT, doc)
+        name = doc["features"]["file"]
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ParseError(f"features file {name!r} must be a file name in the dataset's directory")
+        features = read_npy(os.path.join(os.path.dirname(path), name), doc["features"]["sha256"])
+        if features.dtype != np.float64:
+            raise ParseError(f"features block has dtype {features.dtype}, expected float64")
+        edges = [Hyperedge(e["id"], e["members"], e["type"]) for e in doc["hyperedges"]]
+        splits = {split: doc["splits"][split] for split in SPLIT_NAMES}
+        ds = Dataset(doc["nodes"], features, doc["classes"], doc["horizon"], edges, doc["labels"], splits)
+        ds.validate()
+        return ds
 
 
 def feature_dropout(features: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:

@@ -338,8 +338,6 @@ def save_truth(truth: list[PlantedEdge], path: str) -> None:
 
 def load_truth(path: str) -> list[PlantedEdge]:
     doc = read_json(path)
-    fields = {"src": str, "dst": str, "coef": float}
     with naming(path):
-        rows = [check_fields(fields, e, f"true_edges[{k}]")
-                for k, e in enumerate(check_fields({"true_edges": list}, doc)["true_edges"])]
-        return [PlantedEdge(e["src"], e["dst"], e["coef"]) for e in rows]
+        doc = check_fields({"true_edges": list[{"src": str, "dst": str, "coef": float}]}, doc)
+        return [PlantedEdge(e["src"], e["dst"], e["coef"]) for e in doc["true_edges"]]

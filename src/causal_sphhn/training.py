@@ -13,15 +13,15 @@ the best-validation checkpoint.  Everything is deterministic given the
 config seed.
 
 A checkpoint (format version 5; others are refused) holds the configs, the
-causal graph and the arrays.  The input dim, class count and context types
-are read off ``params.proj_w``, ``params.head_b`` and the
+causal graph and the arrays, and no other key.  The input dim, class count
+and context types are read off ``params.proj_w``, ``params.head_b`` and the
 ``params.edge_w:<type>`` keys; initial values are ``model``'s constants.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -256,6 +256,10 @@ def write_history_csv(history: list[dict], path: str) -> None:
 # --------------------------------------------------------------------------
 
 CHECKPOINT_VERSION = 5
+# A checkpoint's params schema less its edge_w:<type> keys: one array per tensor field of
+# ModelParams.  proj_w and head_b are never scalars, since their last axes give in_dim and classes.
+_PARAMS = {f.name: list if f.name in ("proj_w", "head_b") else list | float
+           for f in fields(ModelParams) if f.name not in ("config", "edge_w")}
 
 
 def save_checkpoint(
@@ -287,26 +291,25 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainConfig, CausalGraph | 
     with naming(path):
         if doc.get("format_version") != CHECKPOINT_VERSION:
             raise ContractViolation(f"unsupported checkpoint version {doc.get('format_version')}")
+        stored = doc.get("params")
+        edge_keys = [k for k in stored if k.startswith("edge_w:")] if type(stored) is dict else []
         doc = check_fields({
+            "format_version": int,
             "model_config": ModelConfig,
             "train_config": TrainConfig,
             "causal_graph": dict | None,
-            "params": dict,
+            "params": {**_PARAMS, **dict.fromkeys(edge_keys, list | float)},
         }, doc)
         model_cfg = ModelConfig(**doc["model_config"])
         train_cfg = TrainConfig(**doc["train_config"])
         # The arrays give the architecture: the last axes of proj_w and head_b, and the edge_w keys.
-        values = check_fields({"proj_w": list, "head_b": list}, doc["params"], "params")
+        values = doc["params"]
         shapes = {k: _param_array(values, k).shape for k in ("proj_w", "head_b")}
         for key, shape in shapes.items():
             if shape[-1] < 1:
                 raise ParseError(f"params.{key} has shape {shape}, whose last axis is empty")
-        edge_types = tuple(k.partition(":")[2] for k in values if k.startswith("edge_w:"))
+        edge_types = tuple(k.partition(":")[2] for k in edge_keys)
         params = init_params(model_cfg, shapes["proj_w"][-1], shapes["head_b"][-1], edge_types, np.random.default_rng(0))
-        values = check_fields(dict.fromkeys(params.named(), list | float), values, "params")
-        unknown = sorted(values.keys() - params.named().keys())  # an array no parameter reads
-        if unknown:
-            raise ParseError(f"unknown field(s) {', '.join('params.' + k for k in unknown)}")
         for name, tensor in params.named().items():
             values[name] = _param_array(values, name)
             if values[name].shape != tensor.data.shape:

@@ -186,14 +186,18 @@ def test_digests(tmp_path):
         file_digest(str(tmp_path / "gone"))
 
 
-SCHEMA = {"n": int, "x": float, "pair": tuple[int, str], "rows": tuple[tuple[int, float], ...], "ids": list[str]}
-VALID = {"n": 3, "x": 2, "pair": [1, "a"], "rows": [[0, 0.5], [1, 2]], "ids": ["a"]}
+SCHEMA = {"n": int, "x": float, "pair": tuple[int, str], "rows": tuple[tuple[int, float], ...], "ids": list[str],
+          "objs": list[{"id": str, "w": float}]}
+VALID = {"n": 3, "x": 2, "pair": [1, "a"], "rows": [[0, 0.5], [1, 2]], "ids": ["a"], "objs": [{"id": "a", "w": 1}]}
 
 
 def test_check_fields_converts_typed_lists_to_tuples():
-    got = check_fields(SCHEMA, {**VALID, "other": [1]})
-    assert got == {"n": 3, "x": 2.0, "pair": (1, "a"), "rows": ((0, 0.5), (1, 2.0)), "ids": ["a"], "other": [1]}
-    assert type(got["x"]) is float and type(got["rows"][1][1]) is float
+    got = check_fields(SCHEMA, VALID)
+    assert got == {"n": 3, "x": 2.0, "pair": (1, "a"), "rows": ((0, 0.5), (1, 2.0)), "ids": ["a"],
+                   "objs": [{"id": "a", "w": 1.0}]}
+    assert type(got["x"]) is float and type(got["rows"][1][1]) is float and type(got["objs"][0]["w"]) is float
+    with pytest.raises(ParseError, match=re.escape("unknown field(s) cfg.other")):
+        check_fields(SCHEMA, {**VALID, "other": [1]}, "cfg")
 
 
 @pytest.mark.parametrize(
@@ -207,6 +211,10 @@ def test_check_fields_converts_typed_lists_to_tuples():
         ({"rows": [[0, "0.5"]]}, "cfg.rows[0][1] must be float"),
         ({"ids": ["a", 2]}, "cfg.ids[1] must be str, got 2"),
         ({"n": None}, "missing field cfg.n"),
+        ({"objs": [{"id": "a", "w": 1.0}, {"id": "b", "w": "2"}]}, "cfg.objs[1].w must be float"),
+        ({"objs": [{"w": 1.0}]}, "missing field cfg.objs[0].id"),
+        ({"z": 0, "q": 0}, "unknown field(s) cfg.q, cfg.z"),
+        ({"objs": [{"id": "a", "w": 1.0, "q": 0}]}, "unknown field(s) cfg.objs[0].q"),
     ],
 )
 def test_check_fields_names_the_key_of_a_wrong_type(doc, message):

@@ -432,7 +432,7 @@ class TestTrain:
             ({"alpha": "0.01"}, "alpha must be float"),
             ({"edge_f": "abc"}, "edges[0].f must be float, got 'abc'"),
             ({"edge_src": 3}, "edges[0].src must be str"),
-            ({"edges": {}}, "edges must be list"),
+            ({"edges": {}}, "edges must be a list, got {}"),
             ({"alpha": 5.0}, "alpha must be in (0, 1), got 5.0"),
             ({"lag": -3}, "lag must be >= 1, got -3"),
             ({"edge_p": math.nan}, "has p nan, not in [0, alpha]"),
@@ -707,6 +707,22 @@ class TestEval:
         err = capsys.readouterr().err
         assert str(path) in err and message in err
 
+    def test_truth_is_read_without_a_causal_graph(self, tmp_path, toy_run, capsys):
+        # A model without a graph scores no edge, but a --truth it is given must still be a truth file.
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"max_epochs": 2}))
+        ckpt = str(tmp_path / "t")
+        assert main(["train", "--dataset", f"{toy_run}/synth/dataset.json", "--no-causal", "--config", str(cfg),
+                     "--out", ckpt]) == 0
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"true_edges": "garbage"}))
+        out = tmp_path / "r"
+        code = main(["eval", "--checkpoint", f"{ckpt}/checkpoint.json", "--dataset", f"{toy_run}/synth/dataset.json",
+                     "--truth", str(truth), "--out", str(out)])
+        assert code == 1
+        assert f"{truth}: true_edges must be a list" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("corrupt", ["unknown_train_key", "missing_arch"])
     def test_malformed_checkpoint_is_input_error(self, tmp_path, toy_run, corrupt):
         doc = json.load(open(f"{toy_run}/train/checkpoint.json"))
@@ -754,6 +770,24 @@ REQUIRED_KEYS = {
                                          "labels", "splits"]),
 }
 
+# What each artifact's format refuses, and the message it gives: a key
+# "extra" added to each object of the artifact (the one reached by ``where``),
+# or, where ``value`` is given, a format number stored as a float.
+UNKNOWN_KEYS = {
+    "dataset-top": ("dataset.json", (), None, "unknown field(s) extra"),
+    "dataset-features": ("dataset.json", ("features",), None, "unknown field(s) features.extra"),
+    "dataset-hyperedge": ("dataset.json", ("hyperedges", 0), None, "unknown field(s) hyperedges[0].extra"),
+    "dataset-splits": ("dataset.json", ("splits",), None, "unknown field(s) splits.extra"),
+    "dataset-float_format": ("dataset.json", (), {"format": 3.0}, "format must be int, got 3.0"),
+    "causal-top": ("causal.json", (), None, "unknown field(s) extra"),
+    "causal-edge": ("causal.json", ("edges", 0), None, "unknown field(s) edges[0].extra"),
+    "truth-top": ("truth.json", (), None, "unknown field(s) extra"),
+    "truth-edge": ("truth.json", ("true_edges", 0), None, "unknown field(s) true_edges[0].extra"),
+    "checkpoint-top": ("checkpoint.json", (), None, "unknown field(s) extra"),
+    "checkpoint-float_version": ("checkpoint.json", (), {"format_version": 5.0},
+                                 "format_version must be int, got 5.0"),
+}
+
 
 class TestFiles:
     @pytest.mark.parametrize("content", list(BAD_FILES.values()), ids=list(BAD_FILES))
@@ -778,6 +812,22 @@ class TestFiles:
         assert main(args + ["--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and key in err
+
+    @pytest.mark.parametrize("name, where, value, message", list(UNKNOWN_KEYS.values()), ids=list(UNKNOWN_KEYS))
+    def test_key_the_format_does_not_list_is_input_error(self, tmp_path, toy_run, capsys, name, where, value, message):
+        flag, _ = REQUIRED_KEYS[name]
+        doc = json.load(open(f"{toy_run}/{MADE_BY[name]}/{name}"))
+        obj = doc
+        for step in where:
+            obj = obj[step]
+        obj.update(value or {"extra": 1})
+        bad = tmp_path / name
+        bad.write_text(json.dumps(doc))
+        shutil.copy(f"{toy_run}/synth/dataset.npy", tmp_path)  # the dataset document's feature block
+        args = [a.format(bad=bad, run=toy_run) for a in FILE_FLAGS[flag]]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 1
+        assert f"{bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_out_naming_a_file_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "taken"
