@@ -49,7 +49,7 @@ INPUT_ERRORS = (ContractViolation, NumericalError, ParseError, ValidationError)
 
 # The --config keys of the train command, by the config they set.
 MODEL_KEYS = ("embed_dim", "layers", "dropout")
-TRAIN_KEYS = ("lambda1", "lambda2", "lr", "batch_size", "max_epochs", "patience")
+TRAIN_KEYS = ("lambda1", "lambda2", "lr", "max_epochs", "patience")
 
 
 def derive_seed(seed: int, tag: str) -> int:

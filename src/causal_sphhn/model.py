@@ -5,7 +5,8 @@ the unit hypersphere (keeping a softplus concentration read off the
 unnormalized projection), run L rounds of angular attention within
 hyperedges followed by per-context-type linear aggregation, inject causal
 parents through a learned-temperature softmax over Granger F scores after
-the final round, and classify with a linear head.
+the final round, and classify with a linear head whose logits, on the
+sphere, are scaled by ``LOGIT_SCALE``.
 
 Ablation switches: ``euclidean`` skips all normalization (attention becomes
 a plain dot product), ``pairwise`` expands hyperedges into 2-cliques,
@@ -16,6 +17,19 @@ Initial values are module constants, not settings.  ``ModelParams`` holds
 the config and the arrays: the input dim, class count and context types
 are the column count of ``proj_w``, the length of ``head_b`` and the keys
 of ``edge_w``.
+
+``ATTN_TEMP_INIT`` is small because every attention segment holds the
+node's own pair, whose cosine is 1: at temperature tau the self pair
+outweighs a neighbour at cosine c by exp(tau (1 - c)), about 10^6 at
+tau = 20 and c = 0.3.  At 20 a node attends to itself alone, training
+never leaves that basin, and the layers pass no messages; at 1 they mix
+from the first step.  ``LOGIT_SCALE`` is the cosine-classifier scale
+(NormFace, Wang et al., ACM MM 2017): over unit-norm h the logits
+w_c.h + b_c are bounded by ||w_c|| + |b_c|, which a few hundred Adam steps
+leave small, so an unscaled head is underconfident.  A constant serves:
+learned from 10, the scale moved only to 10.1-10.2.  Under ``euclidean``
+h is unnormalised, its norm already sets the logits' range, and the head
+is left unscaled.
 
 Message passing is a Gram-matrix kernel over flat member pairs.  Each
 valid pair (i, j) of edge e is one entry of a flat array, grouped by
@@ -83,9 +97,11 @@ log = logging.getLogger(__name__)
 _NORM_EPS = 1e-12
 
 # Initial attention and causal softmax temperatures and concentration kappa.  All are learned.
-ATTN_TEMP_INIT = 20.0
+ATTN_TEMP_INIT = 1.0
 GAMMA_TEMP_INIT = 1.0
 KAPPA_INIT = 20.0
+# The constant scale of the head's logits on the sphere.
+LOGIT_SCALE = 10.0
 
 
 @dataclass(frozen=True)
@@ -421,6 +437,8 @@ def run_model(
         h_final = h
 
     logits = h_final @ params.head_w.transpose((1, 0)) + params.head_b
+    if not cfg.euclidean:
+        logits = logits * LOGIT_SCALE
     log_probs = ad.log_softmax(logits)
     probs = Tensor(np.exp(log_probs.data))
     ent = ad.vmf_entropy(kappa, d)

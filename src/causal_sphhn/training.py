@@ -7,12 +7,12 @@ cross-entropy, the batch-mean vMF entropy of per-node concentrations
 softmax of Granger F scores to the model's causal attention, over batch
 nodes that have causal parents (weight lambda2).
 
-Training runs Adam (0.9 / 0.999 / 1e-8) over node minibatches with a
-full-graph forward per step, early-stops on validation loss, and returns
+Training takes one full-graph Adam (0.9 / 0.999 / 1e-8) step per epoch,
+its loss over every train row, early-stops on validation loss, and returns
 the best-validation checkpoint.  Everything is deterministic given the
 config seed.
 
-A checkpoint (format version 5; others are refused) holds the configs, the
+A checkpoint (format version 6; others are refused) holds the configs, the
 causal graph and the arrays, and no other key.  The input dim, class count
 and context types are read off ``params.proj_w``, ``params.head_b`` and the
 ``params.edge_w:<type>`` keys; initial values are ``model``'s constants.
@@ -55,7 +55,6 @@ class TrainConfig:
     lambda1: float = 0.1
     lambda2: float = 0.1
     lr: float = 1e-3
-    batch_size: int = 128
     max_epochs: int = 100
     patience: int = 10
     seed: int = 0
@@ -68,8 +67,8 @@ class TrainConfig:
             raise ContractViolation("loss weights must be >= 0")
         if self.patience < 1:
             raise ContractViolation("patience must be >= 1")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ContractViolation("batch_size and max_epochs must be >= 1")
+        if self.max_epochs < 1:
+            raise ContractViolation("max_epochs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -191,24 +190,19 @@ def train(
     start = time.monotonic()
 
     for epoch in range(cfg.max_epochs):
-        rows_shuffled = train_rows[rng.permutation(train_rows.size)]
-        batch_losses = []
-        for lo in range(0, rows_shuffled.size, cfg.batch_size):
-            batch = rows_shuffled[lo : lo + cfg.batch_size]
-            try:
-                grads, breakdown = gradients(params, structure, batch, cfg, mode="train", rng=rng)
-            except NumericalError as exc:
-                raise TrainingDiverged(str(exc)) from exc
-            if not np.isfinite(breakdown.total):
-                raise TrainingDiverged(f"loss became {breakdown.total} at epoch {epoch}")
-            # An overflowing step leaves nonfinite parameters, which the next
-            # gradients() call or the validation check below turns into
-            # TrainingDiverged; the float warnings are noise, as in gradients().
-            with np.errstate(over="ignore", invalid="ignore"):
-                opt.step(grads)
-            params.attn_temp.data = np.asarray(np.maximum(params.attn_temp.data, TEMP_FLOOR))
-            params.gamma_temp.data = np.asarray(np.maximum(params.gamma_temp.data, TEMP_FLOOR))
-            batch_losses.append(breakdown.total)
+        try:
+            grads, breakdown = gradients(params, structure, train_rows, cfg, mode="train", rng=rng)
+        except NumericalError as exc:
+            raise TrainingDiverged(str(exc)) from exc
+        if not np.isfinite(breakdown.total):
+            raise TrainingDiverged(f"loss became {breakdown.total} at epoch {epoch}")
+        # An overflowing step leaves nonfinite parameters, which the validation
+        # check below turns into TrainingDiverged; the float warnings are noise,
+        # as in gradients().
+        with np.errstate(over="ignore", invalid="ignore"):
+            opt.step(grads)
+        params.attn_temp.data = np.asarray(np.maximum(params.attn_temp.data, TEMP_FLOOR))
+        params.gamma_temp.data = np.asarray(np.maximum(params.gamma_temp.data, TEMP_FLOOR))
 
         # Over constant parameters the validation forward builds no graph.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -220,7 +214,7 @@ def train(
         history.append(
             {
                 "epoch": epoch,
-                "train_loss": float(np.mean(batch_losses)),
+                "train_loss": breakdown.total,
                 "val_loss": val_breakdown.total,
                 "pred": val_breakdown.pred,
                 "entropy": val_breakdown.entropy,
@@ -255,7 +249,7 @@ def write_history_csv(history: list[dict], path: str) -> None:
 # Checkpoints
 # --------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 # A checkpoint's params schema less its edge_w:<type> keys: one array per tensor field of
 # ModelParams.  proj_w and head_b are never scalars, since their last axes give in_dim and classes.
 _PARAMS = {f.name: list if f.name in ("proj_w", "head_b") else list | float
@@ -317,7 +311,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, TrainConfig, CausalGraph | 
             if not np.isfinite(values[name]).all():
                 raise ParseError(f"params.{name} must be finite")
         params.load_values(values)
-        graph = CausalGraph.from_dict(doc["causal_graph"]) if doc["causal_graph"] is not None else None
+        with naming("causal_graph"):
+            graph = CausalGraph.from_dict(doc["causal_graph"]) if doc["causal_graph"] is not None else None
     return params.constants(), train_cfg, graph
 
 

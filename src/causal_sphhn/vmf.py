@@ -199,7 +199,8 @@ def bessel_ratio(nu: float, x):
             c[c == 0.0] = tiny
             d = 1.0 / d
             delta = c * d
-            f = f * delta
+            # Converged elements stop updating, so each follows its scalar iteration.
+            f = np.where(active, f * delta, f)
             active &= np.abs(delta - 1.0) >= 1e-16
             if not np.any(active):
                 break

@@ -365,7 +365,7 @@ class TestTrain:
 
     def test_config_keys_set_both_configs(self, tmp_path, toy_run):
         model = {"embed_dim": 8, "layers": 1, "dropout": 0.1}
-        train = {"lambda1": 0.2, "lambda2": 0.3, "lr": 0.01, "batch_size": 16, "max_epochs": 1, "patience": 2}
+        train = {"lambda1": 0.2, "lambda2": 0.3, "lr": 0.01, "max_epochs": 1, "patience": 2}
         cfg = tmp_path / "all.json"
         cfg.write_text(json.dumps({**model, **train}))
         out = str(tmp_path / "all")
@@ -394,11 +394,22 @@ class TestTrain:
         assert "unknown config key(s) kappa_init" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_batch_size_is_not_a_config_key(self, tmp_path, toy_run, capsys):
+        # Each epoch is one full-graph step, so there is no batch to size.
+        cfg = tmp_path / "batch.json"
+        cfg.write_text(json.dumps({"batch_size": 16}))
+        out = tmp_path / "t"
+        code = main(["train", "--dataset", f"{toy_run}/synth/dataset.json", "--no-causal",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        assert "unknown config key(s) batch_size" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "change, message",
         [
             ({"lr": "0.001"}, "lr must be float"),
-            ({"batch_size": 2.5}, "batch_size must be int"),
+            ({"patience": 2.5}, "patience must be int"),
             ({"embed_dim": 8.0}, "embed_dim must be int"),
             ({"max_epochs": True}, "max_epochs must be int"),
         ],
@@ -644,7 +655,9 @@ class TestEval:
         v3 = dict(doc, format_version=3, config_digest="0" * 64, adam={"beta1": 0.9, "beta2": 0.999, "eps": 1e-8})
         v4 = dict(doc, format_version=4, model_config=dict(doc["model_config"], kappa_init=20.0),
                   arch={"in_dim": 16, "classes": 4, "edge_types": ["activity", "class"]})
-        for old in (v1, v2, v3, v4):
+        # Version 5 trained in minibatches, and its forward had no logit scale.
+        v5 = dict(doc, format_version=5, train_config=dict(doc["train_config"], batch_size=128))
+        for old in (v1, v2, v3, v4, v5):
             path = tmp_path / f"v{old['format_version']}.json"
             path.write_text(json.dumps(old))
             code = main(
@@ -661,7 +674,8 @@ class TestEval:
             ("model_config", "layers", 2.0, "model_config.layers must be int, got 2.0"),
             ("train_config", "lr", "0.001", "train_config.lr must be float"),
             ("params", "edge_w:class", "class", "params.edge_w:class must be list | float, got 'class'"),
-            ("causal_graph", "lag", 2.5, "lag must be int, got 2.5"),
+            ("causal_graph", "lag", 2.5, "causal_graph: lag must be int, got 2.5"),
+            ("causal_graph", "bogus", 1, "causal_graph: unknown field(s) bogus"),
             ("train_config", "patience", 0, "patience must be >= 1"),
             ("train_config", "lr", -1.0, "lr must be >= 0"),
             ("model_config", "kappa_init", -5.0, "unknown field(s) model_config.kappa_init"),
@@ -673,8 +687,8 @@ class TestEval:
             ("params", "edge_w:class", [[1.0]], "params.edge_w:class has shape (1, 1), expected (64, 64)"),
             ("params", "bogus", [1.0, 2.0], "unknown field(s) params.bogus"),
         ],
-        ids=["str_bool", "float_int", "str_float", "str_tuple", "graph_float_lag", "zero_patience", "negative_lr",
-             "negative_kappa", "param_shape", "param_str", "negative_in_dim", "nan_param", "empty_head_b",
+        ids=["str_bool", "float_int", "str_float", "str_tuple", "graph_float_lag", "graph_unknown_key", "zero_patience",
+             "negative_lr", "negative_kappa", "param_shape", "param_str", "negative_in_dim", "nan_param", "empty_head_b",
              "edge_w_shape", "unknown_param"],
     )
     def test_checkpoint_field_of_the_wrong_type_is_input_error(
@@ -784,8 +798,8 @@ UNKNOWN_KEYS = {
     "truth-top": ("truth.json", (), None, "unknown field(s) extra"),
     "truth-edge": ("truth.json", ("true_edges", 0), None, "unknown field(s) true_edges[0].extra"),
     "checkpoint-top": ("checkpoint.json", (), None, "unknown field(s) extra"),
-    "checkpoint-float_version": ("checkpoint.json", (), {"format_version": 5.0},
-                                 "format_version must be int, got 5.0"),
+    "checkpoint-float_version": ("checkpoint.json", (), {"format_version": 6.0},
+                                 "format_version must be int, got 6.0"),
 }
 
 

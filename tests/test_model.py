@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causal_sphhn import autodiff as ad
+from causal_sphhn import synthgen
 from causal_sphhn.errors import ContractViolation, ValidationError
 from causal_sphhn.granger import CausalGraph
 from causal_sphhn.hypergraph import Dataset, Hyperedge
 from causal_sphhn.model import (
+    LOGIT_SCALE,
     ModelConfig,
     ModelParams,
     compile_structure,
@@ -447,7 +449,7 @@ class TestForward:
         trace = forward(ds, None, params, mode="eval")
         for i, node in enumerate(ds.nodes):
             emb = project(node.features[-1], params)
-            logits = params.head_w.data @ emb.h + params.head_b.data
+            logits = LOGIT_SCALE * (params.head_w.data @ emb.h + params.head_b.data)
             assert np.allclose(trace.logits[i], logits, atol=1e-12)
 
     def test_eval_mode_deterministic(self):
@@ -500,8 +502,37 @@ class TestForward:
         final = h1.copy()
         combined = h1[2] + wc @ h1[0]
         final[2] = combined / np.linalg.norm(combined)
-        logits = final @ hw.T + hb
+        logits = LOGIT_SCALE * (final @ hw.T + hb)
         assert np.max(np.abs(trace.logits - logits)) < 1e-10
+
+    def test_head_scales_the_logits_on_the_sphere_only(self):
+        # Over unit-norm h the logits w_c.h + b_c are bounded by ||w_c|| + |b_c|,
+        # so the sphere's are scaled; unnormalised euclidean h sets its own range.
+        ds = make_dataset(np.random.default_rng(16))
+        for euclidean, scale in ((False, LOGIT_SCALE), (True, 1.0)):
+            cfg = ModelConfig(embed_dim=4, layers=1, dropout=0.0, euclidean=euclidean)
+            params = tiny_params(cfg, in_dim=4, seed=17)
+            run = run_model(compile_structure(ds, None, cfg), params, mode="eval")
+            raw = run.h_final.data @ params.head_w.data.T + params.head_b.data
+            assert np.allclose(run.logits.data, scale * raw, rtol=1e-14, atol=0.0), euclidean
+
+    def test_initial_attention_mixes(self):
+        # Every segment holds the node's own pair, whose cosine is 1.  At an
+        # initial temperature of 20 that pair took 0.98-0.99 of its segment in
+        # each layer, and the layers passed no messages.
+        ds, _ = synthgen.generate(synthgen.preset("toy", seed=0))
+        cfg = ModelConfig()
+        structure = compile_structure(ds, None, cfg)
+        rows_i, rows_j = np.divmod(structure.pair_cell, len(structure.node_ids))
+        own = rows_i == rows_j
+        assert np.count_nonzero(own) == structure.seg_starts.size
+        for seed in range(3):
+            params = init_params(cfg, ds.features.shape[-1], ds.classes, tuple(structure.type_pairs),
+                                 np.random.default_rng(seed))
+            run = run_model(structure, params, mode="eval")
+            assert len(run.alphas) == cfg.layers
+            for layer, alpha in enumerate(run.alphas):
+                assert alpha.data[own].mean() < 0.6, (seed, layer, alpha.data[own].mean())
 
     def test_structural_invariants_over_seeds(self):
         for seed in range(100):

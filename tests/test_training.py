@@ -190,7 +190,8 @@ class TestGradients:
 
     def test_leaf_gradients_equal_the_pinned_values(self, monkeypatch):
         # The SHA-256 of gradient_check's analytic gradients, by sorted
-        # parameter name, as computed before backward released its graph.
+        # parameter name, as computed before backward released its graph,
+        # with the head's logits scaled by model.LOGIT_SCALE.
         seen = []
         exact = training.gradients
 
@@ -204,7 +205,7 @@ class TestGradients:
         digest = hashlib.sha256()
         for name in sorted(seen[0]):
             digest.update(np.ascontiguousarray(seen[0][name], dtype=np.float64).tobytes())
-        assert digest.hexdigest() == "d820e0f5b88c01bec9e6d277eb4d0da125f2b7936f1249e7df1ba46259efca62"
+        assert digest.hexdigest() == "299b5098fd6888c6c1d6986af1b2f4fe63826ffdf93a5ef0b5d36c01ac8e4d3b"
 
 
 def graph_tensors(root):
@@ -373,6 +374,19 @@ class TestTrainLoop:
         train(args.pop(0), args.pop(0), ModelConfig(embed_dim=4, layers=1), TrainConfig(max_epochs=2, seed=6))
         assert alive and not any(alive)
 
+    def test_each_epoch_is_one_step_over_the_train_split(self, monkeypatch):
+        # Every epoch takes one gradient over the train split's own rows and one Adam step.
+        ds, graph = toy_instance(seed=17)
+        calls, exact = [], training.gradients
+
+        def counting(params, structure, rows, *args, **kwargs):
+            calls.append(rows is structure.splits["train"])
+            return exact(params, structure, rows, *args, **kwargs)
+
+        monkeypatch.setattr(training, "gradients", counting)
+        _, history = train(ds, graph, ModelConfig(embed_dim=4, layers=1), TrainConfig(max_epochs=3, patience=3, seed=7))
+        assert len(history) == 3 and calls == [True] * 3
+
     def test_entropy_term_weakly_decreases_with_lambda1(self):
         ds, graph = toy_instance(seed=13, n=10)
         finals = []
@@ -401,7 +415,7 @@ class TestCheckpoint:
         # The manifest digests the configs, and Adam's constants are the module's own.
         doc = json.load(open(path))
         # The arrays give the architecture, so no "arch" block restates it.
-        assert doc["format_version"] == 5 and not {"config_digest", "adam", "arch"} & doc.keys()
+        assert doc["format_version"] == 6 and not {"config_digest", "adam", "arch"} & doc.keys()
 
     def test_parameter_names_follow_the_fields_and_the_checkpoint_follows_them(self, tmp_path):
         # The context types are given unsorted; names and weights follow their sorted order.

@@ -277,6 +277,20 @@ class TestEntropy:
             vals = [vmf.entropy_from_kappa(d, k) for k in grid]
             assert all(a > b for a, b in zip(vals, vals[1:])), d
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 4, 8, 64]),
+        st.lists(st.floats(min_value=0.0, max_value=1e6, allow_subnormal=True), min_size=1, max_size=20),
+    )
+    @example(4, [0.5, 5.0, 50.0, 500.0])
+    def test_an_array_gives_each_element_its_scalar_value(self, d, kappas):
+        # A node's ratio and entropy do not depend on which other kappas share its array.
+        arr = np.array(kappas)
+        ratios, entropies = vmf.bessel_ratio(0.5 * d - 1.0, arr), vmf.entropy_from_kappa(d, arr)
+        for k, ratio, entropy in zip(kappas, ratios, entropies):
+            assert ratio == vmf.bessel_ratio(0.5 * d - 1.0, k), k
+            assert entropy == vmf.entropy_from_kappa(d, k), k
+
 
 class TestSample:
     """Checks of the Monte Carlo oracle's sampler itself."""
