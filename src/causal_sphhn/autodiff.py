@@ -26,10 +26,9 @@ The op set is exactly what the model and its loss call, and
 matmul, reshape, transpose and a slice, sum, relu and softplus, a row
 gather (its backward a :class:`ScatterPlan`), a row put, a
 scatter-then-matmul whose dense matrix forward frees and backward
-rebuilds, the gathered Gram matrix, an elementwise select, row
-normalisation onto the unit sphere, softmax and log-sum-exp
-over contiguous segments, log-softmax, and the vMF entropy with its
-analytic d/dkappa = -kappa * A'_d(kappa).
+rebuilds, the gathered Gram matrix, row normalisation onto the unit
+sphere, softmax and log-sum-exp over contiguous segments, log-softmax,
+and the vMF entropy with its analytic d/dkappa = -kappa * A'_d(kappa).
 """
 
 from __future__ import annotations
@@ -293,19 +292,6 @@ def gram_gather(h: Tensor, cells: np.ndarray, cells_t: np.ndarray) -> Tensor:
         h._accumulate(sym.reshape(n, n) @ h.data)
 
     return Tensor((h.data @ h.data.T).reshape(-1)[cells], parents=(h,), backward=bwd)
-
-
-def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select with a constant boolean condition."""
-    a, b = as_tensor(a), as_tensor(b)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(np.where(cond, g, 0.0))
-        if b.requires_grad:
-            b._accumulate(np.where(cond, 0.0, g))
-
-    return Tensor(np.where(cond, a.data, b.data), parents=(a, b), backward=bwd)
 
 
 def normalize_rows(t: Tensor, eps: float) -> Tensor:

@@ -126,7 +126,9 @@ class Dataset:
         if set(self.labels) != idset:
             raise ValidationError("labels must cover exactly the node set")
         for nid, lab in self.labels.items():
-            if not (type(lab) is int and 0 <= lab < self.classes):  # a bool is not a label
+            if type(lab) is not int:  # a bool is not a label
+                raise ValidationError(f"label {lab!r} of node {nid} must be an int")
+            if not 0 <= lab < self.classes:
                 raise ValidationError(f"label {lab!r} of node {nid} out of range")
         seen: dict[str, str] = {}  # node id -> the split that lists it
         for name in SPLIT_NAMES:

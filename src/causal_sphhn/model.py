@@ -6,7 +6,10 @@ unnormalized projection), run L rounds of angular attention within
 hyperedges followed by per-context-type linear aggregation, inject causal
 parents through a learned-temperature softmax over Granger F scores after
 the final round, and classify with a linear head whose logits, on the
-sphere, are scaled by ``LOGIT_SCALE``.
+sphere, are scaled by ``LOGIT_SCALE``.  A projected row z with
+||z||^2 <= ``_NORM_EPS``^2 has no direction, so it has no concentration
+either: on exactly those rows kappa = 0, the uniform vMF, and on the
+sphere h = e_1, and neither passes z a gradient.
 
 Ablation switches: ``euclidean`` skips all normalization (attention becomes
 a plain dot product), ``pairwise`` expands hyperedges into 2-cliques,
@@ -393,10 +396,9 @@ def run_model(
 
     x = Tensor(structure.features)
     z = x @ params.proj_w.transpose((1, 0)) + params.proj_b
-    z_norm = np.linalg.norm(z.data, axis=1, keepdims=True)
-    proj_safe = z_norm > _NORM_EPS
-    kappa_raw = (z @ params.kappa_w.reshape(d, 1)).reshape(n) + params.kappa_b
-    kappa = ad.where(proj_safe.reshape(n), kappa_raw.softplus(), Tensor(np.zeros(n)))
+    # The squared-norm test of ad.normalize_rows, so kappa is 0 where h is e_1.
+    directed = (z.data * z.data).sum(axis=1) > _NORM_EPS**2
+    kappa = ((z @ params.kappa_w.reshape(d, 1)).reshape(n) + params.kappa_b).softplus() * Tensor(directed)
 
     h = z if cfg.euclidean else _normalize_rows(z)
     layers = [h]

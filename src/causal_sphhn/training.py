@@ -169,7 +169,8 @@ def train(
     """Adam training with early stopping on validation loss.
 
     Returns the best-validation parameters and the per-epoch history.
-    Raises :class:`TrainingDiverged` when the loss goes nonfinite.
+    Raises :class:`TrainingDiverged` when the loss, a gradient or a
+    parameter goes nonfinite.
     """
     rng = np.random.default_rng(cfg.seed)
     structure = compile_structure(ds, causal_graph, model_cfg)
@@ -196,11 +197,13 @@ def train(
             raise TrainingDiverged(str(exc)) from exc
         if not np.isfinite(breakdown.total):
             raise TrainingDiverged(f"loss became {breakdown.total} at epoch {epoch}")
-        # An overflowing step leaves nonfinite parameters, which the validation
-        # check below turns into TrainingDiverged; the float warnings are noise,
-        # as in gradients().
+        # An overflowing step leaves nonfinite parameters, which no forward
+        # pass may read; the float warnings are noise, as in gradients().
         with np.errstate(over="ignore", invalid="ignore"):
             opt.step(grads)
+        for name, t in params.named().items():
+            if not np.all(np.isfinite(t.data)):
+                raise TrainingDiverged(f"parameter {name} became nonfinite at epoch {epoch}")
         params.attn_temp.data = np.asarray(np.maximum(params.attn_temp.data, TEMP_FLOOR))
         params.gamma_temp.data = np.asarray(np.maximum(params.gamma_temp.data, TEMP_FLOOR))
 

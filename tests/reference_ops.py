@@ -36,16 +36,26 @@ class SphericalEmbedding:
             raise ContractViolation("kappa must be >= 0")
 
 
+def unit(v: np.ndarray) -> tuple[np.ndarray, bool]:
+    """v / |v| and True, or e_1 and False where |v|^2 <= eps^2: the
+    package's degenerate-row test, with its squared norm summed the same way."""
+    sq = float((v * v).sum())
+    if sq > _NORM_EPS**2:
+        return v / np.sqrt(sq), True
+    e1 = np.zeros_like(v)
+    e1[0] = 1.0
+    return e1, False
+
+
 def project(x: np.ndarray, params: ModelParams) -> SphericalEmbedding:
-    """Normalize W x + b onto the sphere; softplus concentration from it."""
+    """Normalize W x + b onto the sphere; softplus concentration from it,
+    and kappa = 0 on a row that has no direction."""
     z = params.proj_w.data @ np.asarray(x, dtype=np.float64) + params.proj_b.data
-    norm = np.linalg.norm(z)
-    if norm <= _NORM_EPS:
-        e1 = np.zeros(params.config.embed_dim)
-        e1[0] = 1.0
-        return SphericalEmbedding(e1, 0.0)
+    h, directed = unit(z)
+    if not directed:
+        return SphericalEmbedding(h, 0.0)
     raw = float(params.kappa_w.data @ z + params.kappa_b.data)
-    return SphericalEmbedding(z / norm, float(np.logaddexp(0.0, raw)))
+    return SphericalEmbedding(h, float(np.logaddexp(0.0, raw)))
 
 
 def edge_attention(
@@ -100,13 +110,7 @@ def hyperedge_aggregate(
         for j, other in enumerate(members):
             inner += alpha[row, j] * embeds[other].h
         m += params.edge_w[edges[eid].context_type].data @ inner
-    act = np.maximum(m, 0.0)
-    norm = np.linalg.norm(act)
-    if norm <= _NORM_EPS:
-        e1 = np.zeros(d)
-        e1[0] = 1.0
-        return e1
-    return act / norm
+    return unit(np.maximum(m, 0.0))[0]
 
 
 def causal_gamma(node: str, causal_graph: CausalGraph, gamma_temp: float) -> tuple[list, np.ndarray]:
@@ -136,14 +140,7 @@ def causal_aggregate(
     for g, e in zip(gamma, parents):
         ctx += g * (params.causal_w.data @ embeds[e.src])
     combined = h_prime + ctx
-    if params.config.euclidean:
-        return combined
-    norm = np.linalg.norm(combined)
-    if norm <= _NORM_EPS:
-        e1 = np.zeros_like(combined)
-        e1[0] = 1.0
-        return e1
-    return combined / norm
+    return combined if params.config.euclidean else unit(combined)[0]
 
 
 def pairwise_expand(edges: list[Hyperedge]) -> list[Hyperedge]:

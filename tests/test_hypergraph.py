@@ -377,7 +377,14 @@ class TestSplitsValidation:
     def test_label_out_of_range_rejected(self):
         ds = make_dataset()
         ds.labels["n0"] = 7
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="label 7 of node n0 out of range"):
+            ds.validate()
+
+    @pytest.mark.parametrize("label", [1.5, 1.0, True, "1", None])
+    def test_label_that_is_not_an_int_is_named(self, label):
+        ds = make_dataset()
+        ds.labels["n1"] = label
+        with pytest.raises(ValidationError, match=f"label {re.escape(repr(label))} of node n1 must be an int"):
             ds.validate()
 
 

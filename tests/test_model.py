@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causal_sphhn import autodiff as ad
@@ -14,6 +14,8 @@ from causal_sphhn.errors import ContractViolation, ValidationError
 from causal_sphhn.granger import CausalGraph
 from causal_sphhn.hypergraph import Dataset, Hyperedge
 from causal_sphhn.model import (
+    _NORM_EPS,
+    KAPPA_INIT,
     LOGIT_SCALE,
     ModelConfig,
     ModelParams,
@@ -38,6 +40,7 @@ from reference_ops import (
     pairwise_expand,
     project,
 )
+from test_autodiff import rows_in_eps
 
 
 def tiny_params(cfg, in_dim=2, classes=2, types=("c",), seed=0, randomize=True):
@@ -104,6 +107,70 @@ class TestProject:
             assert abs(np.linalg.norm(emb.h) - 1.0) <= 1e-9
             assert emb.h @ z / np.linalg.norm(z) >= 1.0 - 1e-9
             assert emb.kappa >= 0.0
+
+
+def projection_run(z):
+    """run_model at layers=0 with proj_w = I and proj_b = 0, so node i's
+    projection is row i of ``z``, with kappa_w = 0 and kappa = KAPPA_INIT
+    off the degenerate rows; and the params it ran with."""
+    n, d = z.shape
+    ids = [f"n{i}" for i in range(n)]
+    ds = Dataset(ids, z[:, None, :], 2, 1, [], {i: 0 for i in ids}, {"train": ids, "val": [], "test": []})
+    ds.validate()
+    cfg = ModelConfig(embed_dim=d, layers=0, dropout=0.0)
+    params = init_params(cfg, d, 2, (), np.random.default_rng(0))
+    params.proj_w.data = np.eye(d)
+    return run_model(compile_structure(ds, None, cfg), params, mode="eval"), params
+
+
+class TestDegenerateRows:
+    """A projected row with no direction gets h = e_1 and kappa = 0, on
+    exactly the same rows, in the package and in the oracle."""
+
+    @staticmethod
+    def check(z):
+        """kappa is 0 on exactly the rows where h is e_1, and the oracle agrees."""
+        run, params = projection_run(z)
+        h, kappa = run.layers[0].data, run.kappa.data
+        assert np.array_equal(kappa == 0.0, np.all(h == np.eye(z.shape[1])[0], axis=1))
+        for row, row_h, row_kappa in zip(z, h, kappa):
+            emb = project(row, params)
+            assert np.array_equal(emb.h, row_h)
+            assert (emb.kappa == 0.0) == (row_kappa == 0.0)
+        return run
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows_in_eps())
+    @example(np.zeros((1, 3)))
+    def test_kappa_is_zero_exactly_where_h_is_e1(self, rows):
+        self.check(rows * _NORM_EPS)
+
+    def test_row_between_norm_and_squared_norm_has_a_direction_and_a_kappa(self):
+        # |z|^2 exceeds eps^2, but |z| rounds to eps: a mask read off the
+        # norm called this row degenerate while the sphere did not.
+        z = np.array([[1e-12, 9.764623219360446e-21]])
+        assert (z * z).sum() > _NORM_EPS**2 and np.linalg.norm(z) == _NORM_EPS
+        run = self.check(z)
+        assert run.layers[0].data[0, 1] > 0.0
+        assert run.kappa.data[0] == pytest.approx(KAPPA_INIT)
+
+    def test_zero_projection_is_uniform_and_passes_kappa_no_gradient(self):
+        rng = np.random.default_rng(20)
+        ds = make_dataset(rng)
+        ds.features[0, -1] = 0.0
+        cfg = ModelConfig(embed_dim=4, layers=2, dropout=0.0)
+        params = tiny_params(cfg, in_dim=4, seed=21)
+        params.proj_b.data = np.zeros(4)
+        structure = compile_structure(ds, None, cfg)
+        run = run_model(structure, params, mode="eval")
+        assert run.kappa.data[0] == 0.0 and np.all(run.kappa.data[1:] > 0.0)
+        assert np.array_equal(run.layers[0].data[0], [1.0, 0.0, 0.0, 0.0])
+        train = TrainConfig(lambda1=1.0)
+        grads, _ = gradients(params, structure, np.array([0]), train, mode="eval")
+        assert np.all(grads["kappa_w"] == 0.0) and grads["kappa_b"] == 0.0
+        assert np.any(grads["head_w"] != 0.0)  # the row still reaches the loss
+        grads, _ = gradients(params, structure, np.array([1]), train, mode="eval")
+        assert grads["kappa_b"] != 0.0
 
 
 class TestEdgeAttention:
