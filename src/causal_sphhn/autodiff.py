@@ -297,18 +297,34 @@ def gram_gather(h: Tensor, cells: np.ndarray, cells_t: np.ndarray) -> Tensor:
 def normalize_rows(t: Tensor, eps: float) -> Tensor:
     """Each row of a 2-D t scaled to unit norm; a row with norm <= eps becomes e_1.
 
+    A finite row whose square sum overflows is first divided by its largest
+    |entry|, so it too comes out unit norm; every other row is computed
+    without that division, bit for bit.  A row with a NaN or inf entry has
+    no direction and comes out NaN: it is neither a unit row nor e_1, and a
+    caller that must not see one checks its input.
+
     Backward projects g off the output row u and divides by the norm,
     (g - u (u . g)) / |t|; a degenerate row gets no gradient.
     """
-    sq = (t.data * t.data).sum(axis=-1, keepdims=True)
-    safe = sq > eps**2
+    x = t.data
+    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+        sq = (x * x).sum(axis=-1, keepdims=True)
+    scale = None
+    over = np.isinf(sq)
+    if over.any():
+        scale = np.where(over, np.abs(x).max(axis=-1, keepdims=True), 1.0)
+        with np.errstate(invalid="ignore"):  # inf / inf: a row with an inf entry becomes NaN
+            x = x / scale
+        sq = np.where(over, (x * x).sum(axis=-1, keepdims=True), sq)
+    safe = ~(sq <= eps**2)  # NaN is not degenerate: a NaN row stays NaN
     norm = np.sqrt(np.where(safe, sq, 1.0))
     e1 = np.zeros((1, t.data.shape[-1]))
     e1[0, 0] = 1.0
-    u = np.where(safe, t.data / norm, e1)
+    u = np.where(safe, x / norm, e1)
 
     def bwd(g):
-        t._accumulate(np.where(safe, (g - u * (u * g).sum(axis=-1, keepdims=True)) / norm, 0.0))
+        grad = np.where(safe, (g - u * (u * g).sum(axis=-1, keepdims=True)) / norm, 0.0)
+        t._accumulate(grad if scale is None else grad / scale)
 
     return Tensor(u, parents=(t,), backward=bwd)
 

@@ -29,6 +29,9 @@ atomically; a block that does not match its document (stale, swapped,
 another dtype, or not one row per node) fails to load.  A document
 without ``"format": 3``, or with a key, at any level, that this format does
 not list, is refused.
+
+A ``Dataset`` checks itself when built, so one that exists is valid: no
+caller validates it, and the model does not check its labels or members again.
 """
 
 from __future__ import annotations
@@ -71,6 +74,11 @@ class Dataset:
     ``nodes`` is built once, on construction, as the block's rows: each
     node's ``features`` is a view of ``features[i]``, not a copy.  Nothing
     reassigns ``features`` afterwards, so the views cannot go stale.
+
+    Building one checks each rule of a dataset and raises ValidationError
+    on the first it breaks; ``dataclasses.replace`` builds, so checks, a new
+    one.  ``np.asarray`` converts a block of another dtype rather than
+    refusing it, so ``load_dataset`` checks that the file's block is float64.
     """
 
     node_ids: list[str]
@@ -84,12 +92,6 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.nodes = [NodeFeatureSeries(i, row) for i, row in zip(self.node_ids, self.features)]
-
-    def node_index(self) -> dict[str, int]:
-        return {nid: i for i, nid in enumerate(self.node_ids)}
-
-    def validate(self) -> None:
         if self.classes < 2:
             raise ValidationError(f"classes must be >= 2, got {self.classes}")
         if self.features.ndim != 3 or self.features.shape[0] != len(self.node_ids):
@@ -102,6 +104,7 @@ class Dataset:
                 raise ValidationError(f"{name} must be >= 1")
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+        self.nodes = [NodeFeatureSeries(i, row) for i, row in zip(self.node_ids, self.features)]
         ids = self.node_ids
         idset = set(ids)
         if len(idset) != len(ids):
@@ -141,6 +144,9 @@ class Dataset:
                 seen[nid] = name
         if seen.keys() != idset:
             raise ValidationError("splits must cover all labeled nodes")
+
+    def node_index(self) -> dict[str, int]:
+        return {nid: i for i, nid in enumerate(self.node_ids)}
 
 
 def block_path(path: str) -> str:
@@ -195,9 +201,7 @@ def load_dataset(path: str) -> Dataset:
             raise ParseError(f"features block has dtype {features.dtype}, expected float64")
         edges = [Hyperedge(e["id"], e["members"], e["type"]) for e in doc["hyperedges"]]
         splits = {split: doc["splits"][split] for split in SPLIT_NAMES}
-        ds = Dataset(doc["nodes"], features, doc["classes"], doc["horizon"], edges, doc["labels"], splits)
-        ds.validate()
-        return ds
+        return Dataset(doc["nodes"], features, doc["classes"], doc["horizon"], edges, doc["labels"], splits)
 
 
 def feature_dropout(features: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,10 @@ the final round, and classify with a linear head whose logits, on the
 sphere, are scaled by ``LOGIT_SCALE``.  A projected row z with
 ||z||^2 <= ``_NORM_EPS``^2 has no direction, so it has no concentration
 either: on exactly those rows kappa = 0, the uniform vMF, and on the
-sphere h = e_1, and neither passes z a gradient.
+sphere h = e_1, and neither passes z a gradient.  A nonfinite row of the
+projection, of kappa, of a layer or of the causal injection raises
+NumericalError naming the stage and the node: finite parameters whose
+forward overflows diverged, they are not bad input.
 
 Ablation switches: ``euclidean`` skips all normalization (attention becomes
 a plain dot product), ``pairwise`` expands hyperedges into 2-cliques,
@@ -91,7 +94,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ContractViolation, ValidationError
+from .errors import ContractViolation, NumericalError, ValidationError
 from .granger import EDGE_DTYPE, CausalGraph
 from .hypergraph import Dataset
 
@@ -249,16 +252,9 @@ def _member_rows(
     a before b, are read off that block: slot pair (a, b) of the upper
     triangle is a pair of the edge wherever slot b is a member, since then
     so is a < b.  Boolean indexing keeps edge order, and the triangle's
-    order within each edge.  Only the member ids are checked: an unknown
-    one raises ValidationError.
+    order within each edge.
     """
-    flat = []
-    for e in ds.hyperedges:
-        for m in sorted(e.members) if pairwise else e.members:
-            row = index.get(m)
-            if row is None:
-                raise ValidationError(f"hyperedge {e.edge_id} references unknown node {m}")
-            flat.append(row)
+    flat = [index[m] for e in ds.hyperedges for m in (sorted(e.members) if pairwise else e.members)]
     sizes = np.fromiter((len(e.members) for e in ds.hyperedges), np.int64, len(ds.hyperedges))
     mask = np.arange(sizes.max(initial=2)) < sizes[:, None]
     rows = np.zeros(mask.shape, dtype=np.int64)
@@ -274,21 +270,19 @@ def _member_rows(
 def compile_structure(
     ds: Dataset, causal_graph: CausalGraph | None, cfg: ModelConfig
 ) -> GraphStructure:
-    """The arrays a forward pass and its loss read, for a dataset already validated.
+    """The arrays a forward pass and its loss read.
 
-    A label outside [0, classes) raises ContractViolation, since the loss
-    would read a negative one as the last class.  A hyperedge member or a
-    causal edge endpoint that is not a node of the dataset raises
-    ValidationError, naming the edge and the node.  The causal graph's
-    record array is read as columns, in (child id, parent id) order.
+    A dataset checks its own labels and members when built, so the one
+    check here compares the two inputs: a causal edge endpoint that is not
+    a node of the dataset raises ValidationError, naming the edge and the
+    node.  The causal graph's record array is read as columns, in
+    (child id, parent id) order.
     """
     index = ds.node_index()
     node_ids = ds.node_ids
     features = ds.features[:, -1].copy()  # the caller may free the block
     n_nodes = len(node_ids)
     labels = np.fromiter((ds.labels[i] for i in node_ids), np.int64, n_nodes)
-    if np.any((labels < 0) | (labels >= ds.classes)):
-        raise ContractViolation("label out of range")
     splits = {name: np.sort([index[i] for i in ids]).astype(np.int64) for name, ids in ds.splits.items()}
 
     member_idx, member_mask, source = _member_rows(ds, index, cfg.pairwise)
@@ -372,6 +366,16 @@ def _normalize_rows(t: Tensor) -> Tensor:
     return ad.normalize_rows(t, _NORM_EPS)
 
 
+def _check_rows(values: np.ndarray, what: str, node_ids: list[str]) -> None:
+    """Raise NumericalError naming the first node whose row of ``values`` is nonfinite."""
+    finite = np.isfinite(values).reshape(len(node_ids), -1).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"{what} of node {node_ids[np.argmin(finite)]} is nonfinite")
+
+
+# Overflow shows up as a nonfinite row, which _check_rows turns into a
+# NumericalError; the float warnings on the way are noise.
+@np.errstate(over="ignore", invalid="ignore")
 def run_model(
     structure: GraphStructure,
     params: ModelParams,
@@ -396,15 +400,17 @@ def run_model(
 
     x = Tensor(structure.features)
     z = x @ params.proj_w.transpose((1, 0)) + params.proj_b
+    _check_rows(z.data, "projection", structure.node_ids)
     # The squared-norm test of ad.normalize_rows, so kappa is 0 where h is e_1.
     directed = (z.data * z.data).sum(axis=1) > _NORM_EPS**2
     kappa = ((z @ params.kappa_w.reshape(d, 1)).reshape(n) + params.kappa_b).softplus() * Tensor(directed)
+    _check_rows(kappa.data, "kappa", structure.node_ids)
 
     h = z if cfg.euclidean else _normalize_rows(z)
     layers = [h]
     alphas: list[Tensor] = []
 
-    for _ in range(cfg.layers):
+    for layer in range(1, cfg.layers + 1):
         if structure.pair_cell.size:
             cos = ad.gram_gather(h, structure.pair_cell, structure.pair_cell_t)
             alpha = ad.segment_softmax(params.attn_temp * cos, structure.seg_starts, structure.seg_ids)
@@ -419,6 +425,7 @@ def run_model(
             keep = (rng.random((n, d)) >= cfg.dropout) / (1.0 - cfg.dropout)
             m = m * Tensor(keep)
         act = m.relu()
+        _check_rows(act.data, f"layer {layer}", structure.node_ids)
         h = act if cfg.euclidean else _normalize_rows(act)
         layers.append(h)
 
@@ -435,6 +442,7 @@ def run_model(
         if not cfg.euclidean:
             combined = _normalize_rows(combined)
         h_final = ad.put_rows(h, structure.child_rows, combined)
+        _check_rows(h_final.data, "causal injection", structure.node_ids)
     else:
         h_final = h
 

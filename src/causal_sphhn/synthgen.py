@@ -256,7 +256,6 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, list[PlantedEdge]]:
         labels=labels,
         splits=splits,
     )
-    ds.validate()
     truth = [
         PlantedEdge(node_id(src), node_id(dst), float(coef))
         for src, dst, coef in sorted(cfg.planted_edges)

@@ -209,7 +209,10 @@ def train(
 
         # Over constant parameters the validation forward builds no graph.
         with np.errstate(over="ignore", invalid="ignore"):
-            val_run = run_model(structure, params.constants(), mode="eval")
+            try:
+                val_run = run_model(structure, params.constants(), mode="eval")
+            except NumericalError as exc:
+                raise TrainingDiverged(f"validation forward at epoch {epoch}: {exc}") from exc
             val_breakdown = build_loss(val_run, val_rows, cfg)[1]
         del val_run
         if not np.isfinite(val_breakdown.total):
@@ -360,7 +363,6 @@ def _tiny_instance(seed: int):
         labels=labels,
         splits={"train": ids[:4], "val": ids[4:5], "test": ids[5:]},
     )
-    ds.validate()
     graph = CausalGraph(alpha=0.05, lag=2, edges=[("n4", "n5", 3.0, 0.01), ("n3", "n5", 1.5, 0.02)])
     return ds, graph, rng
 

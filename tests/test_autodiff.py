@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import hypothesis.extra.numpy as hnp
@@ -239,6 +240,50 @@ class TestNormalizeRows:
         (out * Tensor(np.arange(12.0).reshape(4, 3) + 1.0)).sum().backward()
         assert np.all(t.grad[:3] == 0.0)
         assert np.all(t.grad[3] != 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows_in_eps(), st.lists(st.sampled_from([1e-12, 1.0, 1e150, 1e200, 1e307]), min_size=1, max_size=8),
+           st.integers(0, 2**32 - 1))
+    def test_rows_with_a_finite_square_sum_keep_their_bits(self, rows, scales, seed):
+        # Rows at 1e200 and beyond overflow the square sum; the rest, in the
+        # same matrix, match the unscaled formula bitwise, gradient too.
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([rows * 1e-12, rng.standard_normal((len(scales), 3)) * np.asarray(scales)[:, None]])
+        g = rng.standard_normal(x.shape)
+        t = Tensor(x, requires_grad=True)
+        out = ad.normalize_rows(t, 1e-12)
+        (out * Tensor(g)).sum().backward()
+        with np.errstate(over="ignore"):
+            finite = np.isfinite((x * x).sum(axis=-1))
+        y, gy = x[finite], g[finite]
+        u = normalize_rows(y, 1e-12)
+        sq = (y * y).sum(axis=-1, keepdims=True)
+        grad = np.where(sq > 1e-24, (gy - u * (u * gy).sum(axis=-1, keepdims=True)) / np.sqrt(np.where(sq > 1e-24, sq, 1.0)), 0.0)
+        assert np.array_equal(out.data[finite], u)
+        assert np.array_equal(t.grad[finite], grad)
+        assert np.allclose(np.linalg.norm(out.data[~finite], axis=1), 1.0, rtol=1e-15)
+
+    def test_a_row_whose_square_sum_overflows_gets_unit_norm(self):
+        y = np.array([[1.0, 1.0, 0.0], [3.0, -4.0, 0.1], [-2.0, 0.5, 1.0]])
+        w = Tensor(np.random.default_rng(12).standard_normal(y.shape))
+        t = Tensor(y * 1e200, requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = ad.normalize_rows(t, 1e-12)
+            (out * w).sum().backward()
+        assert np.allclose(out.data, y / np.linalg.norm(y, axis=1, keepdims=True), rtol=1e-15, atol=0)
+        # d/dx at x = 1e200 y is 1e-200 times d/dy at y, which differences at step 1e-6 estimate.
+        numeric = fd_grad(lambda: (ad.normalize_rows(Tensor(y * 1e200), 1e-12) * w).sum().item(), y)
+        assert np.allclose(t.grad * 1e200, numeric, rtol=1e-6, atol=1e-8)
+
+    def test_a_row_with_a_nonfinite_entry_comes_out_nan(self):
+        # NaN or inf has no direction: such a row is neither e_1 nor a unit row.
+        x = np.array([[np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0], [-np.inf, np.inf, 0.0], [3.0, 4.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = ad.normalize_rows(Tensor(x), 1e-12).data
+        assert np.isnan(out[:3]).all()
+        assert np.array_equal(out[3], [0.6, 0.8, 0.0])
 
 
 @st.composite

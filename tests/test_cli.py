@@ -3,13 +3,15 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import typing
 import weakref
 
+import numpy as np
 import pytest
 
-from causal_sphhn import artifacts, cli, synthgen
+from causal_sphhn import artifacts, cli, synthgen, training
 from causal_sphhn.cli import main
 from causal_sphhn.errors import ContractViolation
 from causal_sphhn.granger import REDUCTIONS, CausalGraph, GrangerConfig
@@ -339,6 +341,22 @@ class TestTrain:
         )
         assert code == 3
 
+    def test_nonfinite_projection_exit_code(self, tmp_path, toy_run, monkeypatch, capsys):
+        # Finite weights whose projection overflows are a divergence, not an input error.
+        init = training.init_params
+
+        def huge(*args):
+            params = init(*args)
+            params.proj_w.data = np.full_like(params.proj_w.data, 1e308)
+            return params
+
+        monkeypatch.setattr(training, "init_params", huge)
+        out = tmp_path / "d"
+        code = main(["train", "--dataset", f"{toy_run}/synth/dataset.json", "--no-causal", "--out", str(out)])
+        assert code == 3
+        assert "training diverged: projection of node" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_config_value_is_input_error(self, tmp_path, toy_run, capsys):
         cfg = tmp_path / "nan.json"
         cfg.write_text(json.dumps({"lr": math.nan, "max_epochs": 1}))  # json writes a bare NaN
@@ -524,6 +542,17 @@ class TestEval:
         assert main(["eval", "--checkpoint", ckpt, "--dataset", dataset,
                      "--truth", truth, "--k", "1", "--out", out]) == 0
         return json.load(open(f"{out}/report.json"))
+
+    def test_nonfinite_projection_is_named(self, tmp_path, toy_run, capsys):
+        # A checkpoint's weights are finite, but at 1e308 the projection overflows: eval names the stage.
+        params, train_cfg, graph = load_checkpoint(f"{toy_run}/train/checkpoint.json")
+        params.proj_w.data = np.full_like(params.proj_w.data, 1e308)
+        ckpt = str(tmp_path / "checkpoint.json")
+        save_checkpoint(ckpt, params, train_cfg, graph)
+        out = tmp_path / "r"
+        assert main(["eval", "--checkpoint", ckpt, "--dataset", f"{toy_run}/synth/dataset.json", "--out", str(out)]) == 1
+        assert re.search(r"^error: projection of node \S+ is nonfinite$", capsys.readouterr().err, re.M)
+        assert not out.exists()
 
     def test_causal_metrics_score_edges_by_learned_gamma(self, tmp_path, toy_run):
         # A single-parent child puts gamma 1 on its parent whatever the F

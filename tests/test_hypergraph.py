@@ -38,9 +38,7 @@ def make_dataset(rng=None, n=6, t=4, d=3, edges=None):
         ]
     labels = {i: k % 2 for k, i in enumerate(ids)}
     splits = {"train": ids[:3], "val": ids[3:4], "test": ids[4:]}
-    ds = Dataset(ids, features, 2, 1, edges, labels, splits)
-    ds.validate()
-    return ds
+    return Dataset(ids, features, 2, 1, edges, labels, splits)
 
 
 def write_pair(path, doc, features):
@@ -163,9 +161,7 @@ def datasets(draw):
     # it, which save_dataset must write in the view's order.
     if draw(st.booleans()):
         ids, features = ids[::-1], features[::-1]
-    ds = Dataset(ids, features, classes, draw(st.integers(1, 3)), edges, labels, splits)
-    ds.validate()
-    return ds
+    return Dataset(ids, features, classes, draw(st.integers(1, 3)), edges, labels, splits)
 
 
 def assert_same_dataset(back, ds):
@@ -285,6 +281,7 @@ BROKEN_FILES = {
     "missing_block": (break_missing, "cannot read"),
     "other_seed_block": (break_other_seed, "SHA-256"),
     "wrong_shape": (rewrite_block(lambda f: f[:-1]), "features shape (5, 4, 3)"),
+    "scalar_block": (rewrite_block(lambda f: f[0, 0, 0]), "features shape ()"),
     "float32": (rewrite_block(lambda f: f.astype(np.float32)), "float32"),
     "object_dtype": (rewrite_block(lambda f: f.astype(object)), "not a loadable"),
     "parent_dir": (set_file_entry("../ds.npy"), "file name"),
@@ -306,8 +303,8 @@ def test_broken_dataset_is_parse_error_naming_the_path(tmp_path, capsys, name):
     path = str(tmp_path / "ds.json")
     save_dataset(ds, path)
     breaker(path, ds)
-    # The block's header alone states its shape, which Dataset.validate checks against the node list.
-    error = ValidationError if name == "wrong_shape" else ParseError
+    # The block's header alone states its shape, which building the Dataset checks against the node list.
+    error = ValidationError if name in ("wrong_shape", "scalar_block") else ParseError
     with pytest.raises(error, match=re.escape(path) + ".*" + re.escape(message)):
         load_dataset(path)
     assert main(["granger", "--dataset", path, "--out", str(tmp_path / "out")]) == 1
@@ -333,29 +330,29 @@ class TestFeatureBlock:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_first_node_with_a_nonfinite_row_is_named(self, bad):
         ds = make_dataset(n=6)
-        ds.features[4, 0, 1] = bad
-        ds.features[2, 3, 2] = bad
+        features = ds.features.copy()
+        features[4, 0, 1] = bad
+        features[2, 3, 2] = bad
         with pytest.raises(ValidationError, match="node n2: nonfinite features"):
-            ds.validate()
+            dataclasses.replace(ds, features=features)
 
-    @pytest.mark.parametrize("shape", [(6, 4), (5, 4, 3), (7, 4, 3), (6, 4, 3, 1)])
+    @pytest.mark.parametrize("shape", [(6, 4), (5, 4, 3), (7, 4, 3), (6, 4, 3, 1), ()])
     def test_a_block_of_the_wrong_shape_is_refused(self, shape):
         ds = make_dataset(n=6, t=4, d=3)
-        wrong = Dataset(ds.node_ids, np.zeros(shape), ds.classes, ds.horizon, ds.hyperedges, ds.labels, ds.splits)
         with pytest.raises(ValidationError, match=re.escape(f"features shape {shape}")):
-            wrong.validate()
+            dataclasses.replace(ds, features=np.zeros(shape))
 
     def test_no_timesteps_is_refused(self):
         ds = make_dataset(n=6, t=4, d=3)
-        empty = Dataset(ds.node_ids, np.zeros((6, 0, 3)), ds.classes, ds.horizon, ds.hyperedges, ds.labels, ds.splits)
         with pytest.raises(ValidationError, match="timesteps must be >= 1"):
-            empty.validate()
+            dataclasses.replace(ds, features=np.zeros((6, 0, 3)))
 
     def test_no_feature_dim_is_refused_at_load(self, tmp_path, capsys):
         # An (N, T, 0) block trained into a checkpoint that eval refused.
         ds = make_dataset(n=6, t=4, d=3)
         path = str(tmp_path / "ds.json")
-        save_dataset(dataclasses.replace(ds, features=np.zeros((6, 4, 0))), path)
+        save_dataset(ds, path)
+        rewrite_block(lambda f: np.zeros((6, 4, 0)))(path, ds)
         assert main(["train", "--dataset", path, "--no-causal", "--out", str(tmp_path / "t")]) == 1
         assert f"{path}: dim must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
@@ -364,28 +361,25 @@ class TestFeatureBlock:
 class TestSplitsValidation:
     def test_overlapping_splits_rejected(self):
         ds = make_dataset()
-        ds.splits["val"] = ds.splits["train"][:1]
-        with pytest.raises(ValidationError):
-            ds.validate()
+        with pytest.raises(ValidationError, match="splits are not disjoint"):
+            dataclasses.replace(ds, splits={**ds.splits, "val": ds.splits["train"][:1]})
 
     def test_uncovered_nodes_rejected(self):
         ds = make_dataset()
-        ds.splits["test"] = []
-        with pytest.raises(ValidationError):
-            ds.validate()
+        with pytest.raises(ValidationError, match="splits must cover all labeled nodes"):
+            dataclasses.replace(ds, splits={**ds.splits, "test": []})
 
     def test_label_out_of_range_rejected(self):
         ds = make_dataset()
-        ds.labels["n0"] = 7
-        with pytest.raises(ValidationError, match="label 7 of node n0 out of range"):
-            ds.validate()
+        for label in (7, 2, -1):
+            with pytest.raises(ValidationError, match=f"label {label} of node n0 out of range"):
+                dataclasses.replace(ds, labels={**ds.labels, "n0": label})
 
     @pytest.mark.parametrize("label", [1.5, 1.0, True, "1", None])
     def test_label_that_is_not_an_int_is_named(self, label):
         ds = make_dataset()
-        ds.labels["n1"] = label
         with pytest.raises(ValidationError, match=f"label {re.escape(repr(label))} of node n1 must be an int"):
-            ds.validate()
+            dataclasses.replace(ds, labels={**ds.labels, "n1": label})
 
 
 class TestFeatureDropout:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from causal_sphhn import autodiff as ad
 from causal_sphhn import synthgen
-from causal_sphhn.errors import ContractViolation, ValidationError
+from causal_sphhn.errors import ContractViolation, NumericalError, ValidationError
 from causal_sphhn.granger import CausalGraph
 from causal_sphhn.hypergraph import Dataset, Hyperedge
 from causal_sphhn.model import (
@@ -61,9 +61,7 @@ def make_dataset(rng, n=5, t=3, d=4, classes=2, edges=None):
         edges = [Hyperedge("e0", tuple(ids[: min(4, n)]), "c")]
     labels = {i: k % classes for k, i in enumerate(ids)}
     splits = {"train": ids[: n - 2], "val": ids[n - 2 : n - 1], "test": ids[n - 1 :]}
-    ds = Dataset(ids, features, classes, 1, edges, labels, splits)
-    ds.validate()
-    return ds
+    return Dataset(ids, features, classes, 1, edges, labels, splits)
 
 
 class TestSoftplusInverse:
@@ -116,7 +114,6 @@ def projection_run(z):
     n, d = z.shape
     ids = [f"n{i}" for i in range(n)]
     ds = Dataset(ids, z[:, None, :], 2, 1, [], {i: 0 for i in ids}, {"train": ids, "val": [], "test": []})
-    ds.validate()
     cfg = ModelConfig(embed_dim=d, layers=0, dropout=0.0)
     params = init_params(cfg, d, 2, (), np.random.default_rng(0))
     params.proj_w.data = np.eye(d)
@@ -171,6 +168,47 @@ class TestDegenerateRows:
         assert np.any(grads["head_w"] != 0.0)  # the row still reaches the loss
         grads, _ = gradients(params, structure, np.array([1]), train, mode="eval")
         assert grads["kappa_b"] != 0.0
+
+
+class TestOverflow:
+    """A projection whose square sum overflows still reaches the sphere; a
+    forward whose finite parameters give a nonfinite row raises
+    NumericalError naming the stage and the node, not vmf's ContractViolation."""
+
+    def test_a_projection_whose_square_sum_overflows_is_on_the_sphere(self):
+        ds = make_dataset(np.random.default_rng(42))
+        huge = dataclasses.replace(ds, features=ds.features * 1e300)
+        cfg = ModelConfig(embed_dim=4, layers=1, dropout=0.0)
+        params = tiny_params(cfg, in_dim=4, seed=43)
+        structure = compile_structure(huge, None, cfg)
+        run = run_model(structure, params, mode="eval")
+        # At this scale proj_b is lost in rounding: z is 1e300 times the unbiased projection of ds.
+        z = ds.features[:, -1] @ params.proj_w.data.T
+        with np.errstate(over="ignore"):
+            assert np.all(np.isinf(((1e300 * z) ** 2).sum(axis=1)))
+        assert np.allclose(run.layers[0].data, z / np.linalg.norm(z, axis=1, keepdims=True), rtol=1e-12, atol=1e-15)
+        grads, _ = gradients(params, structure, structure.splits["train"], TrainConfig(), mode="eval")
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+    @pytest.mark.parametrize("euclidean, name, stage", [
+        (False, "proj_w", "projection"), (True, "proj_w", "projection"),
+        (False, "kappa_w", "kappa"), (True, "kappa_w", "kappa"),
+        (False, "edge_w:a", "layer 1"), (True, "edge_w:a", "layer 1"),
+        (True, "causal_w", "causal injection"),
+    ])
+    def test_a_nonfinite_row_is_a_numerical_error(self, euclidean, name, stage):
+        ds, graph = mixed_size_instance()
+        cfg = ModelConfig(embed_dim=4, layers=1, dropout=0.0, euclidean=euclidean)
+        params = tiny_params(cfg, in_dim=4, types=("a", "b"), seed=44)
+        # Each projection then points into the positive orthant, so every product with 1e308 overflows upward.
+        params.proj_b.data = np.full(4, 10.0)
+        params.named()[name].data = np.full_like(params.named()[name].data, 1e308)
+        structure = compile_structure(ds, graph, cfg)
+        pattern = f"^{stage} of node n[0-7] is nonfinite$"
+        with pytest.raises(NumericalError, match=pattern):
+            run_model(structure, params.constants(), mode="eval")
+        with pytest.raises(NumericalError, match=pattern):
+            gradients(params, structure, structure.splits["train"], TrainConfig(), mode="eval")
 
 
 class TestEdgeAttention:
@@ -404,10 +442,10 @@ class TestCompiledPlans:
             assert edges == {(e.dst, e.src) for e in graph.edges}
 
     def test_unknown_member_is_validation_error(self):
-        ds, graph = mixed_size_instance()
-        ds.hyperedges.append(Hyperedge("g0", ("n0", "ghost"), "a"))
-        with pytest.raises(ValidationError, match="unknown node ghost"):
-            compile_structure(ds, graph, ModelConfig())
+        # The dataset refuses the member when built, so no structure can be compiled over it.
+        ds, _ = mixed_size_instance()
+        with pytest.raises(ValidationError, match="hyperedge g0 references unknown node ghost"):
+            dataclasses.replace(ds, hyperedges=[*ds.hyperedges, Hyperedge("g0", ("n0", "ghost"), "a")])
 
     @pytest.mark.parametrize("end", ["src", "dst"])
     def test_unknown_causal_endpoint_is_validation_error(self, end):
@@ -419,13 +457,12 @@ class TestCompiledPlans:
             compile_structure(ds, graph, ModelConfig())
 
     def test_label_out_of_range_is_rejected(self):
-        # A hand-built dataset need not be validated; a label of -1 would
-        # otherwise pick the last class in the loss's one-hot lookup.
+        # A label of -1 would pick the last class in the loss's one-hot
+        # lookup; the dataset refuses it when built, before any structure.
+        ds, _ = mixed_size_instance()
         for label in (9, -1):
-            ds, graph = mixed_size_instance()
-            ds.labels["n3"] = label
-            with pytest.raises(ContractViolation, match="label out of range"):
-                compile_structure(ds, graph, ModelConfig())
+            with pytest.raises(ValidationError, match=f"label {label} of node n3 out of range"):
+                dataclasses.replace(ds, labels={**ds.labels, "n3": label})
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.integers(0, 7), st.integers(0, 30), st.booleans())
@@ -443,7 +480,6 @@ class TestCompiledPlans:
         labels = {i: k % 2 for k, i in enumerate(ids)}
         ds = Dataset(ids, features, 2, 1, edges, labels,
                      {"train": ids[:1], "val": ids[1:2], "test": ids[2:]})
-        ds.validate()
         # Distinct ordered pairs of dataset nodes.
         pairs = {tuple(str(m) for m in rng.choice(ids, size=2, replace=False)) for _ in range(n_causal)}
         graph = CausalGraph(0.01, 2, [(s, d, float(rng.uniform(0.0, 50.0)), 1e-3) for s, d in pairs])

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import itertools
 import pathlib
+import typing
 
 import numpy as np
 import pytest
@@ -86,19 +87,32 @@ def test_unused_definitions_are_found(tmp_path):
 
 
 def test_every_config_checks_itself_when_built():
-    """Each frozen ``*Config`` dataclass checks its ranges in ``__post_init__``.
+    """Each frozen ``*Config`` dataclass, and each dataclass a loader
+    (``load_*`` or ``<class>.load``) returns, checks its rules in ``__post_init__``.
 
-    A config that exists is valid: no caller has to remember a ``validate()``.
+    A config, dataset or graph that exists is valid: no caller has to remember a ``validate()``.
     """
+    modules = [importlib.import_module(f"causal_sphhn.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
     configs = {
         cls
-        for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"
-        for cls in vars(importlib.import_module(f"causal_sphhn.{path.stem}")).values()
+        for module in modules
+        for cls in vars(module).values()
         if isinstance(cls, type) and cls.__name__.endswith("Config")
         and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
     }
     assert {c.__name__ for c in configs} >= {"GrangerConfig", "ModelConfig", "SynthConfig", "TrainConfig"}
-    for cls in configs:
+    loaders = [
+        obj.load if isinstance(obj, type) else obj
+        for module in modules
+        for name, obj in vars(module).items()
+        if getattr(obj, "__module__", None) == module.__name__
+        and (inspect.isfunction(obj) and name.startswith("load_") or isinstance(obj, type) and "load" in vars(obj))
+    ]
+    returned = {typing.get_type_hints(load)["return"] for load in loaders}
+    loaded = {cls for cls in returned if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
+    assert {c.__name__ for c in loaded} == {"Dataset", "CausalGraph"}
+    for cls in configs | loaded:
         assert "__post_init__" in vars(cls), cls.__name__
         assert not hasattr(cls, "validate"), cls.__name__
 

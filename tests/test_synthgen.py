@@ -138,7 +138,8 @@ class TestPresets:
 
     def test_splits_cover_nodes(self):
         ds, _ = generate(preset("toy"))
-        ds.validate()
+        listed = [nid for name in ("train", "val", "test") for nid in ds.splits[name]]
+        assert sorted(listed) == sorted(ds.node_ids)
 
 
 class TestCausalRecovery:

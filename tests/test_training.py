@@ -33,7 +33,6 @@ def toy_instance(seed=0, n=6, with_graph=True, two_parents=False):
     labels = {i: k % 2 for k, i in enumerate(ids)}
     ds = Dataset(ids, features, 2, 1, edges, labels,
                  {"train": ids[:4], "val": ids[4:5], "test": ids[5:]})
-    ds.validate()
     graph = None
     if with_graph:
         causal = [("n4", "n5", 3.0, 0.01)]
@@ -286,7 +285,6 @@ class TestMemory:
         causal = [(ids[(k + 7) % n], ids[k], 2.0 + k, 0.01) for k in range(0, n, 10)]
         ds = Dataset(ids, rng.standard_normal((n, 2, 4)), 2, 1, edges, {i: k % 2 for k, i in enumerate(ids)},
                      {"train": ids[: n // 2], "val": ids[n // 2 : 3 * n // 4], "test": ids[3 * n // 4 :]})
-        ds.validate()
         model_cfg = ModelConfig(embed_dim=4)
         structure = compile_structure(ds, CausalGraph(alpha=0.05, lag=2, edges=causal), model_cfg)
         params = init_params(model_cfg, 4, 2, tuple(structure.type_pairs), np.random.default_rng(0))
@@ -324,7 +322,6 @@ class TestTrainLoop:
         edges = [Hyperedge(f"e{j}", (ids[2 * j], ids[2 * j + 1]), "t") for j in range(n // 2)]
         ds = Dataset(ids, features, 2, 1, edges, labels,
                      {"train": ids[: n - 8], "val": ids[n - 8 : n - 4], "test": ids[n - 4 :]})
-        ds.validate()
         mc = ModelConfig(embed_dim=8, layers=1, dropout=0.0)
         tc = TrainConfig(lambda1=0.0, lambda2=0.0, max_epochs=100, seed=1)
         params, history = train(ds, None, mc, tc)
@@ -365,6 +362,33 @@ class TestTrainLoop:
         tc = TrainConfig(lr=1e155, max_epochs=10, seed=3)
         with pytest.raises(TrainingDiverged):
             train(ds, graph, mc, tc)
+
+    def test_nonfinite_projection_diverges_at_the_step(self, monkeypatch):
+        # Finite parameters whose projection overflows: a NumericalError, not vmf's ContractViolation.
+        init = training.init_params
+
+        def huge(*args):
+            params = init(*args)
+            params.proj_w.data = np.full_like(params.proj_w.data, 1e308)
+            return params
+
+        monkeypatch.setattr(training, "init_params", huge)
+        ds, graph = toy_instance(seed=18)
+        with pytest.raises(TrainingDiverged, match=r"^projection of node n\d is nonfinite$"):
+            train(ds, graph, ModelConfig(embed_dim=4, layers=1), TrainConfig(max_epochs=3, seed=8))
+
+    def test_nonfinite_projection_diverges_at_validation(self, monkeypatch):
+        # A step that leaves finite parameters whose projection overflows stops at the validation forward.
+        step = training.Adam.step
+
+        def overflowing(opt, grads):
+            step(opt, grads)
+            opt.params["proj_w"].data = np.full_like(opt.params["proj_w"].data, 1e308)
+
+        monkeypatch.setattr(training.Adam, "step", overflowing)
+        ds, graph = toy_instance(seed=19)
+        with pytest.raises(TrainingDiverged, match=r"^validation forward at epoch 0: projection of node n\d is nonfinite$"):
+            train(ds, graph, ModelConfig(embed_dim=4, layers=1), TrainConfig(max_epochs=3, seed=9))
 
     def test_dataset_is_dropped_before_the_first_step(self, monkeypatch):
         # The CLI hands train() its only reference, so the (N, T, d) block is not kept through training.
