@@ -2,8 +2,9 @@
 
 Every artifact of the pipeline is written atomically: into
 ``path + ".tmp"``, then moved onto ``path`` with ``os.replace``, so a
-reader never sees half a file.  A failed read raises ``ParseError`` and a
-failed write ``ContractViolation``, each naming the path.  The loaders check
+reader never sees half a file, and a failed write removes the temp file.
+A failed read raises ``ParseError`` and a failed write
+``ContractViolation``, each naming the path.  The loaders check
 what they read with ``check_fields``, which owns the document's shape.  Its
 one rule: a schema lists every key a document may hold, so a missing key, a
 key the schema does not list and a value of the wrong type each raise
@@ -26,7 +27,7 @@ import math
 import os
 import types
 import typing
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -103,13 +104,23 @@ def read_json(path: str) -> dict:
 
 @contextmanager
 def atomic_write(path: str, binary: bool = False):
-    """A text (or binary) handle whose contents replace ``path`` when the block ends."""
+    """A text (or binary) handle whose contents replace ``path`` when the block ends.
+
+    On any failure once the temp file is open, the temp file is removed and
+    ``path`` is left as it was.
+    """
     tmp = path + ".tmp"
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
+        fh = open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8")
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):  # the failure that got here is the one to report
+                os.remove(tmp)
+            raise
     except OSError as exc:
         raise ContractViolation(f"{path}: cannot write: {exc}") from exc
 

@@ -28,7 +28,8 @@ gather (its backward a :class:`ScatterPlan`), a row put, a
 scatter-then-matmul whose dense matrix forward frees and backward
 rebuilds, the gathered Gram matrix, row normalisation onto the unit
 sphere, softmax and log-sum-exp over contiguous segments, log-softmax,
-and the vMF entropy with its analytic d/dkappa = -kappa * A'_d(kappa).
+and the vMF entropy with its analytic d/dkappa = -kappa * A'_d(kappa),
+which saturates above ``vmf.KAPPA_MAX``.
 """
 
 from __future__ import annotations
@@ -373,18 +374,18 @@ def log_softmax(x: Tensor) -> Tensor:
     return Tensor(val, parents=(x,), backward=lambda g: x._accumulate(g - soft * g.sum(axis=-1, keepdims=True)))
 
 
-# The entropy objective is log-unbounded below in kappa; past this point the
-# op saturates (constant value, zero gradient) so adaptive optimizers cannot
-# push concentrations into overflow.  Healthy training stays far below it.
-VMF_ENTROPY_KAPPA_CAP = 1e4
-
-
 def vmf_entropy(kappa: Tensor, dim: int) -> Tensor:
-    """Elementwise vMF entropy of concentrations, differentiable in kappa."""
-    capped = np.minimum(kappa.data, VMF_ENTROPY_KAPPA_CAP)
+    """Elementwise vMF entropy of concentrations, differentiable in kappa.
+
+    The entropy objective is log-unbounded below in kappa, so above
+    ``vmf.KAPPA_MAX`` the op saturates, with value H(KAPPA_MAX) and zero
+    gradient, and adaptive optimizers cannot push concentrations into
+    overflow.  Healthy training stays far below the bound.
+    """
+    capped = np.minimum(kappa.data, vmf.KAPPA_MAX)
 
     def bwd(g):
         dh = -capped * vmf.mean_resultant_deriv(dim, capped)
-        kappa._accumulate(g * dh * (kappa.data < VMF_ENTROPY_KAPPA_CAP))
+        kappa._accumulate(g * dh * (kappa.data < vmf.KAPPA_MAX))
 
     return Tensor(vmf.entropy_from_kappa(dim, capped), parents=(kappa,), backward=bwd)

@@ -185,11 +185,13 @@ def cmd_eval(args) -> int:
     # eval reads of the dataset, so the (N, T, d) feature block is freed
     # before the mask and the forward, and only one feature block is ever alive.
     del ds
+    rows = np.arange(len(structure.node_ids)) if args.split == "all" else structure.splits[args.split]
+    if rows.size == 0:
+        raise ContractViolation(f"{args.dataset}: the {args.split} split is empty")
     if args.dropout_rate != 0.0:  # feature_dropout rejects a rate outside [0, 1)
         rng = np.random.default_rng(derive_seed(args.seed, "eval.dropout"))
         structure.features = feature_dropout(structure.features, args.dropout_rate, rng)
     run = run_model(structure, params, mode="eval")
-    rows = np.arange(len(structure.node_ids)) if args.split == "all" else structure.splits[args.split]
     labels = structure.labels[rows]
     probs = run.probs.data[rows]
     preds = probs.argmax(axis=1)

@@ -6,9 +6,14 @@ A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa) with its derivative.  The
 modified Bessel function I_nu is evaluated from scratch: a scaled power
 series below x = max(20, 2*nu) and the uniform large-order asymptotic
 expansion above it, with ratios computed by a continued fraction so no log
-subtraction is needed at large argument.  From kappa = max(1e5, d^2 / 4)
-the ratio and the entropy use the large-argument expansion instead, which
-cancels no terms of size kappa.
+subtraction is needed at large argument.
+
+kappa's domain is [0, KAPPA_MAX].  The ratio, its derivative and the
+entropy raise ``ContractViolation`` above it, where the continued fraction
+needs ever more terms and the entropy's direct form cancels two terms of
+size kappa; ``autodiff.vmf_entropy`` saturates at it.  The log
+Bessel function and log C_d(kappa) need no such bound and take any finite
+argument.
 
 All kappa-dependent functions accept scalars or numpy arrays and are pure.
 """
@@ -56,8 +61,14 @@ def _debye_terms(order: int):
 
 _DEBYE = _debye_terms(_DEBYE_ORDER)
 
+# The top of kappa's domain; see the module docstring.
+KAPPA_MAX = 1e4
+
 _SERIES_MAX_TERMS = 1000
-_RATIO_MAX_ITER = 1_000_000
+# The continued fraction (Amos, Math. Comp. 28:239, 1974) takes at most 621
+# iterations on [0, KAPPA_MAX], at x = KAPPA_MAX and nu = 0, for nu from 0 to
+# 1000 in steps of 1/2; larger orders converge faster.
+_RATIO_MAX_ITER = 1000
 
 
 def _check_order_arg(nu: float, x) -> np.ndarray:
@@ -119,14 +130,6 @@ def _log_bessel_uniform(nu: float, x: np.ndarray) -> np.ndarray:
     return exponent + prefix + np.log(corr)
 
 
-# The large-argument series of orders nu and nu + 1 replaces the continued
-# fraction from x = max(1e5, (nu + 1)^2); see _asymptotic_min.
-_RATIO_ASYMPTOTIC_MIN = 1e5
-# It keeps at least this many terms after the first, and every term of size
-# _ASYMPTOTIC_TOL or more at the switch, up to _ASYMPTOTIC_MAX_TERMS.
-_ASYMPTOTIC_TERMS = 8
-_ASYMPTOTIC_TOL = 1e-17
-_ASYMPTOTIC_MAX_TERMS = 24
 # Below this argument the ratio is its leading term x / (2(nu + 1)) to
 # double precision (the next term is smaller by a factor x^2 / (4(nu + 2))).
 # The continued fraction cannot take over lower: its coefficients 2(nu + j) / x
@@ -135,74 +138,40 @@ _ASYMPTOTIC_MAX_TERMS = 24
 _RATIO_SMALL_MAX = 1e-150
 
 
-def _large_arg_terms(order: float, x: np.ndarray, terms: int) -> np.ndarray:
-    """The (n, terms + 1) terms (-1)^k a_k(order) / x^k of the large-argument
-    series I_order(x) = e^x / sqrt(2 pi x) * sum_k (-1)^k a_k(order) / x^k."""
-    k = np.arange(1, terms + 1)
-    coef = np.cumprod(np.append(1.0, -(4.0 * order**2 - (2 * k - 1) ** 2) / (8.0 * k)))
-    return coef * (1.0 / x)[:, None] ** np.arange(terms + 1)
-
-
-def _asymptotic_min(top: float) -> float:
-    """The argument from which the large-argument series of orders top - 1 and top is used.
-
-    Term k is term k - 1 times (4 top^2 - (2k - 1)^2) / (8 k x), so from
-    x = top^2 the terms shrink at least as fast as 1 / (2^k k!).  From a
-    fixed 1e5 the series diverged at large orders (at d = 1000, kappa = 1e5
-    the entropy was off by 5.8e-5 relative); below the switch the continued
-    fraction's ratio is within about 5e-15.
-    """
-    return max(_RATIO_ASYMPTOTIC_MIN, top * top)
-
-
-def _asymptotic_length(top: float) -> int:
-    """Terms after the first that the series of orders top - 1 and top keeps: at least
-    ``_ASYMPTOTIC_TERMS``, and every term of order top of size ``_ASYMPTOTIC_TOL`` or
-    more at x = ``_asymptotic_min(top)``.  For top <= 100 (d <= 200) that is 8."""
-    mags = np.abs(_large_arg_terms(top, np.array([_asymptotic_min(top)]), _ASYMPTOTIC_MAX_TERMS)[0])
-    return max(_ASYMPTOTIC_TERMS, int(np.flatnonzero(mags >= _ASYMPTOTIC_TOL)[-1]))
-
-
 def bessel_ratio(nu: float, x):
     """I_{nu+1}(x) / I_nu(x) by the Gautschi continued fraction.
 
     Elementwise Lentz iteration; avoids the catastrophic log subtraction
-    at large argument where the ratio approaches 1.  Above
-    x = max(1e5, (nu + 1)^2) the continued fraction would need O(x) terms,
-    so the large-argument expansion (at machine precision there) takes
-    over; below x = 1e-150 the leading small-argument term does.
+    at large argument where the ratio approaches 1.  Below x = 1e-150 the
+    leading small-argument term takes over.  ``x`` must be at most
+    ``KAPPA_MAX``.
     """
     x = _check_order_arg(nu, x)
+    if np.any(x > KAPPA_MAX):
+        raise ContractViolation(f"kappa must be <= vmf.KAPPA_MAX = {KAPPA_MAX:g}, got {float(np.max(x))!r}")
     scalar = x.ndim == 0
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x = np.atleast_1d(x)
     out = np.zeros_like(x)
-    huge = x >= _asymptotic_min(nu + 1.0)
-    if np.any(huge):
-        terms = _asymptotic_length(nu + 1.0)
-        upper, lower = _large_arg_terms(nu + 1.0, x[huge], terms), _large_arg_terms(nu, x[huge], terms)
-        out[huge] = upper.sum(axis=1) / lower.sum(axis=1)
     small = (x > 0.0) & (x < _RATIO_SMALL_MAX)
     out[small] = x[small] / (2.0 * (nu + 1.0))
-    pos = (x >= _RATIO_SMALL_MAX) & ~huge
+    pos = x >= _RATIO_SMALL_MAX
     if np.any(pos):
         xv = x[pos]
-        tiny = 1e-300
-        f = np.full_like(xv, tiny)
-        c = np.full_like(xv, tiny)
+        # Every coefficient 2(nu + j) / x is positive and finite here, so c and d
+        # stay positive: no denominator can vanish.
+        f = np.full_like(xv, 1e-300)
+        c = np.full_like(xv, 1e-300)
         d = np.zeros_like(xv)
         active = np.ones(xv.shape, dtype=bool)
         for j in range(1, _RATIO_MAX_ITER + 1):
             b = 2.0 * (nu + j) / xv
-            d = b + d
-            d[d == 0.0] = tiny
             c = b + 1.0 / c
-            c[c == 0.0] = tiny
-            d = 1.0 / d
+            d = 1.0 / (b + d)
             delta = c * d
             # Converged elements stop updating, so each follows its scalar iteration.
-            f = np.where(active, f * delta, f)
-            active &= np.abs(delta - 1.0) >= 1e-16
-            if not np.any(active):
+            np.multiply(f, delta, out=f, where=active)
+            active &= delta != 1.0  # an element has converged once its factor rounds to 1
+            if not active.any():
                 break
         else:
             raise NumericalError("Bessel ratio continued fraction did not converge")
@@ -264,32 +233,10 @@ def mean_resultant_deriv(d: int, kappa):
     return float(out[0]) if scalar else out
 
 
-def _entropy_large_kappa(d: int, kappa: np.ndarray) -> np.ndarray:
-    """(d-1)/2 * (1 + log(2 pi / kappa)) plus its 1/kappa corrections.
-
-    With S_nu the large-argument series of :func:`_large_arg_terms`, the
-    entropy is (d-1)/2 log(2 pi / kappa) + kappa (S_nu - S_{nu+1}) / S_nu
-    + log S_nu.  The middle numerator is summed term by term, not formed
-    as the difference of two sums near 1; its first term is (d-1)/2.
-    """
-    terms = _asymptotic_length(0.5 * d)
-    s_nu, s_next = _large_arg_terms(0.5 * d - 1.0, kappa, terms), _large_arg_terms(0.5 * d, kappa, terms)
-    tail = s_nu[:, 1:].sum(axis=1)
-    spread = kappa * (s_nu - s_next)[:, 1:].sum(axis=1)
-    return 0.5 * (d - 1) * (_LOG_2PI - np.log(kappa)) + spread / (1.0 + tail) + np.log1p(tail)
-
-
 def entropy_from_kappa(d: int, kappa):
-    """Differential entropy in nats of a vMF with the given concentration."""
-    _check_dim(d)
-    kappa = _check_order_arg(0.5 * d - 1.0, kappa)
-    scalar = kappa.ndim == 0
-    kappa = np.atleast_1d(kappa)
-    # The direct form cancels two terms of size kappa; the training cap
-    # (autodiff.VMF_ENTROPY_KAPPA_CAP) keeps training below the expansion.
-    big = kappa >= _asymptotic_min(0.5 * d)
-    h = np.empty_like(kappa)
-    h[big] = _entropy_large_kappa(d, kappa[big])
-    rest = kappa[~big]
-    h[~big] = -log_norm_const(d, rest) - rest * mean_resultant(d, rest)
-    return float(h[0]) if scalar else h
+    """Differential entropy in nats of a vMF with concentration kappa <= ``KAPPA_MAX``.
+
+    The direct form cancels two terms of size kappa, losing about kappa * eps.
+    """
+    a = mean_resultant(d, kappa)
+    return -log_norm_const(d, kappa) - kappa * a

@@ -1,4 +1,5 @@
 import ast
+import errno
 import hashlib
 import io
 import os
@@ -12,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causal_sphhn import artifacts
 from causal_sphhn.artifacts import check_fields, doc_digest, file_digest, read_json, read_npy, write_json, write_npy
 from causal_sphhn.errors import ContractViolation, ParseError
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "causal_sphhn"
 FILE_CALLS = {
-    "open", "json.load", "json.dump", "os.replace", "os.rename", "os.makedirs", "os.mkdir",
+    "open", "json.load", "json.dump", "os.replace", "os.rename", "os.remove", "os.unlink", "os.makedirs", "os.mkdir",
     "np.save", "np.load", "np.savez", "np.savez_compressed", "np.fromfile", "np.memmap",
     "np.loadtxt", "np.savetxt", "np.genfromtxt", ".tofile",
 }
@@ -89,6 +91,31 @@ def test_write_failure_names_the_path(tmp_path):
     path = str(tmp_path / "file" / "doc.json")
     with pytest.raises(ContractViolation, match=re.escape(str(path))):
         write_json(path, {})
+
+
+def test_failed_write_removes_the_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    write_json(str(path), {"a": 1})
+
+    class DiskFull:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(artifacts, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
+    with pytest.raises(ContractViolation, match=re.escape(str(path))):
+        write_json(str(path), {"a": 2})
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["doc.json"]
+    assert read_json(str(path)) == {"a": 1}
 
 
 def test_npy_round_trip_is_exact(tmp_path):

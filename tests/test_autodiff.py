@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causal_sphhn import autodiff as ad
+from causal_sphhn import vmf
 from causal_sphhn.autodiff import ScatterPlan, Tensor
 from reference_ops import masked_logsumexp, masked_softmax, normalize_rows, scatter_rows
 
@@ -418,6 +419,15 @@ class TestVmfEntropyOp:
         ad.vmf_entropy(kappa, 8).sum().backward()
         numeric = fd_grad(lambda: ad.vmf_entropy(kappa, 8).sum().item(), kappa.data, h=1e-5)
         assert np.allclose(kappa.grad, numeric, atol=1e-6)
+
+    def test_saturates_above_kappa_max(self):
+        below = np.nextafter(vmf.KAPPA_MAX, 0.0)
+        kappa = Tensor(np.array([below, np.nextafter(vmf.KAPPA_MAX, np.inf), 1e6, 1e300]), requires_grad=True)
+        h = ad.vmf_entropy(kappa, 8)
+        assert np.array_equal(h.data[1:], np.full(3, vmf.entropy_from_kappa(8, vmf.KAPPA_MAX)))
+        h.sum().backward()
+        assert kappa.grad[0] < 0.0
+        assert np.array_equal(kappa.grad[1:], np.zeros(3))
 
 
 class TestGraphMechanics:

@@ -543,6 +543,17 @@ class TestEval:
                      "--truth", truth, "--k", "1", "--out", out]) == 0
         return json.load(open(f"{out}/report.json"))
 
+    def test_empty_split_names_the_split_and_the_dataset(self, tmp_path, toy_run, capsys):
+        ds = load_dataset(f"{toy_run}/synth/dataset.json")
+        splits = dict(ds.splits, train=ds.splits["train"] + ds.splits["test"], test=[])
+        dataset = str(tmp_path / "dataset.json")
+        save_dataset(dataclasses.replace(ds, splits=splits), dataset)
+        out = tmp_path / "r"
+        assert main(["eval", "--checkpoint", f"{toy_run}/train/checkpoint.json", "--dataset", dataset,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {dataset}: the test split is empty\n"
+        assert not out.exists()
+
     def test_nonfinite_projection_is_named(self, tmp_path, toy_run, capsys):
         # A checkpoint's weights are finite, but at 1e308 the projection overflows: eval names the stage.
         params, train_cfg, graph = load_checkpoint(f"{toy_run}/train/checkpoint.json")

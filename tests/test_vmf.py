@@ -141,11 +141,11 @@ class TestMeanResultant:
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 31.0, 1000.0])
     def test_largest_argument_does_not_overflow(self, nu):
-        # The large-argument series divided by 8k·x, which overflows above x ≈ 2.2e307.
+        # Refused before any arithmetic, so no overflow warning either.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ratio = vmf.bessel_ratio(nu, 1.79e308)
-        assert 0.0 < ratio <= 1.0
+            with pytest.raises(ContractViolation, match="KAPPA_MAX"):
+                vmf.bessel_ratio(nu, 1.79e308)
 
     def test_derivative_matches_finite_differences(self):
         for d in (2, 3, 8, 64):
@@ -187,10 +187,11 @@ class TestTinyKappa:
     @settings(max_examples=300, deadline=None)
     @given(
         st.sampled_from([2, 3, 8, 64]),
-        st.floats(min_value=0.0, allow_infinity=False, allow_subnormal=True),
+        st.floats(min_value=0.0, max_value=vmf.KAPPA_MAX, allow_subnormal=True),
     )
     @example(64, 5e-324)
     @example(64, 1e-300)
+    @example(64, vmf.KAPPA_MAX)
     def test_finite_for_every_nonnegative_kappa(self, d, kappa):
         values = (
             vmf.bessel_ratio(0.5 * d - 1.0, kappa),
@@ -234,42 +235,46 @@ class TestEntropy:
 
     @staticmethod
     def mp_entropy_and_ratio(d, kappa):
-        with mp.workdps(60):  # -log C and kappa * A both reach 1e20
+        with mp.workdps(40):  # -log C and kappa * A are near 1e4 and cancel to order 1
             nu, k = mp.mpf(d) / 2 - 1, mp.mpf(kappa)
             i_nu, i_next = mp.besseli(nu, k), mp.besseli(nu + 1, k)
             log_c = nu * mp.log(k) - mp.mpf(d) / 2 * mp.log(2 * mp.pi) - mp.log(i_nu)
             return float(-log_c - k * i_next / i_nu), float(i_next / i_nu)
 
-    @pytest.mark.parametrize("d", [2, 3, 8, 64])
-    @pytest.mark.parametrize("kappa", [1e5, 1e12, 1e18, 1e20])
-    def test_large_kappa_against_mpmath(self, d, kappa):
-        # The direct form returned 0.0 at d = 64, kappa = 1e20.
-        expected, _ = self.mp_entropy_and_ratio(d, kappa)
-        assert abs(vmf.entropy_from_kappa(d, kappa) - expected) <= 1e-12 * abs(expected)
-
-    @pytest.mark.parametrize("d", [64, 200, 1000])
-    @pytest.mark.parametrize("kappa", [1e5, 1e6])
-    def test_large_dimension_against_mpmath(self, d, kappa):
-        # With the switch fixed at kappa = 1e5 the divergent series put d = 1000 off by 5.8e-5.
+    @pytest.mark.parametrize("d", [2, 3, 8, 64, 200, 1000])
+    @pytest.mark.parametrize("kappa", [1e2, 1e3, 5e3, vmf.KAPPA_MAX])
+    def test_top_of_range_against_mpmath(self, d, kappa):
+        # The direct form loses about kappa * eps; the worst case, d = 3 at KAPPA_MAX, is 2.7e-12.
         entropy, ratio = self.mp_entropy_and_ratio(d, kappa)
-        assert abs(vmf.entropy_from_kappa(d, kappa) - entropy) <= 1e-13 * abs(entropy)
+        assert abs(vmf.entropy_from_kappa(d, kappa) - entropy) <= 1e-11 * abs(entropy)
         assert abs(vmf.mean_resultant(d, kappa) - ratio) <= 1e-14 * ratio
-
-    def test_series_length_is_unchanged_up_to_d_200(self):
-        assert all(vmf._asymptotic_length(0.5 * d) == vmf._ASYMPTOTIC_TERMS for d in range(2, 201))
-        assert vmf._asymptotic_min(100.0) == vmf._RATIO_ASYMPTOTIC_MIN
-
-    def test_continuous_across_the_large_kappa_switch(self):
-        # The direct form below the switch loses about kappa * eps to cancellation.
-        edge = vmf._RATIO_ASYMPTOTIC_MIN
-        for d in (2, 3, 8, 64):
-            below, at = vmf.entropy_from_kappa(d, np.array([np.nextafter(edge, 0.0), edge]))
-            assert abs(at - below) <= 100 * np.finfo(float).eps * edge, d
-            assert below > at
 
     def test_nonfinite_kappa_rejected(self):
         with pytest.raises(ContractViolation):
             vmf.entropy_from_kappa(64, np.inf)
+
+    @pytest.mark.parametrize(
+        "kappa_fn",
+        [
+            lambda k: vmf.bessel_ratio(31.0, k),
+            lambda k: vmf.mean_resultant(64, k),
+            lambda k: vmf.mean_resultant_deriv(64, k),
+            lambda k: vmf.entropy_from_kappa(64, k),
+        ],
+        ids=["bessel_ratio", "mean_resultant", "mean_resultant_deriv", "entropy_from_kappa"],
+    )
+    def test_refused_just_above_kappa_max(self, kappa_fn):
+        above = np.nextafter(vmf.KAPPA_MAX, np.inf)
+        for kappa in (above, np.array([1.0, above])):
+            with pytest.raises(ContractViolation, match="KAPPA_MAX"):
+                kappa_fn(kappa)
+        assert math.isfinite(kappa_fn(vmf.KAPPA_MAX))
+
+    def test_log_bessel_and_log_norm_const_keep_their_domain(self):
+        # Neither has a large-argument branch, so neither is bounded by KAPPA_MAX.
+        for x in (np.nextafter(vmf.KAPPA_MAX, np.inf), 1e6, 1e300):
+            assert math.isfinite(vmf.log_bessel_i(31.0, x))
+            assert math.isfinite(vmf.log_norm_const(64, x))
 
     def test_strictly_decreasing_in_kappa(self):
         grid = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
@@ -280,7 +285,7 @@ class TestEntropy:
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from([2, 3, 4, 8, 64]),
-        st.lists(st.floats(min_value=0.0, max_value=1e6, allow_subnormal=True), min_size=1, max_size=20),
+        st.lists(st.floats(min_value=0.0, max_value=vmf.KAPPA_MAX, allow_subnormal=True), min_size=1, max_size=20),
     )
     @example(4, [0.5, 5.0, 50.0, 500.0])
     def test_an_array_gives_each_element_its_scalar_value(self, d, kappas):
