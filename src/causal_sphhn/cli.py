@@ -1,14 +1,15 @@
 """Command-line pipeline: synth | granger | train | eval | gradcheck.
 
-Every command loads inputs, writes its artifacts, and records a
-``manifest.json`` with the seed, config digest, input digests, output
-digests, versions, and wallclock.  The config digest covers the settings
-only, not the ``--out`` or input paths, so the same settings run into two
-directories give the same digest.  A dataset's digest is that of its JSON
-document, which records the SHA-256 of its ``.npy`` feature block, so it
-covers the features too.  All files are read and written through
-``artifacts.py``, which writes atomically (write-temp-then-rename) and
-creates the ``--out`` directory.  All randomness flows from one
+Each of the four pipeline commands (synth, granger, train, eval) loads
+its inputs, writes its artifacts, and records a ``manifest.json`` with the
+seed, config digest, input digests, output digests, versions, and
+wallclock; ``gradcheck --out`` writes its report and no manifest.  The
+config digest covers the settings only, not the ``--out`` or input paths,
+so the same settings run into two directories give the same digest.  A
+dataset's digest is that of its JSON document, which records the SHA-256
+of its ``.npy`` feature block, so it covers the features too.  All files
+are read and written through ``artifacts.py``, which writes atomically
+(write-temp-then-rename) and creates the ``--out`` directory.  All randomness flows from one
 ``--seed``; components receive subseeds derived as
 ``(seed * 2654435761 + crc32(tag)) mod 2^32``.  A ``synth --config`` file
 that names ``seed`` is refused, as ``train --config`` refuses it: the seed
@@ -22,6 +23,11 @@ value of the wrong type, raises ``ParseError``; a value out of range raises
 ``ContractViolation`` when its config or graph is built; a file that cannot
 be written raises ``ContractViolation``.  Each names the path.  Any other exception,
 ``OSError`` and ``KeyError`` included, is a bug and propagates.
+
+Importing this module loads only the standard library and ``errors``.
+``build_parser`` imports the modules whose tables set its choices and
+defaults, and each command imports the modules it calls, inside the
+function, so a command never loads code it does not run.
 """
 
 from __future__ import annotations
@@ -33,15 +39,8 @@ import sys
 import time
 import zlib
 
-import numpy as np
-
-from . import __version__, metrics, synthgen, training
-from .artifacts import check_fields, doc_digest, file_digest, read_json, write_json
+from . import __version__
 from .errors import ContractViolation, NumericalError, ParseError, TrainingDiverged, ValidationError, naming
-from .granger import REDUCTIONS, CausalGraph, GrangerConfig, infer_causal_graph
-from .hypergraph import SPLIT_NAMES, block_path, feature_dropout, load_dataset, save_dataset
-from .model import ModelConfig, compile_structure, run_model
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 # What can reach main() for bad input.  SeriesTooShort is a ContractViolation,
 # and granger_test turns RankDeficient into a no-edge decision.
@@ -67,6 +66,10 @@ def _write_manifest(
     digests: dict[str, str] | None = None,
 ) -> None:
     """Write ``manifest.json``; ``digests`` holds output digests already known."""
+    import numpy as np
+
+    from .artifacts import doc_digest, file_digest, write_json
+
     known = digests or {}
     doc = {
         "command": command,
@@ -90,6 +93,10 @@ def _write_manifest(
 
 
 def cmd_synth(args) -> int:
+    from . import synthgen
+    from .artifacts import check_fields, read_json
+    from .hypergraph import block_path, save_dataset
+
     start = time.monotonic()
     seed = derive_seed(args.seed, "synth")
     if args.config:
@@ -116,6 +123,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_granger(args) -> int:
+    from .artifacts import file_digest
+    from .granger import GrangerConfig, infer_causal_graph
+    from .hypergraph import load_dataset
+
     start = time.monotonic()
     ds = load_dataset(args.dataset)
     cfg = GrangerConfig(
@@ -133,7 +144,12 @@ def cmd_granger(args) -> int:
     return 0
 
 
-def _train_configs(args) -> tuple[ModelConfig, TrainConfig]:
+def _train_configs(args):
+    """The ``(ModelConfig, TrainConfig)`` pair that the flags and ``--config`` set."""
+    from .artifacts import check_fields, read_json
+    from .model import ModelConfig
+    from .training import TrainConfig
+
     overrides = read_json(args.config) if args.config else {}
     with naming(args.config):
         unknown = sorted(set(overrides) - set(MODEL_KEYS + TRAIN_KEYS))
@@ -154,14 +170,19 @@ def _train_configs(args) -> tuple[ModelConfig, TrainConfig]:
 
 
 def cmd_train(args) -> int:
+    from . import training
+    from .artifacts import file_digest
+    from .granger import CausalGraph
+    from .hypergraph import load_dataset
+
     start = time.monotonic()
     graph = CausalGraph.load(args.graph) if args.graph is not None else None
     model_cfg, train_cfg = _train_configs(args)
     # train() holds the only reference to the dataset, and drops it once it has compiled the structure.
-    params, history = train(load_dataset(args.dataset), graph, model_cfg, train_cfg)
+    params, history = training.train(load_dataset(args.dataset), graph, model_cfg, train_cfg)
     ckpt = os.path.join(args.out, "checkpoint.json")
     hist = os.path.join(args.out, "history.csv")
-    save_checkpoint(ckpt, params, train_cfg, graph)
+    training.save_checkpoint(ckpt, params, train_cfg, graph)
     training.write_history_csv(history, hist)
     cfg_doc = {"model": dataclasses.asdict(params.config), "train": dataclasses.asdict(train_cfg)}
     inputs = {"dataset": file_digest(args.dataset)}
@@ -173,6 +194,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    import numpy as np
+
+    from . import metrics, synthgen
+    from .artifacts import file_digest
+    from .hypergraph import feature_dropout, load_dataset
+    from .model import compile_structure, run_model
+    from .training import load_checkpoint
+
     start = time.monotonic()
     settings = {"bins": args.bins, "k": args.k, "split": args.split, "dropout_rate": args.dropout_rate}
     params, train_cfg, graph = load_checkpoint(args.checkpoint)
@@ -234,6 +263,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from . import training
+    from .artifacts import write_json
+
     report = training.gradient_check(seed=args.seed)
     for name in sorted(report.per_parameter):
         print(f"{name:24s} max rel error {report.per_parameter[name]:.3e}")
@@ -261,6 +293,11 @@ def _positive_int(value: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The modules that own the choices and defaults below.
+    from . import synthgen
+    from .granger import REDUCTIONS, GrangerConfig
+    from .hypergraph import SPLIT_NAMES
+
     parser = argparse.ArgumentParser(
         prog="sphhn",
         description="Causal spherical hypergraph networks on synthetic social dynamics",

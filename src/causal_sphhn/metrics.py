@@ -88,10 +88,14 @@ def auc_ovr(probs, labels, classes: int) -> float | None:
 
 def ece(probs, labels, bins: int = 10) -> float:
     """Expected calibration error over equal-width confidence bins."""
+    if bins < 1:
+        raise ContractViolation("bins must be >= 1")
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if probs.ndim != 2 or probs.shape[0] != labels.shape[0]:
         raise ContractViolation("probs must be (n, classes) aligned with labels")
+    if labels.size == 0:
+        raise ContractViolation("empty prediction set")
     conf = probs.max(axis=1)
     correct = probs.argmax(axis=1) == labels
     idx = np.minimum((conf * bins).astype(int), bins - 1)

@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from causal_sphhn import artifacts, cli, synthgen, training
+from causal_sphhn import artifacts, cli, hypergraph, model, synthgen, training
 from causal_sphhn.cli import main
 from causal_sphhn.errors import ContractViolation
 from causal_sphhn.granger import REDUCTIONS, CausalGraph, GrangerConfig
@@ -261,7 +261,7 @@ class TestGranger:
         def broken(*args, **kwargs):
             raise error("bug")
 
-        monkeypatch.setattr("causal_sphhn.cli.infer_causal_graph", broken)
+        monkeypatch.setattr("causal_sphhn.granger.infer_causal_graph", broken)
         with pytest.raises(error):
             main(["granger", "--dataset", f"{toy_run}/synth/dataset.json", "--out", str(tmp_path)])
 
@@ -625,7 +625,7 @@ class TestEval:
         # The structure holds all eval reads of the dataset, so the (N, T, d)
         # block is not kept through the forward, nor through the dropout mask:
         # only one feature block is ever alive.
-        load, dropout, run_model = cli.load_dataset, cli.feature_dropout, cli.run_model
+        load, dropout, run_model = hypergraph.load_dataset, hypergraph.feature_dropout, model.run_model
         for rate in ("0", "0.2"):
             blocks, alive = [], []
 
@@ -637,9 +637,9 @@ class TestEval:
             def observed(step):
                 return lambda *a, **k: (alive.append((step, blocks[0]() is not None)), step(*a, **k))[1]
 
-            monkeypatch.setattr(cli, "load_dataset", loading)
-            monkeypatch.setattr(cli, "feature_dropout", observed(dropout))
-            monkeypatch.setattr(cli, "run_model", observed(run_model))
+            monkeypatch.setattr(hypergraph, "load_dataset", loading)
+            monkeypatch.setattr(hypergraph, "feature_dropout", observed(dropout))
+            monkeypatch.setattr(model, "run_model", observed(run_model))
             assert main(["eval", "--checkpoint", f"{toy_run}/train/checkpoint.json",
                          "--dataset", f"{toy_run}/synth/dataset.json",
                          "--dropout-rate", rate, "--out", str(tmp_path / rate)]) == 0
@@ -913,8 +913,8 @@ class TestManifest:
             assert sha(os.path.join(out, name)) == digest
 
     def test_synth_hashes_the_block_once(self, tmp_path, monkeypatch):
-        hashed = []
-        monkeypatch.setattr(cli, "file_digest", lambda p: hashed.append(p) or artifacts.file_digest(p))
+        hashed, digest = [], artifacts.file_digest
+        monkeypatch.setattr(artifacts, "file_digest", lambda p: hashed.append(p) or digest(p))
         out = str(tmp_path / "m")
         assert main(["synth", "--preset", "toy", "--seed", "4", "--out", out]) == 0
         block = os.path.join(out, "dataset.npy")

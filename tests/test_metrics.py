@@ -118,6 +118,17 @@ class TestEce:
         labels = rng.integers(0, 4, 200)
         assert 0.0 <= metrics.ece(probs, labels) <= 1.0
 
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_no_bins_rejected(self, bins):
+        # With no bin the loop never runs, which would read as a perfect 0.0.
+        with pytest.raises(ContractViolation, match="bins"):
+            metrics.ece(np.tile([0.9, 0.1], (4, 1)), np.array([0, 1, 0, 1]), bins=bins)
+
+    @pytest.mark.parametrize("classes", [0, 3])
+    def test_empty_rejected(self, classes):
+        with pytest.raises(ContractViolation, match="empty"):
+            metrics.ece(np.empty((0, classes)), np.array([], dtype=np.int64))
+
 
 class TestPrecisionAtK:
     def test_top_k_all_true(self):

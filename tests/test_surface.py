@@ -18,10 +18,10 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "causal_sphhn"
 
 
 def definitions(tree: ast.Module, module: str) -> list[tuple[str, str]]:
-    """(qualified name, bare name) of every top-level def/class and non-dunder method."""
+    """(qualified name, bare name) of every non-dunder top-level def, class and method."""
     found = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
             found.append((f"{module}.{node.name}", node.name))
         if isinstance(node, ast.ClassDef):
             found += [
@@ -58,9 +58,10 @@ def test_every_definition_is_used_or_exported():
     """Each definition in the package is referenced in it by name, or is in ``__all__``.
 
     A helper only its own tests call belongs in ``tests/`` or nowhere.  A
-    name check cannot see two kinds of dead code: dunder methods (Python
-    calls ``__pow__`` or ``__rsub__`` from an operator, so a missing name
-    proves nothing), and methods whose name the package also reads as an
+    name check cannot see two kinds of dead code: dunders (Python calls
+    ``__pow__`` or ``__rsub__`` from an operator, and a module's
+    ``__getattr__`` from the import system, so a missing name proves
+    nothing), and methods whose name the package also reads as an
     attribute of something else, numpy arrays above all: ``Tensor.sum``
     counts as used wherever ``x.sum()`` appears, and so would a ``.log``.
     For the autodiff ops, :func:`test_every_autodiff_op_runs_in_training`
@@ -81,6 +82,7 @@ def test_unused_definitions_are_found(tmp_path):
         "    def __add__(self, o): pass\n"
         "def helper(): return A().used()\n"
         "def orphan(): pass\n"
+        "def __getattr__(name): pass\n"
         "helper()\n"
     )
     assert unreferenced(tmp_path) == {"mod.A.dead", "mod.orphan"}
