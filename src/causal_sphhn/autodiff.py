@@ -333,34 +333,38 @@ def normalize_rows(t: Tensor, eps: float) -> Tensor:
 # -- softmax-family ops -------------------------------------------------------
 
 
-def segment_softmax(x: Tensor, starts: np.ndarray, ids: np.ndarray) -> Tensor:
+def segment_softmax(x: Tensor, starts: np.ndarray) -> Tensor:
     """Softmax within each contiguous segment of a 1-D tensor.
 
     Segment s runs from ``starts[s]`` to the next start (the last one to
-    the end); ``ids[p]`` is the segment of element p.  Starts must be
-    strictly increasing from 0, so no segment is empty.
+    the end): starts rise strictly from 0, and no segment is empty.  Each
+    segment's values reach its elements by ``np.repeat`` over its length,
+    so starts that do not begin at 0 or that decrease raise ValueError.
     """
+    lens = np.diff(starts, append=x.data.size)
     mx = np.maximum.reduceat(x.data, starts)
-    e = np.exp(x.data - mx[ids])
-    val = e / np.add.reduceat(e, starts)[ids]
+    e = np.exp(x.data - np.repeat(mx, lens))
+    val = e / np.repeat(np.add.reduceat(e, starts), lens)
 
     def bwd(g):
-        x._accumulate((g - np.add.reduceat(g * val, starts)[ids]) * val)
+        x._accumulate((g - np.repeat(np.add.reduceat(g * val, starts), lens)) * val)
 
     return Tensor(val, parents=(x,), backward=bwd)
 
 
-def segment_logsumexp(x: Tensor, starts: np.ndarray, ids: np.ndarray) -> Tensor:
+def segment_logsumexp(x: Tensor, starts: np.ndarray) -> Tensor:
     """The log-sum-exp of each element's segment (as in :func:`segment_softmax`), shaped like x.
 
     Backward sums g over each segment and spreads the sum by the softmax.
     """
+    lens = np.diff(starts, append=x.data.size)
     mx = np.maximum.reduceat(x.data, starts)
-    e = np.exp(x.data - mx[ids])
+    e = np.exp(x.data - np.repeat(mx, lens))
     s = np.add.reduceat(e, starts)
-    soft = e / s[ids]
+    soft = e / np.repeat(s, lens)
     return Tensor(
-        (mx + np.log(s))[ids], parents=(x,), backward=lambda g: x._accumulate(np.add.reduceat(g, starts)[ids] * soft)
+        np.repeat(mx + np.log(s), lens), parents=(x,),
+        backward=lambda g: x._accumulate(np.repeat(np.add.reduceat(g, starts), lens) * soft),
     )
 
 

@@ -40,9 +40,10 @@ is left unscaled.
 Message passing is a Gram-matrix kernel over flat member pairs.  Each
 valid pair (i, j) of edge e is one entry of a flat array, grouped by
 context type and then ordered by (e, i, j), so the pairs of one (e, i)
-row form a contiguous segment.  Each round computes G = h h^T once, an
-(N, N) matrix, and gathers one scalar per pair: the attention logit of
-pair (i, j) in edge e is the temperature times G[m_i, m_j].  A softmax
+row form a contiguous segment, stated once, by its first pair: it runs
+to the next one's.  Each round computes G = h h^T once, an (N, N)
+matrix, and gathers one scalar per pair: the attention logit of pair
+(i, j) in edge e is the temperature times G[m_i, m_j].  A softmax
 runs within every segment, so alpha[e, i, :] is a distribution over the
 members of e, with no padded entries to mask.  The round's message is
 m = sum_t (A_t h) W_t^T, where A_t is the dense (N, N) matrix of the pair
@@ -221,17 +222,15 @@ class GraphStructure:
     pair_cell: np.ndarray  # (Q,)
     pair_cell_t: np.ndarray  # (Q,)
     # The pairs of one (e, i) row are contiguous: a softmax segment.
-    seg_starts: np.ndarray  # (S,) first pair of each segment
-    seg_ids: np.ndarray  # (Q,) segment of each pair
+    seg_starts: np.ndarray  # (S,) first pair of each segment, which runs to the next one's
     type_pairs: dict[str, slice]  # context type -> its range of the pair arrays
     # One entry per causal edge, sorted by (child id, parent id): each
     # child's parents form one contiguous softmax segment.
     child_rows: np.ndarray  # (P,) nodes with causal parents, one per segment
     parent_starts: np.ndarray  # (P,) first entry of each segment
-    parent_seg: np.ndarray  # (F,) segment of each entry
+    parent_seg: np.ndarray  # (F,) segment of each entry: its row of the (P, N) matrix of gamma
     parent_rows: np.ndarray  # (F,) node row of each entry's parent
     parent_f: np.ndarray  # (F,) Granger F statistics
-    ghat: np.ndarray  # (F,) reference softmax of F at temperature 1
     # (P, Kc) mask of a padded per-child parent block.  The forward pass
     # never builds that block: only perfbench reads this, for its padding figure.
     parent_mask: np.ndarray
@@ -322,14 +321,12 @@ def compile_structure(
         pair_cell=rows_i * n_nodes + rows_j,
         pair_cell_t=rows_j * n_nodes + rows_i,
         seg_starts=np.flatnonzero(new_segment),
-        seg_ids=np.cumsum(new_segment) - 1,
         type_pairs=type_pairs,
         child_rows=child_rows,
         parent_starts=parent_starts,
         parent_seg=parent_seg,
         parent_rows=parent,
         parent_f=parent_f,
-        ghat=ad.segment_softmax(Tensor(parent_f), parent_starts, parent_seg).data,
         parent_mask=np.arange(parent_lens.max(initial=1)) < parent_lens[:, None],
         classes=ds.classes,
         labels=labels,
@@ -413,7 +410,7 @@ def run_model(
     for layer in range(1, cfg.layers + 1):
         if structure.pair_cell.size:
             cos = ad.gram_gather(h, structure.pair_cell, structure.pair_cell_t)
-            alpha = ad.segment_softmax(params.attn_temp * cos, structure.seg_starts, structure.seg_ids)
+            alpha = ad.segment_softmax(params.attn_temp * cos, structure.seg_starts)
             alphas.append(alpha)
             # The sum starts from the first context type's term, so it keeps no zero (N, d) tensor.
             m = functools.reduce(operator.add, (
@@ -431,10 +428,9 @@ def run_model(
 
     gamma = log_gamma = None
     if structure.child_rows.size:
-        segments = structure.parent_starts, structure.parent_seg
         glogits = params.gamma_temp * Tensor(structure.parent_f)
-        gamma = ad.segment_softmax(glogits, *segments)
-        log_gamma = glogits - ad.segment_logsumexp(glogits, *segments)
+        gamma = ad.segment_softmax(glogits, structure.parent_starts)
+        log_gamma = glogits - ad.segment_logsumexp(glogits, structure.parent_starts)
         # Entry k is cell (parent_seg[k], parent_rows[k]) of the (P, N) matrix of gamma.
         cells = structure.parent_seg * n + structure.parent_rows
         pooled = ad.scatter_matmul(gamma, h, cells, structure.child_rows.size)

@@ -142,6 +142,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, list[PlantedEdge]]:
     """Build a dataset plus its planted causal edge list (the ground truth)."""
     rng = np.random.default_rng(cfg.seed)
     n, d, t_len = cfg.n_nodes, cfg.feature_dim, cfg.timesteps
+    names = [node_id(i) for i in range(n)]
 
     comm_of, comm_class, follower = _layout(cfg, rng)
     class_anchors, comm_anchors = _anchors(cfg, rng)
@@ -198,7 +199,7 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, list[PlantedEdge]]:
                 chunk = pool[-2:]
             coverage.append((g, np.sort(chunk)))
     for g, members in coverage[: cfg.n_hyperedges]:
-        edges.append(_edge(len(edges), members, rng))
+        edges.append(_edge(len(edges), members, names, rng))
     # Filler edges are mostly within-community but carry cross-community
     # contaminants: shared contexts include outsiders.
     all_eligible = np.concatenate([pool for pool in eligible if pool.size])
@@ -216,11 +217,10 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, list[PlantedEdge]]:
                 repl = int(all_eligible[rng.integers(0, all_eligible.size)])
                 if repl not in members:
                     members[pos] = repl
-        edges.append(_edge(len(edges), np.sort(members), rng))
+        edges.append(_edge(len(edges), np.sort(members), names, rng))
 
     # Labels from the realized community mean direction at the final step.
     final = history[:, -1]
-    labels: dict[str, int] = {}
     comm_label = np.empty(cfg.n_communities, dtype=int)
     for g in range(cfg.n_communities):
         members = np.flatnonzero(comm_of == g)
@@ -235,20 +235,19 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, list[PlantedEdge]]:
     offsets = rng.integers(1, cfg.n_classes, size=n)
     noisy = (base_labels + offsets) % cfg.n_classes
     final_labels = np.where(flip, noisy, base_labels)
-    for i in range(n):
-        labels[node_id(i)] = int(final_labels[i])
+    labels = dict(zip(names, final_labels.tolist()))
 
     perm = rng.permutation(n)
     n_train = int(round(cfg.split_fracs[0] * n))
     n_val = int(round(cfg.split_fracs[1] * n))
     splits = {
-        "train": sorted(node_id(i) for i in perm[:n_train]),
-        "val": sorted(node_id(i) for i in perm[n_train : n_train + n_val]),
-        "test": sorted(node_id(i) for i in perm[n_train + n_val :]),
+        "train": sorted(names[i] for i in perm[:n_train]),
+        "val": sorted(names[i] for i in perm[n_train : n_train + n_val]),
+        "test": sorted(names[i] for i in perm[n_train + n_val :]),
     }
 
     ds = Dataset(
-        node_ids=[node_id(i) for i in range(n)],
+        node_ids=names,
         features=history,
         classes=cfg.n_classes,
         horizon=cfg.horizon,
@@ -257,15 +256,15 @@ def generate(cfg: SynthConfig) -> tuple[Dataset, list[PlantedEdge]]:
         splits=splits,
     )
     truth = [
-        PlantedEdge(node_id(src), node_id(dst), float(coef))
+        PlantedEdge(names[src], names[dst], float(coef))
         for src, dst, coef in sorted(cfg.planted_edges)
     ]
     return ds, truth
 
 
-def _edge(idx: int, members: np.ndarray, rng: np.random.Generator) -> Hyperedge:
+def _edge(idx: int, members: np.ndarray, names: list[str], rng: np.random.Generator) -> Hyperedge:
     kind = EDGE_TYPES[int(rng.integers(0, len(EDGE_TYPES)))]
-    return Hyperedge(f"e{idx:04d}", tuple(node_id(int(m)) for m in members), kind)
+    return Hyperedge(f"e{idx:04d}", tuple(names[m] for m in members), kind)
 
 
 def _pick_planted(

@@ -96,7 +96,7 @@ def build_loss(run: ModelRun, batch_rows: np.ndarray, cfg: TrainConfig) -> tuple
     causal = Tensor(0.0)
     sel = np.isin(structure.child_rows, batch_rows)  # empty without causal parents
     if np.any(sel):
-        ghat = structure.ghat
+        ghat = ad.segment_softmax(Tensor(structure.parent_f), structure.parent_starts).data  # temperature 1
         log_ghat = np.log(np.where(ghat > 0, ghat, 1.0))  # 0 log 0 = 0 where ghat underflows
         kl = Tensor(ghat * sel[structure.parent_seg]) * (Tensor(log_ghat) - run.log_gamma)
         causal = kl.sum() * (1.0 / sel.sum())

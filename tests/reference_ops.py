@@ -5,8 +5,10 @@ plain numpy loops, a quantity the batched ``causal_sphhn.model.run_model``
 computes for the whole graph at once.  The autodiff ops after them (a
 row scatter-add, the composite row normalisation, a flat gather, and the
 softmax and log-sum-exp over the masked rows of a padded block) are the
-oracles of the ops in ``causal_sphhn.autodiff``.  The last is the
-tie-walking midranks of ``causal_sphhn.metrics``.
+oracles of the ops in ``causal_sphhn.autodiff``, as are the segment
+softmax and log-sum-exp that read each element's segment off an ``ids``
+array, which the segment ops, given the starts alone, must equal bit for
+bit.  The last is the tie-walking midranks of ``causal_sphhn.metrics``.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ def member_pairs(ds: Dataset, pairwise: bool) -> dict:
         member_idx[row, : len(mem)] = mem
         member_mask[row, : len(mem)] = True
     types = sorted({e.context_type for e in edges})
-    slots, cells, cells_t, starts, ids, type_pairs = [], [], [], [], [], {}
+    slots, cells, cells_t, starts, type_pairs = [], [], [], [], {}
     for t in types:
         lo = len(slots)
         for row, e in enumerate(edges):
@@ -189,7 +191,6 @@ def member_pairs(ds: Dataset, pairwise: bool) -> dict:
             for i in range(size):
                 starts.append(len(slots))
                 for j in range(size):
-                    ids.append(len(starts) - 1)
                     slots.append((row * k + i) * k + j)
                     cells.append(member_idx[row, i] * n + member_idx[row, j])
                     cells_t.append(member_idx[row, j] * n + member_idx[row, i])
@@ -201,7 +202,6 @@ def member_pairs(ds: Dataset, pairwise: bool) -> dict:
         "pair_cell": np.asarray(cells, dtype=np.int64),
         "pair_cell_t": np.asarray(cells_t, dtype=np.int64),
         "seg_starts": np.asarray(starts, dtype=np.int64),
-        "seg_ids": np.asarray(ids, dtype=np.int64),
         "type_pairs": type_pairs,
     }
 
@@ -300,6 +300,31 @@ def masked_logsumexp(x: Tensor, mask: np.ndarray) -> Tensor:
     soft = e / np.where(s == 0.0, 1.0, s)
     out._backward = lambda g: x._accumulate(g * soft)
     return out
+
+
+def segment_softmax_by_ids(x: Tensor, starts: np.ndarray, ids: np.ndarray) -> Tensor:
+    """Softmax within each contiguous segment of a 1-D tensor, where ``ids[p]``
+    is the segment of element p and each per-segment value reaches its
+    elements as ``value[ids]``."""
+    mx = np.maximum.reduceat(x.data, starts)
+    e = np.exp(x.data - mx[ids])
+    val = e / np.add.reduceat(e, starts)[ids]
+
+    def bwd(g):
+        x._accumulate((g - np.add.reduceat(g * val, starts)[ids]) * val)
+
+    return Tensor(val, parents=(x,), backward=bwd)
+
+
+def segment_logsumexp_by_ids(x: Tensor, starts: np.ndarray, ids: np.ndarray) -> Tensor:
+    """The log-sum-exp of each element's segment, laid out as in :func:`segment_softmax_by_ids`."""
+    mx = np.maximum.reduceat(x.data, starts)
+    e = np.exp(x.data - mx[ids])
+    s = np.add.reduceat(e, starts)
+    soft = e / s[ids]
+    return Tensor(
+        (mx + np.log(s))[ids], parents=(x,), backward=lambda g: x._accumulate(np.add.reduceat(g, starts)[ids] * soft)
+    )
 
 
 def midranks(x: np.ndarray) -> np.ndarray:

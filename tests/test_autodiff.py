@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from causal_sphhn import autodiff as ad
 from causal_sphhn import vmf
 from causal_sphhn.autodiff import ScatterPlan, Tensor
-from reference_ops import masked_logsumexp, masked_softmax, normalize_rows, scatter_rows
+from reference_ops import (
+    masked_logsumexp,
+    masked_softmax,
+    normalize_rows,
+    scatter_rows,
+    segment_logsumexp_by_ids,
+    segment_softmax_by_ids,
+)
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -316,13 +323,13 @@ class TestSegmentSoftmax:
         lens, starts, ids, x = case
         block, mask = padded(lens, x)
         ref = masked_softmax(Tensor(block), mask).data[mask]
-        assert np.allclose(ad.segment_softmax(Tensor(x), starts, ids).data, ref, rtol=0.0, atol=1e-15)
+        assert np.allclose(ad.segment_softmax(Tensor(x), starts).data, ref, rtol=0.0, atol=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(segments())
     def test_every_segment_sums_to_one(self, case):
         lens, starts, ids, x = case
-        val = ad.segment_softmax(Tensor(x), starts, ids).data
+        val = ad.segment_softmax(Tensor(x), starts).data
         assert np.all(val >= 0.0)
         assert np.allclose(np.bincount(ids, weights=val), 1.0, rtol=0.0, atol=1e-12)
         assert np.all(val[starts[lens == 1]] == 1.0)
@@ -330,9 +337,9 @@ class TestSegmentSoftmax:
     @pytest.mark.parametrize("lens", LAYOUTS)
     def test_gradient(self, lens):
         lens = np.asarray(lens)
-        starts, ids = np.cumsum(lens) - lens, np.repeat(np.arange(lens.size), lens)
+        starts = np.cumsum(lens) - lens
         w = Tensor(np.random.default_rng(lens.size).standard_normal(lens.sum()))
-        check_op(lambda x: (ad.segment_softmax(x, starts, ids) * w).sum(), (int(lens.sum()),))
+        check_op(lambda x: (ad.segment_softmax(x, starts) * w).sum(), (int(lens.sum()),))
 
 
 class TestSegmentLogsumexp:
@@ -343,7 +350,7 @@ class TestSegmentLogsumexp:
         lens, starts, ids, x = case
         block, mask = padded(lens, x)
         ref = masked_logsumexp(Tensor(block), mask).data[:, 0]
-        val = ad.segment_logsumexp(Tensor(x), starts, ids).data
+        val = ad.segment_logsumexp(Tensor(x), starts).data
         assert np.allclose(val, ref[ids], rtol=1e-15, atol=1e-15)
         # A length-1 segment's log-sum-exp is its one element.
         assert np.array_equal(val[starts[lens == 1]], x[starts[lens == 1]])
@@ -354,7 +361,7 @@ class TestSegmentLogsumexp:
         lens, starts, ids, x = case
         w = np.random.default_rng(seed).standard_normal(x.size)
         flat = Tensor(x, requires_grad=True)
-        (ad.segment_logsumexp(flat, starts, ids) * Tensor(w)).sum().backward()
+        (ad.segment_logsumexp(flat, starts) * Tensor(w)).sum().backward()
         block, mask = padded(lens, x)
         padded_x = Tensor(block, requires_grad=True)
         (masked_logsumexp(padded_x, mask) * Tensor(np.bincount(ids, weights=w)[:, None])).sum().backward()
@@ -363,9 +370,40 @@ class TestSegmentLogsumexp:
     @pytest.mark.parametrize("lens", LAYOUTS)
     def test_gradient(self, lens):
         lens = np.asarray(lens)
-        starts, ids = np.cumsum(lens) - lens, np.repeat(np.arange(lens.size), lens)
+        starts = np.cumsum(lens) - lens
         w = Tensor(np.random.default_rng(lens.size).standard_normal(lens.sum()))
-        check_op(lambda x: (ad.segment_logsumexp(x, starts, ids) * w).sum(), (int(lens.sum()),))
+        check_op(lambda x: (ad.segment_logsumexp(x, starts) * w).sum(), (int(lens.sum()),))
+
+
+SEGMENT_OPS = [(ad.segment_softmax, segment_softmax_by_ids), (ad.segment_logsumexp, segment_logsumexp_by_ids)]
+
+
+class TestSegmentLayout:
+    """The segment ops read a layout off its starts alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(segments(), st.integers(0, 2**32 - 1))
+    @example((np.array([1]), np.array([0]), np.array([0]), np.array([3.5])), 0)  # one element
+    @example((np.array([5]), np.array([0]), np.zeros(5, np.int64), np.linspace(-2.0, 2.0, 5)), 1)  # one segment
+    @example((np.array([1, 1]), np.array([0, 1]), np.array([0, 1]), np.array([-700.0, 700.0])), 2)
+    def test_equal_the_ids_oracle_bit_for_bit(self, case, seed):
+        lens, starts, ids, x = case
+        w = Tensor(np.random.default_rng(seed).standard_normal(x.size))
+        for op, oracle in SEGMENT_OPS:
+            got_x, want_x = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+            got, want = op(got_x, starts), oracle(want_x, starts, ids)
+            assert np.array_equal(got.data, want.data), op.__name__
+            (got * w).sum().backward()
+            (want * w).sum().backward()
+            assert np.array_equal(got_x.grad, want_x.grad), op.__name__
+
+    @pytest.mark.parametrize("op", [op for op, _ in SEGMENT_OPS], ids=lambda op: op.__name__)
+    @pytest.mark.parametrize("starts", [[1, 3], [0, 3, 2]], ids=["not_from_0", "decreasing"])
+    def test_a_malformed_layout_raises(self, op, starts):
+        # The segment lengths no longer tile the elements, so no per-segment
+        # value can reach the wrong ones.
+        with pytest.raises(ValueError):
+            op(Tensor(np.arange(5.0)), np.asarray(starts))
 
 
 class TestSoftmaxFamily:
