@@ -276,20 +276,19 @@ def scatter_matmul(w: Tensor, h: Tensor, cells: np.ndarray, rows: int) -> Tensor
     return Tensor(dense() @ h.data, parents=(w, h), backward=bwd)
 
 
-def gram_gather(h: Tensor, cells: np.ndarray, cells_t: np.ndarray) -> Tensor:
+def gram_gather(h: Tensor, cells: np.ndarray) -> Tensor:
     """(h @ h.T).ravel()[cells]: inner products of the row pairs cells names.
 
-    ``cells_t`` is ``cells`` transposed: cell i*N + j of the (N, N) Gram
-    matrix listed as j*N + i.  Backward forms the symmetric dG, the
-    gradient of G plus its transpose, with one bincount over both index
-    arrays, and returns the single product dG @ h.
+    Backward forms the symmetric dG, the gradient of G plus its transpose,
+    with one bincount over the cells and their transposes (cell i*N + j
+    of the (N, N) Gram matrix as j*N + i), and returns the single product
+    dG @ h.
     """
     n = h.data.shape[0]
 
     def bwd(g):
-        sym = np.bincount(
-            np.concatenate([cells, cells_t]), weights=np.concatenate([g, g]), minlength=n * n
-        )
+        cells_t = (cells % n) * n + cells // n
+        sym = np.bincount(np.concatenate([cells, cells_t]), weights=np.concatenate([g, g]), minlength=n * n)
         h._accumulate(sym.reshape(n, n) @ h.data)
 
     return Tensor((h.data @ h.data.T).reshape(-1)[cells], parents=(h,), backward=bwd)

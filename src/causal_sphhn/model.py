@@ -218,9 +218,8 @@ class GraphStructure:
     # Every valid member pair (e, i, j), grouped by context type and then
     # ordered by (e, i, j): its flat offset m_i*N + m_j in an (N, N) matrix,
     # the Gram matrix whose cell it reads or the transient A_t it scatters
-    # onto, and that offset transposed, m_j*N + m_i.
+    # onto.
     pair_cell: np.ndarray  # (Q,)
-    pair_cell_t: np.ndarray  # (Q,)
     # The pairs of one (e, i) row are contiguous: a softmax segment.
     seg_starts: np.ndarray  # (S,) first pair of each segment, which runs to the next one's
     type_pairs: dict[str, slice]  # context type -> its range of the pair arrays
@@ -319,7 +318,6 @@ def compile_structure(
         member_idx=member_idx,
         member_mask=member_mask,
         pair_cell=rows_i * n_nodes + rows_j,
-        pair_cell_t=rows_j * n_nodes + rows_i,
         seg_starts=np.flatnonzero(new_segment),
         type_pairs=type_pairs,
         child_rows=child_rows,
@@ -409,7 +407,7 @@ def run_model(
 
     for layer in range(1, cfg.layers + 1):
         if structure.pair_cell.size:
-            cos = ad.gram_gather(h, structure.pair_cell, structure.pair_cell_t)
+            cos = ad.gram_gather(h, structure.pair_cell)
             alpha = ad.segment_softmax(params.attn_temp * cos, structure.seg_starts)
             alphas.append(alpha)
             # The sum starts from the first context type's term, so it keeps no zero (N, d) tensor.

@@ -89,6 +89,10 @@ class SynthConfig:
             raise ContractViolation("leader_autocorr must be in (-1, 1)")
         if not (0.0 <= self.edge_contamination < 1.0):
             raise ContractViolation("edge_contamination must be in [0, 1)")
+        if self.n_hyperedges < 0 or self.burn_in < 0:
+            raise ContractViolation("n_hyperedges and burn_in must be >= 0")
+        if not all(f >= 0.0 for f in self.split_fracs):
+            raise ContractViolation(f"split fractions must be >= 0, got {self.split_fracs}")
         if not math.isclose(sum(self.split_fracs), 1.0, abs_tol=1e-9):
             raise ContractViolation("split fractions must sum to 1")
         if self.horizon < 1:
@@ -302,25 +306,25 @@ def _pick_planted(
     return tuple(picked)
 
 
-# Each preset: its default seed, its planted-edge count, and the SynthConfig
-# fields that shape it.  Every planted edge has the same coefficient.
+# Each preset: its planted-edge count and the SynthConfig fields that shape
+# it.  Every planted edge has the same coefficient.
 PRESETS = {
-    "toy": (7, 6, dict(n_nodes=40, n_hyperedges=120, mean_edge_size=4.0, feature_dim=16,
-                       timesteps=100, n_classes=4, n_communities=8)),
-    "small": (11, 20, dict(n_nodes=540, n_hyperedges=1120, mean_edge_size=5.0, feature_dim=24,
-                           timesteps=200, n_classes=3, n_communities=18)),
-    "medium": (13, 40, dict(n_nodes=1000, n_hyperedges=2000, mean_edge_size=5.0, feature_dim=32,
-                            timesteps=160, n_classes=4, n_communities=32)),
+    "toy": (6, dict(n_nodes=40, n_hyperedges=120, mean_edge_size=4.0, feature_dim=16,
+                    timesteps=100, n_classes=4, n_communities=8)),
+    "small": (20, dict(n_nodes=540, n_hyperedges=1120, mean_edge_size=5.0, feature_dim=24,
+                       timesteps=200, n_classes=3, n_communities=18)),
+    "medium": (40, dict(n_nodes=1000, n_hyperedges=2000, mean_edge_size=5.0, feature_dim=32,
+                        timesteps=160, n_classes=4, n_communities=32)),
 }
 _PLANTED_COEF = 0.8
 
 
-def preset(name: str, seed: int | None = None) -> SynthConfig:
-    """The named configuration of ``PRESETS``, at its default seed unless one is given."""
+def preset(name: str, seed: int) -> SynthConfig:
+    """The named configuration of ``PRESETS`` at ``seed``."""
     if name not in PRESETS:
         raise ContractViolation(f"unknown preset {name!r}")
-    default_seed, count, shape = PRESETS[name]
-    base = SynthConfig(**shape, planted_edges=(), seed=default_seed if seed is None else seed)
+    count, shape = PRESETS[name]
+    base = SynthConfig(**shape, planted_edges=(), seed=seed)
     rng = np.random.default_rng(base.seed)
     return replace(base, planted_edges=_pick_planted(base, count, _PLANTED_COEF, rng))
 

@@ -16,6 +16,10 @@ A checkpoint (format version 6; others are refused) holds the configs, the
 causal graph and the arrays, and no other key.  The input dim, class count
 and context types are read off ``params.proj_w``, ``params.head_b`` and the
 ``params.edge_w:<type>`` keys; initial values are ``model``'s constants.
+
+``gradient_check`` runs on the pipeline's own data, the ``toy`` preset at
+its seed and that dataset's Granger graph, and imports ``synthgen`` only
+when called.
 """
 
 from __future__ import annotations
@@ -340,46 +344,28 @@ _GRADCHECK_STEP = 1e-5
 _GRADCHECK_TOLERANCE = 1e-4
 
 
-def _tiny_instance(seed: int):
-    """Six nodes; a 4-node hyperedge and a 2-node one of a second context
-    type, so attention runs over segments of length 4 and 2 and the
-    message sums two types; two causal parents of one node with distinct
-    F, so gamma_temp has a gradient; d = d' = 4."""
-    from .hypergraph import Hyperedge
-
-    rng = np.random.default_rng(seed)
-    ids = [f"n{i}" for i in range(6)]
-    edges = [
-        Hyperedge("e0", ("n0", "n1", "n2", "n3"), "ctx"),
-        Hyperedge("e1", ("n3", "n4"), "pair"),
-    ]
-    labels = {i: k % 2 for k, i in enumerate(ids)}
-    ds = Dataset(
-        node_ids=ids,
-        features=rng.standard_normal((6, 3, 4)),
-        classes=2,
-        horizon=1,
-        hyperedges=edges,
-        labels=labels,
-        splits={"train": ids[:4], "val": ids[4:5], "test": ids[5:]},
-    )
-    graph = CausalGraph(alpha=0.05, lag=2, edges=[("n4", "n5", 3.0, 0.01), ("n3", "n5", 1.5, 0.02)])
-    return ds, graph, rng
-
-
 def gradient_check(seed: int = 0) -> GradientCheckReport:
     """Compare reverse-mode gradients against central finite differences.
 
-    Runs the tiny model with randomized parameters, all loss terms active,
-    and no dropout.  Relative error uses max(|analytic|, |numeric|, 1e-3)
-    as denominator so sub-noise gradients do not produce spurious ratios.
+    The instance is the pipeline's own: the ``toy`` preset generated at
+    ``seed`` and its Granger graph at the default ``GrangerConfig``, fitted
+    on the train split, so each seed draws another layout of hyperedges
+    and causal parents, one-parent gamma segments (gamma = 1) among them.
+    The model has d' = 4, two layers, randomized parameters, all loss
+    terms active over every node, and no dropout.  Relative error uses
+    max(|analytic|, |numeric|, 1e-3) as denominator so sub-noise
+    gradients do not produce spurious ratios.
     """
-    ds, graph, rng = _tiny_instance(seed)
+    from . import granger, synthgen
+
+    ds, _ = synthgen.generate(synthgen.preset("toy", seed=seed))
+    graph = granger.infer_causal_graph(ds.nodes, granger.GrangerConfig(), fit_ids=ds.splits["train"])
     model_cfg = ModelConfig(embed_dim=4, layers=2, dropout=0.0)
     cfg = TrainConfig(lambda1=0.7, lambda2=0.9, seed=seed)
     structure = compile_structure(ds, graph, model_cfg)
     del ds
-    params = init_params(model_cfg, 4, 2, tuple(structure.type_pairs), rng)
+    rng = np.random.default_rng(seed)
+    params = init_params(model_cfg, structure.features.shape[1], structure.classes, tuple(structure.type_pairs), rng)
     params.kappa_b.data = np.asarray(softplus_inverse(2.0))
     params.attn_temp.data = np.asarray(1.5)
     params.gamma_temp.data = np.asarray(0.7)
@@ -389,7 +375,7 @@ def gradient_check(seed: int = 0) -> GradientCheckReport:
             continue
         t.data = np.asarray(t.data + 0.4 * rng.standard_normal(t.data.shape), dtype=np.float64)
 
-    rows = np.arange(6, dtype=np.int64)
+    rows = np.arange(structure.labels.size, dtype=np.int64)
     grads, _ = gradients(params, structure, rows, cfg, mode="eval")
 
     def eval_loss() -> float:

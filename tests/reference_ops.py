@@ -181,7 +181,7 @@ def member_pairs(ds: Dataset, pairwise: bool) -> dict:
         member_idx[row, : len(mem)] = mem
         member_mask[row, : len(mem)] = True
     types = sorted({e.context_type for e in edges})
-    slots, cells, cells_t, starts, type_pairs = [], [], [], [], {}
+    slots, cells, starts, type_pairs = [], [], [], {}
     for t in types:
         lo = len(slots)
         for row, e in enumerate(edges):
@@ -193,14 +193,12 @@ def member_pairs(ds: Dataset, pairwise: bool) -> dict:
                 for j in range(size):
                     slots.append((row * k + i) * k + j)
                     cells.append(member_idx[row, i] * n + member_idx[row, j])
-                    cells_t.append(member_idx[row, j] * n + member_idx[row, i])
         type_pairs[t] = slice(lo, len(slots))
     return {
         "member_idx": member_idx,
         "member_mask": member_mask,
         "pair_slot": np.asarray(slots, dtype=np.int64),
         "pair_cell": np.asarray(cells, dtype=np.int64),
-        "pair_cell_t": np.asarray(cells_t, dtype=np.int64),
         "seg_starts": np.asarray(starts, dtype=np.int64),
         "type_pairs": type_pairs,
     }

@@ -21,7 +21,7 @@ from causal_sphhn.model import ModelConfig
 from causal_sphhn.training import GradientCheckReport, TrainConfig, load_checkpoint, save_checkpoint
 
 
-CONFIGS = [TrainConfig(), ModelConfig(), GrangerConfig(), synthgen.preset("toy")]
+CONFIGS = [TrainConfig(), ModelConfig(), GrangerConfig(), synthgen.preset("toy", 7)]
 FLOAT_FIELDS = [(cfg, key) for cfg in CONFIGS for key, hint in typing.get_type_hints(type(cfg)).items() if hint is float]
 
 
@@ -234,7 +234,7 @@ class TestGranger:
     def test_empty_train_split_is_input_error(self, tmp_path, capsys):
         # The reduction is fit on the train split alone: an empty one must not fall back to every node.
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(dict(synthgen.PRESETS["toy"][2], split_fracs=[0.0, 0.5, 0.5])))
+        cfg_path.write_text(json.dumps(dict(synthgen.PRESETS["toy"][1], split_fracs=[0.0, 0.5, 0.5])))
         out = str(tmp_path / "run")
         assert main(["synth", "--config", str(cfg_path), "--out", out]) == 0
         assert main(["granger", "--dataset", f"{out}/dataset.json", "--out", f"{out}/granger"]) == 1

@@ -205,7 +205,7 @@ class TestRoundTrip:
             return write_npy(path, array)
 
         monkeypatch.setattr(hypergraph, "write_npy", recording)
-        generated, _ = generate(preset("toy"))
+        generated, _ = generate(preset("toy", 7))
         save_dataset(generated, str(tmp_path / "ds.json"))
         loaded = load_dataset(str(tmp_path / "ds.json"))
         save_dataset(loaded, str(tmp_path / "again.json"))

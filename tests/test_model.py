@@ -404,7 +404,7 @@ class TestCompiledPlans:
         structure = compile_structure(ds, graph, ModelConfig(pairwise=pairwise))
         assert structure.plans == {}
         assert list(structure.type_pairs) == ["a", "b"]
-        for name in ("pair_cell", "pair_cell_t", "parent_starts", "parent_seg", "parent_rows"):
+        for name in ("pair_cell", "parent_starts", "parent_seg", "parent_rows"):
             field = getattr(structure, name)
             assert field.ndim == 1 and field.dtype == np.int64, name
         # The type ranges tile the pair arrays in order.

@@ -11,7 +11,7 @@ import pytest
 
 import causal_sphhn
 from causal_sphhn import autodiff as ad
-from causal_sphhn import cli, training
+from causal_sphhn import cli, granger, synthgen, training
 from causal_sphhn.model import ModelConfig, compile_structure, init_params
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "causal_sphhn"
@@ -168,7 +168,8 @@ def test_every_autodiff_op_runs_in_training():
                 ops[attr] = counted(attr, value)
                 patch.setattr(ad, attr, ops[attr])
 
-        ds, graph, _ = training._tiny_instance(0)
+        ds, _ = synthgen.generate(synthgen.preset("toy", 0))
+        graph = granger.infer_causal_graph(ds.nodes, granger.GrangerConfig(), fit_ids=ds.splits["train"])
         rows = np.arange(len(ds.nodes))
         for euclidean, pairwise, g in itertools.product((False, True), (False, True), (graph, None)):
             cfg = ModelConfig(embed_dim=4, layers=2, dropout=0.5, euclidean=euclidean, pairwise=pairwise)

@@ -49,9 +49,28 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             small_cfg(0, planted=[(1, 1, 0.5)])
 
+    def test_negative_burn_in_rejected(self):
+        # The first 5 timesteps of the feature block would never be written.
+        with pytest.raises(ContractViolation, match="burn_in"):
+            small_cfg(0, burn_in=-5)
+
+    def test_negative_hyperedge_count_rejected(self):
+        # coverage[:-3] would silently keep all but three coverage edges.
+        with pytest.raises(ContractViolation, match="n_hyperedges"):
+            small_cfg(0, n_hyperedges=-3)
+
+    def test_negative_split_fraction_rejected(self):
+        # The fractions sum to 1, yet would give an all-train split.
+        with pytest.raises(ContractViolation, match="split fractions"):
+            small_cfg(0, split_fracs=(1.5, -0.25, -0.25))
+
+    def test_zero_burn_in_and_hyperedges_accepted(self):
+        ds, _ = generate(small_cfg(0, burn_in=0, n_hyperedges=0, split_fracs=(1.0, 0.0, 0.0)))
+        assert ds.hyperedges == [] and len(ds.splits["train"]) == 6
+
     def test_unknown_preset(self):
         with pytest.raises(ContractViolation):
-            preset("giant")
+            preset("giant", 0)
 
 
 class TestGenerate:
@@ -87,16 +106,15 @@ class TestGenerate:
         assert load_truth(path) == truth
 
 
-# SHA-256 of each preset's whole config, as sorted-key JSON, by seed
-# (None is the preset's default seed).
+# SHA-256 of each preset's whole config, as sorted-key JSON, by seed.
 PRESET_DIGESTS = {
-    ("toy", None): "5684e9440d493cc17d8f4c28081337b8399e5ad36785e38f2332030f5ad27a3d",
+    ("toy", 7): "5684e9440d493cc17d8f4c28081337b8399e5ad36785e38f2332030f5ad27a3d",
     ("toy", 0): "380b827c6eff1e8a13cf1ed4fc17366e201ca3b10813d5288816bfdc02cef59e",
     ("toy", 1): "4940ff43e4a1e7129d10048e765d50df449db15f462ada4df2c8da6d7a0a467f",
-    ("small", None): "0bd217feec5ae52c5c6e6cfc7165995e4570b70da5c3f7903f686739a427fa44",
+    ("small", 11): "0bd217feec5ae52c5c6e6cfc7165995e4570b70da5c3f7903f686739a427fa44",
     ("small", 0): "212b39f62782c235abc4e65bd9902dbb7da9d3869f6d4b6b46a8ccf7a349789e",
     ("small", 1): "5953f8eee6f4417f149bf291762d690d157e021e7b36c31c9f8bf15a6a20065d",
-    ("medium", None): "ee47951ac1598281deed1e6235cd33714d14d866bb8f883a6cdcf5558f779a0e",
+    ("medium", 13): "ee47951ac1598281deed1e6235cd33714d14d866bb8f883a6cdcf5558f779a0e",
     ("medium", 0): "e2b76516dd81978ee590190fb758b0a66356c9b175082ad00121da853c81ce75",
     ("medium", 1): "8f88c1ff82e2642749f6280480ffde390c9518a6dfa15e6f38878ae07d64797b",
 }
@@ -111,33 +129,33 @@ class TestPresets:
             assert hashlib.sha256(doc.encode()).hexdigest() == digest, (name, seed)
 
     def test_toy_shape(self):
-        cfg = preset("toy")
+        cfg = preset("toy", 7)
         ds, truth = generate(cfg)
         assert len(ds.nodes) == 40
         assert len(ds.hyperedges) == 120
         assert ds.classes == 4
 
     def test_small_shape(self):
-        cfg = preset("small")
+        cfg = preset("small", 11)
         assert cfg.n_nodes == 540 and cfg.n_hyperedges == 1120 and cfg.n_classes == 3
         assert len(cfg.planted_edges) == 20
 
     def test_medium_shape(self):
-        cfg = preset("medium")
+        cfg = preset("medium", 13)
         assert cfg.n_nodes == 1000 and cfg.n_classes == 4
 
     def test_class_balance_toy(self):
-        ds, _ = generate(preset("toy"))
+        ds, _ = generate(preset("toy", 7))
         counts = np.bincount([ds.labels[n.node_id] for n in ds.nodes], minlength=4)
         assert counts.min() >= 0.05 * len(ds.nodes)
 
     def test_class_balance_small(self):
-        ds, _ = generate(preset("small"))
+        ds, _ = generate(preset("small", 11))
         counts = np.bincount([ds.labels[n.node_id] for n in ds.nodes], minlength=3)
         assert counts.min() >= 0.05 * len(ds.nodes)
 
     def test_splits_cover_nodes(self):
-        ds, _ = generate(preset("toy"))
+        ds, _ = generate(preset("toy", 7))
         listed = [nid for name in ("train", "val", "test") for nid in ds.splits[name]]
         assert sorted(listed) == sorted(ds.node_ids)
 

@@ -126,10 +126,25 @@ class TestGradients:
         grads, _ = gradients(params, structure, rows, TrainConfig(lambda1=0, lambda2=0), mode="eval")
         assert np.allclose(grads["head_b"][0], grads["head_b"][1], atol=1e-12)
 
-    def test_gradcheck_tiny_model(self):
-        report = gradient_check(seed=0)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradcheck_passes_on_pipeline_data(self, seed, monkeypatch):
+        # The toy preset and its Granger graph: two context types, and gamma
+        # segments of one parent (gamma = 1) and of several.
+        compiled = []
+        exact = training.compile_structure
+
+        def recording(*args, **kwargs):
+            compiled.append(exact(*args, **kwargs))
+            return compiled[-1]
+
+        monkeypatch.setattr(training, "compile_structure", recording)
+        report = gradient_check(seed=seed)
         assert report.passed, report.per_parameter
         assert report.max_rel_error <= 1e-4
+        (structure,) = compiled
+        assert len(structure.type_pairs) == 2
+        parents = np.bincount(structure.parent_seg)
+        assert (parents == 1).any() and (parents > 1).any(), parents
 
     def test_gradcheck_negative_control(self, perturbed_gradients):
         report = gradient_check(seed=0)
@@ -188,8 +203,8 @@ class TestGradients:
 
 
     def test_leaf_gradients_equal_the_pinned_values(self, monkeypatch):
-        # The SHA-256 of gradient_check's analytic gradients, by sorted
-        # parameter name, as computed before backward released its graph,
+        # The SHA-256 of gradient_check's analytic gradients at seed 0, by
+        # sorted parameter name, on the toy preset and its Granger graph,
         # with the head's logits scaled by model.LOGIT_SCALE.
         seen = []
         exact = training.gradients
@@ -204,7 +219,7 @@ class TestGradients:
         digest = hashlib.sha256()
         for name in sorted(seen[0]):
             digest.update(np.ascontiguousarray(seen[0][name], dtype=np.float64).tobytes())
-        assert digest.hexdigest() == "299b5098fd6888c6c1d6986af1b2f4fe63826ffdf93a5ef0b5d36c01ac8e4d3b"
+        assert digest.hexdigest() == "13eaffb27d03566eb6eb1b9b09c659675fda5f7b971e3874099e803d8215d12d"
 
 
 def graph_tensors(root):
